@@ -19,8 +19,7 @@ import (
 // benchResult is the JSON shape one bench run emits (consumed by
 // scripts/live_bench.sh to assemble BENCH_live.json).
 type benchResult struct {
-	Transport      string  `json:"transport"` // this client's call path: pooled|perdial
-	Batched        bool    `json:"batched"`   // grid.injectbatch vs one grid.inject per job
+	Batched        bool    `json:"batched"` // grid.injectbatch vs one grid.inject per job
 	Jobs           int     `json:"jobs"`
 	WorkMS         int64   `json:"work_ms"`
 	InjectElapsedS float64 `json:"inject_elapsed_s"`
@@ -44,25 +43,14 @@ func benchCmd(args []string) {
 	node := fs.String("node", "127.0.0.1:7001", "injection node address")
 	n := fs.Int("n", 200, "number of jobs")
 	work := fs.Duration("work", 5*time.Millisecond, "per-job synthetic runtime")
-	transportMode := fs.String("transport", "pooled", "client call path: pooled or perdial")
 	batch := fs.Bool("batch", false, "submit via grid.injectbatch instead of one grid.inject per job")
 	batchMax := fs.Int("batchmax", 64, "jobs per grid.injectbatch RPC")
 	timeout := fs.Duration("timeout", 5*time.Minute, "deadline for all results")
 	jsonOut := fs.Bool("json", false, "emit one JSON result line on stdout")
 	_ = fs.Parse(args)
 
-	var opts nettransport.Opts
-	switch *transportMode {
-	case "pooled":
-	case "perdial":
-		opts.PerDial = true
-	default:
-		fmt.Fprintf(os.Stderr, "gridctl: bench: unknown -transport %q (pooled|perdial)\n", *transportMode)
-		os.Exit(2)
-	}
-
 	wire.RegisterAll()
-	host, err := nettransport.ListenOpts("127.0.0.1:0", opts)
+	host, err := nettransport.Listen("127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
 		os.Exit(1)
@@ -88,7 +76,7 @@ func benchCmd(args []string) {
 		return grid.ResultResp{}, nil
 	})
 
-	res := benchResult{Transport: *transportMode, Batched: *batch, Jobs: want, WorkMS: work.Milliseconds()}
+	res := benchResult{Batched: *batch, Jobs: want, WorkMS: work.Milliseconds()}
 	began := time.Now()
 	benchErr := make(chan error, 1)
 	host.Go("bench", func(rt transport.Runtime) {

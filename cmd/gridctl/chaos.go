@@ -5,18 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/ids"
-	"repro/internal/match"
 	"repro/internal/nettransport"
 	"repro/internal/resource"
-	"repro/internal/rntree"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // chaosResult is the JSON summary one chaos soak emits (consumed by
@@ -63,70 +57,18 @@ func chaosCmd(args []string) {
 		topts.Chaos = nettransport.NewChaos(*chaosSeed, rules...)
 	}
 
-	wire.RegisterAll()
-	host, err := nettransport.ListenOpts("127.0.0.1:0", topts)
+	peer, err := joinClientPeer(*bootstrap, topts, *patience, *timeout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
+		fmt.Fprintf(os.Stderr, "gridctl: chaos: %v\n", err)
 		os.Exit(1)
 	}
-	defer host.Close()
-
-	// A full grid peer, not a bare RPC client: submissions need the
-	// overlay for routing and the node's pending map for monitoring.
-	// Near-zero caps keep real work off this process.
-	caps := resource.Vector{0.1, 1, 1}
-	ch := chord.New(host, chord.Config{
-		StabilizeEvery:  500 * time.Millisecond,
-		FixFingersEvery: 500 * time.Millisecond,
-	})
-	rn := rntree.New(host, ch, caps, "linux", rntree.Config{AggregateEvery: time.Second})
-	overlay := &match.ChordOverlay{Chord: ch, Walk: rn}
-
-	var mu sync.Mutex
-	delivered := map[ids.ID]int{}
-	resubmits := 0
-	rec := grid.RecorderFunc(func(ev grid.Event) {
-		mu.Lock()
-		switch ev.Kind {
-		case grid.EvResultDelivered:
-			delivered[ev.JobID]++
-		case grid.EvResubmitted:
-			resubmits++
-		}
-		mu.Unlock()
-	})
-	gn := grid.NewNode(host, caps, "linux", overlay, &match.RNTree{RN: rn}, rec, grid.Config{
-		HeartbeatEvery: time.Second,
-		PeerDown:       host.PeerDown,
-		Health:         gridctlHealth(host),
-	})
-	rn.SetLoadFn(gn.QueueLen)
-
-	joined := make(chan error, 1)
-	host.Go("join", func(rt transport.Runtime) {
-		var jerr error
-		for try := 0; try < 20; try++ {
-			if jerr = ch.Join(rt, transport.Addr(*bootstrap)); jerr == nil {
-				break
-			}
-			rt.Sleep(500 * time.Millisecond)
-		}
-		joined <- jerr
-	})
-	if err := <-joined; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: chaos: join via %s: %v\n", *bootstrap, err)
-		os.Exit(1)
-	}
-	ch.Start()
-	rn.Start()
-	gn.Start()
-	gn.StartClientMonitor(*patience)
-	time.Sleep(2 * time.Second) // ring + tree convergence before submitting
+	defer peer.host.Close()
+	gn := peer.node
 
 	res := chaosResult{Jobs: *n}
 	began := time.Now()
 	soakDone := make(chan int, 1)
-	host.Go("chaos-soak", func(rt transport.Runtime) {
+	peer.host.Go("chaos-soak", func(rt transport.Runtime) {
 		spec := grid.JobSpec{
 			Work: *work,
 			Cons: resource.Unconstrained.Require(resource.CPU, *minCPU),
@@ -143,15 +85,7 @@ func chaosCmd(args []string) {
 	res.Lost = <-soakDone
 	res.ElapsedS = time.Since(began).Seconds()
 
-	mu.Lock()
-	for _, c := range delivered {
-		res.Delivered++
-		if c > 1 {
-			res.Duplicates += c - 1
-		}
-	}
-	res.Resubmits = resubmits
-	mu.Unlock()
+	res.Delivered, res.Duplicates, res.Resubmits = peer.tally()
 
 	if *jsonOut {
 		b, _ := json.Marshal(res)
@@ -164,26 +98,5 @@ func chaosCmd(args []string) {
 		fmt.Fprintf(os.Stderr, "gridctl: chaos: FAIL: want %d delivered exactly once, got delivered=%d lost=%d duplicates=%d\n",
 			res.Jobs, res.Delivered, res.Lost, res.Duplicates)
 		os.Exit(1)
-	}
-}
-
-// gridctlHealth adapts the transport breaker snapshot for grid.health,
-// mirroring the gridnode adapter.
-func gridctlHealth(host *nettransport.Host) func() []grid.PeerHealth {
-	return func() []grid.PeerHealth {
-		hs := host.Health()
-		out := make([]grid.PeerHealth, len(hs))
-		for i, e := range hs {
-			out[i] = grid.PeerHealth{
-				Peer:        e.Peer,
-				State:       e.State,
-				ConsecFails: e.ConsecFails,
-				Failures:    e.Failures,
-				Successes:   e.Successes,
-				Opens:       e.Opens,
-				RetryIn:     e.RetryIn,
-			}
-		}
-		return out
 	}
 }

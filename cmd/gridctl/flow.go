@@ -5,19 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/flow"
-	"repro/internal/grid"
-	"repro/internal/ids"
-	"repro/internal/match"
 	"repro/internal/nettransport"
 	"repro/internal/resource"
-	"repro/internal/rntree"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // flowResult is the JSON summary one workflow run emits (consumed by
@@ -81,72 +74,19 @@ func flowCmd(args []string) {
 		os.Exit(2)
 	}
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
+	peer, err := joinClientPeer(*bootstrap, nettransport.Opts{}, *patience, *timeout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
+		fmt.Fprintf(os.Stderr, "gridctl: flow: %v\n", err)
 		os.Exit(1)
 	}
-	defer host.Close()
-
-	// A full grid peer, like the chaos harness: the engine needs the
-	// overlay for routing and the node's pending map for monitoring.
-	// Near-zero caps keep stage work off this process.
-	caps := resource.Vector{0.1, 1, 1}
-	ch := chord.New(host, chord.Config{
-		StabilizeEvery:  500 * time.Millisecond,
-		FixFingersEvery: 500 * time.Millisecond,
-	})
-	rn := rntree.New(host, ch, caps, "linux", rntree.Config{AggregateEvery: time.Second})
-	overlay := &match.ChordOverlay{Chord: ch, Walk: rn}
-
-	var mu sync.Mutex
-	delivered := map[ids.ID]int{}
-	resubmits := 0
-	rec := grid.RecorderFunc(func(ev grid.Event) {
-		mu.Lock()
-		switch ev.Kind {
-		case grid.EvResultDelivered:
-			delivered[ev.JobID]++
-		case grid.EvResubmitted:
-			resubmits++
-		}
-		mu.Unlock()
-	})
-	gn := grid.NewNode(host, caps, "linux", overlay, &match.RNTree{RN: rn}, rec, grid.Config{
-		HeartbeatEvery: time.Second,
-		PeerDown:       host.PeerDown,
-		Health:         gridctlHealth(host),
-	})
-	rn.SetLoadFn(gn.QueueLen)
-
-	joined := make(chan error, 1)
-	host.Go("join", func(rt transport.Runtime) {
-		var jerr error
-		for try := 0; try < 20; try++ {
-			if jerr = ch.Join(rt, transport.Addr(*bootstrap)); jerr == nil {
-				break
-			}
-			rt.Sleep(500 * time.Millisecond)
-		}
-		joined <- jerr
-	})
-	if err := <-joined; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: flow: join via %s: %v\n", *bootstrap, err)
-		os.Exit(1)
-	}
-	ch.Start()
-	rn.Start()
-	gn.Start()
-	gn.StartClientMonitor(*patience)
-	time.Sleep(2 * time.Second) // ring + tree convergence before submitting
+	defer peer.host.Close()
 
 	began := time.Now()
 	runDone := make(chan error, 1)
 	var results map[string]flow.StageResult
-	host.Go("flow-run", func(rt transport.Runtime) {
+	peer.host.Go("flow-run", func(rt transport.Runtime) {
 		var ferr error
-		results, ferr = flow.RunPlan(rt, gn, plan, flow.Options{
+		results, ferr = flow.RunPlan(rt, peer.node, plan, flow.Options{
 			Deadline: rt.Now() + *timeout,
 			OnStage: func(sr flow.StageResult) {
 				fmt.Printf("stage %-12s job=%s a%d elapsed=%v out=%dB\n",
@@ -159,14 +99,7 @@ func flowCmd(args []string) {
 	ferr := <-runDone
 
 	res := flowResult{Flow: g.Name, Stages: len(plan.Order), Delivered: len(results), ElapsedS: time.Since(began).Seconds()}
-	mu.Lock()
-	for _, c := range delivered {
-		if c > 1 {
-			res.Duplicates += c - 1
-		}
-	}
-	res.Resubmits = resubmits
-	mu.Unlock()
+	_, res.Duplicates, res.Resubmits = peer.tally()
 
 	if *jsonOut {
 		b, _ := json.Marshal(res)

@@ -45,7 +45,6 @@ func main() {
 	probeEvery := flag.Duration("probe-every", 0, "known-answer probe interval for blacklisted peers (0 = off)")
 	notify := flag.Bool("notify", false, "publish job-state transitions over the DHT pub/sub overlay (clients subscribe at submit; see 'gridctl watch')")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /events, /debug/pprof ('' = off)")
-	transportMode := flag.String("transport", "pooled", "outbound call path: pooled (persistent framed conns) or perdial (one conn per call; benchmarking baseline)")
 	ownerCap := flag.Int("owner-cap", 0, "bound on jobs this node will own at once; beyond it injections are rejected with a retry-after hint (0 = unbounded)")
 	chaosSpec := flag.String("chaos", "", "deterministic outbound fault schedule, e.g. 'method=grid.assign reset=0.1; stall=0.2:300ms' (DESIGN.md §12; '' = off)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos schedule; same seed, same rules => same fault sequence")
@@ -53,14 +52,6 @@ func main() {
 	flag.Parse()
 
 	var topts nettransport.Opts
-	switch *transportMode {
-	case "pooled":
-	case "perdial":
-		topts.PerDial = true
-	default:
-		fmt.Fprintf(os.Stderr, "gridnode: unknown -transport %q (pooled|perdial)\n", *transportMode)
-		os.Exit(2)
-	}
 	if *chaosSpec != "" {
 		rules, err := nettransport.ParseRules(*chaosSpec)
 		if err != nil {

@@ -140,7 +140,6 @@ func main() {
 		}
 		grids[i] = grid.NewNode(h, caps, "linux", overlay, &match.RNTree{RN: rn}, nil, grid.Config{
 			HeartbeatEvery:  200 * time.Millisecond,
-			IdlePoll:        50 * time.Millisecond,
 			MatchRetryEvery: 500 * time.Millisecond,
 			Executor:        executor,
 		})

@@ -93,7 +93,6 @@ func flowGridCfg() grid.Config {
 		OwnerDeadAfter:  5 * time.Second,
 		MatchRetryEvery: 2 * time.Second,
 		MaxRematch:      8,
-		IdlePoll:        time.Second,
 		NotifySilence:   10 * time.Second,
 	}
 }

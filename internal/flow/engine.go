@@ -79,6 +79,7 @@ func RunPlan(rt transport.Runtime, client *grid.Node, plan *Plan, opt Options) (
 
 	results := make(map[string]StageResult, len(plan.Order))
 	inflight := make(map[string]inflightStage, len(plan.Order))
+	var seen uint64 // result events already scanned for (AwaitResultEvent)
 
 	for len(results) < len(plan.Order) {
 		// Submit every stage whose dependencies have all delivered, in
@@ -171,11 +172,11 @@ func RunPlan(rt transport.Runtime, client *grid.Node, plan *Plan, opt Options) (
 		}
 		// Wait for the next result or pushed lineage transition; with a
 		// deadline the wait is capped so the stall check above fires.
-		maxWait := time.Duration(0)
+		maxWait := transport.Forever
 		if opt.Deadline > 0 {
 			maxWait = opt.Deadline - rt.Now()
 		}
-		client.AwaitResultEvent(rt, maxWait)
+		seen = client.AwaitResultEvent(rt, seen, maxWait)
 	}
 	return results, nil
 }

@@ -272,13 +272,3 @@ func (p *Plan) CriticalWork() time.Duration {
 	}
 	return sum
 }
-
-// FromGrid converts the deprecated grid.Workflow shape into a Graph,
-// so existing DAG definitions run on this engine unchanged.
-func FromGrid(name string, wf grid.Workflow) Graph {
-	g := Graph{Name: name, Stages: make([]Stage, 0, len(wf.Tasks))}
-	for _, t := range wf.Tasks {
-		g.Stages = append(g.Stages, Stage{Name: t.Name, Spec: t.Spec, After: t.DependsOn})
-	}
-	return g
-}

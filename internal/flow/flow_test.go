@@ -161,20 +161,6 @@ stage merge after=left,right work=3s in=2
 	}
 }
 
-func TestFromGrid(t *testing.T) {
-	wf := grid.Workflow{Tasks: []grid.Task{
-		{Name: "sim", Spec: grid.JobSpec{Work: 10 * time.Second}},
-		{Name: "analyze", Spec: grid.JobSpec{Work: 5 * time.Second}, DependsOn: []string{"sim"}},
-	}}
-	p, err := flow.FromGrid("legacy", wf).Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(p.Order, " "), "sim analyze"; got != want {
-		t.Fatalf("order = %q, want %q", got, want)
-	}
-}
-
 func TestUpdateEnvelopeRoundTrip(t *testing.T) {
 	u := flow.Update{Flow: "render", Stage: "merge", Kind: "delivered", Attempt: 2, At: 90 * time.Second}
 	got, err := flow.DecodeUpdate(flow.EncodeUpdate(u))

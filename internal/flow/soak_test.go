@@ -61,7 +61,6 @@ func flowSoakCfg(aware bool) grid.Config {
 		OwnerDeadAfter:          3 * time.Second,
 		MatchRetryEvery:         2 * time.Second,
 		MaxRematch:              8,
-		IdlePoll:                time.Second,
 		CheckpointEvery:         2 * time.Second,
 		CheckpointAdaptive:      true,
 		CheckpointMinEvery:      time.Second,

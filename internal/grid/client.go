@@ -268,24 +268,20 @@ func (n *Node) injectBatchWithRetry(rt transport.Runtime, reqs []InjectReq) []In
 
 // --- submit-side coalescing ---
 
-// batchItem is one submission waiting in the flush-window queue.
+// batchItem is one submission waiting in the flush-window queue; res
+// is valid once done, both set under batchMu by the flush.
 type batchItem struct {
-	req   InjectReq
-	res   InjectResult
-	done  bool
-	ready chan struct{} // closed when the flush resolved res/done
+	req  InjectReq
+	res  InjectResult
+	done bool
 }
 
 // submitViaBatcher coalesces concurrent Submit calls into batches: the
 // first enqueuer after a flush becomes the flusher, sleeps the window,
-// and injects everything queued behind it; later enqueuers wait for
-// their item to resolve. On a runtime that can block on channels (the
-// live transport) the waiter parks on the item's ready channel and
-// wakes exactly when the flush resolves it; a simulated proc may
-// suspend only via its Runtime, so there the wait stays a bounded
-// sleep-poll against the virtual clock.
+// and injects everything queued behind it; later enqueuers wait on
+// batchCond for the flush that resolves their item.
 func (n *Node) submitViaBatcher(rt transport.Runtime, req InjectReq, jobID ids.ID) (ids.ID, error) {
-	it := &batchItem{req: req, ready: make(chan struct{})}
+	it := &batchItem{req: req}
 	n.batchMu.Lock()
 	n.batchQ = append(n.batchQ, it)
 	flusher := len(n.batchQ) == 1
@@ -294,28 +290,21 @@ func (n *Node) submitViaBatcher(rt transport.Runtime, req InjectReq, jobID ids.I
 		rt.Sleep(n.cfg.InjectFlushWindow)
 		n.flushBatch(rt)
 	}
-	if w, ok := rt.(transport.ChanWaiter); ok {
-		w.AwaitChan(it.ready)
-	} else {
-		poll := n.cfg.InjectFlushWindow / 4
-		if poll < time.Millisecond {
-			poll = time.Millisecond
-		}
-		for {
-			n.batchMu.Lock()
-			done := it.done
-			n.batchMu.Unlock()
-			if done {
-				break
-			}
-			rt.Sleep(poll)
-		}
-	}
-	if err := it.res.resultErr(); err != nil {
+	res := n.awaitBatchItem(rt, it)
+	if err := res.resultErr(); err != nil {
 		return jobID, err
 	}
-	n.recordInjected(jobID, it.res.Owner, it.res.Reps)
-	return it.res.JobID, nil
+	n.recordInjected(jobID, res.Owner, res.Reps)
+	return res.JobID, nil
+}
+
+func (n *Node) awaitBatchItem(rt transport.Runtime, it *batchItem) InjectResult {
+	n.batchMu.Lock()
+	defer n.batchMu.Unlock()
+	for !it.done {
+		rt.Wait(&n.batchCond, transport.Forever)
+	}
+	return it.res
 }
 
 // flushBatch drains the queue and injects it in InjectBatchMax chunks,
@@ -343,8 +332,8 @@ func (n *Node) flushBatch(rt transport.Runtime) {
 		for k, it := range part {
 			it.res = results[k]
 			it.done = true
-			close(it.ready)
 		}
+		n.batchCond.Broadcast()
 		n.batchMu.Unlock()
 	}
 }
@@ -352,22 +341,14 @@ func (n *Node) flushBatch(rt transport.Runtime) {
 // AwaitAll blocks until every job this node submitted has a result or
 // the deadline passes; it returns the number still pending.
 func (n *Node) AwaitAll(rt transport.Runtime, deadline time.Duration) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for {
-		n.mu.Lock()
-		waiting := 0
-		for _, p := range n.pending {
-			if !p.got {
-				waiting++
-			}
-		}
-		n.mu.Unlock()
-		if waiting == 0 {
-			return 0
-		}
-		if rt.Now() >= deadline {
+		waiting := n.pendingLocked()
+		if waiting == 0 || rt.Now() >= deadline {
 			return waiting
 		}
-		rt.Sleep(500 * time.Millisecond)
+		rt.Wait(&n.resultCond, deadline-rt.Now())
 	}
 }
 
@@ -375,6 +356,10 @@ func (n *Node) AwaitAll(rt transport.Runtime, deadline time.Duration) int {
 func (n *Node) PendingCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.pendingLocked()
+}
+
+func (n *Node) pendingLocked() int {
 	waiting := 0
 	for _, p := range n.pending {
 		if !p.got {
@@ -421,65 +406,20 @@ func (n *Node) SeqFor(jobID ids.ID) (int, bool) {
 	return 0, false
 }
 
-// resultWakeChan registers a one-shot waiter that is pulsed on the next
-// result arrival or push notification for this client's pending jobs.
-func (n *Node) resultWakeChan() chan struct{} {
-	ch := make(chan struct{}, 1)
+// AwaitResultEvent parks the caller until a result or push
+// notification for one of this client's jobs has arrived that the
+// caller has not seen, or maxWait passes (transport.Forever: no bound).
+// seen is the value the previous call returned (0 on the first);
+// passing it back closes the window between the caller's scan of its
+// jobs and this wait: an event that lands in it makes the call return
+// at once.
+func (n *Node) AwaitResultEvent(rt transport.Runtime, seen uint64, maxWait time.Duration) uint64 {
 	n.mu.Lock()
-	n.resultWaiters = append(n.resultWaiters, ch)
-	n.mu.Unlock()
-	return ch
-}
-
-// wakeResultWaiters pulses and drops every registered waiter. Sends are
-// non-blocking: a waiter that raced away (its timeout already pulsed
-// the buffered slot) must not stall delivery.
-func (n *Node) wakeResultWaiters() {
-	n.mu.Lock()
-	ws := n.resultWaiters
-	n.resultWaiters = nil
-	n.mu.Unlock()
-	for _, ch := range ws {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	defer n.mu.Unlock()
+	if n.resultEvents == seen {
+		rt.Wait(&n.resultCond, maxWait)
 	}
-}
-
-// AwaitResultEvent parks the caller until a result or push notification
-// arrives for one of this client's jobs, or maxWait passes — the
-// push-first replacement for fixed-interval harvest polling. On a
-// runtime that can block on channels (the live transport) the caller
-// sleeps until the next event with maxWait as the silence fallback; a
-// simulated proc may suspend only via its Runtime, so there the wait is
-// a bounded virtual-clock sleep (IdlePoll, capped by maxWait) and the
-// caller's loop re-checks its condition each round.
-func (n *Node) AwaitResultEvent(rt transport.Runtime, maxWait time.Duration) {
-	if maxWait <= 0 || maxWait > n.cfg.NotifySilence {
-		// Cap at the silence window: an event can slip between a caller's
-		// condition check and the waiter registering below, so an unbounded
-		// park would turn that race into a stall. Callers loop and re-check
-		// their condition each wake, so the cap costs only a re-scan.
-		maxWait = n.cfg.NotifySilence
-	}
-	if w, ok := rt.(transport.ChanWaiter); ok {
-		ch := n.resultWakeChan()
-		t := time.AfterFunc(maxWait, func() {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-		})
-		w.AwaitChan(ch)
-		t.Stop()
-		return
-	}
-	poll := n.cfg.IdlePoll
-	if poll > maxWait {
-		poll = maxWait
-	}
-	rt.Sleep(poll)
+	return n.resultEvents
 }
 
 func (n *Node) handleResult(rt transport.Runtime, from transport.Addr, req any) (any, error) {
@@ -503,10 +443,11 @@ func (n *Node) acceptResult(rt transport.Runtime, res Result, tc obs.TC) obs.TC 
 		p.res = res
 		work = p.work
 		seq = p.seq
+		n.resultEvents++
+		n.resultCond.Broadcast()
 	}
 	n.mu.Unlock()
 	if fresh {
-		n.wakeResultWaiters()
 		if n.cfg.Notify != nil {
 			n.cfg.Notify.Unsubscribe(NotifyTopic(n.host.Addr(), seq))
 		}

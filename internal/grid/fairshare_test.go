@@ -15,7 +15,7 @@ import (
 // returns the position of the light client's job in the start order.
 func fairShareOrder(t *testing.T, fair bool) int {
 	t.Helper()
-	cfg := grid.Config{FairShare: fair, IdlePoll: 100 * time.Millisecond}
+	cfg := grid.Config{FairShare: fair}
 	// 3 nodes: n0 is the only capable run node; n1 and n2 are clients.
 	c := newCluster(t, 3, 41, cfg, func(i int) (resource.Vector, string) {
 		cpu := 1.0

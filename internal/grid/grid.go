@@ -37,8 +37,6 @@ type Config struct {
 	// OwnerDeadAfter is how long a run node tolerates failing
 	// heartbeats before seeking a new owner (default 8 s).
 	OwnerDeadAfter time.Duration
-	// IdlePoll is the run queue's idle polling interval (default 250 ms).
-	IdlePoll time.Duration
 	// MaxRematch bounds how many distinct run nodes the owner will try
 	// per job (default 5).
 	MaxRematch int
@@ -229,9 +227,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OwnerDeadAfter == 0 {
 		c.OwnerDeadAfter = 8 * time.Second
-	}
-	if c.IdlePoll == 0 {
-		c.IdlePoll = 250 * time.Millisecond
 	}
 	if c.MaxRematch == 0 {
 		c.MaxRematch = 5

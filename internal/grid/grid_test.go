@@ -166,19 +166,31 @@ func TestSingleJobLifecycle(t *testing.T) {
 	for _, ev := range evs {
 		kinds = append(kinds, ev.Kind)
 	}
-	// The lifecycle must pass through these stages in order.
+	// The lifecycle must pass through these stages in order. The
+	// owner's EvMatched is its receipt of the assign ack, which an idle
+	// run node's start now precedes, so it is checked for presence only.
 	want := []grid.EventKind{
-		grid.EvSubmitted, grid.EvInjected, grid.EvOwned, grid.EvMatched,
+		grid.EvSubmitted, grid.EvInjected, grid.EvOwned, grid.EvEnqueued,
 		grid.EvStarted, grid.EvResultDelivered,
 	}
 	wi := 0
-	for _, k := range kinds {
+	at := map[grid.EventKind]time.Duration{}
+	for i, k := range kinds {
 		if wi < len(want) && k == want[wi] {
 			wi++
 		}
+		at[k] = evs[i].At
 	}
 	if wi != len(want) {
 		t.Fatalf("lifecycle %v missing stage %v", kinds, want[wi])
+	}
+	if _, ok := at[grid.EvMatched]; !ok {
+		t.Fatalf("lifecycle %v missing stage %v", kinds, grid.EvMatched)
+	}
+	// The executor waits on the queue condition: a job assigned to an
+	// idle node starts at its enqueue instant, not at the next poll.
+	if at[grid.EvStarted] != at[grid.EvEnqueued] {
+		t.Fatalf("idle node started the job at %v, enqueued at %v", at[grid.EvStarted], at[grid.EvEnqueued])
 	}
 }
 

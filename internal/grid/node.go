@@ -318,21 +318,31 @@ type Node struct {
 	// unless cfg.ReplicaK > 0 and a ReplicaRing is supplied.
 	repl *replpkg.Manager
 
-	mu      sync.Mutex
-	owned   map[ids.ID]*ownedJob
-	queue   []*queuedJob
-	running *queuedJob
-	done    map[ids.ID]bool // jobs completed or dropped on this run node
-	started bool
+	mu    sync.Mutex
+	owned map[ids.ID]*ownedJob
+	queue []*queuedJob
+	// queueCond (on mu) is broadcast when assign enqueues a job; the
+	// executor waits on it while the queue is empty.
+	queueCond transport.Cond
+	running   *queuedJob
+	done      map[ids.ID]bool // jobs completed or dropped on this run node
+	started   bool
 
 	// client role
 	clientSeq int
 	pending   map[ids.ID]*pendingJob
+	// resultCond (on mu) is broadcast, and resultEvents bumped, on every
+	// fresh result and push notification for this client's jobs;
+	// AwaitAll and AwaitResultEvent wait on it.
+	resultCond   transport.Cond
+	resultEvents uint64
 
 	// submit-side coalescing queue (client.go); guarded by its own
 	// mutex so slow flushes never contend with the job-state lock.
-	batchMu sync.Mutex
-	batchQ  []*batchItem
+	// batchCond (on batchMu) is broadcast when a flush resolves items.
+	batchMu   sync.Mutex
+	batchQ    []*batchItem
+	batchCond transport.Cond
 
 	// failObs holds recent failure-signal instants (owner declared
 	// dead, resumed assignment received) feeding the adaptive
@@ -355,11 +365,6 @@ type Node struct {
 	// monitor — the pair the notifsweep experiment compares.
 	NotifyRecv   int64
 	StatusProbes int64
-
-	// resultWaiters are one-shot channels parked in AwaitResultEvent on
-	// the live transport, pulsed on result arrival or push notification
-	// (guarded by mu; see client.go).
-	resultWaiters []chan struct{}
 }
 
 type pendingJob struct {
@@ -413,6 +418,9 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 		pending:    make(map[ids.ID]*pendingJob),
 		executedBy: make(map[ids.ID]time.Duration),
 	}
+	n.queueCond.L = &n.mu
+	n.resultCond.L = &n.mu
+	n.batchCond.L = &n.batchMu
 	n.obsv = n.cfg.Obs
 	n.om = newNodeObs(n, n.cfg.Obs)
 	if n.cfg.Obs != nil {

@@ -96,9 +96,9 @@ func (n *Node) OnNotification(rt transport.Runtime, topic ids.ID, payload []byte
 		pp.lastNotify = now
 	}
 	n.NotifyRecv++
+	// A pushed transition also wakes result waiters (the flow engine).
+	n.resultEvents++
+	n.resultCond.Broadcast()
 	n.mu.Unlock()
 	n.om.notifyRecv.Inc()
-	// Wake blocked result waiters (the workflow runner): a pushed
-	// transition may be the delivery-completing event they sleep on.
-	n.wakeResultWaiters()
 }

@@ -28,6 +28,9 @@ type stubRT struct {
 func (r *stubRT) Now() time.Duration    { return r.now }
 func (r *stubRT) Sleep(d time.Duration) { r.now += d }
 func (r *stubRT) Rand() *rand.Rand      { return r.rng }
+func (r *stubRT) Wait(*transport.Cond, time.Duration) bool {
+	panic("stubRT: scripted handlers never park")
+}
 func (r *stubRT) Call(to transport.Addr, method string, req any) (any, error) {
 	if r.call == nil {
 		return nil, transport.ErrUnreachable

@@ -50,6 +50,7 @@ func (n *Node) assign(rt transport.Runtime, req AssignReq) (AssignResp, error) {
 		q.shippedDone = req.Ckpt.Done
 	}
 	n.queue = append(n.queue, q)
+	n.queueCond.Broadcast()
 	pos := len(n.queue)
 	if n.running != nil {
 		pos++
@@ -72,34 +73,37 @@ func (n *Node) handleAssign(rt transport.Runtime, from transport.Addr, req any) 
 func (n *Node) execLoop(rt transport.Runtime) {
 	served := make(map[transport.Addr]int)
 	for {
-		n.mu.Lock()
-		var job *queuedJob
-		if len(n.queue) > 0 {
-			pick := 0
-			if n.cfg.FairShare {
-				for i, q := range n.queue {
-					if served[q.prof.Client] < served[n.queue[pick].prof.Client] {
-						pick = i
-					}
-				}
-			}
-			job = n.queue[pick]
-			n.queue = append(n.queue[:pick], n.queue[pick+1:]...)
-			n.running = job
-			served[job.prof.Client]++
-			job.tc = n.trace(job.tc, rt.Now(), "started", job.prof.Attempt, "", "")
-		}
-		n.mu.Unlock()
-		if job == nil {
-			rt.Sleep(n.cfg.IdlePoll)
-			continue
-		}
+		job := n.dequeue(rt, served)
 		started := rt.Now()
 		n.om.queueWait.Observe((started - job.enqueuedAt).Seconds())
 		n.record(EvStarted, job.prof, started)
 		n.notifyTransition(started, job.prof, EvStarted, n.host.Addr(), job.ckpt.Done)
 		n.executeAndReport(rt, job, started)
 	}
+}
+
+// dequeue waits until the run queue holds a job, then makes the
+// discipline's pick the running job.
+func (n *Node) dequeue(rt transport.Runtime, served map[transport.Addr]int) *queuedJob {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for len(n.queue) == 0 {
+		rt.Wait(&n.queueCond, transport.Forever)
+	}
+	pick := 0
+	if n.cfg.FairShare {
+		for i, q := range n.queue {
+			if served[q.prof.Client] < served[n.queue[pick].prof.Client] {
+				pick = i
+			}
+		}
+	}
+	job := n.queue[pick]
+	n.queue = append(n.queue[:pick], n.queue[pick+1:]...)
+	n.running = job
+	served[job.prof.Client]++
+	job.tc = n.trace(job.tc, rt.Now(), "started", job.prof.Attempt, "", "")
+	return job
 }
 
 // execTime returns the job's execution duration on this node.

@@ -67,7 +67,6 @@ func soakCfg() grid.Config {
 		OwnerDeadAfter:  3 * time.Second,
 		MatchRetryEvery: 2 * time.Second,
 		MaxRematch:      8,
-		IdlePoll:        time.Second,
 	}
 }
 

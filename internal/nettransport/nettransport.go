@@ -7,9 +7,7 @@
 // pooled connections (see frame.go): one connection per peer carries
 // many concurrent requests, paired to responses by ID, with per-call
 // deadlines carried in the request envelope, idle reaping on both
-// sides, and reconnect-on-error. Opts.PerDial restores the historical
-// dial-per-call behavior as a benchmarking baseline
-// (scripts/live_bench.sh measures the difference).
+// sides, and reconnect-on-error.
 package nettransport
 
 import (
@@ -34,10 +32,6 @@ var seedCounter int64
 
 // Opts tunes a Host. The zero value selects the defaults.
 type Opts struct {
-	// PerDial disables connection pooling: every call dials a fresh
-	// TCP connection, sends one framed request, and closes it. This is
-	// the pre-pooling baseline, kept for benchmarking.
-	PerDial bool
 	// IdleTimeout reaps connections (pooled client conns and inbound
 	// server conns) with no traffic and no in-flight calls
 	// (default 60s).
@@ -454,10 +448,25 @@ func (r *runtime) Now() time.Duration    { return time.Since(r.h.start) }
 func (r *runtime) Sleep(d time.Duration) { time.Sleep(d) }
 func (r *runtime) Rand() *rand.Rand      { return r.rng }
 
-// AwaitChan implements transport.ChanWaiter: under wall-clock time a
-// goroutine may park on a channel directly, so waiters wake exactly
-// when the producer closes it instead of sleep-polling.
-func (r *runtime) AwaitChan(ch <-chan struct{}) { <-ch }
+// Wait implements transport.Runtime: the goroutine parks on a channel
+// the broadcast closes, bounded by a timer.
+func (r *runtime) Wait(c *transport.Cond, max time.Duration) bool {
+	ch := make(chan struct{})
+	return c.Park(func() { close(ch) }, func() bool {
+		var expired <-chan time.Time
+		if max != transport.Forever {
+			t := time.NewTimer(max)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-ch:
+			return true
+		case <-expired:
+			return false
+		}
+	})
+}
 
 func (r *runtime) Call(to transport.Addr, method string, req any) (any, error) {
 	return r.CallT(to, method, req, DefaultCallTimeout)
@@ -509,13 +518,7 @@ func (r *runtime) CallT(to transport.Addr, method string, req any, timeout time.
 		r.h.sleepInterruptible(ft.stall)
 		timeout -= ft.stall
 	}
-	var rf *frame
-	var err error
-	if r.h.opts.PerDial {
-		rf, err = r.h.callPerDial(to, method, req, timeout, ft)
-	} else {
-		rf, err = r.h.callPooled(to, method, req, timeout, ft)
-	}
+	rf, err := r.h.callPooled(to, method, req, timeout, ft)
 	// Only transport-level outcomes feed the breaker: a handler error
 	// or missing handler is an answering, healthy peer.
 	r.h.brk.record(to, err == nil && rf.ErrKind != errDown)
@@ -565,36 +568,6 @@ func (h *Host) callPooled(to transport.Addr, method string, req any, timeout tim
 		rf, _, err = pc.call(method, h.addr, req, timeout, ft)
 	}
 	return rf, err
-}
-
-// callPerDial is the baseline path: dial, one framed request, close.
-func (h *Host) callPerDial(to transport.Addr, method string, req any, timeout time.Duration, ft fault) (*frame, error) {
-	deadline := time.Now().Add(timeout)
-	conn, err := net.DialTimeout("tcp", string(to), timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if ro := h.obsv.Load(); ro != nil {
-		conn = &countingConn{Conn: conn, in: ro.bytesIn, out: ro.bytesOut}
-	}
-	_ = conn.SetDeadline(deadline)
-	var wmu sync.Mutex
-	f := &frame{
-		Kind: frameReq, ID: 1, Method: method, From: string(h.addr),
-		TimeoutMS: timeout.Milliseconds(), Payload: req,
-	}
-	if err := writeFrameFault(conn, &wmu, f, deadline, h.opts.MaxFrame, ft); err != nil {
-		return nil, err
-	}
-	rf, err := readFrame(bufio.NewReader(conn), h.opts.MaxFrame)
-	if err != nil {
-		return nil, err
-	}
-	if rf.ID == 0 && rf.ErrKind == errDown {
-		return nil, remoteDownError{}
-	}
-	return rf, nil
 }
 
 // mapCallErr translates connection-level failures into the transport

@@ -140,9 +140,30 @@ func TestLiveChordRing(t *testing.T) {
 	}
 }
 
-// TestLiveGridJob runs one real job through the full grid stack over
-// TCP: inject -> owner -> matchmaking (RN-Tree over Chord) -> run node
-// -> result.
+// startGaps is a grid.Recorder keeping, per job, how long the run node
+// took from enqueueing it to starting it (both stamps are the run
+// node's own clock).
+type startGaps struct {
+	mu       sync.Mutex
+	enqueued map[ids.ID]time.Duration
+	gaps     []time.Duration
+}
+
+func (r *startGaps) Record(ev grid.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch ev.Kind {
+	case grid.EvEnqueued:
+		r.enqueued[ev.JobID] = ev.At
+	case grid.EvStarted:
+		r.gaps = append(r.gaps, ev.At-r.enqueued[ev.JobID])
+	}
+}
+
+// TestLiveGridJob runs real jobs through the full grid stack over TCP:
+// inject -> owner -> matchmaking (RN-Tree over Chord) -> run node ->
+// result. One job at a time on an idle grid, so each must start when
+// it is enqueued: the executor waits on the queue, it does not poll.
 func TestLiveGridJob(t *testing.T) {
 	const N = 4
 	chCfg := chord.Config{
@@ -151,8 +172,9 @@ func TestLiveGridJob(t *testing.T) {
 		CheckPredEvery:  100 * time.Millisecond,
 	}
 	rnCfg := rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond}
-	gCfg := grid.Config{HeartbeatEvery: 200 * time.Millisecond, IdlePoll: 50 * time.Millisecond}
+	gCfg := grid.Config{HeartbeatEvery: 200 * time.Millisecond}
 
+	rec := &startGaps{enqueued: make(map[ids.ID]time.Duration)}
 	hosts := make([]*Host, N)
 	chords := make([]*chord.Node, N)
 	rns := make([]*rntree.Node, N)
@@ -169,7 +191,7 @@ func TestLiveGridJob(t *testing.T) {
 		rns[i] = rntree.New(h, chords[i], caps, "linux", rnCfg)
 		overlay := &match.ChordOverlay{Chord: chords[i], Walk: rns[i]}
 		matcher := &match.RNTree{RN: rns[i]}
-		grids[i] = grid.NewNode(h, caps, "linux", overlay, matcher, nil, gCfg)
+		grids[i] = grid.NewNode(h, caps, "linux", overlay, matcher, rec, gCfg)
 		rns[i].SetLoadFn(grids[i].QueueLen)
 	}
 	chords[0].Create()
@@ -196,15 +218,18 @@ func TestLiveGridJob(t *testing.T) {
 	}
 	time.Sleep(2 * time.Second) // ring + tree convergence
 
+	const jobs = 1000
 	done := make(chan error, 1)
 	hosts[0].Go("client", func(rt transport.Runtime) {
-		if _, err := grids[0].Submit(rt, grid.JobSpec{Work: 200 * time.Millisecond}); err != nil {
-			done <- err
-			return
-		}
-		if left := grids[0].AwaitAll(rt, rt.Now()+20*time.Second); left != 0 {
-			done <- fmt.Errorf("%d jobs unfinished", left)
-			return
+		for j := 0; j < jobs; j++ {
+			if _, err := grids[0].Submit(rt, grid.JobSpec{}); err != nil {
+				done <- err
+				return
+			}
+			if left := grids[0].AwaitAll(rt, rt.Now()+20*time.Second); left != 0 {
+				done <- fmt.Errorf("job %d: %d jobs unfinished", j, left)
+				return
+			}
 		}
 		done <- nil
 	})
@@ -213,7 +238,28 @@ func TestLiveGridJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("live grid job timed out")
+	case <-time.After(2 * time.Minute):
+		t.Fatal("live grid jobs timed out")
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.gaps) < jobs {
+		t.Fatalf("%d starts recorded for %d jobs", len(rec.gaps), jobs)
+	}
+	// A poll would spread the gaps evenly over its period; a wait puts
+	// them all at scheduler latency. One in a hundred may be a host
+	// hiccup (this runs under -race next to other packages' tests).
+	slow, worst := 0, time.Duration(0)
+	for _, gap := range rec.gaps {
+		if gap >= 20*time.Millisecond {
+			slow++
+		}
+		if gap > worst {
+			worst = gap
+		}
+	}
+	if slow > len(rec.gaps)/100 {
+		t.Fatalf("%d of %d jobs took 20 ms or more from enqueue to start on an idle grid (worst %v)",
+			slow, len(rec.gaps), worst)
 	}
 }

@@ -266,34 +266,3 @@ func TestBadFrameGetsDownReply(t *testing.T) {
 		t.Fatalf("remote down reply maps to %v, want ErrDown", got)
 	}
 }
-
-// TestPerDialBaseline sanity-checks the benchmarking baseline path:
-// every call opens its own connection.
-func TestPerDialBaseline(t *testing.T) {
-	a, err := ListenOpts("127.0.0.1:0", Opts{PerDial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	b.Handle("ping", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		return rntree.SearchResp{Visits: 3}, nil
-	})
-	rt := a.newRuntime()
-	for i := 0; i < 3; i++ {
-		resp, err := rt.Call(b.Addr(), "ping", rntree.SearchReq{})
-		if err != nil {
-			t.Fatalf("per-dial call %d: %v", i, err)
-		}
-		if resp.(rntree.SearchResp).Visits != 3 {
-			t.Fatalf("wrong reply: %+v", resp)
-		}
-	}
-	if pc := a.pooledConn(b.Addr()); pc != nil {
-		t.Fatal("per-dial host cached a pooled connection")
-	}
-}

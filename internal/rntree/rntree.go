@@ -341,10 +341,12 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 			parent, isRoot = p, n.isRoot
 			n.mu.Unlock()
 		}
+		// Fold before the root's early exit: folding is what expires
+		// silent children, and the root has children too.
+		sum := n.localSummary(rt.Now())
 		if isRoot || parent.IsZero() {
 			continue
 		}
-		sum := n.localSummary(rt.Now())
 		raw, err := rt.Call(parent.Addr, MUpdate, UpdateReq{Child: n.chord.Ref(), Sum: sum})
 		if err != nil || raw.(UpdateResp).Reject {
 			// Parent unreachable or disavowed us: force recompute.

@@ -339,3 +339,33 @@ func TestChildExpiry(t *testing.T) {
 		t.Fatalf("root still sees %d nodes after crash (before %d)", after, before)
 	}
 }
+
+// TestRootExpiresSilentChild: the root pushes no summary upward, but it
+// must still drop a child that stopped reporting, or searches keep
+// visiting the dead address forever.
+func TestRootExpiresSilentChild(t *testing.T) {
+	f := newForest(t, 12, 11, variedCaps)
+	defer f.e.Shutdown()
+	root := WarmStart(f.rns, 0)
+	for _, rn := range f.rns {
+		rn.Start()
+	}
+	f.e.RunFor(10 * time.Second)
+	kids := root.Children()
+	if len(kids) == 0 {
+		t.Fatal("root has no children")
+	}
+	victim := kids[0]
+	for _, h := range f.hosts {
+		if h.Addr() == victim {
+			h.Endpoint().Crash()
+		}
+	}
+	// One jittered aggregation round past the TTL.
+	f.e.RunFor(root.cfg.ChildTTL + 2*root.cfg.AggregateEvery)
+	for _, a := range root.Children() {
+		if a == victim {
+			t.Fatalf("root still lists %s, silent for more than ChildTTL", victim)
+		}
+	}
+}

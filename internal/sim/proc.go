@@ -26,9 +26,8 @@ type Proc struct {
 	wakes chan wake
 	rng   *rand.Rand
 
-	killed   bool
-	spawnEv  *Event
-	OnKilled func() // optional cleanup, runs in proc context during unwind
+	killed  bool
+	spawnEv *Event
 }
 
 type wake struct {
@@ -86,11 +85,9 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
-			if ks, ok := r.(killedSignal); ok && ks.p == p {
-				if p.OnKilled != nil {
-					p.OnKilled()
-				}
-			} else {
+			// A kill unwinds the proc's stack, running its deferred calls
+			// in proc context; anything else is a failure to report.
+			if ks, ok := r.(killedSignal); !ok || ks.p != p {
 				p.e.failure = r
 			}
 		}

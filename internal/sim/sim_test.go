@@ -246,7 +246,7 @@ func TestKillParkedProc(t *testing.T) {
 	cleaned := false
 	var p *Proc
 	p = e.Spawn("victim", func(pp *Proc) {
-		pp.OnKilled = func() { cleaned = true }
+		defer func() { cleaned = true }()
 		c.Recv(pp)
 		reachedEnd = true
 	})
@@ -259,7 +259,7 @@ func TestKillParkedProc(t *testing.T) {
 		t.Fatal("killed proc continued")
 	}
 	if !cleaned {
-		t.Fatal("OnKilled not run")
+		t.Fatal("kill did not run the proc's deferred calls")
 	}
 	if len(e.procs) != 0 {
 		t.Fatalf("%d procs leaked", len(e.procs))

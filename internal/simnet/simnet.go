@@ -200,10 +200,15 @@ func (ep *Endpoint) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	ep.seq++
 	var p *sim.Proc
 	ep.net.Engine.Tagged(LayerOf(name), func() {
-		p = ep.net.Engine.Spawn(fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq), fn)
+		p = ep.net.Engine.Spawn(fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq), func(p *sim.Proc) {
+			// Deferred, so it runs when fn returns as well as when a kill
+			// unwinds it: every request handler is a proc, and one that
+			// stayed listed after returning kept its 5 KB random source.
+			defer delete(ep.procs, p)
+			fn(p)
+		})
 	})
 	ep.procs[p] = struct{}{}
-	p.OnKilled = func() { delete(ep.procs, p) }
 	return p
 }
 

@@ -42,6 +42,11 @@ func TestCallRoundTrip(t *testing.T) {
 	if rtt != 20*time.Millisecond {
 		t.Fatalf("rtt = %v, want 20ms", rtt)
 	}
+	// Procs that returned (the caller, the request handler) are no
+	// longer listed for the crash kill.
+	if len(a.procs) != 0 || len(b.procs) != 0 {
+		t.Fatalf("endpoints still list %d and %d returned procs", len(a.procs), len(b.procs))
+	}
 }
 
 func TestCallHandlerError(t *testing.T) {

@@ -8,7 +8,9 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -68,17 +70,80 @@ type Runtime interface {
 	Call(to Addr, method string, req any) (any, error)
 	// CallT performs a blocking RPC with an explicit timeout.
 	CallT(to Addr, method string, req any, timeout time.Duration) (any, error)
+	// Wait parks the activity until c is broadcast or max passes and
+	// reports which (see Cond for the contract). c.L must be held; it
+	// is released while parked and held again on return.
+	Wait(c *Cond, max time.Duration) (signalled bool)
 }
 
-// ChanWaiter is the optional Runtime extension for waiting on an
-// ordinary Go channel. Only runtimes whose clock is wall-clock (the
-// live transport) implement it: there, parking on a channel wakes the
-// waiter exactly when the producer closes it, with no polling.
-// Simulated runtimes deliberately do not implement it — a simulated
-// proc may suspend only through its Runtime, or the virtual clock
-// stalls — so callers must type-assert and fall back to a bounded
-// Sleep poll.
-type ChanWaiter interface {
-	// AwaitChan blocks until ch is closed (or yields a value).
-	AwaitChan(ch <-chan struct{})
+// Forever is the Runtime.Wait bound of a wait that has no deadline.
+const Forever = time.Duration(math.MaxInt64)
+
+// Cond is how protocol code waits for another activity to change
+// shared state ("wake me when X"): a condition bound to the mutex L
+// that guards that state. The contract is sync.Cond's:
+//
+//	c.L.Lock()
+//	defer c.L.Unlock()
+//	for !condition() {
+//		rt.Wait(c, transport.Forever)
+//	}
+//
+// and whoever makes the condition true does so under L and calls
+// Broadcast. The waiter registers while it still holds the lock it
+// checked the condition under, so a broadcast between check and park
+// cannot be lost. Hold L with a deferred Unlock: under simulation a
+// crashed host's proc is killed while parked and unwinds through Wait,
+// which re-acquires L on that path too.
+type Cond struct {
+	L sync.Locker
+
+	mu     sync.Mutex // guards parked, so Broadcast need not hold L
+	parked []*func()
+}
+
+// Broadcast wakes every activity parked on c. L may be held or not.
+func (c *Cond) Broadcast() {
+	c.mu.Lock()
+	ws := c.parked
+	c.parked = nil
+	c.mu.Unlock()
+	for _, wake := range ws {
+		(*wake)()
+	}
+}
+
+// Park is the backing-independent half of Runtime.Wait, for Runtime
+// implementations only: it registers wake (called at most once, by
+// Broadcast, from any activity), releases L, runs block, which parks
+// the caller until wake ran or the bound passed and reports which,
+// and re-acquires L. The registration is dropped however block ends,
+// a killed proc's unwind included.
+func (c *Cond) Park(wake func(), block func() bool) (signalled bool) {
+	c.mu.Lock()
+	c.parked = append(c.parked, &wake)
+	c.mu.Unlock()
+	c.L.Unlock()
+	defer func() {
+		// A registration Broadcast already took is a wake-up even when
+		// block saw its timer first.
+		if !c.unpark(&wake) {
+			signalled = true
+		}
+		c.L.Lock()
+	}()
+	return block()
+}
+
+// unpark drops one registration, reporting whether it was still there.
+func (c *Cond) unpark(wake *func()) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, w := range c.parked {
+		if w == wake {
+			c.parked = append(c.parked[:i], c.parked[i+1:]...)
+			return true
+		}
+	}
+	return false
 }

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Live-throughput benchmark: boot a 3-node TCP grid three times — once
-# per transport configuration — and measure injection and end-to-end
-# throughput from one external client (gridctl bench):
+# Live-throughput benchmark: boot a 3-node TCP grid twice — once per
+# injection mode — and measure injection and end-to-end throughput
+# from one external client (gridctl bench):
 #
-#   perdial        one TCP connection per RPC (the pre-pooling baseline)
-#   pooled         persistent framed connections, one grid.inject per job
-#   pooled_batched persistent framed connections, grid.injectbatch
+#   pooled         one grid.inject per job
+#   pooled_batched grid.injectbatch
 #
-# Results land in BENCH_live.json. Environment knobs:
+# Results land in BENCH_live.json, whose "perdial" row (one TCP
+# connection per RPC, the path PR 6 replaced and PR 14 deleted) is
+# history and is carried over as is. Environment knobs:
 #   BENCH_JOBS     jobs per configuration        (default 300)
 #   BENCH_WORK     per-job synthetic runtime     (default 5ms)
 #   BENCH_OUT      output path                   (default BENCH_live.json)
-#   BENCH_ASSERT   when 1, fail unless batched injection throughput
-#                  beats the per-dial baseline (CI smoke; the checked-in
-#                  BENCH_live.json records the stronger local numbers)
+#   BENCH_ASSERT   when 1, fail unless batched injection throughput is
+#                  at least half of the checked-in BENCH_live.json
+#                  pooled_batched rung (CI smoke)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,26 +36,36 @@ trap cleanup EXIT
 go build -o "$workdir/gridnode" ./cmd/gridnode
 go build -o "$workdir/gridctl" ./cmd/gridctl
 
-# run_config <name> <node-transport> <client-transport> <batch-flag>
+extract() { # extract <file> <json-number-field>
+  grep -o "\"$2\":[0-9.eE+-]*" "$1" | head -1 | cut -d: -f2
+}
+
+# Read the checked-in rungs before $OUT (possibly the same file) is
+# rewritten: the history row, and the floor the assert compares with.
+history=$(grep '"perdial":' BENCH_live.json | sed 's/,$//')
+grep '"pooled_batched":' BENCH_live.json >"$workdir/rung.json"
+rung_inject=$(extract "$workdir/rung.json" inject_jobs_per_sec)
+
+# run_config <name> <batch-flag>
 # Boots a fresh 3-node grid, runs one bench, and leaves the JSON result
 # line in $workdir/<name>.json.
 run_config() {
-  local name=$1 ntrans=$2 ctrans=$3 batch=$4
-  echo "live_bench: config $name (nodes=$ntrans client=$ctrans batch=$batch)" >&2
-  "$workdir/gridnode" -listen 127.0.0.1:7701 -transport "$ntrans" \
+  local name=$1 batch=$2
+  echo "live_bench: config $name (batch=$batch)" >&2
+  "$workdir/gridnode" -listen 127.0.0.1:7701 \
     >"$workdir/$name-n1.log" 2>&1 &
   pids+=($!)
   sleep 1
   "$workdir/gridnode" -listen 127.0.0.1:7702 -bootstrap 127.0.0.1:7701 \
-    -transport "$ntrans" -cpu 8 >"$workdir/$name-n2.log" 2>&1 &
+    -cpu 8 >"$workdir/$name-n2.log" 2>&1 &
   pids+=($!)
   "$workdir/gridnode" -listen 127.0.0.1:7703 -bootstrap 127.0.0.1:7701 \
-    -transport "$ntrans" -cpu 3 >"$workdir/$name-n3.log" 2>&1 &
+    -cpu 3 >"$workdir/$name-n3.log" 2>&1 &
   pids+=($!)
   sleep 4 # ring + tree convergence
 
   local args=(bench -node 127.0.0.1:7701 -n "$JOBS" -work "$WORK" \
-    -transport "$ctrans" -timeout 4m -json)
+    -timeout 4m -json)
   if [ "$batch" = yes ]; then args+=(-batch); fi
   "$workdir/gridctl" "${args[@]}" >"$workdir/$name.json"
 
@@ -65,9 +76,8 @@ run_config() {
   sleep 1
 }
 
-run_config perdial perdial perdial no
-run_config pooled pooled pooled no
-run_config pooled_batched pooled pooled yes
+run_config pooled no
+run_config pooled_batched yes
 
 {
   echo '{'
@@ -75,7 +85,7 @@ run_config pooled_batched pooled pooled yes
   echo "  \"jobs_per_config\": $JOBS,"
   echo "  \"work\": \"$WORK\","
   echo '  "note": "inject_jobs_per_sec is submit->owner-ack throughput (the pooled/batched fast path); e2e_jobs_per_sec is submit->result-delivered",'
-  echo "  \"perdial\": $(cat "$workdir/perdial.json"),"
+  echo "$history,"
   echo "  \"pooled\": $(cat "$workdir/pooled.json"),"
   echo "  \"pooled_batched\": $(cat "$workdir/pooled_batched.json")"
   echo '}'
@@ -83,21 +93,16 @@ run_config pooled_batched pooled pooled yes
 
 echo "live_bench: wrote $OUT" >&2
 
-extract() { # extract <file> <json-number-field>
-  grep -o "\"$2\":[0-9.eE+-]*" "$1" | head -1 | cut -d: -f2
-}
-base_inject=$(extract "$workdir/perdial.json" inject_jobs_per_sec)
 pool_inject=$(extract "$workdir/pooled.json" inject_jobs_per_sec)
 batch_inject=$(extract "$workdir/pooled_batched.json" inject_jobs_per_sec)
-echo "live_bench: inject jobs/sec: perdial=$base_inject pooled=$pool_inject pooled+batched=$batch_inject" >&2
+echo "live_bench: inject jobs/sec: pooled=$pool_inject pooled+batched=$batch_inject (checked-in rung $rung_inject)" >&2
 
 if [ "$ASSERT" = 1 ]; then
-  # Flake-tolerant CI gate: batched must beat the per-dial baseline at
-  # all (the checked-in BENCH_live.json documents the >=2x local run).
-  ok=$(awk -v a="$batch_inject" -v b="$base_inject" 'BEGIN { print (a > b) ? 1 : 0 }')
+  # Flake-tolerant CI gate: a floor against the checked-in rung.
+  ok=$(awk -v a="$batch_inject" -v b="$rung_inject" 'BEGIN { print (a >= b / 2) ? 1 : 0 }')
   if [ "$ok" != 1 ]; then
-    echo "live_bench: FAIL: batched injection ($batch_inject jobs/s) not faster than per-dial ($base_inject jobs/s)" >&2
+    echo "live_bench: FAIL: batched injection ($batch_inject jobs/s) under half of the checked-in rung ($rung_inject jobs/s)" >&2
     exit 1
   fi
-  echo "live_bench: PASS (batched $batch_inject > perdial $base_inject jobs/s)" >&2
+  echo "live_bench: PASS (batched $batch_inject >= half of rung $rung_inject jobs/s)" >&2
 fi
