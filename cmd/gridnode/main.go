@@ -52,13 +52,14 @@ func main() {
 	flag.Parse()
 
 	var topts nettransport.Opts
+	var chaosRules []nettransport.ChaosRule
 	if *chaosSpec != "" {
-		rules, err := nettransport.ParseRules(*chaosSpec)
-		if err != nil {
+		var err error
+		if chaosRules, err = nettransport.ParseRules(*chaosSpec); err != nil {
 			fmt.Fprintf(os.Stderr, "gridnode: -chaos: %v\n", err)
 			os.Exit(2)
 		}
-		cz := nettransport.NewChaos(*chaosSeed, rules...)
+		cz := nettransport.NewChaos(*chaosSeed, chaosRules...)
 		if *chaosLog != "" {
 			f, err := os.OpenFile(*chaosLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -69,7 +70,7 @@ func main() {
 			cz.SetLog(f)
 		}
 		topts.Chaos = cz
-		fmt.Printf("gridnode: chaos on (seed %d, %d rules)\n", *chaosSeed, len(rules))
+		fmt.Printf("gridnode: chaos on (seed %d, %d rules)\n", *chaosSeed, len(chaosRules))
 	}
 
 	wire.RegisterAll()
@@ -176,6 +177,15 @@ func main() {
 		Health:   gridHealth(host),
 		Notify:   broker,
 	})
+	// Every peer runs this binary, so with all handlers registered a
+	// method unknown here is served nowhere: the rule would match no
+	// call and silently inject nothing.
+	for _, r := range chaosRules {
+		if r.Method != "" && r.Method != "*" && !host.Handles(r.Method) {
+			fmt.Fprintf(os.Stderr, "gridnode: -chaos: rule names method %q, which no handler is registered for\n", r.Method)
+			os.Exit(2)
+		}
+	}
 	rn.SetLoadFn(gn.QueueLen)
 	if broker != nil {
 		broker.SetOnEvent(gn.OnNotification)

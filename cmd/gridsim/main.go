@@ -20,8 +20,7 @@
 // ablate-virtualdim, ablate-k, ablate-fair, all.
 //
 // Observability (DESIGN.md §14): -simstats prints the simulation
-// kernel's event/switch/wall-clock report after every run,
-// -switch-trace dumps the context-switch interleaving to a file, and
+// kernel's event/switch/wall-clock report after every run, and
 // -profile cpu,heap captures pprof profiles around the whole run.
 package main
 
@@ -58,7 +57,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment identifiers")
 
 	simstats := flag.Bool("simstats", false, "print the sim kernel's stats report after every run")
-	switchTrace := flag.String("switch-trace", "", "write the kernel's context-switch trace to this file")
 	profile := flag.String("profile", "", "comma-separated pprof profiles to capture: cpu,heap")
 	profileDir := flag.String("profile-dir", ".", "directory for pprof output files")
 
@@ -85,27 +83,14 @@ func main() {
 		}
 	}
 
-	// Kernel observability: stats report sink and switch-trace file.
-	ins := &experiments.Instrument{}
+	// Kernel observability: stats report sink.
 	if *simstats {
-		ins.Stats = true
-		ins.OnStats = func(label string, st *sim.Stats) {
-			fmt.Fprintf(os.Stderr, "# simstats [%s]\n%s", label, indent(st.Report(), "# "))
+		o.Instrument = &experiments.Instrument{
+			Stats: true,
+			OnStats: func(label string, st *sim.Stats) {
+				fmt.Fprintf(os.Stderr, "# simstats [%s]\n%s", label, indent(st.Report(), "# "))
+			},
 		}
-	}
-	if *switchTrace != "" {
-		f, err := os.Create(*switchTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridsim: -switch-trace: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		ins.Trace = func(format string, args ...any) {
-			fmt.Fprintf(f, format+"\n", args...)
-		}
-	}
-	if ins.Stats || ins.Trace != nil {
-		o.Instrument = ins
 	}
 
 	// pprof capture brackets the whole run (all requested experiments),

@@ -12,7 +12,7 @@ import (
 // estimates used by the pushing variant.
 func (n *Node) gossipLoop(rt transport.Runtime) {
 	for {
-		rt.Sleep(jitter(rt, n.cfg.GossipEvery))
+		rt.Sleep(transport.Jitter(rt, n.cfg.GossipEvery))
 		n.mu.Lock()
 		joined := n.joined
 		n.mu.Unlock()
@@ -347,8 +347,4 @@ func (n *Node) handleGossip(rt transport.Runtime, from transport.Addr, req any) 
 	g := req.(GossipReq)
 	n.absorb(rt.Now(), g.From, g.Digest)
 	return GossipResp{From: n.info()}, nil
-}
-
-func jitter(rt transport.Runtime, d time.Duration) time.Duration {
-	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }

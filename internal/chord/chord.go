@@ -413,7 +413,7 @@ func (n *Node) handlePing(rt transport.Runtime, from transport.Addr, req any) (a
 
 func (n *Node) stabilizeLoop(rt transport.Runtime) {
 	for {
-		rt.Sleep(jittered(rt, n.cfg.StabilizeEvery))
+		rt.Sleep(transport.Jitter(rt, n.cfg.StabilizeEvery))
 		n.stabilizeOnce(rt)
 	}
 }
@@ -521,7 +521,7 @@ func prependTrim(head Ref, rest []Ref, max int) []Ref {
 
 func (n *Node) fixFingersLoop(rt transport.Runtime) {
 	for {
-		rt.Sleep(jittered(rt, n.cfg.FixFingersEvery))
+		rt.Sleep(transport.Jitter(rt, n.cfg.FixFingersEvery))
 		n.fixFingersOnce(rt)
 	}
 }
@@ -561,7 +561,7 @@ func (n *Node) fixFingersOnce(rt transport.Runtime) {
 
 func (n *Node) checkPredLoop(rt transport.Runtime) {
 	for {
-		rt.Sleep(jittered(rt, n.cfg.CheckPredEvery))
+		rt.Sleep(transport.Jitter(rt, n.cfg.CheckPredEvery))
 		pred := n.Predecessor()
 		if pred.IsZero() || pred.ID == n.id {
 			continue
@@ -613,11 +613,6 @@ func (n *Node) dropRefLocked(dead Ref) bool {
 		}
 	}
 	return changed
-}
-
-// jittered spreads periodic work to avoid lock-step rounds across nodes.
-func jittered(rt transport.Runtime, d time.Duration) time.Duration {
-	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }
 
 // FingerTable returns a copy of the finger table (diagnostics only).

@@ -123,9 +123,9 @@ type Scenario struct {
 	// MutateWorkload, if set, edits the generated workload before the
 	// deployment is wired (e.g. to plant rare-resource constraints).
 	MutateWorkload func(w *workload.Workload)
-	// Instrument attaches kernel observability (stats collector and/or
-	// switch trace) to the deployment's engine. It never changes the
-	// virtual timeline; Options.Build fills it from gridsim's flags.
+	// Instrument attaches kernel observability (the stats collector) to
+	// the deployment's engine. It never changes the virtual timeline;
+	// Options.Build fills it from gridsim's flags.
 	Instrument *Instrument
 }
 
@@ -159,13 +159,8 @@ func Build(s Scenario) *Deployment {
 		s.MutateWorkload(w)
 	}
 	e := sim.NewEngine(s.NetSeed)
-	if ins := s.Instrument; ins != nil {
-		if ins.Stats {
-			e.EnableStats()
-		}
-		if ins.Trace != nil {
-			e.Trace = ins.Trace
-		}
+	if ins := s.Instrument; ins != nil && ins.Stats {
+		e.EnableStats()
 	}
 	net := simnet.New(e)
 	net.Latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond}

@@ -29,8 +29,8 @@ type Options struct {
 	// Verbose receives progress lines (may be nil).
 	Verbose func(format string, args ...any)
 	// Instrument, if non-nil, attaches kernel-level observability to
-	// every engine the drivers create (gridsim's -simstats,
-	// -switch-trace, and the simbench harness ride on it).
+	// every engine the drivers create (gridsim's -simstats and the
+	// simbench harness ride on it).
 	Instrument *Instrument
 }
 
@@ -41,9 +41,6 @@ type Options struct {
 type Instrument struct {
 	// Stats enables the kernel's event/switch/wall-clock collector.
 	Stats bool
-	// Trace, if non-nil, receives the engine's context-switch trace
-	// (one line per proc start/park/wake/exit).
-	Trace func(format string, args ...any)
 	// OnStats is called after each instrumented run with a short label
 	// and the engine's collector (requires Stats).
 	OnStats func(label string, st *sim.Stats)
@@ -51,7 +48,7 @@ type Instrument struct {
 
 // Build wires o's instrumentation into the scenario and builds it.
 // Drivers use this instead of the package-level Build so every
-// experiment honours gridsim's -simstats / -switch-trace flags.
+// experiment honours gridsim's -simstats flag.
 func (o Options) Build(s Scenario) *Deployment {
 	s.Instrument = o.Instrument
 	return Build(s)
@@ -61,13 +58,8 @@ func (o Options) Build(s Scenario) *Deployment {
 // the DHT study) with o's instrumentation applied.
 func (o Options) engine(seed int64) *sim.Engine {
 	e := sim.NewEngine(seed)
-	if ins := o.Instrument; ins != nil {
-		if ins.Stats {
-			e.EnableStats()
-		}
-		if ins.Trace != nil {
-			e.Trace = ins.Trace
-		}
+	if ins := o.Instrument; ins != nil && ins.Stats {
+		e.EnableStats()
 	}
 	return e
 }

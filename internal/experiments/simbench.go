@@ -144,7 +144,7 @@ type SimBenchResult struct {
 
 // SimBench runs the ladder and reports per-rung kernel throughput with
 // per-layer attribution. Options.Scale is ignored — the ladder's rungs
-// set the scale — but Seed and Instrument (trace/report sinks) apply.
+// set the scale — but Seed and Instrument's report sink apply.
 func SimBench(cfg SimBenchConfig, o Options) (*SimBenchResult, *Table) {
 	result := &SimBenchResult{
 		Alg:               cfg.Alg.String(),
@@ -200,10 +200,9 @@ func simBenchRung(cfg SimBenchConfig, o Options, scale float64) SimBenchRung {
 	wcfg = wcfg.Scale(scale)
 
 	// Kernel stats are the point of this experiment, so they are forced
-	// on; the caller's trace/report sinks still apply.
+	// on; the caller's report sink still applies.
 	ins := &Instrument{Stats: true}
 	if o.Instrument != nil {
-		ins.Trace = o.Instrument.Trace
 		ins.OnStats = o.Instrument.OnStats
 	}
 

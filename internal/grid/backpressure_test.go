@@ -15,11 +15,7 @@ import (
 // last resort) must still land every job: rejections shed load, they
 // never lose work.
 func TestOwnerBackpressureNoLostJobs(t *testing.T) {
-	cfg := grid.Config{
-		OwnerCapacity: 2,
-		RetryAfter:    200 * time.Millisecond,
-		InjectRetries: 8,
-	}
+	cfg := grid.Config{OwnerCapacity: 2}
 	c := newCluster(t, 6, 11, cfg, uniform)
 	defer c.e.Shutdown()
 	c.nodes[0].StartClientMonitor(10 * time.Second)
@@ -84,11 +80,7 @@ func TestSubmitAllBatched(t *testing.T) {
 // owner capacity: per-item retry-after results must be honored and
 // retried without losing batch-mates that were accepted.
 func TestSubmitAllWithBackpressure(t *testing.T) {
-	cfg := grid.Config{
-		OwnerCapacity: 3,
-		RetryAfter:    200 * time.Millisecond,
-		InjectRetries: 8,
-	}
+	cfg := grid.Config{OwnerCapacity: 3}
 	c := newCluster(t, 6, 13, cfg, uniform)
 	defer c.e.Shutdown()
 	c.nodes[0].StartClientMonitor(10 * time.Second)
@@ -108,35 +100,43 @@ func TestSubmitAllWithBackpressure(t *testing.T) {
 	}
 }
 
-// TestSubmitFlushWindowCoalesces runs concurrent submitters through
-// the flush-window batcher: submissions from many procs coalesce into
-// shared batches and every job still completes.
-func TestSubmitFlushWindowCoalesces(t *testing.T) {
-	cfg := grid.Config{InjectFlushWindow: 50 * time.Millisecond}
-	c := newCluster(t, 6, 14, cfg, uniform)
-	defer c.e.Shutdown()
-	const procs = 5
-	const each = 4
-	done := 0
-	for p := 0; p < procs; p++ {
-		c.hosts[0].Go("submitter", func(rt transport.Runtime) {
-			defer func() { done++ }()
-			for i := 0; i < each; i++ {
-				if _, err := c.nodes[0].Submit(rt, grid.JobSpec{Work: time.Second}); err != nil {
-					t.Errorf("submit: %v", err)
-				}
+// TestSubmitIsBatchOfOne: Submit and a one-element SubmitAll are the
+// same call. Two identically seeded clusters, tight enough on owner
+// capacity that the retry-after path and its jitter draws run, must
+// record byte-identical event traces when driven either way at the same
+// instants.
+func TestSubmitIsBatchOfOne(t *testing.T) {
+	run := func(submit func(n *grid.Node, rt transport.Runtime, spec grid.JobSpec)) []string {
+		c := newCluster(t, 6, 15, grid.Config{OwnerCapacity: 2}, uniform)
+		defer c.e.Shutdown()
+		c.nodes[0].StartClientMonitor(10 * time.Second)
+		const J = 16
+		c.do(0, func(rt transport.Runtime) {
+			for i := 0; i < J; i++ {
+				submit(c.nodes[0], rt, grid.JobSpec{Work: time.Duration(1+i%3) * time.Second})
+				rt.Sleep(100 * time.Millisecond)
+			}
+			if left := c.nodes[0].AwaitAll(rt, rt.Now()+15*time.Minute); left != 0 {
+				t.Fatalf("%d jobs unfinished", left)
 			}
 		})
-	}
-	for done < procs {
-		c.e.RunFor(time.Second)
-	}
-	c.do(0, func(rt transport.Runtime) {
-		if left := c.nodes[0].AwaitAll(rt, rt.Now()+10*time.Minute); left != 0 {
-			t.Fatalf("%d jobs unfinished", left)
+		if c.rec.count(grid.EvInjectRejected) == 0 {
+			t.Fatal("capacity bound never engaged: the retry path was not compared")
 		}
+		return eventTrace(c.rec)
+	}
+	single := run(func(n *grid.Node, rt transport.Runtime, spec grid.JobSpec) {
+		_, _ = n.Submit(rt, spec)
 	})
-	if got := c.rec.count(grid.EvResultDelivered); got != procs*each {
-		t.Fatalf("%d results, want %d", got, procs*each)
+	batched := run(func(n *grid.Node, rt transport.Runtime, spec grid.JobSpec) {
+		_, _ = n.SubmitAll(rt, []grid.JobSpec{spec})
+	})
+	if len(single) != len(batched) {
+		t.Fatalf("Submit recorded %d events, one-element SubmitAll %d", len(single), len(batched))
+	}
+	for i := range single {
+		if single[i] != batched[i] {
+			t.Fatalf("traces diverge at event %d:\n  Submit:    %s\n  SubmitAll: %s", i, single[i], batched[i])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -9,16 +10,15 @@ import (
 	"repro/internal/transport"
 )
 
-// Batched injection (DESIGN.md §11). One grid.injectbatch RPC carries
-// many submissions to an injection node, which routes every item and
-// then performs one grid.ownbatch handoff per distinct owner instead of
-// one grid.own per job. Results are positional: Results[i] answers
-// Items[i], and a per-item failure (routing, handoff, backpressure)
-// never poisons its batch-mates.
+// Injection (DESIGN.md §11). The injection node routes every item of a
+// batch and then performs one grid.ownbatch handoff per distinct owner.
+// Results are positional: Results[i] answers Items[i], and a per-item
+// failure (routing, handoff, backpressure) never poisons its
+// batch-mates. A single submission is a batch of one.
 
-// InjectBatch performs the injection-node role for a whole batch
-// locally. Exposed, like Inject, for clients that are themselves grid
-// nodes; the wire handler delegates here.
+// InjectBatch performs the injection-node role locally: assign GUIDs,
+// route to the owners, and hand the jobs over. Exposed for clients that
+// are themselves grid nodes; both wire handlers delegate here.
 func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResult {
 	began := rt.Now()
 	results := make([]InjectResult, len(reqs))
@@ -45,8 +45,11 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 			CkptBias:    req.CkptBias,
 			CarryOutput: req.CarryOutput,
 		}
+		results[i].JobID = prof.ID
 		tc := req.TC
 		if tc.Zero() {
+			// Untraced legacy sender: the trace ID is derivable from the
+			// submission identity, so the lifecycle stays reconstructable.
 			tc = obs.TC{ID: TraceID(req.Client, req.Seq)}
 		}
 		owner, hops, err := n.overlay.RouteJob(rt, prof.ID, prof.Cons)
@@ -54,9 +57,8 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 			results[i].Err = fmt.Sprintf("route job %s: %v", prof.ID.Short(), err)
 			continue
 		}
-		tc = n.trace(tc, rt.Now(), "injected", prof.Attempt, owner, n.traceNote("hops=%d batch", hops))
+		tc = n.trace(tc, rt.Now(), "injected", prof.Attempt, owner, n.traceNote("hops=%d", hops))
 		n.rec.Record(Event{Kind: EvInjected, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr(), Hops: hops})
-		results[i].JobID = prof.ID
 		results[i].Owner = owner
 		results[i].Hops = hops
 		byOwner[owner] = append(byOwner[owner], pending{idx: i, prof: prof, tc: tc})
@@ -115,19 +117,31 @@ func setBatchErr(res *InjectResult, err error) {
 	res.Err = err.Error()
 }
 
+// handleInject serves the single-job wire method (gridctl submit, the
+// benchmark's trickle client). Backpressure is an answer, not a handler
+// failure: it crosses the wire in the response payload so the typed
+// hint survives both transports.
+func (n *Node) handleInject(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+	res := n.InjectBatch(rt, []InjectReq{req.(InjectReq)})[0]
+	if res.Err != "" {
+		return nil, res.resultErr()
+	}
+	return InjectResp{JobID: res.JobID, Owner: res.Owner, Hops: res.Hops, Reps: res.Reps, RetryAfterMS: res.RetryAfterMS}, nil
+}
+
 func (n *Node) handleInjectBatch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	return InjectBatchResp{Results: n.InjectBatch(rt, req.(InjectBatchReq).Items)}, nil
 }
 
-// resultErr converts one positional InjectResult back into the typed
-// error space of Inject, so retry classification is identical on both
-// the single and batched paths.
+// resultErr renders one positional InjectResult as an error: a typed
+// *RetryAfterError for owner backpressure, an opaque error for a
+// routing or handoff failure, nil for an accepted job.
 func (r InjectResult) resultErr() error {
 	if r.RetryAfterMS > 0 {
 		return &RetryAfterError{After: time.Duration(r.RetryAfterMS) * time.Millisecond}
 	}
 	if r.Err != "" {
-		return fmt.Errorf("%w: %s", errRoute, r.Err)
+		return errors.New("grid: inject: " + r.Err)
 	}
 	return nil
 }

@@ -18,6 +18,19 @@ import (
 // failure rate (Ni & Harwood's adaptive checkpointing, using Young's
 // first-order optimum sqrt(2 * checkpoint-cost / failure-rate)).
 
+const (
+	// checkpointCost is the assumed overhead of taking one checkpoint,
+	// the numerator of Young's rule.
+	checkpointCost = 500 * time.Millisecond
+	// checkpointFailWindow is the sliding window over which failure
+	// observations feed the adaptive rate.
+	checkpointFailWindow = 2 * time.Minute
+	// checkpointPiggybackKB caps the checkpoint payload a single
+	// heartbeat may carry; snapshots whose state exceeds the remaining
+	// budget travel in a standalone grid.checkpoint RPC instead.
+	checkpointPiggybackKB = 4
+)
+
 // ckptEnabled reports whether the checkpoint subsystem is on.
 func (n *Node) ckptEnabled() bool { return n.cfg.CheckpointEvery > 0 }
 
@@ -33,7 +46,7 @@ func (n *Node) noteFailureSignal(now time.Duration) {
 	// Prune outside the window; the slice stays small (observations
 	// arrive at heartbeat cadence at worst).
 	cut := 0
-	for cut < len(n.failObs) && now-n.failObs[cut] > n.cfg.CheckpointFailWindow {
+	for cut < len(n.failObs) && now-n.failObs[cut] > checkpointFailWindow {
 		cut++
 	}
 	n.failObs = n.failObs[cut:]
@@ -42,7 +55,7 @@ func (n *Node) noteFailureSignal(now time.Duration) {
 
 // ckptInterval returns the interval until the next checkpoint. Fixed
 // policy returns CheckpointEvery; adaptive policy applies Young's rule
-// to the failure rate observed over CheckpointFailWindow, backing off
+// to the failure rate observed over checkpointFailWindow, backing off
 // to CheckpointMaxEvery when the neighbourhood has been stable.
 //
 // bias is the workflow hint carried on the job's profile (Ni &
@@ -60,15 +73,15 @@ func (n *Node) ckptInterval(now time.Duration, bias float64) time.Duration {
 	n.mu.Lock()
 	seen := 0
 	for _, t := range n.failObs {
-		if now-t <= n.cfg.CheckpointFailWindow {
+		if now-t <= checkpointFailWindow {
 			seen++
 		}
 	}
 	n.mu.Unlock()
 	opt := n.cfg.CheckpointMaxEvery
 	if seen > 0 {
-		rate := float64(seen) / n.cfg.CheckpointFailWindow.Seconds() // failures per second
-		opt = time.Duration(math.Sqrt(2*n.cfg.CheckpointCost.Seconds()/rate) * float64(time.Second))
+		rate := float64(seen) / checkpointFailWindow.Seconds() // failures per second
+		opt = time.Duration(math.Sqrt(2*checkpointCost.Seconds()/rate) * float64(time.Second))
 		if opt > n.cfg.CheckpointMaxEvery {
 			opt = n.cfg.CheckpointMaxEvery
 		}

@@ -66,12 +66,10 @@ func TestCkptIntervalFixedAndAdaptive(t *testing.T) {
 	}
 
 	n, _ := newStubNode(nil, Config{
-		CheckpointEvery:      10 * time.Second,
-		CheckpointAdaptive:   true,
-		CheckpointMinEvery:   time.Second,
-		CheckpointMaxEvery:   time.Minute,
-		CheckpointCost:       500 * time.Millisecond,
-		CheckpointFailWindow: 2 * time.Minute,
+		CheckpointEvery:    10 * time.Second,
+		CheckpointAdaptive: true,
+		CheckpointMinEvery: time.Second,
+		CheckpointMaxEvery: time.Minute,
 	})
 	now := 10 * time.Minute
 	// No observed failures: back off to the max interval.
@@ -107,12 +105,10 @@ func TestCkptIntervalFixedAndAdaptive(t *testing.T) {
 // flag (or with bias <= 1, or under fixed policy) the bias is inert.
 func TestCkptIntervalWorkflowAware(t *testing.T) {
 	cfg := Config{
-		CheckpointEvery:      10 * time.Second,
-		CheckpointAdaptive:   true,
-		CheckpointMinEvery:   time.Second,
-		CheckpointMaxEvery:   time.Minute,
-		CheckpointCost:       500 * time.Millisecond,
-		CheckpointFailWindow: 2 * time.Minute,
+		CheckpointEvery:    10 * time.Second,
+		CheckpointAdaptive: true,
+		CheckpointMinEvery: time.Second,
+		CheckpointMaxEvery: time.Minute,
 	}
 	now := 10 * time.Minute
 
@@ -157,13 +153,12 @@ func TestCkptIntervalWorkflowAware(t *testing.T) {
 
 func TestNoteFailureSignalPrunesWindow(t *testing.T) {
 	n, _ := newStubNode(nil, Config{
-		CheckpointEvery:      10 * time.Second,
-		CheckpointAdaptive:   true,
-		CheckpointFailWindow: time.Minute,
+		CheckpointEvery:    10 * time.Second,
+		CheckpointAdaptive: true,
 	})
 	n.noteFailureSignal(10 * time.Second)
 	n.noteFailureSignal(20 * time.Second)
-	n.noteFailureSignal(2 * time.Minute) // first two now outside the window
+	n.noteFailureSignal(2 * checkpointFailWindow) // first two now outside the window
 	if len(n.failObs) != 1 {
 		t.Fatalf("failObs = %v, want pruned to 1", n.failObs)
 	}

@@ -148,11 +148,10 @@ func TestCheckpointSurvivesOwnerAndRunFailure(t *testing.T) {
 // heartbeat piggyback budget, so checkpoints must travel in standalone
 // grid.checkpoint calls — and recovery must still resume from them.
 func TestOversizedCheckpointShipsViaRPC(t *testing.T) {
-	cfg := ckptCfg()
-	cfg.CheckpointStateKB = 16 // 16 KB state vs the 4 KB piggyback cap
-	c := newCluster(t, 4, 5, cfg, uniform)
+	c := newCluster(t, 4, 5, ckptCfg(), uniform)
 	defer c.e.Shutdown()
-	runAddr := startAndFindRun(t, c, 0, grid.JobSpec{Work: 30 * time.Second})
+	// 16 KB of input seeds 16 KB of resumable state vs the 4 KB piggyback cap.
+	runAddr := startAndFindRun(t, c, 0, grid.JobSpec{Work: 30 * time.Second, Input: make([]byte, 16*1024)})
 	victim := -1
 	for i, h := range c.hosts {
 		if h.Addr() == runAddr {
@@ -171,6 +170,9 @@ func TestOversizedCheckpointShipsViaRPC(t *testing.T) {
 	})
 	if c.rec.count(grid.EvResumed) == 0 {
 		t.Fatal("oversized checkpoint never reached the owner (no resume)")
+	}
+	if c.net.Stats.ByMethod[grid.MCkpt] == 0 {
+		t.Fatal("no grid.checkpoint RPC: the snapshot fit the heartbeat after all")
 	}
 }
 

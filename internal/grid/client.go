@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"errors"
 	"sort"
 	"time"
 
@@ -34,27 +33,35 @@ type JobSpec struct {
 
 // Submit inserts a new job through this node acting as its own
 // injection node, and tracks it for resubmission. It returns the job's
-// GUID.
+// GUID. A single submission is a batch of one.
 func (n *Node) Submit(rt transport.Runtime, spec JobSpec) (ids.ID, error) {
-	n.mu.Lock()
-	n.clientSeq++
-	seq := n.clientSeq
-	n.mu.Unlock()
-	return n.submitAttempt(rt, spec, seq, 0)
+	jobIDs, err := n.SubmitAll(rt, []JobSpec{spec})
+	return jobIDs[0], err
 }
 
-func (n *Node) submitAttempt(rt transport.Runtime, spec JobSpec, seq, attempt int) (ids.ID, error) {
-	req, jobID := n.prepareSubmit(rt, spec, seq, attempt)
-	if n.cfg.InjectFlushWindow > 0 {
-		return n.submitViaBatcher(rt, req, jobID)
+// SubmitAll inserts many jobs at once: one routing step per job, then
+// one grid.ownbatch handoff per distinct owner instead of one round
+// trip per job. Every job is registered for monitoring before
+// injection, so jobs whose inject attempts all fail are still recovered
+// by the client monitor. It returns a GUID per spec, positionally, plus
+// the first inject error (informational — the monitor will resubmit
+// those jobs).
+func (n *Node) SubmitAll(rt transport.Runtime, specs []JobSpec) ([]ids.ID, error) {
+	n.mu.Lock()
+	base := n.clientSeq
+	n.clientSeq += len(specs)
+	n.mu.Unlock()
+	reqs := make([]InjectReq, len(specs))
+	for i, spec := range specs {
+		reqs[i] = n.prepareSubmit(rt, spec, base+i+1, 0)
 	}
-	return n.injectWithRetry(rt, req, jobID)
+	return n.injectAll(rt, reqs)
 }
 
 // prepareSubmit registers the pending entry and records the submission
 // before anything touches the network, so the client monitor can
 // recover the job even if every inject attempt afterwards fails.
-func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt int) (InjectReq, ids.ID) {
+func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt int) InjectReq {
 	req := InjectReq{
 		Client:      n.host.Addr(),
 		Seq:         seq,
@@ -100,79 +107,90 @@ func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt in
 		Kind: EvSubmitted, JobID: jobID, Attempt: attempt, At: rt.Now(), Node: n.host.Addr(),
 		Seq: seq, Digest: ResultDigest(req.Client, seq, spec.OutputKB, ""),
 	})
-	return req, jobID
+	return req
 }
-
-// injectWithRetry drives one submission through Inject with classified
-// retries, bounded by Config.InjectRetries total attempts:
-//
-//   - owner backpressure (*RetryAfterError): honor the hint — sleep the
-//     advertised window plus jitter, then try again;
-//   - routing failures and delivery-level errors (timeout, unreachable,
-//     down): the routed owner candidate is likely dead; each retry
-//     re-routes (under walk placement, a fresh walk), which lands
-//     elsewhere. Without the retry the job sits ownerless until the
-//     monitor's patience expires and resubmits it — a full patience
-//     window of latency for a submit-time failure;
-//   - anything else is a definitive answer from a live handler:
-//     retrying the same request cannot change it, so fail fast.
-func (n *Node) injectWithRetry(rt transport.Runtime, req InjectReq, jobID ids.ID) (ids.ID, error) {
-	resp, err := n.Inject(rt, req)
-	for tries := 1; err != nil && tries < n.cfg.InjectRetries; tries++ {
-		switch cls, ra := classifyInjectErr(err); cls {
-		case injectRetryAfter:
-			rt.Sleep(jitterAfter(rt, ra))
-		case injectTransient:
-			rt.Sleep(time.Second)
-		default:
-			return jobID, err
-		}
-		resp, err = n.Inject(rt, req)
-	}
-	if err != nil {
-		return jobID, err
-	}
-	n.recordInjected(jobID, resp.Owner, resp.Reps)
-	return resp.JobID, nil
-}
-
-// recordInjected re-aims the pending entry at the owner that accepted
-// the job so the monitor probes the right place first.
-func (n *Node) recordInjected(jobID ids.ID, owner transport.Addr, reps []transport.Addr) {
-	n.mu.Lock()
-	if pp, ok := n.pending[jobID]; ok {
-		pp.owner = owner
-		pp.reps = reps
-	}
-	n.mu.Unlock()
-}
-
-// injectClass is the retry policy bucket one inject error falls into.
-type injectClass int
 
 const (
-	// injectPermanent: a definitive answer from a live handler;
-	// retrying the identical request cannot change it.
-	injectPermanent injectClass = iota
-	// injectTransient: routing or delivery failed; a retry re-routes
-	// and lands elsewhere, so it is worth taking.
-	injectTransient
-	// injectRetryAfter: the owner shed the job under backpressure and
-	// told us when to come back.
-	injectRetryAfter
+	// injectRetries bounds one submission's retry loop (total attempts);
+	// the client monitor resubmits what the loop gives up on.
+	injectRetries = 3
+	// injectBatchMax caps how many jobs one grid.injectbatch /
+	// grid.ownbatch RPC carries.
+	injectBatchMax = 64
 )
 
-// classifyInjectErr sorts one inject failure into its retry bucket,
-// returning the owner's suggested wait for backpressure rejections.
-func classifyInjectErr(err error) (injectClass, time.Duration) {
-	var ra *RetryAfterError
-	switch {
-	case errors.As(err, &ra):
-		return injectRetryAfter, ra.After
-	case errors.Is(err, errRoute), transport.Transient(err):
-		return injectTransient, 0
+// injectAll drives prepared submissions through InjectBatch in
+// injectBatchMax chunks, re-injecting only the items that failed, for
+// at most injectRetries attempts per chunk. Each round sleeps the
+// longest retryWait among its failed items. Accepted jobs re-aim their
+// pending entry at the owner that took them so the monitor probes the
+// right place first.
+func (n *Node) injectAll(rt transport.Runtime, reqs []InjectReq) ([]ids.ID, error) {
+	jobIDs := make([]ids.ID, len(reqs))
+	var firstErr error
+	for lo := 0; lo < len(reqs); lo += injectBatchMax {
+		hi := lo + injectBatchMax
+		if hi > len(reqs) {
+			hi = len(reqs)
+		}
+		chunk := reqs[lo:hi]
+		results := n.InjectBatch(rt, chunk)
+		for tries := 1; tries < injectRetries; tries++ {
+			var retry []int
+			var wait time.Duration
+			for i, res := range results {
+				if w := retryWait(rt, res); w > 0 {
+					retry = append(retry, i)
+					if w > wait {
+						wait = w
+					}
+				}
+			}
+			if len(retry) == 0 {
+				break
+			}
+			rt.Sleep(wait)
+			sub := make([]InjectReq, len(retry))
+			for k, i := range retry {
+				sub[k] = chunk[i]
+			}
+			for k, res := range n.InjectBatch(rt, sub) {
+				results[retry[k]] = res
+			}
+		}
+		n.mu.Lock()
+		for k, res := range results {
+			jobIDs[lo+k] = res.JobID
+			if err := res.resultErr(); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+			} else if pp, ok := n.pending[res.JobID]; ok {
+				pp.owner = res.Owner
+				pp.reps = res.Reps
+			}
+		}
+		n.mu.Unlock()
 	}
-	return injectPermanent, 0
+	return jobIDs, firstErr
+}
+
+// retryWait is the submit path's one retry decision: how long to wait
+// before re-injecting an item that came back as res, or 0 when it was
+// accepted. An owner's backpressure rejection honors the hint plus
+// jitter. Anything else is a routing or handoff failure: the routed
+// owner candidate is likely dead, and a retry re-routes (under walk
+// placement, a fresh walk) and lands elsewhere. Without the retry the
+// job sits ownerless until the monitor's patience expires — a full
+// patience window of latency for a submit-time failure.
+func retryWait(rt transport.Runtime, res InjectResult) time.Duration {
+	switch {
+	case res.RetryAfterMS > 0:
+		return jitterAfter(rt, time.Duration(res.RetryAfterMS)*time.Millisecond)
+	case res.Err != "":
+		return time.Second
+	}
+	return 0
 }
 
 // jitterAfter spreads retry-after waits by up to +50% so clients that
@@ -183,159 +201,6 @@ func jitterAfter(rt transport.Runtime, after time.Duration) time.Duration {
 		return time.Millisecond
 	}
 	return after + time.Duration(rt.Rand().Int63n(int64(after)/2+1))
-}
-
-// SubmitAll inserts many jobs at once through the batched injection
-// path: one grid.ownbatch handoff per distinct owner instead of one
-// round trip per job (plus grid.injectbatch when submitted through a
-// remote injection node via the wire). Every job is registered for
-// monitoring before injection, so jobs whose inject attempts all fail
-// are still recovered by the client monitor. It returns a GUID per
-// spec, positionally, plus the first inject error (informational — the
-// monitor will resubmit those jobs).
-func (n *Node) SubmitAll(rt transport.Runtime, specs []JobSpec) ([]ids.ID, error) {
-	jobIDs := make([]ids.ID, len(specs))
-	reqs := make([]InjectReq, len(specs))
-	n.mu.Lock()
-	base := n.clientSeq
-	n.clientSeq += len(specs)
-	n.mu.Unlock()
-	for i, spec := range specs {
-		reqs[i], jobIDs[i] = n.prepareSubmit(rt, spec, base+i+1, 0)
-	}
-	var firstErr error
-	chunk := n.cfg.InjectBatchMax
-	for lo := 0; lo < len(reqs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		results := n.injectBatchWithRetry(rt, reqs[lo:hi])
-		for k, res := range results {
-			if err := res.resultErr(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			n.recordInjected(jobIDs[lo+k], res.Owner, res.Reps)
-		}
-	}
-	return jobIDs, firstErr
-}
-
-// injectBatchWithRetry applies the same classified retry policy as
-// injectWithRetry to a batch, re-injecting only the items that failed.
-// Batch item errors are route or handoff failures (both transient by
-// construction — owner admission is reported as RetryAfterMS, not an
-// error), so each round sleeps the longer of the transient backoff and
-// the largest jittered retry-after hint among the retryable items.
-func (n *Node) injectBatchWithRetry(rt transport.Runtime, reqs []InjectReq) []InjectResult {
-	results := n.InjectBatch(rt, reqs)
-	for tries := 1; tries < n.cfg.InjectRetries; tries++ {
-		var retry []int
-		var wait time.Duration
-		for i := range results {
-			err := results[i].resultErr()
-			if err == nil {
-				continue
-			}
-			retry = append(retry, i)
-			var ra *RetryAfterError
-			if errors.As(err, &ra) {
-				if a := jitterAfter(rt, ra.After); a > wait {
-					wait = a
-				}
-			} else if wait < time.Second {
-				wait = time.Second
-			}
-		}
-		if len(retry) == 0 {
-			break
-		}
-		rt.Sleep(wait)
-		sub := make([]InjectReq, len(retry))
-		for k, i := range retry {
-			sub[k] = reqs[i]
-		}
-		subres := n.InjectBatch(rt, sub)
-		for k, i := range retry {
-			results[i] = subres[k]
-		}
-	}
-	return results
-}
-
-// --- submit-side coalescing ---
-
-// batchItem is one submission waiting in the flush-window queue; res
-// is valid once done, both set under batchMu by the flush.
-type batchItem struct {
-	req  InjectReq
-	res  InjectResult
-	done bool
-}
-
-// submitViaBatcher coalesces concurrent Submit calls into batches: the
-// first enqueuer after a flush becomes the flusher, sleeps the window,
-// and injects everything queued behind it; later enqueuers wait on
-// batchCond for the flush that resolves their item.
-func (n *Node) submitViaBatcher(rt transport.Runtime, req InjectReq, jobID ids.ID) (ids.ID, error) {
-	it := &batchItem{req: req}
-	n.batchMu.Lock()
-	n.batchQ = append(n.batchQ, it)
-	flusher := len(n.batchQ) == 1
-	n.batchMu.Unlock()
-	if flusher {
-		rt.Sleep(n.cfg.InjectFlushWindow)
-		n.flushBatch(rt)
-	}
-	res := n.awaitBatchItem(rt, it)
-	if err := res.resultErr(); err != nil {
-		return jobID, err
-	}
-	n.recordInjected(jobID, res.Owner, res.Reps)
-	return res.JobID, nil
-}
-
-func (n *Node) awaitBatchItem(rt transport.Runtime, it *batchItem) InjectResult {
-	n.batchMu.Lock()
-	defer n.batchMu.Unlock()
-	for !it.done {
-		rt.Wait(&n.batchCond, transport.Forever)
-	}
-	return it.res
-}
-
-// flushBatch drains the queue and injects it in InjectBatchMax chunks,
-// resolving each waiter's item as its chunk completes. Submissions
-// that arrive while a flush is in progress find an empty queue and
-// elect the next flusher.
-func (n *Node) flushBatch(rt transport.Runtime) {
-	n.batchMu.Lock()
-	items := n.batchQ
-	n.batchQ = nil
-	n.batchMu.Unlock()
-	chunk := n.cfg.InjectBatchMax
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		part := items[lo:hi]
-		reqs := make([]InjectReq, len(part))
-		for k, it := range part {
-			reqs[k] = it.req
-		}
-		results := n.injectBatchWithRetry(rt, reqs)
-		n.batchMu.Lock()
-		for k, it := range part {
-			it.res = results[k]
-			it.done = true
-		}
-		n.batchCond.Broadcast()
-		n.batchMu.Unlock()
-	}
 }
 
 // AwaitAll blocks until every job this node submitted has a result or
@@ -559,7 +424,7 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 		Cons: p.cons, Work: p.work, InputKB: p.inputKB, OutputKB: p.outputKB,
 		Input: p.input, CkptBias: p.ckptBias, CarryOutput: p.carryOutput,
 	}
-	_, _ = n.submitAttempt(rt, spec, p.seq, p.attempt+1)
+	_, _ = n.injectAll(rt, []InjectReq{n.prepareSubmit(rt, spec, p.seq, p.attempt+1)})
 }
 
 // statusKnown probes one candidate for the job's status. On a Known

@@ -11,33 +11,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Unit tests for the submit-path retry classification (client.go):
-// delivery-level and routing failures retry, backpressure rejections
-// honor the owner's hint, and definitive handler answers fail fast.
-
-func TestClassifyInjectErr(t *testing.T) {
-	cases := []struct {
-		name  string
-		err   error
-		class injectClass
-		after time.Duration
-	}{
-		{"timeout", transport.ErrTimeout, injectTransient, 0},
-		{"unreachable wrapped", fmt.Errorf("grid: hand job x to owner y: %w", transport.ErrUnreachable), injectTransient, 0},
-		{"down wrapped", fmt.Errorf("call: %w: peer reported closed", transport.ErrDown), injectTransient, 0},
-		{"route failure", fmt.Errorf("%w: job x: no live owner", errRoute), injectTransient, 0},
-		{"retry after", &RetryAfterError{After: 750 * time.Millisecond}, injectRetryAfter, 750 * time.Millisecond},
-		{"retry after wrapped", fmt.Errorf("inject: %w", &RetryAfterError{After: time.Second}), injectRetryAfter, time.Second},
-		{"handler answer", errors.New("grid: node does not satisfy job constraints"), injectPermanent, 0},
-		{"no handler", transport.ErrNoHandler, injectPermanent, 0},
-	}
-	for _, tc := range cases {
-		cls, after := classifyInjectErr(tc.err)
-		if cls != tc.class || after != tc.after {
-			t.Errorf("%s: classified (%v, %v), want (%v, %v)", tc.name, cls, after, tc.class, tc.after)
-		}
-	}
-}
+// Unit tests for the submit path's retry decision (client.go):
+// backpressure rejections honor the owner's hint plus jitter, routing
+// and handoff failures retry after a fixed pause, accepted jobs do not
+// retry.
 
 // fixedRuntime satisfies the Rand-only needs of jitterAfter.
 type fixedRuntime struct {
@@ -61,18 +38,35 @@ func TestJitterAfterBounds(t *testing.T) {
 	}
 }
 
-func TestInjectResultErr(t *testing.T) {
-	if err := (InjectResult{}).resultErr(); err != nil {
-		t.Fatalf("clean result errored: %v", err)
+// TestInjectResultRetry pins, per kind of InjectResult, the error the
+// caller sees and the wait before the item is re-injected.
+func TestInjectResultRetry(t *testing.T) {
+	rt := &fixedRuntime{rng: rand.New(rand.NewSource(1))}
+	cases := []struct {
+		name             string
+		res              InjectResult
+		wantErr          bool
+		hint             time.Duration // > 0: err is a *RetryAfterError carrying it
+		minWait, maxWait time.Duration
+	}{
+		{"accepted", InjectResult{JobID: ids.HashString("j"), Owner: "o:1"}, false, 0, 0, 0},
+		{"retry after", InjectResult{RetryAfterMS: 600}, true, 600 * time.Millisecond, 600 * time.Millisecond, 900 * time.Millisecond},
+		{"route failure", InjectResult{Err: "route job x: no live owner"}, true, 0, time.Second, time.Second},
+		{"handoff timeout", InjectResult{JobID: ids.HashString("j"), Owner: "o:1", Err: "hand job x to owner o:1: " + transport.ErrTimeout.Error()}, true, 0, time.Second, time.Second},
+		{"short batch response", InjectResult{Err: "owner o:1: short batch response"}, true, 0, time.Second, time.Second},
 	}
-	err := InjectResult{RetryAfterMS: 600}.resultErr()
-	cls, after := classifyInjectErr(err)
-	if cls != injectRetryAfter || after != 600*time.Millisecond {
-		t.Fatalf("retry-after result classified (%v, %v)", cls, after)
-	}
-	err = InjectResult{Err: "route job x: no live owner"}.resultErr()
-	if cls, _ := classifyInjectErr(err); cls != injectTransient {
-		t.Fatalf("route-failure result classified %v, want transient", cls)
+	for _, tc := range cases {
+		err := tc.res.resultErr()
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: resultErr = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		var ra *RetryAfterError
+		if errors.As(err, &ra) != (tc.hint > 0) || (ra != nil && ra.After != tc.hint) {
+			t.Errorf("%s: resultErr = %v, want retry-after hint %v", tc.name, err, tc.hint)
+		}
+		if w := retryWait(rt, tc.res); w < tc.minWait || w > tc.maxWait {
+			t.Errorf("%s: retryWait = %v, want in [%v, %v]", tc.name, w, tc.minWait, tc.maxWait)
+		}
 	}
 }
 
@@ -80,9 +74,9 @@ func TestInjectResultErr(t *testing.T) {
 // everything is admitted; at and past capacity the rejection hint grows
 // with overload depth and saturates at 10x the base.
 func TestAdmitOwnBackoffScales(t *testing.T) {
-	base := 100 * time.Millisecond
+	const base = retryAfterBase
 	n := &Node{
-		cfg:   Config{OwnerCapacity: 2, RetryAfter: base}.withDefaults(),
+		cfg:   Config{OwnerCapacity: 2}.withDefaults(),
 		owned: map[ids.ID]*ownedJob{},
 	}
 	admit := func() (time.Duration, bool) {

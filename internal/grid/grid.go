@@ -68,7 +68,7 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// CheckpointAdaptive adapts the interval to the observed failure
 	// rate (Young's rule, after Ni & Harwood's adaptive scheme for P2P
-	// volunteer grids): sqrt(2*CheckpointCost/rate), clamped to
+	// volunteer grids): sqrt(2*checkpointCost/rate), clamped to
 	// [CheckpointMinEvery, CheckpointMaxEvery]. With no recent failure
 	// observations the interval backs off to CheckpointMaxEvery.
 	CheckpointAdaptive bool
@@ -76,21 +76,6 @@ type Config struct {
 	// interval (defaults 1 s and 60 s).
 	CheckpointMinEvery time.Duration
 	CheckpointMaxEvery time.Duration
-	// CheckpointCost is the assumed overhead of taking one checkpoint,
-	// the numerator of Young's rule (default 500 ms).
-	CheckpointCost time.Duration
-	// CheckpointFailWindow is the sliding window over which failure
-	// observations feed the adaptive rate (default 2 min).
-	CheckpointFailWindow time.Duration
-	// CheckpointPiggybackKB caps the checkpoint payload a single
-	// heartbeat may carry; snapshots whose state exceeds the remaining
-	// budget travel in a standalone grid.checkpoint RPC instead
-	// (default 4 KB).
-	CheckpointPiggybackKB int
-	// CheckpointStateKB, when set, makes the simulated resumable work
-	// attach that much synthetic state to every snapshot — a test and
-	// experiment knob for exercising the oversized-checkpoint path.
-	CheckpointStateKB int
 	// CheckpointWorkflowAware makes the adaptive policy honor the
 	// per-job CkptBias hint the flow engine stamps on critical-path and
 	// high-fan-out workflow stages: the Young's-rule interval is divided
@@ -100,11 +85,6 @@ type Config struct {
 	// but ignored, which is what plain-adaptive comparisons and seeded
 	// replays of earlier PRs expect. Requires CheckpointAdaptive.
 	CheckpointWorkflowAware bool
-	// ProgressSlice is the execution-accounting quantum: run nodes
-	// advance jobs in slices of at most this much nominal work so
-	// executed-work accounting and drop-aborts have bounded lag, even
-	// with checkpointing off (default HeartbeatEvery).
-	ProgressSlice time.Duration
 
 	// Replicas is the sabotage-tolerance redundancy degree R: owners
 	// schedule every job on R independent run nodes and vote on the
@@ -123,9 +103,6 @@ type Config struct {
 	// ProbeEvery spaces known-answer probe jobs sent to the worst
 	// blacklisted peer in Trust (default 0: probing off).
 	ProbeEvery time.Duration
-	// ProbeWork is the simulated execution time of one probe job
-	// (default 100 ms).
-	ProbeWork time.Duration
 	// Byzantine, when set, makes THIS node a saboteur as a run node: for
 	// each (job, attempt) it may return a corrupted result digest
 	// (wrong) or silently withhold the result (withhold). Installed by
@@ -144,41 +121,16 @@ type Config struct {
 	// replica subsystem (replica.ChordRing over chord in deployments;
 	// tests substitute scripted rings).
 	ReplicaRing ReplicaRing
-	// ReplicaPushEvery is the owner-side anti-entropy period (default 1 s).
-	ReplicaPushEvery time.Duration
-	// ReplicaProbeEvery is the replica-side owner-liveness probe period
-	// (default 1 s).
-	ReplicaProbeEvery time.Duration
-	// ReplicaDeadAfter is how long an owner must fail probes before a
-	// replica takes its keys over (default 3 s).
-	ReplicaDeadAfter time.Duration
 
 	// OwnerCapacity bounds the owner's inject queue: how many jobs one
 	// node will track as owner at once. Injections beyond it are
-	// rejected with a retry-after hint instead of growing the owned
+	// rejected with a retry-after hint (retryAfterBase, scaled by the
+	// overshoot; clients jitter around it) instead of growing the owned
 	// set without bound — a hot owner sheds load rather than
 	// collapsing (default 0: unbounded, the paper's behavior).
 	// Recovery paths (adoption, replica promotion) bypass the bound;
 	// shedding those would lose jobs that are already placed.
 	OwnerCapacity int
-	// RetryAfter is the base backoff an at-capacity owner suggests to
-	// rejected clients (default 500ms); clients jitter around it.
-	RetryAfter time.Duration
-	// InjectRetries bounds one submission's classified retry loop:
-	// transient delivery failures re-route and retry, retry-after
-	// rejections honor the owner's hint, anything else fails fast
-	// (default 3; the client monitor resubmits what the loop gives
-	// up on).
-	InjectRetries int
-	// InjectBatchMax caps how many jobs one grid.injectbatch /
-	// grid.ownbatch RPC carries (default 64).
-	InjectBatchMax int
-	// InjectFlushWindow, when set, coalesces concurrent Submit calls:
-	// a submission waits up to this long for peers to accumulate, then
-	// the whole batch travels in one routed grid.injectbatch RPC
-	// (default 0: off, every submission is its own RPC — the paper's
-	// behavior, and what deterministic replays of old seeds expect).
-	InjectFlushWindow time.Duration
 
 	// Notify, when set, attaches the DHT pub/sub notification overlay
 	// (DESIGN.md §13): this node publishes every owner-side job-state
@@ -243,18 +195,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointMaxEvery == 0 {
 		c.CheckpointMaxEvery = time.Minute
 	}
-	if c.CheckpointCost == 0 {
-		c.CheckpointCost = 500 * time.Millisecond
-	}
-	if c.CheckpointFailWindow == 0 {
-		c.CheckpointFailWindow = 2 * time.Minute
-	}
-	if c.CheckpointPiggybackKB == 0 {
-		c.CheckpointPiggybackKB = 4
-	}
-	if c.ProgressSlice == 0 {
-		c.ProgressSlice = c.HeartbeatEvery
-	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
@@ -263,27 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas < c.Quorum {
 		c.Replicas = c.Quorum
-	}
-	if c.ProbeWork == 0 {
-		c.ProbeWork = 100 * time.Millisecond
-	}
-	if c.ReplicaPushEvery == 0 {
-		c.ReplicaPushEvery = time.Second
-	}
-	if c.ReplicaProbeEvery == 0 {
-		c.ReplicaProbeEvery = time.Second
-	}
-	if c.ReplicaDeadAfter == 0 {
-		c.ReplicaDeadAfter = 3 * time.Second
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = 500 * time.Millisecond
-	}
-	if c.InjectRetries == 0 {
-		c.InjectRetries = 3
-	}
-	if c.InjectBatchMax == 0 {
-		c.InjectBatchMax = 64
 	}
 	if c.NotifySilence == 0 {
 		c.NotifySilence = 3 * c.HeartbeatEvery

@@ -135,7 +135,7 @@ func TestPairCrashPromotionHandsOver(t *testing.T) {
 }
 
 // TestOwnerRestartRestores crashes the owner briefly — shorter than
-// ReplicaDeadAfter, so no successor promotes — and restarts it with
+// the replica layer's DeadAfter, so no successor promotes — and restarts it with
 // wiped state. The replicas' probe round must detect the amnesiac
 // owner and push its records back (EvRestored), after which it
 // re-attaches to the run node and the job completes.
@@ -149,7 +149,7 @@ func TestOwnerRestartRestores(t *testing.T) {
 	c.e.RunFor(2500 * time.Millisecond)
 
 	c.eps[0].Crash()
-	c.e.RunFor(1200 * time.Millisecond) // well inside ReplicaDeadAfter (3s)
+	c.e.RunFor(1200 * time.Millisecond) // well inside DeadAfter (3s)
 	soakHarness{c}.Restart(0)
 
 	awaitAll(t, c, client)

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -69,10 +68,10 @@ type (
 	InjectBatchResp struct {
 		Results []InjectResult
 	}
-	// InjectResult is one batched item's outcome: an accepted job
-	// carries its GUID/owner/replica chain; an owner rejection carries
-	// RetryAfterMS; a routing or handoff failure carries Err (transient
-	// — the client re-routes and retries).
+	// InjectResult is one batched item's outcome. JobID is always the
+	// item's GUID; an accepted job also carries its owner and replica
+	// chain, an owner rejection RetryAfterMS, and a routing or handoff
+	// failure Err (the client re-routes and retries).
 	InjectResult struct {
 		JobID        ids.ID
 		Owner        transport.Addr
@@ -85,15 +84,6 @@ type (
 	OwnReq struct {
 		Prof Profile
 		TC   obs.TC
-	}
-	// OwnResp acknowledges ownership. Reps is the new owner's ranked
-	// replica target list (nil when replication is off), handed back
-	// through injection to the submitting client. RetryAfterMS, when
-	// non-zero, is a backpressure rejection: the owner is at capacity
-	// and took nothing.
-	OwnResp struct {
-		Reps         []transport.Addr
-		RetryAfterMS int64
 	}
 	// OwnBatchReq hands every profile the injection node routed to one
 	// owner over in a single RPC.
@@ -224,7 +214,6 @@ type (
 const (
 	MInject      = "grid.inject"
 	MInjectBatch = "grid.injectbatch"
-	MOwn         = "grid.own"
 	MOwnBatch    = "grid.ownbatch"
 	MAssign      = "grid.assign"
 	MHeartbeat   = "grid.heartbeat"
@@ -337,13 +326,6 @@ type Node struct {
 	resultCond   transport.Cond
 	resultEvents uint64
 
-	// submit-side coalescing queue (client.go); guarded by its own
-	// mutex so slow flushes never contend with the job-state lock.
-	// batchCond (on batchMu) is broadcast when a flush resolves items.
-	batchMu   sync.Mutex
-	batchQ    []*batchItem
-	batchCond transport.Cond
-
 	// failObs holds recent failure-signal instants (owner declared
 	// dead, resumed assignment received) feeding the adaptive
 	// checkpoint interval.
@@ -420,7 +402,6 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 	}
 	n.queueCond.L = &n.mu
 	n.resultCond.L = &n.mu
-	n.batchCond.L = &n.batchMu
 	n.obsv = n.cfg.Obs
 	n.om = newNodeObs(n, n.cfg.Obs)
 	if n.cfg.Obs != nil {
@@ -428,7 +409,6 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 	}
 	host.Handle(MInject, n.handleInject)
 	host.Handle(MInjectBatch, n.handleInjectBatch)
-	host.Handle(MOwn, n.handleOwn)
 	host.Handle(MOwnBatch, n.handleOwnBatch)
 	host.Handle(MAssign, n.handleAssign)
 	host.Handle(MHeartbeat, n.handleHeartbeat)
@@ -446,13 +426,10 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 	host.Handle(MHealth, n.handleHealth)
 	if n.cfg.ReplicaK > 0 && n.cfg.ReplicaRing != nil {
 		n.repl = replpkg.New(host, n.cfg.ReplicaRing, replpkg.Config{
-			K:          n.cfg.ReplicaK,
-			PushEvery:  n.cfg.ReplicaPushEvery,
-			ProbeEvery: n.cfg.ReplicaProbeEvery,
-			DeadAfter:  n.cfg.ReplicaDeadAfter,
-			OnOwn:      n.onReplicaOwn,
-			OnFenced:   n.onReplicaFenced,
-			Obs:        n.cfg.Obs,
+			K:        n.cfg.ReplicaK,
+			OnOwn:    n.onReplicaOwn,
+			OnFenced: n.onReplicaFenced,
+			Obs:      n.cfg.Obs,
 		})
 	}
 	return n
@@ -528,103 +505,7 @@ func (n *Node) record(kind EventKind, prof Profile, at time.Duration, extra ...M
 	n.rec.Record(ev)
 }
 
-// --- injection ---
-
-// errRoute marks an owner-routing failure. Routing depends on live
-// ring state, so these are always worth retrying (a fresh route lands
-// elsewhere) — the submit loop classifies them as transient.
-var errRoute = errors.New("grid: owner routing failed")
-
-// Inject performs the injection-node role locally: assign a GUID,
-// route to the owner, and hand the job over. Exposed for clients that
-// are themselves grid nodes. An owner backpressure rejection returns a
-// *RetryAfterError (and a response whose RetryAfterMS mirrors it, for
-// wire callers).
-func (n *Node) Inject(rt transport.Runtime, req InjectReq) (InjectResp, error) {
-	began := rt.Now()
-	prof := Profile{
-		ID:          JobGUID(req.Client, req.Seq, req.Attempt),
-		Client:      req.Client,
-		Seq:         req.Seq,
-		Attempt:     req.Attempt,
-		Cons:        req.Cons,
-		Work:        req.Work,
-		InputKB:     req.InputKB,
-		OutputKB:    req.OutputKB,
-		Input:       req.Input,
-		CkptBias:    req.CkptBias,
-		CarryOutput: req.CarryOutput,
-	}
-	tc := req.TC
-	if tc.Zero() {
-		// Untraced legacy sender: the trace ID is derivable from the
-		// submission identity, so the lifecycle stays reconstructable.
-		tc = obs.TC{ID: TraceID(req.Client, req.Seq)}
-	}
-	owner, hops, err := n.overlay.RouteJob(rt, prof.ID, prof.Cons)
-	if err != nil {
-		return InjectResp{}, fmt.Errorf("%w: job %s: %v", errRoute, prof.ID.Short(), err)
-	}
-	tc = n.trace(tc, rt.Now(), "injected", prof.Attempt, owner, n.traceNote("hops=%d", hops))
-	n.rec.Record(Event{Kind: EvInjected, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr(), Hops: hops})
-	var reps []transport.Addr
-	if owner == n.host.Addr() {
-		if err := n.ownJob(rt, prof, tc); err != nil {
-			return injectRejection(err)
-		}
-		reps = n.replTargets()
-	} else if raw, err := rt.Call(owner, MOwn, OwnReq{Prof: prof, TC: tc}); err != nil {
-		return InjectResp{}, fmt.Errorf("grid: hand job %s to owner %s: %w", prof.ID.Short(), owner, err)
-	} else {
-		oresp := raw.(OwnResp)
-		if oresp.RetryAfterMS > 0 {
-			return injectRejection(&RetryAfterError{After: time.Duration(oresp.RetryAfterMS) * time.Millisecond})
-		}
-		reps = oresp.Reps
-	}
-	n.om.injectSecs.Observe((rt.Now() - began).Seconds())
-	return InjectResp{JobID: prof.ID, Owner: owner, Hops: hops, Reps: reps}, nil
-}
-
-// injectRejection renders an owner rejection both ways at once: as the
-// typed error for in-process callers and as the RetryAfterMS response
-// field for wire callers.
-func injectRejection(err error) (InjectResp, error) {
-	var ra *RetryAfterError
-	if errors.As(err, &ra) {
-		return InjectResp{RetryAfterMS: ra.After.Milliseconds()}, ra
-	}
-	return InjectResp{}, err
-}
-
-func (n *Node) handleInject(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	resp, err := n.Inject(rt, req.(InjectReq))
-	var ra *RetryAfterError
-	if errors.As(err, &ra) {
-		// Backpressure is an answer, not a handler failure: it crosses
-		// the wire in the response payload so the typed hint survives
-		// both transports.
-		return resp, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // --- owner role ---
-
-func (n *Node) handleOwn(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	o := req.(OwnReq)
-	if err := n.ownJob(rt, o.Prof, o.TC); err != nil {
-		var ra *RetryAfterError
-		if errors.As(err, &ra) {
-			return OwnResp{RetryAfterMS: ra.After.Milliseconds()}, nil
-		}
-		return nil, err
-	}
-	return OwnResp{Reps: n.replTargets()}, nil
-}
 
 func (n *Node) handleOwnBatch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	b := req.(OwnBatchReq)
@@ -643,6 +524,10 @@ func (n *Node) handleOwnBatch(rt transport.Runtime, from transport.Addr, req any
 	return OwnBatchResp{Results: out}, nil
 }
 
+// retryAfterBase is the backoff an owner exactly at capacity suggests
+// to rejected clients; clients jitter around it.
+const retryAfterBase = 500 * time.Millisecond
+
 // admitOwnLocked applies the bounded inject queue: with OwnerCapacity
 // set and the owned map full, new injections are refused with a
 // retry-after hint scaled by how far past capacity demand is pushing.
@@ -652,8 +537,8 @@ func (n *Node) admitOwnLocked() error {
 		return nil
 	}
 	over := len(n.owned) - n.cfg.OwnerCapacity
-	after := n.cfg.RetryAfter * time.Duration(1+over)
-	if max := 10 * n.cfg.RetryAfter; after > max {
+	after := retryAfterBase * time.Duration(1+over)
+	if max := 10 * retryAfterBase; after > max {
 		after = max
 	}
 	return &RetryAfterError{After: after}

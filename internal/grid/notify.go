@@ -83,8 +83,10 @@ func (n *Node) notifyTransition(at time.Duration, prof Profile, kind EventKind, 
 // (wired as the broker's OnEvent callback). It stamps the pending
 // job's freshness clock: the monitor treats a recent notification as
 // proof that someone alive is driving the job and skips the status
-// poll. Notifications never alter protocol state beyond that clock —
-// the probe/resubmit recovery path is untouched.
+// poll. A gave-up push proves the opposite — the owner dropped the job
+// — so it clears the clock and the next monitor tick probes.
+// Notifications never alter protocol state beyond that clock — the
+// probe/resubmit recovery path is untouched.
 func (n *Node) OnNotification(rt transport.Runtime, topic ids.ID, payload []byte) {
 	u, err := DecodeJobUpdate(payload)
 	if err != nil {
@@ -93,7 +95,11 @@ func (n *Node) OnNotification(rt transport.Runtime, topic ids.ID, payload []byte
 	now := rt.Now()
 	n.mu.Lock()
 	if pp, ok := n.pending[u.JobID]; ok && !pp.got {
-		pp.lastNotify = now
+		if u.Kind == EvGaveUp.String() {
+			pp.lastNotify = 0
+		} else {
+			pp.lastNotify = now
+		}
 	}
 	n.NotifyRecv++
 	// A pushed transition also wakes result waiters (the flow engine).

@@ -240,9 +240,6 @@ func (n *Node) reportVote(rt transport.Runtime, owner transport.Addr, res Result
 func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 	total := job.prof.Work
 	sw := workload.NewSliceWork(total)
-	if n.cfg.CheckpointStateKB > 0 {
-		sw.SetState(make([]byte, n.cfg.CheckpointStateKB*1024))
-	}
 	if len(job.prof.Input) > 0 {
 		// Cross-stage data passing: upstream output seeds the resumable
 		// state before execution, so the first snapshot already embeds
@@ -273,7 +270,9 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 	}
 	nextCkpt := rt.Now() + n.ckptInterval(rt.Now(), job.prof.CkptBias)
 	for !sw.Finished() {
-		quantum := n.cfg.ProgressSlice
+		// The execution-accounting quantum is one heartbeat period, so
+		// executed-work accounting and drop-aborts lag by at most that.
+		quantum := n.cfg.HeartbeatEvery
 		if rem := sw.Remaining(); quantum > rem {
 			quantum = rem
 		}
@@ -370,7 +369,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 		piggy := make(map[transport.Addr][]pendingCkpt)
 		oversize := make(map[transport.Addr][]pendingCkpt)
 		for _, p := range pending {
-			budget := n.cfg.CheckpointPiggybackKB * 1024
+			budget := checkpointPiggybackKB * 1024
 			used := 0
 			for _, prev := range piggy[p.owner] {
 				used += len(prev.ckpt.Data)

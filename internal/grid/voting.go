@@ -361,6 +361,9 @@ func (n *Node) scoreVoterLocked(now time.Duration, job *ownedJob, run transport.
 
 // --- known-answer probes ---
 
+// probeWork is the simulated execution time of one probe job.
+const probeWork = 100 * time.Millisecond
+
 // maybeProbe sends one spot-check probe to the worst-scored
 // blacklisted peer when the probe timer elapses. A correct answer is
 // the redemption path back out of the blacklist; a wrong one digs the
@@ -389,7 +392,7 @@ func (n *Node) maybeProbe(rt transport.Runtime, now time.Duration) {
 	nonce := fmt.Sprintf("%s/%d", n.host.Addr(), n.probeSeq)
 	n.mu.Unlock()
 
-	raw, err := rt.Call(target, MProbe, ProbeJobReq{Nonce: nonce, Work: n.cfg.ProbeWork})
+	raw, err := rt.Call(target, MProbe, ProbeJobReq{Nonce: nonce, Work: probeWork})
 	if err != nil {
 		return
 	}

@@ -15,8 +15,8 @@ import (
 // failures opens it, after which calls to that peer fail instantly
 // with an ErrUnreachable-wrapped "circuit open" error instead of each
 // burning a dial or call timeout. The fast-fail is transient under
-// transport.Transient, so the grid layer's classified retries
-// (classifyInjectErr) re-route around the peer rather than giving up.
+// transport.Transient, so the grid layer's submit retries re-route
+// around the peer rather than giving up.
 //
 // State machine (DESIGN.md §12):
 //

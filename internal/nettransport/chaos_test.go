@@ -182,6 +182,23 @@ func TestChaosResetScopedByMethod(t *testing.T) {
 	}
 }
 
+// TestChaosRuleMethodMustBeHandled is the check gridnode applies to
+// its -chaos rules: a rule scoped to a method nobody registered would
+// match no call and inject nothing, so Handles must tell them apart.
+func TestChaosRuleMethodMustBeHandled(t *testing.T) {
+	_, b, _ := chaosPair(t, Opts{})
+	rules, err := ParseRules("method=echo refuse=0.5; method=grid.nosuch reset=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Handles(rules[0].Method) {
+		t.Fatalf("Handles(%q) = false for a registered method", rules[0].Method)
+	}
+	if b.Handles(rules[1].Method) {
+		t.Fatalf("Handles(%q) = true for a method with no handler", rules[1].Method)
+	}
+}
+
 func TestChaosStall(t *testing.T) {
 	// A stall at least as long as the caller's budget is a timeout...
 	a, b, _ := chaosPair(t, Opts{

@@ -228,6 +228,16 @@ func (h *Host) Handle(method string, fn transport.Handler) {
 	h.handlers[method] = fn
 }
 
+// Handles reports whether a handler is registered for method. Every
+// peer of a deployment registers the same set, so gridnode uses it to
+// refuse a -chaos rule naming a method no peer serves.
+func (h *Host) Handles(method string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, ok := h.handlers[method]
+	return ok
+}
+
 // Go implements transport.Host: fn runs on its own goroutine with a
 // live runtime. Activities are commonly infinite loops, so Close does
 // not wait for them (unlike in-flight RPC handlers, which it drains).

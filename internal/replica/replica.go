@@ -325,13 +325,13 @@ func (m *Manager) Start() {
 	m.mu.Unlock()
 	m.host.Go("replica.push", func(rt transport.Runtime) {
 		for {
-			rt.Sleep(jittered(rt, m.cfg.PushEvery))
+			rt.Sleep(transport.Jitter(rt, m.cfg.PushEvery))
 			m.pushOnce(rt)
 		}
 	})
 	m.host.Go("replica.probe", func(rt transport.Runtime) {
 		for {
-			rt.Sleep(jittered(rt, m.cfg.ProbeEvery))
+			rt.Sleep(transport.Jitter(rt, m.cfg.ProbeEvery))
 			m.probeOnce(rt)
 		}
 	})
@@ -1069,10 +1069,4 @@ func sortIDs(keys []ids.ID) {
 	sort.Slice(keys, func(i, j int) bool {
 		return bytes.Compare(keys[i][:], keys[j][:]) < 0
 	})
-}
-
-// jittered spreads periodic work uniformly over [d/2, 3d/2) using the
-// caller's deterministic random stream (same scheme as chord's loops).
-func jittered(rt transport.Runtime, d time.Duration) time.Duration {
-	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }

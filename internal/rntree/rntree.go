@@ -324,7 +324,7 @@ func (n *Node) localSummary(now time.Duration) Summary {
 func (n *Node) aggregateLoop(rt transport.Runtime) {
 	var lastRefresh time.Duration = -1
 	for {
-		rt.Sleep(jitter(rt, n.cfg.AggregateEvery))
+		rt.Sleep(transport.Jitter(rt, n.cfg.AggregateEvery))
 		n.mu.Lock()
 		parent := n.parent
 		isRoot := n.isRoot
@@ -605,8 +605,4 @@ func (n *Node) handleParent(rt transport.Runtime, from transport.Addr, req any) 
 
 func (n *Node) handleWalk(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	return WalkResp{Next: n.randomNeighbor(rt)}, nil
-}
-
-func jitter(rt transport.Runtime, d time.Duration) time.Duration {
-	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }

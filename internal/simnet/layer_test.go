@@ -12,7 +12,7 @@ func TestLayerOf(t *testing.T) {
 		"can.route":      "can",
 		"rnt.match":      "rntree",
 		"grid.inject":    "grid",
-		"grid.own":       "grid",
+		"grid.ownbatch":  "grid",
 		"pubsub.publish": "pubsub",
 		"replica.put":    "replica",
 		"ttlsearch":      "match",

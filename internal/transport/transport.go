@@ -39,6 +39,13 @@ func Transient(err error) bool {
 	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrUnreachable) || errors.Is(err, ErrDown)
 }
 
+// Jitter spreads a periodic loop's sleep uniformly over [d/2, 3d/2) so
+// rounds do not run in lock-step across nodes. The single draw comes
+// from the caller's runtime stream, keeping simulation deterministic.
+func Jitter(rt Runtime, d time.Duration) time.Duration {
+	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
+}
+
 // Handler serves one inbound request. It runs in its own execution
 // context (a simulated proc or a real goroutine) and may block.
 type Handler func(rt Runtime, from Addr, req any) (any, error)

@@ -44,7 +44,7 @@ func FuzzWireDecode(f *testing.F) {
 	tc := obs.TC{ID: grid.TraceID("fuzz:1", 1), Hop: 3}
 	for _, msg := range []any{
 		grid.InjectReq{Client: "fuzz:1", Seq: 1, TC: tc},
-		grid.OwnReq{Prof: grid.Profile{ID: ids.HashString("fz")}, TC: tc},
+		grid.OwnBatchReq{Items: []grid.OwnReq{{Prof: grid.Profile{ID: ids.HashString("fz")}, TC: tc}}},
 		grid.AssignReq{Owner: "fuzz:1", Reps: []transport.Addr{"fuzz:3"}, TC: tc},
 		grid.CompleteReq{JobID: ids.HashString("fz"), Run: "fuzz:2", TC: tc},
 		grid.ResultReq{Res: grid.Result{JobID: ids.HashString("fz")}, TC: tc},

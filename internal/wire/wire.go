@@ -46,8 +46,8 @@ func Messages() []any {
 		can.GossipReq{}, can.GossipResp{}, can.MatchReq{}, can.MatchResp{},
 		can.LoadReq{}, can.LoadResp{},
 		// grid
-		grid.InjectReq{}, grid.InjectResp{}, grid.OwnReq{}, grid.OwnResp{},
-		grid.InjectBatchReq{}, grid.InjectBatchResp{}, grid.OwnBatchReq{}, grid.OwnBatchResp{},
+		grid.InjectReq{}, grid.InjectResp{}, grid.InjectBatchReq{}, grid.InjectBatchResp{},
+		grid.OwnBatchReq{}, grid.OwnBatchResp{},
 		grid.AssignReq{}, grid.AssignResp{}, grid.HeartbeatReq{}, grid.HeartbeatResp{},
 		grid.CompleteReq{}, grid.CompleteResp{}, grid.ResultReq{}, grid.ResultResp{},
 		grid.RelayReq{}, grid.RelayResp{}, grid.AdoptReq{}, grid.AdoptResp{},

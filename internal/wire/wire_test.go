@@ -54,12 +54,6 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			Digest: []can.Brief{{Ref: can.Ref{Addr: "d:1"}, Zones: []can.Zone{can.UnitZone()}}},
 		},
 		can.MatchReq{Cons: cons, Exclude: []transport.Addr{"a", "b"}, TTL: 3, Push: true},
-		grid.OwnReq{Prof: grid.Profile{
-			ID:     ids.HashString("job"),
-			Client: "client:9",
-			Cons:   cons,
-			Work:   100,
-		}},
 		grid.HeartbeatReq{Run: "r:1", Jobs: []ids.ID{ids.HashString("a"), ids.HashString("b")}},
 		grid.HeartbeatReq{
 			Run:  "r:1",
@@ -123,7 +117,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			{Err: "route job deadbeef: no live owner"},
 		}},
 		grid.OwnBatchReq{Items: []grid.OwnReq{
-			{Prof: grid.Profile{ID: ids.HashString("bj"), Client: "c:1", Work: 50}, TC: obs.TC{ID: grid.TraceID("c:1", 7), Hop: 2}},
+			{Prof: grid.Profile{ID: ids.HashString("bj"), Client: "c:1", Cons: cons, Work: 50}, TC: obs.TC{ID: grid.TraceID("c:1", 7), Hop: 2}},
 		}},
 		grid.OwnBatchResp{Results: []grid.OwnResult{
 			{Reps: []transport.Addr{"s:1", "s:2"}},

@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 JOBS=${CHAOS_JOBS:-40}
 WORK=${CHAOS_WORK:-200ms}
 SEED=${CHAOS_SEED:-42}
-SPEC=${CHAOS_SPEC:-'method=grid.heartbeat stall=0.25:400ms; method=grid.assign reset=0.15; method=grid.own refuse=0.15; blackhole=0.03'}
+SPEC=${CHAOS_SPEC:-'method=grid.heartbeat stall=0.25:400ms; method=grid.assign reset=0.15; method=grid.ownbatch refuse=0.15; blackhole=0.03'}
 
 workdir=$(mktemp -d)
 pids=()
