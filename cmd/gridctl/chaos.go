@@ -57,7 +57,7 @@ func chaosCmd(args []string) {
 		topts.Chaos = nettransport.NewChaos(*chaosSeed, rules...)
 	}
 
-	peer, err := joinClientPeer(*bootstrap, topts, *patience, *timeout)
+	peer, err := joinClientPeer(*bootstrap, topts, *patience)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: chaos: %v\n", err)
 		os.Exit(1)

@@ -74,7 +74,7 @@ func flowCmd(args []string) {
 		os.Exit(2)
 	}
 
-	peer, err := joinClientPeer(*bootstrap, nettransport.Opts{}, *patience, *timeout)
+	peer, err := joinClientPeer(*bootstrap, nettransport.Opts{}, *patience)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: flow: %v\n", err)
 		os.Exit(1)

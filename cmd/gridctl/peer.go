@@ -1,15 +1,13 @@
 package main
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/grid"
 	"repro/internal/ids"
-	"repro/internal/match"
 	"repro/internal/nettransport"
+	"repro/internal/peer"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/transport"
@@ -29,24 +27,15 @@ type clientPeer struct {
 	resubmits int
 }
 
-// joinClientPeer listens, joins the ring through bootstrap, starts the
-// overlay, grid node and client monitor, and returns once the peer is
-// usable: its Chord successor is another node and the RN-Tree has
-// either given it a parent or, if it is the root, a child. Joining
-// and converging together are bounded by timeout.
-func joinClientPeer(bootstrap string, topts nettransport.Opts, patience, timeout time.Duration) (*clientPeer, error) {
+// joinClientPeer listens and launches a peer stack through bootstrap;
+// it fails if the join or a readiness gate (peer.Launch) times out.
+func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Duration) (*clientPeer, error) {
 	wire.RegisterAll()
 	host, err := nettransport.ListenOpts("127.0.0.1:0", topts)
 	if err != nil {
 		return nil, err
 	}
 	p := &clientPeer{host: host, delivered: map[ids.ID]int{}}
-	caps := resource.Vector{0.1, 1, 1}
-	ch := chord.New(host, chord.Config{
-		StabilizeEvery:  500 * time.Millisecond,
-		FixFingersEvery: 500 * time.Millisecond,
-	})
-	rn := rntree.New(host, ch, caps, "linux", rntree.Config{AggregateEvery: time.Second})
 	rec := grid.RecorderFunc(func(ev grid.Event) {
 		p.mu.Lock()
 		switch ev.Kind {
@@ -57,40 +46,16 @@ func joinClientPeer(bootstrap string, topts nettransport.Opts, patience, timeout
 		}
 		p.mu.Unlock()
 	})
-	p.node = grid.NewNode(host, caps, "linux", &match.ChordOverlay{Chord: ch, Walk: rn}, &match.RNTree{RN: rn}, rec, grid.Config{
-		HeartbeatEvery: time.Second,
-		PeerDown:       host.PeerDown,
-		Health:         gridctlHealth(host),
+	stack := peer.New(host, resource.Vector{0.1, 1, 1}, "linux", rec, peer.Config{
+		Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second},
+		Grid: grid.Config{HeartbeatEvery: time.Second, PeerDown: host.PeerDown, Health: host.Health},
 	})
-	rn.SetLoadFn(p.node.QueueLen)
-
-	deadline := time.Now().Add(timeout)
-	joined := make(chan error, 1)
-	host.Go("join", func(rt transport.Runtime) {
-		for {
-			jerr := ch.Join(rt, transport.Addr(bootstrap))
-			if jerr == nil || !time.Now().Before(deadline) {
-				joined <- jerr
-				return
-			}
-			rt.Sleep(500 * time.Millisecond)
-		}
-	})
-	if err := <-joined; err != nil {
+	p.node = stack.Grid
+	if err := stack.LaunchWait(transport.Addr(bootstrap)); err != nil {
 		host.Close()
-		return nil, fmt.Errorf("join via %s: %w", bootstrap, err)
+		return nil, err
 	}
-	ch.Start()
-	rn.Start()
-	p.node.Start()
 	p.node.StartClientMonitor(patience)
-	for ch.Successor().Addr == host.Addr() || (rn.Parent().IsZero() && len(rn.Children()) == 0) {
-		if !time.Now().Before(deadline) {
-			host.Close()
-			return nil, fmt.Errorf("joined via %s but ring and tree did not converge within %s", bootstrap, timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 	return p, nil
 }
 
@@ -104,25 +69,4 @@ func (p *clientPeer) tally() (delivered, duplicates, resubmits int) {
 		duplicates += c - 1
 	}
 	return delivered, duplicates, p.resubmits
-}
-
-// gridctlHealth adapts the transport breaker snapshot for grid.health,
-// mirroring the gridnode adapter.
-func gridctlHealth(host *nettransport.Host) func() []grid.PeerHealth {
-	return func() []grid.PeerHealth {
-		hs := host.Health()
-		out := make([]grid.PeerHealth, len(hs))
-		for i, e := range hs {
-			out[i] = grid.PeerHealth{
-				Peer:        e.Peer,
-				State:       e.State,
-				ConsecFails: e.ConsecFails,
-				Failures:    e.Failures,
-				Successes:   e.Successes,
-				Opens:       e.Opens,
-				RetryIn:     e.RetryIn,
-			}
-		}
-		return out
-	}
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,11 +21,9 @@ import (
 
 	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/ids"
-	"repro/internal/match"
 	"repro/internal/nettransport"
 	"repro/internal/obs"
-	"repro/internal/pubsub"
+	"repro/internal/peer"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/sandbox"
@@ -97,21 +96,12 @@ func main() {
 		fmt.Printf("gridnode: metrics at http://%s/metrics (events at /events, profiles at /debug/pprof)\n", bound)
 	}
 
-	ch := chord.New(host, chord.Config{
-		StabilizeEvery:  500 * time.Millisecond,
-		FixFingersEvery: 500 * time.Millisecond,
-		Obs:             o,
-	})
-	rn := rntree.New(host, ch, caps, *osname, rntree.Config{AggregateEvery: time.Second, Obs: o})
-	overlay := &match.ChordOverlay{Chord: ch, Walk: rn}
-	var matcher grid.Matchmaker = &match.RNTree{RN: rn}
 	// Voting implies reputation: the owner scores replicas against each
 	// accepted digest, and matchmaking avoids blacklisted peers. The
 	// table is answerable over grid.trust (gridctl trust).
 	var tb *trust.Table
 	if *replicas > 1 || *quorum > 1 {
 		tb = trust.New(trust.Config{})
-		matcher = &match.Trusted{Inner: matcher, Table: tb}
 	}
 	logger := grid.RecorderFunc(func(ev grid.Event) {
 		fmt.Printf("%s job=%s attempt=%d node=%s\n", ev.Kind, ev.JobID.Short(), ev.Attempt, ev.Node)
@@ -145,37 +135,25 @@ func main() {
 		}
 		return len(out) / 1024, nil
 	}
-	// The notification broker rides the same Chord ring: topics hash to
-	// a rendezvous node found by ordinary lookups, so every peer runs a
-	// broker and owners publish to whichever rendezvous a job's topic
-	// maps to (DESIGN.md §13).
-	var broker *pubsub.Broker
-	if *notify {
-		broker = pubsub.New(host, pubsub.Config{
-			Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-				ref, _, err := ch.Lookup(rt, key)
-				if err != nil {
-					return "", err
-				}
-				return ref.Addr, nil
-			},
-			Obs: o,
-		})
-	}
-	gn := grid.NewNode(host, caps, *osname, overlay, matcher, logger, grid.Config{
-		HeartbeatEvery: time.Second,
-		Executor:       executor,
-		Replicas:       *replicas,
-		Quorum:         *quorum,
-		Trust:          tb,
-		ProbeEvery:     *probeEvery,
-		OwnerCapacity:  *ownerCap,
-		Obs:            o,
-		// Transport health feeds graceful degradation (breaker-open
-		// peers demoted in matchmaking and probing) and grid.health.
-		PeerDown: host.PeerDown,
-		Health:   gridHealth(host),
-		Notify:   broker,
+	p := peer.New(host, caps, *osname, logger, peer.Config{
+		Chord: chord.Config{Obs: o},
+		// The short refresh un-roots a creator, whose tree started alone.
+		Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second, Obs: o},
+		Grid: grid.Config{
+			HeartbeatEvery: time.Second,
+			Executor:       executor,
+			Replicas:       *replicas,
+			Quorum:         *quorum,
+			Trust:          tb,
+			ProbeEvery:     *probeEvery,
+			OwnerCapacity:  *ownerCap,
+			Obs:            o,
+			// Transport health feeds graceful degradation (breaker-open
+			// peers demoted in matchmaking and probing) and grid.health.
+			PeerDown: host.PeerDown,
+			Health:   host.Health,
+		},
+		Notify: *notify,
 	})
 	// Every peer runs this binary, so with all handlers registered a
 	// method unknown here is served nowhere: the rule would match no
@@ -186,65 +164,20 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	rn.SetLoadFn(gn.QueueLen)
-	if broker != nil {
-		broker.SetOnEvent(gn.OnNotification)
-		ch.SetRingChange(broker.RingChange)
-	}
 
-	if *bootstrap == "" {
-		ch.Create()
-		fmt.Printf("gridnode: created grid at %s (id %s)\n", host.Addr(), ch.ID().Short())
-	} else {
-		joined := make(chan error, 1)
-		host.Go("join", func(rt transport.Runtime) {
-			var jerr error
-			for try := 0; try < 20; try++ {
-				if jerr = ch.Join(rt, transport.Addr(*bootstrap)); jerr == nil {
-					break
-				}
-				rt.Sleep(500 * time.Millisecond)
-			}
-			joined <- jerr
-		})
-		if err := <-joined; err != nil {
-			fmt.Fprintf(os.Stderr, "gridnode: join: %v\n", err)
+	// Scripts wait for the ready line (scripts/lib.sh). After a gate
+	// timeout the node serves anyway: ring and tree keep repairing.
+	if err := p.LaunchWait(transport.Addr(*bootstrap)); err != nil {
+		if !errors.Is(err, peer.ErrNotReady) {
+			fmt.Fprintf(os.Stderr, "gridnode: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("gridnode: joined via %s as %s (id %s)\n", *bootstrap, host.Addr(), ch.ID().Short())
+		fmt.Fprintf(os.Stderr, "gridnode: %v; serving anyway\n", err)
 	}
-	ch.Start()
-	rn.Start()
-	gn.Start()
-	if broker != nil {
-		broker.Start()
-		fmt.Println("gridnode: pub/sub notifications on (topics rendezvous on the ring)")
-	}
-
-	fmt.Printf("gridnode: caps=%s os=%s; ctrl-c to stop\n", caps, *osname)
+	fmt.Printf("gridnode: ready at %s (id %s, bootstrap %q, notify %v, caps=%s os=%s); ctrl-c to stop\n",
+		host.Addr(), p.Ring.ID().Short(), *bootstrap, *notify, caps, *osname)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("gridnode: shutting down")
-}
-
-// gridHealth adapts the transport's breaker snapshot to the grid's
-// transport-agnostic health type for the grid.health RPC.
-func gridHealth(host *nettransport.Host) func() []grid.PeerHealth {
-	return func() []grid.PeerHealth {
-		hs := host.Health()
-		out := make([]grid.PeerHealth, len(hs))
-		for i, e := range hs {
-			out[i] = grid.PeerHealth{
-				Peer:        e.Peer,
-				State:       e.State,
-				ConsecFails: e.ConsecFails,
-				Failures:    e.Failures,
-				Successes:   e.Successes,
-				Opens:       e.Opens,
-				RetryIn:     e.RetryIn,
-			}
-		}
-		return out
-	}
 }

@@ -12,13 +12,12 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/match"
 	"repro/internal/nettransport"
+	"repro/internal/peer"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/sandbox"
@@ -98,13 +97,7 @@ func main() {
 	wire.RegisterAll()
 	const N = 4
 
-	chCfg := chord.Config{StabilizeEvery: 50 * time.Millisecond, FixFingersEvery: 50 * time.Millisecond}
-	rnCfg := rntree.Config{AggregateEvery: 100 * time.Millisecond}
-
-	hosts := make([]*nettransport.Host, N)
-	chords := make([]*chord.Node, N)
-	grids := make([]*grid.Node, N)
-
+	peers := make([]*peer.Peer, N)
 	for i := 0; i < N; i++ {
 		h, err := nettransport.Listen("127.0.0.1:0")
 		if err != nil {
@@ -112,11 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer h.Close()
-		hosts[i] = h
 		caps := resource.Vector{float64(3 + i*2), 2048, 50}
-		chords[i] = chord.New(h, chCfg)
-		rn := rntree.New(h, chords[i], caps, "linux", rnCfg)
-		overlay := &match.ChordOverlay{Chord: chords[i], Walk: rn}
 
 		// Real work: each job runs an N-body integration inside a
 		// sandbox with no network and a private filesystem root.
@@ -138,60 +127,57 @@ func main() {
 			fmt.Printf("  ran: %s\n", out)
 			return len(out) / 1024, nil
 		}
-		grids[i] = grid.NewNode(h, caps, "linux", overlay, &match.RNTree{RN: rn}, nil, grid.Config{
-			HeartbeatEvery:  200 * time.Millisecond,
-			MatchRetryEvery: 500 * time.Millisecond,
-			Executor:        executor,
+		peers[i] = peer.New(h, caps, "linux", nil, peer.Config{
+			Chord: chord.Config{StabilizeEvery: 50 * time.Millisecond, FixFingersEvery: 50 * time.Millisecond},
+			Tree:  rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond},
+			Grid: grid.Config{
+				HeartbeatEvery:  200 * time.Millisecond,
+				MatchRetryEvery: 500 * time.Millisecond,
+				Executor:        executor,
+			},
 		})
-		rn.SetLoadFn(grids[i].QueueLen)
+	}
 
-		if i == 0 {
-			chords[0].Create()
+	// Peer 0 creates the ring, the rest join through it once it is ready.
+	boot := transport.Addr("")
+	for _, p := range peers {
+		if err := p.LaunchWait(boot); err != nil {
+			fmt.Fprintln(os.Stderr, "launch:", err)
+			os.Exit(1)
 		}
-		_ = rn
+		boot = peers[0].Host.Addr()
 	}
-
-	// Join the ring sequentially, then start everything.
-	var wg sync.WaitGroup
-	for i := 1; i < N; i++ {
-		i := i
-		wg.Add(1)
-		hosts[i].Go("join", func(rt transport.Runtime) {
-			defer wg.Done()
-			for try := 0; try < 20; try++ {
-				if err := chords[i].Join(rt, hosts[0].Addr()); err == nil {
-					return
-				}
-				rt.Sleep(100 * time.Millisecond)
-			}
-		})
-	}
-	wg.Wait()
-	for i := 0; i < N; i++ {
-		chords[i].Start()
-		grids[i].Start()
-	}
+	client := peers[0].Grid
 	// The client-side watchdog: if a job's owner gives up (e.g. the
 	// matchmaking walk keeps missing the one peer that satisfies a tight
 	// constraint while the grid is busy), the job is resubmitted under a
 	// fresh GUID instead of being lost.
-	grids[0].StartClientMonitor(2 * time.Second)
+	client.StartClientMonitor(2 * time.Second)
 	fmt.Printf("live grid up: %d peers on real TCP sockets\n", N)
-	time.Sleep(1500 * time.Millisecond) // ring + tree convergence
 
-	// Submit a small sweep; constraints steer big runs to fast peers.
 	done := make(chan bool, 1)
-	hosts[0].Go("client", func(rt transport.Runtime) {
+	peers[0].Host.Go("client", func(rt transport.Runtime) {
+		// Matchmaking is only as good as the tree it searches: no submit
+		// before every peer has a parent or a child. (Only the creator,
+		// ready as a grid of one, can still be finding its place.)
+		for _, p := range peers {
+			if !p.Tree.AwaitAttached(rt, 10*time.Second) {
+				fmt.Fprintf(os.Stderr, "peer %s has no parent and no child: the RN-Tree did not form\n", p.Host.Addr())
+				done <- false
+				return
+			}
+		}
+		// Submit a small sweep; constraints steer big runs to fast peers.
 		for _, kb := range []int{2, 6, 10} {
 			job := grid.JobSpec{Work: time.Second, InputKB: kb}
 			if kb >= 10 {
 				job.Cons = job.Cons.Require(resource.CPU, 7)
 			}
-			if _, err := grids[0].Submit(rt, job); err != nil {
+			if _, err := client.Submit(rt, job); err != nil {
 				fmt.Fprintln(os.Stderr, "submit:", err)
 			}
 		}
-		done <- grids[0].AwaitAll(rt, rt.Now()+time.Minute) == 0
+		done <- client.AwaitAll(rt, rt.Now()+time.Minute) == 0
 	})
 	if ok := <-done; !ok {
 		fmt.Fprintln(os.Stderr, "some jobs did not finish")

@@ -140,6 +140,7 @@ type Node struct {
 	nextFinger int
 	started    bool
 	ringChange func()
+	ringCond   transport.Cond // on mu; broadcast by ringChanged
 
 	// Lookups counts completed local lookups; LookupHops sums their hop
 	// counts. Read them for the DHT-behaviour experiment.
@@ -160,6 +161,7 @@ func New(host transport.Host, cfg Config) *Node {
 		id:   ids.HashString(string(host.Addr())),
 		cfg:  cfg.withDefaults(),
 	}
+	n.ringCond.L = &n.mu
 	if reg := n.cfg.Obs.Registry(); reg != nil {
 		n.mLookups = reg.Counter("chord_lookups_total")
 		n.mFailures = reg.Counter("chord_lookup_failures_total")
@@ -207,11 +209,26 @@ func (n *Node) SetRingChange(fn func()) {
 }
 
 func (n *Node) ringChanged() {
+	n.ringCond.Broadcast()
 	n.mu.Lock()
 	fn := n.ringChange
 	n.mu.Unlock()
 	if fn != nil {
 		fn()
+	}
+}
+
+// AwaitClosed parks until the ring has closed around this node (its
+// successor is another node and a predecessor has notified it) or max
+// passes, and reports which.
+func (n *Node) AwaitClosed(rt transport.Runtime, max time.Duration) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for deadline := rt.Now() + max; ; rt.Wait(&n.ringCond, deadline-rt.Now()) {
+		closed := len(n.succs) > 0 && n.succs[0].ID != n.id && !n.pred.IsZero() && n.pred.ID != n.id
+		if closed || rt.Now() >= deadline {
+			return closed
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/match"
 	"repro/internal/metrics"
+	"repro/internal/peer"
 	"repro/internal/pubsub"
 	"repro/internal/replica"
 	"repro/internal/rntree"
@@ -262,29 +263,17 @@ func Build(s Scenario) *Deployment {
 			gcfg.ReplicaRing = replica.ChordRing{Node: d.Chords[i]}
 		}
 		if s.Notify {
-			pcfg := pubsub.Config{Obs: gcfg.Obs}
+			var b *pubsub.Broker
 			if needChord {
-				ch := d.Chords[i]
-				pcfg.Lookup = func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-					ref, _, err := ch.Lookup(rt, key)
-					if err != nil {
-						return "", err
-					}
-					return ref.Addr, nil
-				}
-				if gcfg.ReplicaK > 0 {
-					pcfg.Ring = replica.ChordRing{Node: ch}
-					pcfg.K = gcfg.ReplicaK
-				}
+				b = peer.NewBroker(h, d.Chords[i], gcfg.ReplicaK, gcfg.Obs)
 			} else {
 				// No ring to hash topics onto: a fixed rendezvous keeps
 				// the overlay usable under the CAN algorithms.
 				rdv := d.Hosts[0].Addr()
-				pcfg.Lookup = func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
+				b = pubsub.New(h, pubsub.Config{Obs: gcfg.Obs, Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
 					return rdv, nil
-				}
+				}})
 			}
-			b := pubsub.New(h, pcfg)
 			d.Brokers = append(d.Brokers, b)
 			gcfg.Notify = b
 		}
@@ -304,28 +293,8 @@ func Build(s Scenario) *Deployment {
 			Load: gn.QueueLen,
 			Up:   ep.Up,
 		})
-	}
-
-	// Late wiring that needs the grid node.
-	for i := 0; i < n; i++ {
-		gn := d.Grids[i]
-		if s.Notify {
-			d.Brokers[i].SetOnEvent(gn.OnNotification)
-		}
 		if needChord {
-			// Stabilization events re-aim replica pushes (and pub/sub
-			// subscriber-list replication) immediately instead of
-			// waiting out the next anti-entropy period.
-			replKick := s.Grid.ReplicaK > 0
-			switch {
-			case replKick && s.Notify:
-				b := d.Brokers[i]
-				d.Chords[i].SetRingChange(func() { gn.ReplicaKick(); b.RingChange() })
-			case replKick:
-				d.Chords[i].SetRingChange(gn.ReplicaKick)
-			case s.Notify:
-				d.Chords[i].SetRingChange(d.Brokers[i].RingChange)
-			}
+			d.Chords[i].SetRingChange(peer.RingHook(gn, gcfg.Notify))
 		}
 		if len(d.RNs) > 0 {
 			d.RNs[i].SetLoadFn(gn.QueueLen)
@@ -335,7 +304,7 @@ func Build(s Scenario) *Deployment {
 		}
 		if s.Alg == AlgTTL {
 			// The TTL baseline also needs remote probes answered.
-			match.RegisterProbe(d.Hosts[i], w.Nodes[i].Caps, w.Nodes[i].OS, gn.QueueLen, ttlNeighborFn(d.Chords[i]))
+			match.RegisterProbe(h, spec.Caps, spec.OS, gn.QueueLen, ttlNeighborFn(d.Chords[i]))
 			d.ttls[i].Load = gn.QueueLen
 		}
 	}

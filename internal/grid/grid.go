@@ -167,7 +167,7 @@ type Config struct {
 	// Health, when set, supplies the transport's per-peer breaker
 	// snapshot answered over the grid.health RPC (gridctl health). Nil
 	// reports no peers.
-	Health func() []PeerHealth
+	Health func() []transport.PeerHealth
 }
 
 func (c Config) withDefaults() Config {

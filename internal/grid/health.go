@@ -1,10 +1,6 @@
 package grid
 
-import (
-	"time"
-
-	"repro/internal/transport"
-)
+import "repro/internal/transport"
 
 // The grid.health RPC exposes the transport layer's per-peer circuit
 // breaker state (nettransport, DESIGN.md §12) for operators: gridctl
@@ -16,31 +12,17 @@ import (
 // MHealth is the health method name registered on the host.
 const MHealth = "grid.health"
 
-// PeerHealth is one peer's breaker snapshot as the grid layer reports
-// it (mirrors nettransport.PeerHealth; the grid stays
-// transport-agnostic, so live deployments copy fields across in an
-// adapter — see cmd/gridnode).
-type PeerHealth struct {
-	Peer        transport.Addr
-	State       string // closed | open | half-open
-	ConsecFails int
-	Failures    int64
-	Successes   int64
-	Opens       int64
-	RetryIn     time.Duration // open only: until the next probe is admitted
-}
-
 // HealthReq asks a node for its per-peer breaker table.
 type HealthReq struct{}
 
 // HealthResp returns it.
 type HealthResp struct {
 	Node  transport.Addr
-	Peers []PeerHealth
+	Peers []transport.PeerHealth
 }
 
 func (n *Node) handleHealth(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	var peers []PeerHealth
+	var peers []transport.PeerHealth
 	if n.cfg.Health != nil {
 		peers = n.cfg.Health()
 	}

@@ -15,11 +15,11 @@ import (
 )
 
 func TestHandleHealthPassThrough(t *testing.T) {
-	want := []PeerHealth{
+	want := []transport.PeerHealth{
 		{Peer: "127.0.0.1:7002", State: "open", ConsecFails: 5, Failures: 9, Opens: 1, RetryIn: time.Second},
 		{Peer: "127.0.0.1:7003", State: "closed", Successes: 42},
 	}
-	n, _ := newStubNode(nil, Config{Health: func() []PeerHealth { return want }})
+	n, _ := newStubNode(nil, Config{Health: func() []transport.PeerHealth { return want }})
 	rt := &stubRT{rng: rand.New(rand.NewSource(1))}
 
 	raw, err := n.handleHealth(rt, "asker", HealthReq{})

@@ -432,6 +432,10 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 			Obs:      n.cfg.Obs,
 		})
 	}
+	if n.cfg.Notify != nil {
+		// Not left to callers: forgetting it silently demotes push to polling.
+		n.cfg.Notify.SetOnEvent(n.OnNotification)
+	}
 	return n
 }
 

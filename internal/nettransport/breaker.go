@@ -38,18 +38,6 @@ const (
 
 var brStateNames = [...]string{"closed", "open", "half-open"}
 
-// PeerHealth is one peer's breaker snapshot, exported over Host.Health
-// and (through the grid layer) the grid.health RPC.
-type PeerHealth struct {
-	Peer        transport.Addr
-	State       string
-	ConsecFails int           // consecutive failures while closed
-	Failures    int64         // cumulative transport-level failures
-	Successes   int64         // cumulative successes
-	Opens       int64         // times the circuit opened
-	RetryIn     time.Duration // open only: time until the next probe is admitted
-}
-
 type breakerSet struct {
 	h  *Host
 	mu sync.Mutex
@@ -218,13 +206,13 @@ func (s *breakerSet) openCount() int {
 }
 
 // Health snapshots every peer this host has called, sorted by address.
-func (h *Host) Health() []PeerHealth {
+func (h *Host) Health() []transport.PeerHealth {
 	s := h.brk
 	s.mu.Lock()
-	out := make([]PeerHealth, 0, len(s.m))
+	out := make([]transport.PeerHealth, 0, len(s.m))
 	now := time.Now()
 	for addr, b := range s.m {
-		ph := PeerHealth{
+		ph := transport.PeerHealth{
 			Peer:        addr,
 			State:       brStateNames[b.state],
 			ConsecFails: b.consec,

@@ -28,8 +28,6 @@ import (
 // DefaultCallTimeout bounds Call when no explicit timeout is given.
 const DefaultCallTimeout = 5 * time.Second
 
-var seedCounter int64
-
 // Opts tunes a Host. The zero value selects the defaults.
 type Opts struct {
 	// IdleTimeout reaps connections (pooled client conns and inbound
@@ -309,13 +307,7 @@ func (h *Host) dropConn(conn net.Conn) {
 	h.mu.Unlock()
 }
 
-func (h *Host) newRuntime() *runtime {
-	seed := atomic.AddInt64(&seedCounter, 1)
-	return &runtime{
-		h:   h,
-		rng: rand.New(rand.NewSource(time.Now().UnixNano() ^ seed<<21)),
-	}
-}
+func (h *Host) newRuntime() *runtime { return &runtime{h: h} }
 
 func (h *Host) acceptLoop() {
 	defer h.connWg.Done()
@@ -456,7 +448,15 @@ type runtime struct {
 
 func (r *runtime) Now() time.Duration    { return time.Since(r.h.start) }
 func (r *runtime) Sleep(d time.Duration) { time.Sleep(d) }
-func (r *runtime) Rand() *rand.Rand      { return r.rng }
+
+// Rand seeds on first use: every request served gets a runtime, few
+// draw from it, and a source is 5 KB to allocate and fill.
+func (r *runtime) Rand() *rand.Rand {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(rand.Int63()))
+	}
+	return r.rng
+}
 
 // Wait implements transport.Runtime: the goroutine parks on a channel
 // the broadcast closes, bounded by a timer.

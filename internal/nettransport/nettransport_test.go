@@ -10,7 +10,7 @@ import (
 	"repro/internal/chord"
 	"repro/internal/grid"
 	"repro/internal/ids"
-	"repro/internal/match"
+	"repro/internal/peer"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/transport"
@@ -54,6 +54,22 @@ func TestCallRoundTrip(t *testing.T) {
 	})
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuntimeRandSeedsOnFirstDraw: a runtime is made for every request
+// served, so making one must not build a random source; two that do
+// draw must not share a stream.
+func TestRuntimeRandSeedsOnFirstDraw(t *testing.T) {
+	a, b := (&Host{}).newRuntime(), (&Host{}).newRuntime()
+	if a.rng != nil {
+		t.Fatal("runtime seeded before its first draw")
+	}
+	if a.Rand() != a.Rand() {
+		t.Fatal("Rand built a second source")
+	}
+	if a.Rand().Int63() == b.Rand().Int63() && a.Rand().Int63() == b.Rand().Int63() {
+		t.Fatal("two runtimes draw the same stream")
 	}
 }
 
@@ -103,24 +119,25 @@ func TestLiveChordRing(t *testing.T) {
 	}
 	nodes[0].Create()
 	nodes[0].Start()
-	var wg sync.WaitGroup
+	// One joiner at a time, the next once the ring has closed around
+	// the last: every successor pointer is then final, which is what
+	// lookup agreement needs.
 	for i := 1; i < N; i++ {
-		i := i
-		wg.Add(1)
+		joined := make(chan error, 1)
 		hosts[i].Go("join", func(rt transport.Runtime) {
-			defer wg.Done()
-			for try := 0; try < 10; try++ {
-				if err := nodes[i].Join(rt, hosts[0].Addr()); err == nil {
-					nodes[i].Start()
-					return
+			err := nodes[i].Join(rt, hosts[0].Addr())
+			if err == nil {
+				nodes[i].Start()
+				if !nodes[i].AwaitClosed(rt, 10*time.Second) {
+					err = errors.New("ring did not close")
 				}
-				rt.Sleep(100 * time.Millisecond)
 			}
-			t.Errorf("node %d failed to join", i)
+			joined <- err
 		})
+		if err := <-joined; err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
 	}
-	wg.Wait()
-	time.Sleep(2 * time.Second) // let stabilization converge
 
 	// All nodes agree on the owner of a set of keys.
 	for k := 0; k < 5; k++ {
@@ -166,67 +183,49 @@ func (r *startGaps) Record(ev grid.Event) {
 // it is enqueued: the executor waits on the queue, it does not poll.
 func TestLiveGridJob(t *testing.T) {
 	const N = 4
-	chCfg := chord.Config{
-		StabilizeEvery:  50 * time.Millisecond,
-		FixFingersEvery: 50 * time.Millisecond,
-		CheckPredEvery:  100 * time.Millisecond,
+	cfg := peer.Config{
+		Chord: chord.Config{
+			StabilizeEvery:  50 * time.Millisecond,
+			FixFingersEvery: 50 * time.Millisecond,
+			CheckPredEvery:  100 * time.Millisecond,
+		},
+		Tree: rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond},
+		Grid: grid.Config{HeartbeatEvery: 200 * time.Millisecond},
 	}
-	rnCfg := rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond}
-	gCfg := grid.Config{HeartbeatEvery: 200 * time.Millisecond}
 
 	rec := &startGaps{enqueued: make(map[ids.ID]time.Duration)}
-	hosts := make([]*Host, N)
-	chords := make([]*chord.Node, N)
-	rns := make([]*rntree.Node, N)
-	grids := make([]*grid.Node, N)
-	for i := 0; i < N; i++ {
+	peers := make([]*peer.Peer, N)
+	for i := range peers {
 		h, err := Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer h.Close()
-		hosts[i] = h
-		caps := resource.Vector{float64(2 + i), 1024, 50}
-		chords[i] = chord.New(h, chCfg)
-		rns[i] = rntree.New(h, chords[i], caps, "linux", rnCfg)
-		overlay := &match.ChordOverlay{Chord: chords[i], Walk: rns[i]}
-		matcher := &match.RNTree{RN: rns[i]}
-		grids[i] = grid.NewNode(h, caps, "linux", overlay, matcher, rec, gCfg)
-		rns[i].SetLoadFn(grids[i].QueueLen)
+		peers[i] = peer.New(h, resource.Vector{float64(2 + i), 1024, 50}, "linux", rec, cfg)
 	}
-	chords[0].Create()
-	var wg sync.WaitGroup
-	for i := 1; i < N; i++ {
-		i := i
-		wg.Add(1)
-		hosts[i].Go("join", func(rt transport.Runtime) {
-			defer wg.Done()
-			for try := 0; try < 10; try++ {
-				if err := chords[i].Join(rt, hosts[0].Addr()); err == nil {
-					return
-				}
-				rt.Sleep(100 * time.Millisecond)
-			}
-			t.Errorf("join %d failed", i)
-		})
+	if err := peers[0].LaunchWait(""); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i := 0; i < N; i++ {
-		chords[i].Start()
-		rns[i].Start()
-		grids[i].Start()
+	launched := make(chan error, N)
+	for _, p := range peers[1:] {
+		go func() { launched <- p.LaunchWait(peers[0].Host.Addr()) }()
 	}
-	time.Sleep(2 * time.Second) // ring + tree convergence
+	for range peers[1:] {
+		if err := <-launched; err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := peers[0].Grid
 
 	const jobs = 1000
 	done := make(chan error, 1)
-	hosts[0].Go("client", func(rt transport.Runtime) {
+	peers[0].Host.Go("client", func(rt transport.Runtime) {
 		for j := 0; j < jobs; j++ {
-			if _, err := grids[0].Submit(rt, grid.JobSpec{}); err != nil {
+			if _, err := client.Submit(rt, grid.JobSpec{}); err != nil {
 				done <- err
 				return
 			}
-			if left := grids[0].AwaitAll(rt, rt.Now()+20*time.Second); left != 0 {
+			if left := client.AwaitAll(rt, rt.Now()+20*time.Second); left != 0 {
 				done <- fmt.Errorf("job %d: %d jobs unfinished", j, left)
 				return
 			}

@@ -1,0 +1,293 @@
+package peer
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/grid"
+	"repro/internal/match"
+	"repro/internal/resource"
+	"repro/internal/rntree"
+	"repro/internal/sim"
+	"repro/internal/simhost"
+	"repro/internal/simnet"
+	"repro/internal/transport"
+	"repro/internal/trust"
+)
+
+// spyHost reports every activity its peer starts, which is how the
+// tests see what Launch started and when.
+type spyHost struct {
+	transport.Host
+	onGo func(name string)
+}
+
+func (h spyHost) Go(name string, fn func(rt transport.Runtime)) {
+	h.onGo(name)
+	h.Host.Go(name, fn)
+}
+
+// cluster is n peers on one simulated network. log is every activity
+// start and every message in event order; early lists peers whose tree
+// started before their ring had closed.
+type cluster struct {
+	e     *sim.Engine
+	net   *simnet.Net
+	peers []*Peer
+	went  []map[string]int // per peer: activity name -> starts
+	ready []time.Duration  // per peer: when Launch returned nil; -1 before
+	log   []string
+	early []transport.Addr
+}
+
+func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
+	t.Helper()
+	c := &cluster{e: sim.NewEngine(seed)}
+	t.Cleanup(c.e.Shutdown)
+	c.net = simnet.New(c.e)
+	c.net.Latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond}
+	c.net.Faults = simnet.FaultFunc(func(from, to simnet.Addr, method string, response bool) simnet.Fault {
+		c.log = append(c.log, fmt.Sprintf("%v %s>%s %s %v", c.e.Now(), from, to, method, response))
+		return simnet.Fault{}
+	})
+	for i := 0; i < n; i++ {
+		c.add(cfg)
+	}
+	return c
+}
+
+func (c *cluster) add(cfg Config) int {
+	i := len(c.peers)
+	h := simhost.New(c.net.NewEndpoint(simnet.Addr(fmt.Sprintf("p%02d", i))))
+	c.went = append(c.went, map[string]int{})
+	c.ready = append(c.ready, -1)
+	var p *Peer
+	p = New(spyHost{Host: h, onGo: func(name string) {
+		c.went[i][name]++
+		c.log = append(c.log, fmt.Sprintf("%v %s go %s", c.e.Now(), h.Addr(), name))
+		if name == "rnt.aggregate" && i > 0 {
+			succ, pred := p.Ring.Successor(), p.Ring.Predecessor()
+			if succ.Addr == h.Addr() || pred.IsZero() || pred.Addr == h.Addr() {
+				c.early = append(c.early, h.Addr())
+			}
+		}
+	}}, resource.Vector{float64(1 + i), 1024, 50}, "linux", nil, cfg)
+	c.peers = append(c.peers, p)
+	return i
+}
+
+// launch starts peer i's Launch now: peer 0 creates, the rest join
+// through it.
+func (c *cluster) launch(t *testing.T, i int) {
+	t.Helper()
+	var boot transport.Addr
+	if i > 0 {
+		boot = c.peers[0].Host.Addr()
+	}
+	c.peers[i].Host.Go("launch", func(rt transport.Runtime) {
+		if err := c.peers[i].Launch(rt, boot); err != nil {
+			t.Errorf("peer %d: %v", i, err)
+			return
+		}
+		c.ready[i] = rt.Now()
+	})
+}
+
+// fast converges a simulated grid in seconds instead of the defaults'
+// tens of seconds.
+var fast = Config{Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second}}
+
+func coldStart(t *testing.T, seed int64) *cluster {
+	c := newCluster(t, seed, 8, fast)
+	for i := range c.peers {
+		c.launch(t, i)
+	}
+	c.e.RunFor(time.Minute)
+	return c
+}
+
+// TestColdStartFormsOneRingOneTree: eight peers launched in the same
+// instant through one bootstrap end up as one closed ring carrying one
+// tree, and no peer started its tree before its ring gate had passed.
+func TestColdStartFormsOneRingOneTree(t *testing.T) {
+	c := coldStart(t, 1)
+	by := map[transport.Addr]*Peer{}
+	for i, p := range c.peers {
+		by[p.Host.Addr()] = p
+		if c.ready[i] < 0 {
+			t.Errorf("peer %d never became ready", i)
+		}
+		if c.went[i]["rnt.aggregate"] != 1 || c.went[i]["grid.exec"] != 1 {
+			t.Errorf("peer %d started %v, want the tree and the grid once each", i, c.went[i])
+		}
+	}
+	if len(c.early) > 0 {
+		t.Errorf("tree started before the ring had closed on %v", c.early)
+	}
+
+	cur, seen := c.peers[0], map[transport.Addr]bool{}
+	for range c.peers {
+		if seen[cur.Host.Addr()] {
+			t.Fatalf("ring walk reaches %s twice", cur.Host.Addr())
+		}
+		seen[cur.Host.Addr()] = true
+		next := by[cur.Ring.Successor().Addr]
+		if next == nil {
+			t.Fatalf("%s has successor %v, not a peer", cur.Host.Addr(), cur.Ring.Successor())
+		}
+		if pred := next.Ring.Predecessor().Addr; pred != cur.Host.Addr() {
+			t.Fatalf("%s has predecessor %s, want %s", next.Host.Addr(), pred, cur.Host.Addr())
+		}
+		cur = next
+	}
+	if cur != c.peers[0] {
+		t.Fatalf("ring walk ends on %s, not where it started", cur.Host.Addr())
+	}
+
+	roots := 0
+	for _, p := range c.peers {
+		parent := p.Tree.Parent()
+		if parent.IsZero() {
+			roots++
+			continue
+		}
+		listed := false
+		for _, child := range by[parent.Addr].Tree.Children() {
+			listed = listed || child == p.Host.Addr()
+		}
+		if !listed {
+			t.Errorf("%s is not listed by its parent %s", p.Host.Addr(), parent.Addr)
+		}
+	}
+	if roots != 1 {
+		t.Errorf("%d tree roots, want 1", roots)
+	}
+}
+
+func TestColdStartReplays(t *testing.T) {
+	a, b := coldStart(t, 3).log, coldStart(t, 3).log
+	if len(a) != len(b) {
+		t.Fatalf("same seed, %d events then %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverges at event %d:\n  first:  %s\n  replay: %s", i, a[i], b[i])
+		}
+	}
+	if other := coldStart(t, 4).log; len(other) == len(a) && other[len(other)-1] == a[len(a)-1] {
+		t.Fatal("another seed gave the same event log: the seed is not reaching the run")
+	}
+}
+
+// TestSoleCreatorAndLateJoiner: a creator is a whole grid of one and
+// ready in the instant it launches; a peer that joins a grid already
+// running becomes ready too.
+func TestSoleCreatorAndLateJoiner(t *testing.T) {
+	c := newCluster(t, 5, 3, fast)
+	c.launch(t, 0)
+	c.e.RunFor(time.Millisecond)
+	if c.ready[0] != 0 {
+		t.Fatalf("sole creator ready at %v, want at once", c.ready[0])
+	}
+	c.launch(t, 1)
+	c.launch(t, 2)
+	c.e.RunFor(30 * time.Second)
+
+	late := c.add(fast)
+	began := time.Duration(c.e.Now())
+	c.launch(t, late)
+	c.e.RunFor(30 * time.Second)
+	if c.ready[late] < 0 {
+		t.Fatal("late joiner never became ready")
+	}
+	p := c.peers[late]
+	if p.Tree.Parent().IsZero() && len(p.Tree.Children()) == 0 {
+		t.Fatal("late joiner ready with no parent and no child")
+	}
+	t.Logf("late joiner ready %v after launching", c.ready[late]-began)
+}
+
+// TestJoinGivesUp: with the bootstrap down for the whole bound Launch
+// returns the join error, having started nothing.
+func TestJoinGivesUp(t *testing.T) {
+	c := newCluster(t, 6, 2, fast)
+	c.net.Endpoint("p00").Crash()
+	var err error
+	var at time.Duration
+	c.peers[1].Host.Go("launch", func(rt transport.Runtime) {
+		err = c.peers[1].Launch(rt, "p00")
+		at = rt.Now()
+	})
+	c.e.RunFor(time.Minute)
+	if err == nil || errors.Is(err, ErrNotReady) {
+		t.Fatalf("Launch = %v, want the join error", err)
+	}
+	if at < joinBound || at > joinBound+10*time.Second {
+		t.Errorf("gave up at %v, want just past the %v bound", at, joinBound)
+	}
+	if len(c.went[1]) != 1 {
+		t.Errorf("activities started: %v, want only the launch itself", c.went[1])
+	}
+}
+
+// TestNewWiresOptions covers the option combinations gridnode and
+// experiments.Build use: what New constructs, and that ring changes
+// reach exactly the subsystems that are on (their kick activities run).
+func TestNewWiresOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		cfg                    Config
+		trusted, pubsub, store bool
+	}{
+		{name: "plain (gridctl, livegrid)", cfg: fast},
+		{name: "voting (gridnode -replicas 2)", trusted: true,
+			cfg: Config{Tree: fast.Tree, Grid: grid.Config{Replicas: 2, Quorum: 2, Trust: trust.New(trust.Config{})}}},
+		{name: "notify (gridnode -notify)", pubsub: true,
+			cfg: Config{Tree: fast.Tree, Notify: true}},
+		{name: "replica (replsweep)", store: true,
+			cfg: Config{Tree: fast.Tree, Grid: grid.Config{ReplicaK: 2}}},
+		{name: "notify + replica (sim_chaos)", pubsub: true, store: true,
+			cfg: Config{Tree: fast.Tree, Grid: grid.Config{ReplicaK: 2}, Notify: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 7, 3, tc.cfg)
+			for i, p := range c.peers {
+				if _, ok := p.Match.(*match.Trusted); ok != tc.trusted {
+					t.Fatalf("matchmaker is %T, trusted wrapper wanted: %v", p.Match, tc.trusted)
+				}
+				if (p.Broker != nil) != tc.pubsub {
+					t.Fatalf("broker %v, wanted: %v", p.Broker, tc.pubsub)
+				}
+				c.launch(t, i)
+			}
+			c.e.RunFor(20 * time.Second)
+			// No job yet, so nothing but a ring change has kicked anything.
+			kicks := map[string]int{}
+			for _, went := range c.went {
+				kicks["pubsub.kick"] += went["pubsub.kick"]
+				kicks["replica.kick"] += went["replica.kick"]
+			}
+			if (kicks["pubsub.kick"] > 0) != tc.pubsub || (kicks["replica.kick"] > 0) != tc.store {
+				t.Errorf("ring changes kicked %v, want pubsub: %v, replica: %v", kicks, tc.pubsub, tc.store)
+			}
+
+			client := c.peers[0]
+			client.Host.Go("client", func(rt transport.Runtime) {
+				if _, err := client.Grid.Submit(rt, grid.JobSpec{Work: time.Second}); err != nil {
+					t.Errorf("submit: %v", err)
+				}
+				if left := client.Grid.AwaitAll(rt, rt.Now()+time.Minute); left != 0 {
+					t.Errorf("%d jobs unfinished", left)
+				}
+			})
+			c.e.RunFor(2 * time.Minute)
+			// grid.NewNode wired the broker's handler itself: the
+			// client's pushes arrive.
+			if got := client.Grid.NotifyRecv > 0; got != tc.pubsub {
+				t.Errorf("client absorbed %d notifications, wanted any: %v", client.Grid.NotifyRecv, tc.pubsub)
+			}
+		})
+	}
+}

@@ -175,9 +175,6 @@ type Config struct {
 	// RedeliverMax bounds delivery attempts per event per subscriber
 	// (and per publish batch); beyond it the event is abandoned.
 	RedeliverMax int
-	// OnEvent receives each fresh (deduplicated) event delivered to
-	// this node's subscriptions. Called outside the broker lock.
-	OnEvent func(rt transport.Runtime, topic ids.ID, payload []byte)
 	// Obs, when non-nil, receives broker counters and gauges.
 	Obs *obs.Obs
 }
@@ -284,12 +281,11 @@ type Broker struct {
 // Call Start to launch the periodic retry loop.
 func New(host transport.Host, cfg Config) *Broker {
 	b := &Broker{
-		host:    host,
-		cfg:     cfg.withDefaults(),
-		topics:  make(map[ids.ID]*topicState),
-		out:     make(map[ids.ID]*outTopic),
-		subs:    make(map[ids.ID]*inTopic),
-		onEvent: cfg.OnEvent,
+		host:   host,
+		cfg:    cfg.withDefaults(),
+		topics: make(map[ids.ID]*topicState),
+		out:    make(map[ids.ID]*outTopic),
+		subs:   make(map[ids.ID]*inTopic),
 	}
 	if b.cfg.K > 0 && b.cfg.Ring != nil {
 		// The inner manager keeps its own Obs nil: its instrument
@@ -337,9 +333,10 @@ func New(host transport.Host, cfg Config) *Broker {
 	return b
 }
 
-// SetOnEvent installs (or replaces) the fresh-event callback. Used
-// when the consumer is constructed after the broker (the grid node
-// takes the broker in its Config).
+// SetOnEvent installs (or replaces) the callback that receives each
+// fresh (deduplicated) event delivered to this node's subscriptions,
+// outside the broker lock. grid.NewNode calls it on the broker it is
+// handed in its Config.
 func (b *Broker) SetOnEvent(fn func(rt transport.Runtime, topic ids.ID, payload []byte)) {
 	b.mu.Lock()
 	b.onEvent = fn
@@ -650,6 +647,13 @@ func (b *Broker) deliverPending(rt transport.Runtime) {
 			raw, err := rt.Call(sub, MNotify, NotifyReq{Topic: topic, Epoch: epoch, From: self, Events: events})
 
 			b.mu.Lock()
+			if err == nil {
+				// Even if the subscriber left on this event and overtook its ack.
+				b.stats.Notified += int64(len(events))
+				b.stats.Redelivered += int64(redelivered)
+				b.mNotified.Add(int64(len(events)))
+				b.mRedeliver.Add(int64(redelivered))
+			}
 			ts = b.topics[topic]
 			if ts == nil || ts.epoch != epoch {
 				b.mu.Unlock()
@@ -672,10 +676,6 @@ func (b *Broker) deliverPending(rt transport.Runtime) {
 					}
 				}
 				ss.pending = kept
-				b.stats.Notified += int64(len(events))
-				b.stats.Redelivered += int64(redelivered)
-				b.mNotified.Add(int64(len(events)))
-				b.mRedeliver.Add(int64(redelivered))
 			} else {
 				sent := make(map[int]bool, len(events))
 				for _, ev := range events {

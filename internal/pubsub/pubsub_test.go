@@ -117,17 +117,17 @@ func (h *harness) add(name string, k int) *testNode {
 		RedeliverMax:   4,
 		SyncEvery:      200 * time.Millisecond,
 		DeadAfter:      time.Second,
-		OnEvent: func(rt transport.Runtime, topic ids.ID, payload []byte) {
-			n.mu.Lock()
-			n.got = append(n.got, string(payload))
-			n.mu.Unlock()
-		},
 	}
 	if k > 0 {
 		cfg.Ring = n.ring
 		cfg.K = k
 	}
 	n.b = New(host, cfg)
+	n.b.SetOnEvent(func(rt transport.Runtime, topic ids.ID, payload []byte) {
+		n.mu.Lock()
+		n.got = append(n.got, string(payload))
+		n.mu.Unlock()
+	})
 	n.b.Start()
 	h.nodes[name] = n
 	return n
@@ -347,6 +347,40 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	rdv.b.mu.Unlock()
 	if live {
 		t.Fatal("empty topic survived the last unsubscribe")
+	}
+}
+
+// TestNotifiedCountsAckOvertakenByUnsubscribe: a subscriber that
+// unsubscribes on its last event (gridctl watch on "completed") gets
+// the unsubscribe to the rendezvous before its own ack. The event was
+// still delivered and acknowledged, and Stats.Notified must say so.
+func TestNotifiedCountsAckOvertakenByUnsubscribe(t *testing.T) {
+	h := newHarness(t, 7)
+	rdv := h.add("rdv", 0)
+	pub := h.add("pub", 0)
+	defer h.e.Shutdown()
+	k := topicKey("job-7")
+	h.setRendezvous(k, "rdv")
+
+	watcher := simhost.New(h.net.NewEndpoint("watcher"))
+	watcher.Handle(MNotify, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+		r := req.(NotifyReq)
+		if _, err := rt.Call(from, MUnsubscribe, UnsubscribeReq{Topic: k, Sub: "watcher"}); err != nil {
+			t.Errorf("unsubscribe: %v", err)
+		}
+		return NotifyResp{AckUpTo: r.Events[len(r.Events)-1].Seq}, nil
+	})
+	watcher.Go("subscribe", func(rt transport.Runtime) {
+		if _, err := rt.Call("rdv", MSubscribe, SubscribeReq{Topic: k, Sub: "watcher"}); err != nil {
+			t.Errorf("subscribe: %v", err)
+		}
+	})
+	h.e.RunFor(time.Second)
+	pub.b.Publish(k, []byte("completed"))
+	h.e.RunFor(3 * time.Second)
+
+	if st := rdv.b.Stats(); st.Notified != 1 {
+		t.Fatalf("rendezvous stats = %+v, want the acknowledged event counted as notified", st)
 	}
 }
 

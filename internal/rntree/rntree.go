@@ -219,6 +219,7 @@ type Node struct {
 	children map[transport.Addr]*childEntry
 	loadFn   func() int
 	started  bool
+	attached transport.Cond // on mu; broadcast when a parent is set or a child reports
 
 	// Resolved obs instruments (nil-safe when cfg.Obs is nil).
 	mSearches    *obs.Counter
@@ -240,6 +241,7 @@ func New(host transport.Host, ch *chord.Node, caps resource.Vector, os string, c
 		children: make(map[transport.Addr]*childEntry),
 		loadFn:   func() int { return 0 },
 	}
+	n.attached.L = &n.mu
 	if reg := n.cfg.Obs.Registry(); reg != nil {
 		n.mSearches = reg.Counter("rntree_searches_total")
 		n.mNoCandidate = reg.Counter("rntree_search_no_candidate_total")
@@ -291,6 +293,19 @@ func (n *Node) sortedChildAddrsLocked() []transport.Addr {
 	return out
 }
 
+// AwaitAttached parks until the tree has placed this node (a parent is
+// set or, at the root, a child has reported) or max passes; true if placed.
+func (n *Node) AwaitAttached(rt transport.Runtime, max time.Duration) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for deadline := rt.Now() + max; ; rt.Wait(&n.attached, deadline-rt.Now()) {
+		attached := !n.parent.IsZero() || len(n.children) > 0
+		if attached || rt.Now() >= deadline {
+			return attached
+		}
+	}
+}
+
 // Start launches the aggregation loop.
 func (n *Node) Start() {
 	n.mu.Lock()
@@ -340,6 +355,7 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 			n.isRoot = p.IsZero()
 			parent, isRoot = p, n.isRoot
 			n.mu.Unlock()
+			n.attached.Broadcast()
 		}
 		// Fold before the root's early exit: folding is what expires
 		// silent children, and the root has children too.
@@ -592,6 +608,7 @@ func (n *Node) handleUpdate(rt transport.Runtime, from transport.Addr, req any) 
 	n.mu.Lock()
 	n.children[u.Child.Addr] = &childEntry{ref: u.Child, sum: u.Sum, lastSeen: rt.Now()}
 	n.mu.Unlock()
+	n.attached.Broadcast()
 	return UpdateResp{}, nil
 }
 

@@ -46,6 +46,17 @@ func Jitter(rt Runtime, d time.Duration) time.Duration {
 	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }
 
+// PeerHealth is one peer's circuit-breaker snapshot (grid.health RPC).
+type PeerHealth struct {
+	Peer        Addr
+	State       string // closed | open | half-open
+	ConsecFails int    // consecutive failures while closed
+	Failures    int64  // cumulative transport-level failures
+	Successes   int64
+	Opens       int64         // times the circuit opened
+	RetryIn     time.Duration // open only: until the next probe is admitted
+}
+
 // Handler serves one inbound request. It runs in its own execution
 // context (a simulated proc or a real goroutine) and may block.
 type Handler func(rt Runtime, from Addr, req any) (any, error)

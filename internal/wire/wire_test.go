@@ -171,7 +171,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			},
 		}},
 		grid.HealthReq{},
-		grid.HealthResp{Node: "o:1", Peers: []grid.PeerHealth{
+		grid.HealthResp{Node: "o:1", Peers: []transport.PeerHealth{
 			{Peer: "s:1", State: "open", ConsecFails: 5, Failures: 9, Successes: 3, Opens: 1, RetryIn: 2 * time.Second},
 			{Peer: "s:2", State: "closed", Successes: 40},
 		}},

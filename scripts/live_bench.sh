@@ -24,17 +24,7 @@ WORK=${BENCH_WORK:-5ms}
 OUT=${BENCH_OUT:-BENCH_live.json}
 ASSERT=${BENCH_ASSERT:-0}
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-go build -o "$workdir/gridnode" ./cmd/gridnode
-go build -o "$workdir/gridctl" ./cmd/gridctl
+source scripts/lib.sh
 
 extract() { # extract <file> <json-number-field>
   grep -o "\"$2\":[0-9.eE+-]*" "$1" | head -1 | cut -d: -f2
@@ -52,17 +42,7 @@ rung_inject=$(extract "$workdir/rung.json" inject_jobs_per_sec)
 run_config() {
   local name=$1 batch=$2
   echo "live_bench: config $name (batch=$batch)" >&2
-  "$workdir/gridnode" -listen 127.0.0.1:7701 \
-    >"$workdir/$name-n1.log" 2>&1 &
-  pids+=($!)
-  sleep 1
-  "$workdir/gridnode" -listen 127.0.0.1:7702 -bootstrap 127.0.0.1:7701 \
-    -cpu 8 >"$workdir/$name-n2.log" 2>&1 &
-  pids+=($!)
-  "$workdir/gridnode" -listen 127.0.0.1:7703 -bootstrap 127.0.0.1:7701 \
-    -cpu 3 >"$workdir/$name-n3.log" 2>&1 &
-  pids+=($!)
-  sleep 4 # ring + tree convergence
+  boot_grid 7700
 
   local args=(bench -node 127.0.0.1:7701 -n "$JOBS" -work "$WORK" \
     -timeout 4m -json)
@@ -70,10 +50,7 @@ run_config() {
   "$workdir/gridctl" "${args[@]}" >"$workdir/$name.json"
 
   # Tear the grid down so the next configuration starts clean.
-  for pid in "${pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  pids=()
-  sleep 1
+  teardown_grid
 }
 
 run_config pooled no

@@ -31,51 +31,15 @@ WORK=${CHAOS_WORK:-200ms}
 SEED=${CHAOS_SEED:-42}
 SPEC=${CHAOS_SPEC:-'method=grid.heartbeat stall=0.25:400ms; method=grid.assign reset=0.15; method=grid.ownbatch refuse=0.15; blackhole=0.03'}
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-go build -o "$workdir/gridnode" ./cmd/gridnode
-go build -o "$workdir/gridctl" ./cmd/gridctl
-
-# boot_grid <tag> <extra node args...>
-# Starts nodes on 7801-7803 (metrics on 7901-7903) with per-node chaos
-# logs named $workdir/<tag>-nK.chaos.
-boot_grid() {
-  local tag=$1
-  shift
-  "$workdir/gridnode" -listen 127.0.0.1:7801 -metrics-addr 127.0.0.1:7901 \
-    "$@" -chaos-log "$workdir/$tag-n1.chaos" >"$workdir/$tag-n1.log" 2>&1 &
-  pids+=($!)
-  sleep 1
-  "$workdir/gridnode" -listen 127.0.0.1:7802 -bootstrap 127.0.0.1:7801 -cpu 8 \
-    -metrics-addr 127.0.0.1:7902 "$@" -chaos-log "$workdir/$tag-n2.chaos" \
-    >"$workdir/$tag-n2.log" 2>&1 &
-  pids+=($!)
-  "$workdir/gridnode" -listen 127.0.0.1:7803 -bootstrap 127.0.0.1:7801 -cpu 3 \
-    -metrics-addr 127.0.0.1:7903 "$@" -chaos-log "$workdir/$tag-n3.chaos" \
-    >"$workdir/$tag-n3.log" 2>&1 &
-  pids+=($!)
-  sleep 4 # ring + tree convergence
-}
-
-teardown_grid() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  pids=()
-  sleep 1
-}
+source scripts/lib.sh
 
 # ---- Phase 1+2: two identically-seeded soaks --------------------------
+# Nodes on 7801-7803, metrics on 7901-7903, one chaos log per node.
 run_soak() { # run_soak <tag>
   local tag=$1
   echo "live_chaos: soak $tag (jobs=$JOBS seed=$SEED spec='$SPEC')" >&2
-  boot_grid "$tag" -chaos "$SPEC" -chaos-seed "$SEED"
+  boot_grid 7800 -metrics-addr 127.0.0.1:790%k -chaos "$SPEC" -chaos-seed "$SEED" \
+    -chaos-log "$workdir/$tag-n%k.chaos"
   "$workdir/gridctl" chaos -bootstrap 127.0.0.1:7801 -n "$JOBS" -work "$WORK" \
     -timeout 4m -json >"$workdir/$tag.json"
   teardown_grid
@@ -114,7 +78,7 @@ echo "live_chaos: replay check passed (seed $SEED drew identical fault sequences
 
 # ---- Phase 3: breaker visibility on a real failure --------------------
 echo "live_chaos: breaker phase (no chaos; kill and revive node 3)" >&2
-boot_grid brk
+boot_grid 7800 -metrics-addr 127.0.0.1:790%k
 n3=${pids[2]}
 
 kill "$n3" 2>/dev/null || true
@@ -148,7 +112,7 @@ fi
 "$workdir/gridnode" -listen 127.0.0.1:7803 -bootstrap 127.0.0.1:7801 -cpu 3 \
   >"$workdir/brk-n3-revived.log" 2>&1 &
 pids+=($!)
-sleep 5
+await_ready "$workdir/brk-n3-revived.log"
 "$workdir/gridctl" chaos -bootstrap 127.0.0.1:7801 -n 10 -work 50ms \
   -timeout 2m >/dev/null 2>&1 || true
 

@@ -19,30 +19,10 @@ cd "$(dirname "$0")/.."
 
 TIMEOUT=${FLOW_TIMEOUT:-120s}
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-go build -o "$workdir/gridnode" ./cmd/gridnode
-go build -o "$workdir/gridctl" ./cmd/gridctl
+source scripts/lib.sh
 
 # Nodes on 7821-7823, metrics on 7921-7923 (live_notify.sh owns 781x).
-"$workdir/gridnode" -listen 127.0.0.1:7821 -metrics-addr 127.0.0.1:7921 \
-  -notify >"$workdir/n1.log" 2>&1 &
-pids+=($!)
-sleep 1
-"$workdir/gridnode" -listen 127.0.0.1:7822 -bootstrap 127.0.0.1:7821 -cpu 8 \
-  -metrics-addr 127.0.0.1:7922 -notify >"$workdir/n2.log" 2>&1 &
-pids+=($!)
-"$workdir/gridnode" -listen 127.0.0.1:7823 -bootstrap 127.0.0.1:7821 -cpu 3 \
-  -metrics-addr 127.0.0.1:7923 -notify >"$workdir/n3.log" 2>&1 &
-pids+=($!)
-sleep 4 # ring + tree convergence
+boot_grid 7820 -metrics-addr 127.0.0.1:792%k -notify
 
 cat >"$workdir/diamond.flow" <<'EOF'
 # Live smoke diamond: two branches fan out of prep and merge back in;
@@ -60,7 +40,7 @@ if ! "$workdir/gridctl" flow run -bootstrap 127.0.0.1:7821 -timeout "$TIMEOUT" \
   cat "$workdir/flow.log" >&2
   for n in 1 2 3; do
     echo "--- node $n log ---" >&2
-    tail -20 "$workdir/n$n.log" >&2 || true
+    tail -20 "$gridlog-n$n.log" >&2 || true
   done
   exit 1
 fi

@@ -22,30 +22,10 @@ cd "$(dirname "$0")/.."
 WORK=${NOTIFY_WORK:-6s}
 TIMEOUT=${NOTIFY_TIMEOUT:-90s}
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  wait 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-go build -o "$workdir/gridnode" ./cmd/gridnode
-go build -o "$workdir/gridctl" ./cmd/gridctl
+source scripts/lib.sh
 
 # Nodes on 7811-7813, metrics on 7911-7913 (live_chaos.sh owns 780x).
-"$workdir/gridnode" -listen 127.0.0.1:7811 -metrics-addr 127.0.0.1:7911 \
-  -notify >"$workdir/n1.log" 2>&1 &
-pids+=($!)
-sleep 1
-"$workdir/gridnode" -listen 127.0.0.1:7812 -bootstrap 127.0.0.1:7811 -cpu 8 \
-  -metrics-addr 127.0.0.1:7912 -notify >"$workdir/n2.log" 2>&1 &
-pids+=($!)
-"$workdir/gridnode" -listen 127.0.0.1:7813 -bootstrap 127.0.0.1:7811 -cpu 3 \
-  -metrics-addr 127.0.0.1:7913 -notify >"$workdir/n3.log" 2>&1 &
-pids+=($!)
-sleep 4 # ring + tree convergence
+boot_grid 7810 -metrics-addr 127.0.0.1:791%k -notify
 
 # Submit one job in the background; its stdout names the lineage GUID
 # the watch follows.

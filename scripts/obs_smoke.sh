@@ -9,32 +9,14 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workdir=$(mktemp -d)
-pids=()
-cleanup() {
-  for pid in "${pids[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+source scripts/lib.sh
 
-go build -o "$workdir/gridnode" ./cmd/gridnode
-go build -o "$workdir/gridctl" ./cmd/gridctl
+# Nodes on 7501-7503, metrics on 7601-7603.
+boot_grid 7500 -metrics-addr 127.0.0.1:760%k
 
-"$workdir/gridnode" -listen 127.0.0.1:7501 -metrics-addr 127.0.0.1:7601 \
-  >"$workdir/n1.log" 2>&1 &
-pids+=($!)
-sleep 1
-"$workdir/gridnode" -listen 127.0.0.1:7502 -bootstrap 127.0.0.1:7501 \
-  -metrics-addr 127.0.0.1:7602 -cpu 8 >"$workdir/n2.log" 2>&1 &
-pids+=($!)
-"$workdir/gridnode" -listen 127.0.0.1:7503 -bootstrap 127.0.0.1:7501 \
-  -metrics-addr 127.0.0.1:7603 -cpu 3 >"$workdir/n3.log" 2>&1 &
-pids+=($!)
-
-# Let the ring stabilize and the RN-Tree aggregate.
-sleep 4
-
-"$workdir/gridctl" -node 127.0.0.1:7501 -work 2s -n 1 -timeout 90s \
+# Injected at node 1 and runnable only on node 2 (-cpu 8), so the
+# trace spans two nodes whichever node the GUID makes the owner.
+"$workdir/gridctl" -node 127.0.0.1:7501 -work 2s -mincpu 6 -n 1 -timeout 90s \
   | tee "$workdir/submit.log"
 
 job_id=$(grep -o 'job=[0-9a-f]\{40\}' "$workdir/submit.log" | head -1 | cut -d= -f2)
