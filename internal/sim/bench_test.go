@@ -24,8 +24,9 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkProcPingPong measures the engine<->proc context-switch cost:
-// each round trip is two wakes (and two parks) through real goroutine
-// handoffs — the overhead an event-callback fast path would eliminate.
+// each round trip is two wakes and two parks, each a coroutine switch
+// plus the wake event that triggers it — the overhead an event-callback
+// fast path would eliminate.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEngine(1)
 	ping, pong := NewChan[int](e), NewChan[int](e)
@@ -41,6 +42,25 @@ func BenchmarkProcPingPong(b *testing.B) {
 			pong.Send(i)
 		}
 	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkSpawnExit measures one proc's whole life — spawn event,
+// coroutine start, return — for a proc that never draws from its random
+// stream: the handler cost simnet pays on every delivered request.
+func BenchmarkSpawnExit(b *testing.B) {
+	e := NewEngine(1)
+	n := 0
+	var handler func(*Proc)
+	handler = func(p *Proc) {
+		n++
+		if n < b.N {
+			p.Spawn("handler", handler)
+		}
+	}
+	e.Spawn("handler", handler)
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }

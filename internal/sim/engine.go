@@ -1,12 +1,14 @@
 // Package sim implements a deterministic discrete-event simulation
-// kernel. Protocol code runs inside Procs — goroutines that execute one
+// kernel. Protocol code runs inside Procs — coroutines that execute one
 // at a time under a virtual clock, so blocking-style code (sleep, RPC,
 // channel receive) simulates exactly and reproducibly.
 //
-// Concurrency model: the engine goroutine (the one calling Run) and at
-// most one Proc goroutine are runnable at any instant; control is handed
-// back and forth over unbuffered channels. Given a fixed seed and
-// workload, every run produces an identical event order.
+// Concurrency model: each Proc runs on an iter.Pull coroutine of the
+// engine goroutine (the one calling Run). Waking a proc resumes it;
+// parking yields back, so exactly one of them runs at any instant and a
+// switch is a direct coroutine transfer, not a trip through the
+// scheduler. Given a fixed seed and workload, every run produces an
+// identical event order.
 package sim
 
 import (
@@ -67,10 +69,10 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	pending int           // uncancelled events in the heap (O(1) Pending)
-	ctl     chan struct{} // proc -> engine: "I yielded"
+	pending int // uncancelled events in the heap (O(1) Pending)
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
+	idle    []*coroutine // coroutines whose proc returned, for the next start
 	procSeq uint64
 	stopped bool
 	failure any // panic value escaped from a proc
@@ -90,7 +92,6 @@ type Engine struct {
 // NewEngine returns an engine whose randomness derives from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		ctl:   make(chan struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
 	}
@@ -249,14 +250,19 @@ func (e *Engine) Parked() int {
 	return n
 }
 
-// Shutdown kills every live proc so their goroutines exit. Call after
-// Run when the engine will be discarded before process exit.
+// Shutdown kills every live proc and ends every coroutine, so no
+// goroutine outlives the engine. Call after Run when the engine will be
+// discarded before process exit.
 func (e *Engine) Shutdown() {
 	for _, p := range SortProcs(e.procs) {
 		p.Kill()
 	}
 	// Drain the kill events.
 	e.Run()
+	for _, co := range e.idle {
+		co.stop()
+	}
+	e.idle = nil
 }
 
 // SortProcs returns the procs in a set ordered by creation, giving

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -14,20 +15,59 @@ const (
 	pDead                    // exited or killed
 )
 
-// Proc is a simulated process: a goroutine that runs exclusively and
-// blocks only through the primitives on this type. All methods must be
-// called from the proc's own goroutine unless documented otherwise.
+// Proc is a simulated process: it runs on a coroutine of the engine
+// goroutine, exclusively, and blocks only through the primitives on this
+// type. All methods must be called from the proc itself unless
+// documented otherwise.
 type Proc struct {
 	e     *Engine
 	id    uint64
 	name  string
 	state procState
 	gen   uint64 // park generation; stale wakes are dropped
-	wakes chan wake
+	seed  int64  // drawn at spawn; rng is built from it on first use
 	rng   *rand.Rand
+	co    *coroutine // runs the proc from its start event to its exit
+	woke  wake       // the wake deliver hands to park
 
 	killed  bool
 	spawnEv *Event
+}
+
+// coroutine is an iter.Pull coroutine of the engine goroutine that runs
+// procs one after another: when a proc returns, its coroutine joins the
+// engine's idle list and the next proc to start reuses it. Reuse saves
+// a goroutine per proc, and the race detector (Go 1.24) keeps ~5 KB for
+// every coroutine that has ever ended, which one coroutine per proc
+// turns into gigabytes over a long simulation under -race.
+type coroutine struct {
+	resume func() (struct{}, bool) // engine -> proc: run until the next park or exit
+	stop   func()                  // ends the coroutine while it is idle
+	yield  func(struct{}) bool     // proc -> engine
+	p      *Proc                   // the proc to run next, or running
+	fn     func(*Proc)
+}
+
+// coroutine returns an idle coroutine, or a new one.
+func (e *Engine) coroutine() *coroutine {
+	if n := len(e.idle); n > 0 {
+		co := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return co
+	}
+	co := &coroutine{}
+	co.resume, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for {
+			co.p.run(co.fn)
+			co.p, co.fn = nil, nil
+			e.idle = append(e.idle, co)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return co
 }
 
 type wake struct {
@@ -53,8 +93,7 @@ func (e *Engine) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Pro
 		id:    e.procSeq,
 		name:  name,
 		state: pStart,
-		wakes: make(chan wake),
-		rng:   e.NewRand(),
+		seed:  e.rng.Int63(),
 	}
 	e.procs[p] = struct{}{}
 	if st := e.stats; st != nil && len(e.procs) > st.PeakProcs {
@@ -71,8 +110,9 @@ func (e *Engine) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Pro
 			st.Switches++
 			st.tag(e.curTag).Switches++
 		}
-		go p.run(fn)
-		<-e.ctl
+		p.co = e.coroutine()
+		p.co.p, p.co.fn = p, fn
+		p.co.resume()
 	})
 	return p
 }
@@ -94,7 +134,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 		p.state = pDead
 		delete(p.e.procs, p)
 		p.e.tracef("%v exit %s", p.e.now, p.name)
-		p.e.ctl <- struct{}{}
 	}()
 	fn(p)
 }
@@ -108,8 +147,15 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// Rand returns this proc's private random stream.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns this proc's private random stream, built on first use
+// from the seed drawn at spawn, so a proc that never draws costs no
+// source.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.seed))
+	}
+	return p.rng
+}
 
 // Killed reports whether the proc has been killed (observable from
 // engine context; a killed proc itself unwinds before it could ask).
@@ -127,8 +173,9 @@ func (p *Proc) nextGen() uint64 {
 func (p *Proc) park() wake {
 	p.state = pParked
 	p.e.tracef("%v park %s", p.e.now, p.name)
-	p.e.ctl <- struct{}{}
-	w := <-p.wakes
+	p.co.yield(struct{}{})
+	w := p.woke
+	p.woke = wake{}
 	if w.killed {
 		panic(killedSignal{p})
 	}
@@ -152,8 +199,8 @@ func (p *Proc) deliver(w wake) bool {
 		st.Wakes++
 		st.tag(p.e.curTag).Switches++
 	}
-	p.wakes <- w
-	<-p.e.ctl
+	p.woke = w
+	p.co.resume()
 	return true
 }
 

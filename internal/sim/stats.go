@@ -19,7 +19,7 @@ type Stats struct {
 	EventsFired     int64 // events whose handler ran
 	EventsStopped   int64 // events cancelled before firing
 	Switches        int64 // engine<->proc control transfers (spawns + wakes)
-	Spawns          int64 // proc goroutines started
+	Spawns          int64 // procs started
 	Kills           int64 // procs killed before natural exit
 	Wakes           int64 // wake deliveries accepted by a parked proc
 	StaleWakes      int64 // wake deliveries rejected (stale generation or dead proc)
@@ -74,8 +74,8 @@ func (s *Stats) WallPerVirtSec() float64 {
 	return float64(s.WallNS) / float64(s.VirtNS)
 }
 
-// SwitchesPerEvent is goroutine control transfers per fired event —
-// the coroutine-parking overhead an event-callback fast path would
+// SwitchesPerEvent is engine<->proc coroutine switches per fired
+// event — the parking overhead an event-callback fast path would
 // eliminate.
 func (s *Stats) SwitchesPerEvent() float64 {
 	if s.EventsFired == 0 {
