@@ -368,6 +368,12 @@ func (n *Node) step(key ids.ID) StepResp {
 // closestPrecedingLocked returns the best next hop for key: the highest
 // known node strictly inside (n.id, key). Falls back to the successor,
 // which always makes progress when successor pointers are correct.
+//
+// Neighbouring fingers mostly repeat one node (a ring of N nodes has
+// about log2(N) distinct ones among 160), and considering a ref again
+// straight after itself cannot change best: either it was taken, and
+// (n.id, r.ID) excludes r.ID, or it was rejected for the same reason
+// again. So a run of equal fingers costs one consideration.
 func (n *Node) closestPrecedingLocked(key ids.ID) Ref {
 	best := Ref{}
 	consider := func(r Ref) {
@@ -382,7 +388,9 @@ func (n *Node) closestPrecedingLocked(key ids.ID) Ref {
 		}
 	}
 	for i := ids.Bits - 1; i >= 0; i-- {
-		consider(n.fingers[i])
+		if i == ids.Bits-1 || n.fingers[i] != n.fingers[i+1] {
+			consider(n.fingers[i])
+		}
 	}
 	for _, s := range n.succs {
 		consider(s)

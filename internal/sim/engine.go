@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -39,26 +38,27 @@ type Event struct {
 	at      Time
 	seq     uint64
 	fire    func()
+	index   int // heap slot, inLane, or offQueue (see queue)
 	stopped bool
-	index   int // heap index, -1 once popped
 	eng     *Engine
 	tag     string // attribution tag (see Engine.Tagged)
 }
 
 // Stop cancels the event. It is safe to call after the event has fired
-// and idempotent on an already-stopped event.
+// and idempotent on an already-stopped event. A timer stopped before it
+// fires leaves the heap at once rather than waiting to be popped.
 func (ev *Event) Stop() {
-	if ev.stopped {
-		return
+	if ev.stopped || ev.index == offQueue {
+		return // already stopped, or fired
 	}
 	ev.stopped = true
-	if ev.index >= 0 && ev.eng != nil {
-		// Still in the heap: it will be skipped at pop, so it leaves the
-		// pending population now.
-		ev.eng.pending--
-		if st := ev.eng.stats; st != nil {
-			st.EventsStopped++
-		}
+	e := ev.eng
+	if ev.index >= 0 {
+		e.queue.remove(ev.index)
+	}
+	e.pending--
+	if st := e.stats; st != nil {
+		st.EventsStopped++
 	}
 }
 
@@ -68,8 +68,8 @@ func (ev *Event) Stop() {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
-	pending int // uncancelled events in the heap (O(1) Pending)
+	queue   queue
+	pending int // uncancelled queued events (O(1) Pending)
 	rng     *rand.Rand
 	procs   map[*Proc]struct{}
 	idle    []*coroutine // coroutines whose proc returned, for the next start
@@ -114,17 +114,19 @@ func (e *Engine) NewRand() *rand.Rand {
 // time now+d. Negative d is treated as zero. The event inherits the
 // current attribution tag (see Tagged).
 func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	ev := &Event{at: e.now.Add(d), seq: e.seq, fire: fn, eng: e, tag: e.curTag}
+	ev := &Event{at: e.now, seq: e.seq, fire: fn, eng: e, tag: e.curTag}
 	e.seq++
 	e.pending++
-	heap.Push(&e.queue, ev)
+	if d > 0 {
+		ev.at = e.now.Add(d)
+		e.queue.pushHeap(ev)
+	} else {
+		e.queue.pushLane(ev)
+	}
 	if st := e.stats; st != nil {
 		st.EventsScheduled++
-		if len(e.queue) > st.PeakQueue {
-			st.PeakQueue = len(e.queue)
+		if n := e.queue.len(); n > st.PeakQueue {
+			st.PeakQueue = n
 		}
 		st.tag(ev.tag).Scheduled++
 	}
@@ -166,15 +168,13 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run() {
 	e.stopped = false
 	defer e.measure()()
-	for e.queue.Len() > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.stopped {
-			continue
+	for !e.stopped {
+		ev := e.queue.next()
+		if ev == nil {
+			return
 		}
-		e.pending--
-		e.now = ev.at
+		e.queue.take(ev)
 		e.fireEvent(ev)
-		e.checkFailure()
 	}
 }
 
@@ -183,41 +183,51 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	defer e.measure()()
-	for e.queue.Len() > 0 && !e.stopped {
-		ev := e.queue[0]
+	for !e.stopped {
+		ev := e.queue.next()
+		if ev == nil {
+			break
+		}
 		if ev.at > deadline {
-			e.now = deadline
+			e.advance(deadline)
 			return
 		}
-		heap.Pop(&e.queue)
-		if ev.stopped {
-			continue
-		}
-		e.pending--
-		e.now = ev.at
+		e.queue.take(ev)
 		e.fireEvent(ev)
-		e.checkFailure()
 	}
-	if e.now < deadline && e.queue.Len() == 0 {
-		e.now = deadline
+	if e.pending == 0 {
+		e.advance(deadline)
 	}
 }
 
-// fireEvent runs one popped event under its attribution tag, counting
-// it (and its wall cost) when stats are enabled.
+// advance moves the clock forward to t; it never moves it back.
+func (e *Engine) advance(t Time) {
+	if e.now < t {
+		e.now = t
+	}
+}
+
+// fireEvent runs one event just taken off the queue, unless it was
+// stopped in the lane, under its attribution tag, counting it (and its
+// wall cost) when stats are enabled. It panics if the event's proc did.
 func (e *Engine) fireEvent(ev *Event) {
-	e.curTag = ev.tag
-	st := e.stats
-	if st == nil {
-		ev.fire()
+	if ev.stopped {
 		return
 	}
-	st.EventsFired++
-	t0 := time.Now()
-	ev.fire()
-	ts := st.tag(ev.tag)
-	ts.Fired++
-	ts.WallNS += time.Since(t0).Nanoseconds()
+	e.pending--
+	e.now = ev.at
+	e.curTag = ev.tag
+	if st := e.stats; st == nil {
+		ev.fire()
+	} else {
+		st.EventsFired++
+		t0 := time.Now()
+		ev.fire()
+		ts := st.tag(ev.tag)
+		ts.Fired++
+		ts.WallNS += time.Since(t0).Nanoseconds()
+	}
+	e.checkFailure()
 }
 
 // measure opens a wall/virtual-clock accounting window over one run
@@ -284,38 +294,10 @@ func (e *Engine) checkFailure() {
 	}
 }
 
-func (e *Engine) tracef(format string, args ...any) {
+// trace reports one proc transition. Its arguments are boxed only when
+// Trace is set, so a run without tracing allocates nothing here.
+func (e *Engine) trace(what string, p *Proc) {
 	if e.Trace != nil {
-		e.Trace(format, args...)
+		e.Trace("%v %s %s", e.now, what, p.name)
 	}
-}
-
-// eventHeap orders events by (time, sequence) so simultaneous events
-// fire in scheduling order — the determinism guarantee.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }

@@ -22,7 +22,7 @@ const (
 type Proc struct {
 	e     *Engine
 	id    uint64
-	name  string
+	name  string // shown in Engine.Trace lines only
 	state procState
 	gen   uint64 // park generation; stale wakes are dropped
 	seed  int64  // drawn at spawn; rng is built from it on first use
@@ -104,7 +104,7 @@ func (e *Engine) SpawnAfter(d time.Duration, name string, fn func(p *Proc)) *Pro
 			return
 		}
 		p.state = pActive
-		e.tracef("%v start %s", e.now, p.name)
+		e.trace("start", p)
 		if st := e.stats; st != nil {
 			st.Spawns++
 			st.Switches++
@@ -133,16 +133,13 @@ func (p *Proc) run(fn func(p *Proc)) {
 		}
 		p.state = pDead
 		delete(p.e.procs, p)
-		p.e.tracef("%v exit %s", p.e.now, p.name)
+		p.e.trace("exit", p)
 	}()
 	fn(p)
 }
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.e }
-
-// Name returns the proc's debug name.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -172,7 +169,7 @@ func (p *Proc) nextGen() uint64 {
 // with killedSignal if the proc was killed.
 func (p *Proc) park() wake {
 	p.state = pParked
-	p.e.tracef("%v park %s", p.e.now, p.name)
+	p.e.trace("park", p)
 	p.co.yield(struct{}{})
 	w := p.woke
 	p.woke = wake{}
@@ -193,7 +190,7 @@ func (p *Proc) deliver(w wake) bool {
 		return false
 	}
 	p.state = pActive
-	p.e.tracef("%v wake %s", p.e.now, p.name)
+	p.e.trace("wake", p)
 	if st := p.e.stats; st != nil {
 		st.Switches++
 		st.Wakes++

@@ -68,34 +68,39 @@ func TestStopSelfWhileFiring(t *testing.T) {
 	}
 }
 
+// liveQueued counts the queued events that have not been stopped, in
+// the heap and the zero-delay lane alike.
+func liveQueued(e *Engine) int {
+	n := 0
+	for _, part := range [][]*Event{e.queue.heap, e.queue.lane[e.queue.head:]} {
+		for _, ev := range part {
+			if !ev.stopped {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestPendingMatchesQueueScan(t *testing.T) {
 	e := NewEngine(9)
 	var evs []*Event
 	for i := 0; i < 200; i++ {
-		evs = append(evs, e.Schedule(time.Duration(i)*time.Millisecond, func() {}))
+		evs = append(evs, e.Schedule(time.Duration(i%50)*time.Millisecond, func() {}))
 	}
 	for i := 0; i < 200; i += 3 {
 		evs[i].Stop()
 		evs[i].Stop() // double-stop must not double-decrement
 	}
-	scan := 0
-	for _, ev := range e.queue {
-		if !ev.stopped {
-			scan++
-		}
+	if len(e.queue.lane) == 0 {
+		t.Fatal("no zero-delay events in the lane")
 	}
-	if e.Pending() != scan {
-		t.Fatalf("Pending = %d, heap scan = %d", e.Pending(), scan)
+	if e.Pending() != liveQueued(e) {
+		t.Fatalf("Pending = %d, queue scan = %d", e.Pending(), liveQueued(e))
 	}
-	e.RunFor(50 * time.Millisecond)
-	scan = 0
-	for _, ev := range e.queue {
-		if !ev.stopped {
-			scan++
-		}
-	}
-	if e.Pending() != scan {
-		t.Fatalf("after partial run: Pending = %d, heap scan = %d", e.Pending(), scan)
+	e.RunFor(20 * time.Millisecond)
+	if e.Pending() != liveQueued(e) {
+		t.Fatalf("after partial run: Pending = %d, queue scan = %d", e.Pending(), liveQueued(e))
 	}
 	e.Run()
 	if e.Pending() != 0 {

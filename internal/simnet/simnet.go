@@ -160,7 +160,7 @@ func (n *Net) NewEndpoint(addr Addr) *Endpoint {
 		net:      n,
 		addr:     addr,
 		up:       true,
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]handler),
 		procs:    make(map[*sim.Proc]struct{}),
 	}
 	n.endpoints[addr] = ep
@@ -171,12 +171,20 @@ func (n *Net) NewEndpoint(addr Addr) *Endpoint {
 // destination endpoint and is killed if that endpoint crashes.
 type Handler func(p *sim.Proc, from Addr, req any) (any, error)
 
+// handler is a registered Handler with its proc name and attribution
+// layer, worked out once at registration rather than per request.
+type handler struct {
+	serve Handler
+	name  string // "h:<method>"
+	layer string // LayerOf(name)
+}
+
 // Endpoint is one simulated host's attachment to the network.
 type Endpoint struct {
 	net      *Net
 	addr     Addr
 	up       bool
-	handlers map[string]Handler
+	handlers map[string]handler
 	procs    map[*sim.Proc]struct{}
 	seq      int
 }
@@ -189,7 +197,8 @@ func (ep *Endpoint) Up() bool { return ep.up }
 
 // Handle registers a handler for a method name.
 func (ep *Endpoint) Handle(method string, h Handler) {
-	ep.handlers[method] = h
+	name := "h:" + method
+	ep.handlers[method] = handler{serve: h, name: name, layer: LayerOf(name)}
 }
 
 // Go spawns a proc owned by this endpoint; it is killed when the
@@ -197,13 +206,25 @@ func (ep *Endpoint) Handle(method string, h Handler) {
 // proc's spawn — and, by tag inheritance, everything it schedules —
 // is attributed to the subsystem its name classifies into.
 func (ep *Endpoint) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
+	return ep.spawn(LayerOf(name), name, fn)
+}
+
+// spawn is Go with the layer already classified. The proc is named
+// addr/name#seq in trace lines; the name is built only when the engine
+// traces, since nothing else reads it.
+func (ep *Endpoint) spawn(layer, name string, fn func(p *sim.Proc)) *sim.Proc {
 	ep.seq++
+	e := ep.net.Engine
+	var traced string
+	if e.Trace != nil {
+		traced = fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq)
+	}
 	var p *sim.Proc
-	ep.net.Engine.Tagged(LayerOf(name), func() {
-		p = ep.net.Engine.Spawn(fmt.Sprintf("%s/%s#%d", ep.addr, name, ep.seq), func(p *sim.Proc) {
+	e.Tagged(layer, func() {
+		p = e.Spawn(traced, func(p *sim.Proc) {
 			// Deferred, so it runs when fn returns as well as when a kill
-			// unwinds it: every request handler is a proc, and one that
-			// stayed listed after returning kept its 5 KB random source.
+			// unwinds it: a handler proc that stayed listed after
+			// returning would never be collected.
 			defer delete(ep.procs, p)
 			fn(p)
 		})
@@ -308,8 +329,8 @@ func (n *Net) deliver(from, to Addr, method string, req any, reply *sim.Chan[rpc
 		return
 	}
 	n.Stats.Handlers++
-	target.Go("h:"+method, func(p *sim.Proc) {
-		resp, err := h(p, from, req)
+	target.spawn(h.layer, h.name, func(p *sim.Proc) {
+		resp, err := h.serve(p, from, req)
 		n.respond(to, from, method, reply, rpcResult{resp: resp, err: err})
 	})
 }
