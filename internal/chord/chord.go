@@ -141,6 +141,13 @@ type Node struct {
 	started    bool
 	ringChange func()
 	ringCond   transport.Cond // on mu; broadcast by ringChanged
+	// unrest counts ring changes and failed chord calls. A stabilize
+	// period across which it did not move was calm (see calmRounds).
+	unrest uint64
+	// predCalled is when predCaller, the predecessor at the time, last
+	// asked for our state: proof of life that spares a checkpred ping.
+	predCaller transport.Addr
+	predCalled time.Duration
 
 	// Lookups counts completed local lookups; LookupHops sums their hop
 	// counts. Read them for the DHT-behaviour experiment.
@@ -211,11 +218,24 @@ func (n *Node) SetRingChange(fn func()) {
 func (n *Node) ringChanged() {
 	n.ringCond.Broadcast()
 	n.mu.Lock()
+	n.unrest++
 	fn := n.ringChange
 	n.mu.Unlock()
 	if fn != nil {
 		fn()
 	}
+}
+
+// call is rt.Call for the chord protocol's own RPCs: a failure marks
+// the ring unsettled, so stabilization returns to its base period.
+func (n *Node) call(rt transport.Runtime, to transport.Addr, method string, req any) (any, error) {
+	resp, err := rt.Call(to, method, req)
+	if err != nil {
+		n.mu.Lock()
+		n.unrest++
+		n.mu.Unlock()
+	}
+	return resp, err
 }
 
 // AwaitClosed parks until the ring has closed around this node (its
@@ -310,7 +330,7 @@ func (n *Node) countLookup(hops int) {
 // lookupVia starts an iterative lookup at a remote bootstrap node whose
 // identifier we do not yet know.
 func (n *Node) lookupVia(rt transport.Runtime, start transport.Addr, key ids.ID) (Ref, int, error) {
-	resp, err := rt.Call(start, MPing, PingReq{})
+	resp, err := n.call(rt, start, MPing, PingReq{})
 	if err != nil {
 		return Ref{}, 0, err
 	}
@@ -326,7 +346,7 @@ func (n *Node) lookupFrom(rt transport.Runtime, cur Ref, key ids.ID) (Ref, int, 
 		if cur.Addr == n.host.Addr() {
 			resp = n.step(key)
 		} else {
-			raw, err := rt.Call(cur.Addr, MStep, StepReq{Key: key})
+			raw, err := n.call(rt, cur.Addr, MStep, StepReq{Key: key})
 			hops++
 			if err != nil {
 				failures++
@@ -410,6 +430,9 @@ func (n *Node) handleStep(rt transport.Runtime, from transport.Addr, req any) (a
 func (n *Node) handleState(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if from == n.pred.Addr {
+		n.predCaller, n.predCalled = from, rt.Now()
+	}
 	succs := make([]Ref, len(n.succs))
 	copy(succs, n.succs)
 	return StateResp{Self: Ref{ID: n.id, Addr: n.host.Addr()}, Pred: n.pred, Succs: succs}, nil
@@ -436,16 +459,48 @@ func (n *Node) handlePing(rt transport.Runtime, from transport.Addr, req any) (a
 
 // --- maintenance loops ---
 
+// After calmRounds stabilize periods in a row in which this node's
+// ring neighbourhood did not change and none of its chord calls
+// failed, the next period is calmFactor times StabilizeEvery. Any
+// change or failure restores the base period. One calm period is not
+// enough: while a ring forms, a node whose own neighbourhood looks
+// settled is often about to learn of a joiner, and backing off after
+// one such period slowed the formation of a 5-node ring by a fifth.
+// It is one doubling, and only of stabilize: backing off fix-fingers
+// and checkpred too, or doubling further, delayed the ring repair that
+// replica handoff and the client's status probes lean on (DESIGN.md
+// §5).
+const (
+	calmRounds = 2
+	calmFactor = 2
+)
+
 func (n *Node) stabilizeLoop(rt transport.Runtime) {
+	calm := 0
 	for {
-		rt.Sleep(transport.Jitter(rt, n.cfg.StabilizeEvery))
+		period := n.cfg.StabilizeEvery
+		if calm >= calmRounds {
+			period *= calmFactor
+		}
+		n.mu.Lock()
+		seen := n.unrest
+		n.mu.Unlock()
+		rt.Sleep(transport.Jitter(rt, period))
 		n.stabilizeOnce(rt)
+		n.mu.Lock()
+		if n.unrest == seen {
+			calm++
+		} else {
+			calm = 0
+		}
+		n.mu.Unlock()
 	}
 }
 
 // stabilizeOnce runs one round of the Chord stabilization protocol:
 // verify the immediate successor, adopt its predecessor if closer,
-// refresh the successor list, and notify the successor about us.
+// refresh the successor list, and notify the successor about us
+// unless it already names us as its predecessor.
 func (n *Node) stabilizeOnce(rt transport.Runtime) {
 	self := n.Ref()
 	for {
@@ -468,7 +523,7 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 			}
 			return
 		}
-		raw, err := rt.Call(succ.Addr, MState, StateReq{})
+		raw, err := n.call(rt, succ.Addr, MState, StateReq{})
 		if err != nil {
 			// Successor dead: promote the next live entry.
 			n.mu.Lock()
@@ -496,7 +551,7 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 			// succs[0] stalls lookups (and replica targeting) until the
 			// next round notices. In steady state st.Pred is this node
 			// itself, caught above, so the ping is join/repair-only.
-			if _, err := rt.Call(st.Pred.Addr, MPing, PingReq{}); err == nil {
+			if _, err := n.call(rt, st.Pred.Addr, MPing, PingReq{}); err == nil {
 				newSucc = st.Pred
 			}
 		}
@@ -513,7 +568,11 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 		if changed {
 			n.ringChanged()
 		}
-		_, _ = rt.Call(newSucc.Addr, MNotify, NotifyReq{Cand: self})
+		// A notify naming the successor's current predecessor changes
+		// nothing in handleNotify.
+		if newSucc != succ || st.Pred != self {
+			_, _ = n.call(rt, newSucc.Addr, MNotify, NotifyReq{Cand: self})
+		}
 		return
 	}
 }
@@ -584,14 +643,21 @@ func (n *Node) fixFingersOnce(rt transport.Runtime) {
 	}
 }
 
+// checkPredLoop pings the predecessor every CheckPredEvery and purges
+// it when the ping fails. A predecessor that asked for our state less
+// than CheckPredEvery ago is alive as far as a ping could tell, so it
+// is not pinged; one that stops calling is pinged at the next tick.
 func (n *Node) checkPredLoop(rt transport.Runtime) {
 	for {
 		rt.Sleep(transport.Jitter(rt, n.cfg.CheckPredEvery))
-		pred := n.Predecessor()
-		if pred.IsZero() || pred.ID == n.id {
+		n.mu.Lock()
+		pred := n.pred
+		heard := n.predCaller == pred.Addr && rt.Now()-n.predCalled < n.cfg.CheckPredEvery
+		n.mu.Unlock()
+		if pred.IsZero() || pred.ID == n.id || heard {
 			continue
 		}
-		if _, err := rt.Call(pred.Addr, MPing, PingReq{}); err != nil {
+		if _, err := n.call(rt, pred.Addr, MPing, PingReq{}); err != nil {
 			n.mu.Lock()
 			changed := false
 			if n.pred == pred {

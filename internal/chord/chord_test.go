@@ -69,23 +69,6 @@ func (r *ring) sortedLive() []*chord.Node {
 	return out
 }
 
-// checkRing verifies that following successor pointers from the lowest
-// node visits every live node exactly once in ID order.
-func (r *ring) checkRing() error {
-	live := r.sortedLive()
-	for i, n := range live {
-		want := live[(i+1)%len(live)]
-		if got := n.Successor(); got.ID != want.ID() {
-			return fmt.Errorf("node %s successor = %s, want %s", n.ID().Short(), got.ID.Short(), want.ID().Short())
-		}
-		wantPred := live[(i-1+len(live))%len(live)]
-		if got := n.Predecessor(); got.IsZero() || got.ID != wantPred.ID() {
-			return fmt.Errorf("node %s predecessor = %s, want %s", n.ID().Short(), got, wantPred.ID().Short())
-		}
-	}
-	return nil
-}
-
 func TestSingleNodeOwnsEverything(t *testing.T) {
 	r := newRing(t, 1)
 	defer r.shutdown()
@@ -124,7 +107,7 @@ func TestSequentialJoinsFormCorrectRing(t *testing.T) {
 		r.e.RunFor(3 * time.Second) // let stabilization splice it in
 	}
 	r.e.RunFor(30 * time.Second)
-	if err := r.checkRing(); err != nil {
+	if err := chord.CheckRing(r.sortedLive()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -150,7 +133,7 @@ func TestConcurrentJoins(t *testing.T) {
 		})
 	}
 	r.e.RunFor(60 * time.Second)
-	if err := r.checkRing(); err != nil {
+	if err := chord.CheckRing(r.sortedLive()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,7 +145,7 @@ func TestWarmStartMatchesReference(t *testing.T) {
 		r.addNode(chord.Config{})
 	}
 	sorted := chord.WarmStart(r.nodes)
-	if err := r.checkRing(); err != nil {
+	if err := chord.CheckRing(r.sortedLive()); err != nil {
 		t.Fatal(err)
 	}
 	// Every key's lookup agrees with the sorted-order reference.
@@ -235,7 +218,7 @@ func TestRingHealsAfterFailures(t *testing.T) {
 		}
 	}
 	r.e.RunFor(60 * time.Second)
-	if err := r.checkRing(); err != nil {
+	if err := chord.CheckRing(r.sortedLive()); err != nil {
 		t.Fatal(err)
 	}
 	// Lookups from a survivor still resolve to live owners.

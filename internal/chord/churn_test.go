@@ -48,7 +48,7 @@ func TestContinuousChurn(t *testing.T) {
 	}
 	r.e.RunFor(90 * time.Second)
 
-	if err := r.checkRing(); err != nil {
+	if err := chord.CheckRing(r.sortedLive()); err != nil {
 		t.Fatalf("ring not converged after churn: %v", err)
 	}
 	// Lookup correctness against the reference owner order.

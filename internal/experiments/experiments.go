@@ -347,20 +347,8 @@ func Robustness(churns []float64, o Options) *Table {
 		Header: []string{"churn", "delivered", "run-failures", "owner-failures", "adoptions", "resubmits", "avg-wait", "avg-turnaround"},
 	}
 	for _, churn := range churns {
-		wcfg := o.base()
-		// Smaller, failure-focused workload: fewer jobs, same load.
-		wcfg.Jobs = wcfg.Jobs / 5
-		wcfg.NodePop = workload.Mixed
-		wcfg.JobPop = workload.Mixed
-		wcfg.Level = workload.Lightly
 		o.logf("tab4 churn=%.2f", churn)
-		res := o.Build(Scenario{
-			Alg:         AlgRNTree,
-			Workload:    wcfg,
-			NetSeed:     o.Seed + 80,
-			Maintenance: true,
-			Churn:       churn,
-		}).Run()
+		res := o.Build(churnScenario(churn, o)).Run()
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.0f%%", churn*100),
 			fmt.Sprintf("%d/%d", res.Delivered, res.Jobs),
@@ -370,6 +358,23 @@ func Robustness(churns []float64, o Options) *Table {
 		})
 	}
 	return tbl
+}
+
+// churnScenario is Table 4's deployment at one churn level.
+func churnScenario(churn float64, o Options) Scenario {
+	wcfg := o.base()
+	// Smaller, failure-focused workload: fewer jobs, same load.
+	wcfg.Jobs = wcfg.Jobs / 5
+	wcfg.NodePop = workload.Mixed
+	wcfg.JobPop = workload.Mixed
+	wcfg.Level = workload.Lightly
+	return Scenario{
+		Alg:         AlgRNTree,
+		Workload:    wcfg,
+		NetSeed:     o.Seed + 80,
+		Maintenance: true,
+		Churn:       churn,
+	}
 }
 
 // --- tab5: TTL search misses rare resources ---

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/trust"
@@ -108,6 +109,30 @@ func TestRobustnessCompletesUnderChurn(t *testing.T) {
 	t.Log("\n" + tbl.Format())
 	if len(tbl.Rows) != 1 {
 		t.Fatal("row count")
+	}
+}
+
+// TestChurnRingConvergesWhenQuiet runs Table 4's 30%-churn scenario at
+// scale 0.02, then two quiet minutes (many full fix-fingers cycles),
+// and requires the survivors to form a correct ring: successors,
+// predecessors, successor lists and fingers.
+func TestChurnRingConvergesWhenQuiet(t *testing.T) {
+	o := Options{Scale: 0.02, Seed: 4}
+	d := o.Build(churnScenario(0.30, o))
+	defer d.Engine.Shutdown()
+	d.drive()
+	d.Engine.RunFor(2 * time.Minute)
+	var live []*chord.Node
+	for i, ch := range d.Chords {
+		if d.Eps[i].Up() {
+			live = append(live, ch)
+		}
+	}
+	if len(live) == len(d.Chords) {
+		t.Fatal("no node crashed: the scenario lost its churn")
+	}
+	if err := chord.CheckRing(live); err != nil {
+		t.Fatalf("%d of %d nodes up: %v", len(live), len(d.Chords), err)
 	}
 }
 

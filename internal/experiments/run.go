@@ -91,6 +91,17 @@ type Results struct {
 // jobs at their arrival instants, and the simulation continues until
 // every job's result is delivered or the drain deadline passes.
 func (d *Deployment) Run() Results {
+	d.drive()
+	res := d.results()
+	d.Engine.Shutdown()
+	if ins := d.Scenario.Instrument; ins != nil && ins.OnStats != nil && d.Engine.Stats() != nil {
+		ins.OnStats(fmt.Sprintf("%s nodes=%d jobs=%d", d.Scenario.Alg, res.Nodes, res.Jobs), d.Engine.Stats())
+	}
+	return res
+}
+
+// drive is Run up to the results: the engine is left running.
+func (d *Deployment) drive() {
 	s := d.Scenario
 	w := d.W
 
@@ -194,12 +205,6 @@ func (d *Deployment) Run() Results {
 	if disarmFaults != nil {
 		disarmFaults()
 	}
-	res := d.results()
-	d.Engine.Shutdown()
-	if ins := s.Instrument; ins != nil && ins.OnStats != nil && d.Engine.Stats() != nil {
-		ins.OnStats(fmt.Sprintf("%s nodes=%d jobs=%d", s.Alg, res.Nodes, res.Jobs), d.Engine.Stats())
-	}
-	return res
 }
 
 func (d *Deployment) results() Results {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chord"
 	"repro/internal/grid"
 	"repro/internal/match"
 	"repro/internal/resource"
@@ -127,23 +128,12 @@ func TestColdStartFormsOneRingOneTree(t *testing.T) {
 		t.Errorf("tree started before the ring had closed on %v", c.early)
 	}
 
-	cur, seen := c.peers[0], map[transport.Addr]bool{}
-	for range c.peers {
-		if seen[cur.Host.Addr()] {
-			t.Fatalf("ring walk reaches %s twice", cur.Host.Addr())
-		}
-		seen[cur.Host.Addr()] = true
-		next := by[cur.Ring.Successor().Addr]
-		if next == nil {
-			t.Fatalf("%s has successor %v, not a peer", cur.Host.Addr(), cur.Ring.Successor())
-		}
-		if pred := next.Ring.Predecessor().Addr; pred != cur.Host.Addr() {
-			t.Fatalf("%s has predecessor %s, want %s", next.Host.Addr(), pred, cur.Host.Addr())
-		}
-		cur = next
+	var ring []*chord.Node
+	for _, p := range c.peers {
+		ring = append(ring, p.Ring)
 	}
-	if cur != c.peers[0] {
-		t.Fatalf("ring walk ends on %s, not where it started", cur.Host.Addr())
+	if err := chord.CheckRing(ring); err != nil {
+		t.Fatal(err)
 	}
 
 	roots := 0

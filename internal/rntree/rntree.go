@@ -446,25 +446,40 @@ func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref,
 // randomNeighbor picks a uniformly random entry from the Chord routing
 // state (fingers spread across the ring make repeated steps mix fast).
 func (n *Node) randomNeighbor(rt transport.Runtime) chord.Ref {
-	table := n.chord.FingerTable()
-	var opts []chord.Ref
-	seen := map[transport.Addr]bool{n.host.Addr(): true}
-	for _, f := range table {
-		if !f.IsZero() && !seen[f.Addr] {
-			seen[f.Addr] = true
-			opts = append(opts, f)
-		}
-	}
-	for _, s := range n.chord.SuccessorList() {
-		if !s.IsZero() && !seen[s.Addr] {
-			seen[s.Addr] = true
-			opts = append(opts, s)
-		}
-	}
+	var buf [32]chord.Ref
+	fingers := n.chord.FingerTable()
+	opts := neighbors(buf[:0], n.host.Addr(), fingers[:], n.chord.SuccessorList())
 	if len(opts) == 0 {
 		return chord.Ref{}
 	}
 	return opts[rt.Rand().Intn(len(opts))]
+}
+
+// neighbors appends to dst the distinct addresses among fingers, then
+// successors, in first-seen order, leaving out self and zero refs. A
+// ring of N nodes has about log2(N) distinct fingers, in runs of equal
+// refs, so a scan of what is already kept beats a set.
+func neighbors(dst []chord.Ref, self transport.Addr, fingers, succs []chord.Ref) []chord.Ref {
+	add := func(r chord.Ref) {
+		if r.IsZero() || r.Addr == self {
+			return
+		}
+		for _, o := range dst {
+			if o.Addr == r.Addr {
+				return
+			}
+		}
+		dst = append(dst, r)
+	}
+	for i, f := range fingers {
+		if i == 0 || f != fingers[i-1] {
+			add(f)
+		}
+	}
+	for _, s := range succs {
+		add(s)
+	}
+	return dst
 }
 
 // FindCandidates searches for nodes satisfying cons, starting from this
