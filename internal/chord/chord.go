@@ -712,3 +712,38 @@ func (n *Node) FingerTable() [ids.Bits]Ref {
 	defer n.mu.Unlock()
 	return n.fingers
 }
+
+// Neighbors appends to dst the distinct nodes this one routes through:
+// fingers, then successors, in first-seen order, leaving out itself and
+// zero refs. The RN-Tree walk and the TTL baseline step along these.
+func (n *Node) Neighbors(dst []Ref) []Ref {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return appendNeighbors(dst, n.host.Addr(), n.fingers[:], n.succs)
+}
+
+// appendNeighbors is Neighbors over explicit tables. A ring of N nodes
+// has about log2(N) distinct fingers, in runs of equal refs, so a scan
+// of what is already kept beats a set.
+func appendNeighbors(dst []Ref, self transport.Addr, fingers, succs []Ref) []Ref {
+	add := func(r Ref) {
+		if r.IsZero() || r.Addr == self {
+			return
+		}
+		for _, o := range dst {
+			if o.Addr == r.Addr {
+				return
+			}
+		}
+		dst = append(dst, r)
+	}
+	for i, f := range fingers {
+		if i == 0 || f != fingers[i-1] {
+			add(f)
+		}
+	}
+	for _, s := range succs {
+		add(s)
+	}
+	return dst
+}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/peer"
 	"repro/internal/pubsub"
-	"repro/internal/replica"
 	"repro/internal/rntree"
 	"repro/internal/sim"
 	"repro/internal/simhost"
@@ -72,12 +71,8 @@ type Scenario struct {
 	Maintenance bool
 	// DisableVirtualDim is the CAN clustering ablation.
 	DisableVirtualDim bool
-	// TTLBudget is the probe budget for the TTL baseline (default 10).
-	TTLBudget int
 	// ExtendedSearchK overrides the RN-Tree candidate target.
 	ExtendedSearchK int
-	// RandomWalkLen overrides the RN-Tree walk length (-1 disables).
-	RandomWalkLen int
 	// DrainSlack is how long past the last arrival the simulation may
 	// run to drain queues (default 40x mean runtime).
 	DrainSlack time.Duration
@@ -146,8 +141,7 @@ type Deployment struct {
 	Collector *metrics.Collector
 	Byz       *faultinject.Byz // saboteur selection; nil without Sabotage
 	Brokers   []*pubsub.Broker // notification overlay; nil without Notify
-	ttls      []*match.TTL
-	clients   []int // grid node index serving each workload client
+	clients   []int            // grid node index serving each workload client
 }
 
 // Build constructs and wires the deployment; nothing runs yet.
@@ -176,7 +170,6 @@ func Build(s Scenario) *Deployment {
 	}
 
 	n := len(w.Nodes)
-	needChord := s.Alg == AlgRNTree || s.Alg == AlgCentral || s.Alg == AlgTTL || s.Alg == AlgRandom
 	needCAN := s.Alg == AlgCAN || s.Alg == AlgCANPush
 
 	// Map workload clients onto grid nodes, spread across the ID space.
@@ -209,83 +202,66 @@ func Build(s Scenario) *Deployment {
 		d.Hosts = append(d.Hosts, h)
 		spec := w.Nodes[i]
 
-		var overlay grid.Overlay
-		var matcher grid.Matchmaker
-
-		if needChord {
-			ch := chord.New(h, chord.Config{})
-			d.Chords = append(d.Chords, ch)
-			switch s.Alg {
-			case AlgRNTree:
-				rcfg := rntree.Config{K: s.ExtendedSearchK}
-				if s.RandomWalkLen != 0 {
-					rcfg.RandomWalkLen = s.RandomWalkLen
-				}
-				rn := rntree.New(h, ch, spec.Caps, spec.OS, rcfg)
-				d.RNs = append(d.RNs, rn)
-				walk := rn
-				if s.RandomWalkLen < 0 {
-					walk = nil
-				}
-				overlay = &match.ChordOverlay{Chord: ch, Walk: walk}
-				matcher = &match.RNTree{RN: rn, K: s.ExtendedSearchK}
-			case AlgCentral:
-				overlay = &match.ChordOverlay{Chord: ch}
-				matcher = &match.Central{Reg: d.Registry}
-			case AlgRandom:
-				overlay = &match.ChordOverlay{Chord: ch}
-				matcher = &match.Random{Reg: d.Registry}
-			case AlgTTL:
-				overlay = &match.ChordOverlay{Chord: ch}
-				ttl := &match.TTL{
-					Self:      h.Addr(),
-					Caps:      spec.Caps,
-					OS:        spec.OS,
-					Budget:    s.TTLBudget,
-					Neighbors: ttlNeighborFn(ch),
-				}
-				d.ttls = append(d.ttls, ttl)
-				matcher = ttl
-			}
+		gcfg := s.Grid
+		if s.Trust != nil {
+			gcfg.Trust = trust.New(*s.Trust)
 		}
+		if d.Byz != nil {
+			gcfg.Byzantine = d.Byz.Behavior(i)
+		}
+		// Chord-family nodes are built as every live peer is; CAN has no
+		// live peer and is wired here.
+		var gn *grid.Node
 		if needCAN {
 			cn := can.New(h, spec.Caps, spec.OS, can.Config{
 				DisableVirtualDim: s.DisableVirtualDim,
 				Space:             s.Workload.Space,
 			})
 			d.CANs = append(d.CANs, cn)
-			overlay = &match.CANOverlay{CAN: cn}
-			matcher = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
-		}
-
-		gcfg := s.Grid
-		if gcfg.ReplicaK > 0 && needChord {
-			gcfg.ReplicaRing = replica.ChordRing{Node: d.Chords[i]}
-		}
-		if s.Notify {
-			var b *pubsub.Broker
-			if needChord {
-				b = peer.NewBroker(h, d.Chords[i], gcfg.ReplicaK, gcfg.Obs)
-			} else {
+			var matcher grid.Matchmaker = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
+			if s.Notify {
 				// No ring to hash topics onto: a fixed rendezvous keeps
 				// the overlay usable under the CAN algorithms.
 				rdv := d.Hosts[0].Addr()
-				b = pubsub.New(h, pubsub.Config{Obs: gcfg.Obs, Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
+				gcfg.Notify = pubsub.New(h, pubsub.Config{Obs: gcfg.Obs, Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
 					return rdv, nil
 				}})
+				d.Brokers = append(d.Brokers, gcfg.Notify)
 			}
-			d.Brokers = append(d.Brokers, b)
-			gcfg.Notify = b
+			if gcfg.Trust != nil {
+				matcher = &match.Trusted{Inner: matcher, Table: gcfg.Trust}
+			}
+			gn = grid.NewNode(h, spec.Caps, spec.OS, &match.CANOverlay{CAN: cn}, matcher, d.Collector, gcfg)
+			cn.SetLoadFn(gn.QueueLen)
+		} else {
+			var ttl *match.TTL
+			cfg := peer.Config{Tree: rntree.Config{K: s.ExtendedSearchK}, Grid: gcfg, Notify: s.Notify}
+			switch s.Alg {
+			case AlgCentral:
+				cfg.Match = func(*chord.Node) grid.Matchmaker { return &match.Central{Reg: d.Registry} }
+			case AlgRandom:
+				cfg.Match = func(*chord.Node) grid.Matchmaker { return &match.Random{Reg: d.Registry} }
+			case AlgTTL:
+				cfg.Match = func(ring *chord.Node) grid.Matchmaker {
+					ttl = &match.TTL{Ring: ring, Caps: spec.Caps, OS: spec.OS}
+					return ttl
+				}
+			}
+			p := peer.New(h, spec.Caps, spec.OS, d.Collector, cfg)
+			gn = p.Grid
+			d.Chords = append(d.Chords, p.Ring)
+			if s.Alg == AlgRNTree {
+				d.RNs = append(d.RNs, p.Tree)
+			}
+			if p.Broker != nil {
+				d.Brokers = append(d.Brokers, p.Broker)
+			}
+			if ttl != nil {
+				// The TTL baseline also needs remote probes answered.
+				ttl.Load = gn.QueueLen
+				match.RegisterProbe(h, spec.Caps, spec.OS, gn.QueueLen, p.Ring)
+			}
 		}
-		if s.Trust != nil {
-			tb := trust.New(*s.Trust)
-			gcfg.Trust = tb
-			matcher = &match.Trusted{Inner: matcher, Table: tb}
-		}
-		if d.Byz != nil {
-			gcfg.Byzantine = d.Byz.Behavior(i)
-		}
-		gn := grid.NewNode(h, spec.Caps, spec.OS, overlay, matcher, d.Collector, gcfg)
 		d.Grids = append(d.Grids, gn)
 		d.Registry.Register(h.Addr(), match.RegistryEntry{
 			Caps: spec.Caps,
@@ -293,30 +269,16 @@ func Build(s Scenario) *Deployment {
 			Load: gn.QueueLen,
 			Up:   ep.Up,
 		})
-		if needChord {
-			d.Chords[i].SetRingChange(peer.RingHook(gn, gcfg.Notify))
-		}
-		if len(d.RNs) > 0 {
-			d.RNs[i].SetLoadFn(gn.QueueLen)
-		}
-		if len(d.CANs) > 0 {
-			d.CANs[i].SetLoadFn(gn.QueueLen)
-		}
-		if s.Alg == AlgTTL {
-			// The TTL baseline also needs remote probes answered.
-			match.RegisterProbe(h, spec.Caps, spec.OS, gn.QueueLen, ttlNeighborFn(d.Chords[i]))
-			d.ttls[i].Load = gn.QueueLen
-		}
 	}
 
 	// Converged overlays without simulating thousands of joins.
-	if needChord {
+	if len(d.Chords) > 0 {
 		chord.WarmStart(d.Chords)
 	}
 	if len(d.RNs) > 0 {
 		rntree.WarmStart(d.RNs, time.Duration(e.Now()))
 	}
-	if needCAN {
+	if len(d.CANs) > 0 {
 		can.WarmStart(d.CANs, time.Duration(e.Now()))
 	}
 
@@ -327,13 +289,13 @@ func Build(s Scenario) *Deployment {
 			d.Brokers[i].Start()
 		}
 		if s.Maintenance {
-			if needChord {
+			if len(d.Chords) > 0 {
 				d.Chords[i].Start()
 			}
 			if len(d.RNs) > 0 {
 				d.RNs[i].Start()
 			}
-			if needCAN {
+			if len(d.CANs) > 0 {
 				d.CANs[i].Start()
 			}
 		}
@@ -361,26 +323,4 @@ func (d *Deployment) Restart(i int) {
 		d.Brokers[i].Reset()
 		d.Brokers[i].Start()
 	}
-}
-
-func chordNeighbors(ch *chord.Node) []transport.Addr {
-	seen := map[transport.Addr]bool{}
-	var out []transport.Addr
-	for _, f := range ch.FingerTable() {
-		if !f.IsZero() && !seen[f.Addr] && f.Addr != ch.Ref().Addr {
-			seen[f.Addr] = true
-			out = append(out, f.Addr)
-		}
-	}
-	for _, s := range ch.SuccessorList() {
-		if !s.IsZero() && !seen[s.Addr] && s.Addr != ch.Ref().Addr {
-			seen[s.Addr] = true
-			out = append(out, s.Addr)
-		}
-	}
-	return out
-}
-
-func ttlNeighborFn(ch *chord.Node) func() []transport.Addr {
-	return func() []transport.Addr { return chordNeighbors(ch) }
 }

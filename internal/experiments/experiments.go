@@ -415,7 +415,6 @@ func TTLFailure(o Options) *Table {
 			Alg:            alg,
 			Workload:       wcfg,
 			NetSeed:        o.Seed + 81,
-			TTLBudget:      10,
 			MutateWorkload: rare,
 		})
 		capable := d.W.SatisfiableBy(d.W.Jobs[0])

@@ -53,7 +53,7 @@ func TestBuildAndRunCentral(t *testing.T) {
 func TestBuildAndRunTTLAndRandom(t *testing.T) {
 	wcfg := workload.NewConfig().Scale(0.02)
 	for _, alg := range []Algorithm{AlgTTL, AlgRandom} {
-		res := Build(Scenario{Alg: alg, Workload: wcfg, NetSeed: 4, TTLBudget: 10}).Run()
+		res := Build(Scenario{Alg: alg, Workload: wcfg, NetSeed: 4}).Run()
 		if res.Delivered == 0 {
 			t.Fatalf("%s delivered nothing", alg)
 		}

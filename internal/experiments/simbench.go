@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -52,9 +54,9 @@ func DefaultSimBench() SimBenchConfig {
 }
 
 // ParseRunfile reads a declarative simbench runfile: one "key = value"
-// per line, '#' comments. Keys: scales (comma-separated floats), grow
-// (bool), budget (duration), alg (matchmaker name), maintenance
-// (bool). Unset keys keep their DefaultSimBench values.
+// per line, '#' comments. Keys: scales (comma-separated finite positive
+// floats), grow (bool), budget (positive duration), alg (matchmaker
+// name), maintenance (bool). Unset keys keep their DefaultSimBench values.
 func ParseRunfile(data string) (SimBenchConfig, error) {
 	cfg := DefaultSimBench()
 	for ln, line := range strings.Split(data, "\n") {
@@ -76,7 +78,7 @@ func ParseRunfile(data string) (SimBenchConfig, error) {
 			cfg.Scales = cfg.Scales[:0]
 			for _, f := range strings.Split(val, ",") {
 				v, perr := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if perr != nil || v <= 0 {
+				if perr != nil || !(v > 0) || math.IsInf(v, 1) {
 					return cfg, fmt.Errorf("runfile line %d: bad scale %q", ln+1, f)
 				}
 				cfg.Scales = append(cfg.Scales, v)
@@ -85,6 +87,9 @@ func ParseRunfile(data string) (SimBenchConfig, error) {
 			cfg.Grow, err = strconv.ParseBool(val)
 		case "budget":
 			cfg.WallBudget, err = time.ParseDuration(val)
+			if err == nil && cfg.WallBudget <= 0 {
+				err = errors.New("must be positive")
+			}
 		case "alg":
 			cfg.Alg, err = ParseAlgorithm(val)
 		case "maintenance":

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 )
@@ -40,6 +41,10 @@ func TestParseRunfileDefaultsAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"scales 0.5",          // no '='
 		"scales = -1",         // non-positive scale
+		"scales = NaN",        // not a number
+		"scales = 0.5, +Inf",  // not finite
+		"budget = -5m",        // non-positive budget
+		"budget = 0s",         // non-positive budget
 		"grow = perhaps",      // bad bool
 		"budget = fortnight",  // bad duration
 		"alg = quantum",       // unknown matchmaker
@@ -50,6 +55,33 @@ func TestParseRunfileDefaultsAndErrors(t *testing.T) {
 			t.Errorf("ParseRunfile(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseRunfile: ParseRunfile never panics, and what it accepts is
+// a ladder simbench can run: at least one finite positive scale, a
+// positive budget and a known matchmaker.
+func FuzzParseRunfile(f *testing.F) {
+	f.Add("scales = 0.1, 0.5, 2   # fractions\ngrow = true\nbudget = 90s\nalg = can\nmaintenance = false\n")
+	f.Add("# comments only\n")
+	f.Add("scales = NaN")
+	f.Add("budget = -5m")
+	f.Fuzz(func(t *testing.T, data string) {
+		cfg, err := ParseRunfile(data)
+		if err != nil {
+			return
+		}
+		if len(cfg.Scales) == 0 || cfg.WallBudget <= 0 {
+			t.Fatalf("accepted %q as %+v", data, cfg)
+		}
+		for _, v := range cfg.Scales {
+			if !(v > 0) || math.IsInf(v, 0) {
+				t.Fatalf("accepted scale %v from %q", v, data)
+			}
+		}
+		if _, err := ParseAlgorithm(cfg.Alg.String()); err != nil {
+			t.Fatalf("accepted %q with algorithm %v", data, cfg.Alg)
+		}
+	})
 }
 
 func TestSimBenchTinyLadder(t *testing.T) {

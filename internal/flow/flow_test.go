@@ -161,6 +161,41 @@ stage merge after=left,right work=3s in=2
 	}
 }
 
+// FuzzParse: a flowfile is parsed and then validated, as `gridctl flow
+// run` does. Neither step may panic, and a plan Validate accepts orders
+// every stage once, each after all of its dependencies.
+func FuzzParse(f *testing.F) {
+	f.Add("flow render\nstage prep work=4s out=2\nstage left after=prep work=8s out=1\n" +
+		"stage right after=prep work=6s out=1 bias=2.5\nstage merge after=left,right work=3s in=2\n")
+	f.Add("stage a after=b\nstage b after=a\n")
+	f.Add("stage a after=a,a")
+	f.Add("stage a\nstage a")
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := flow.Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		p, err := g.Validate()
+		if err != nil {
+			return
+		}
+		pos := make(map[string]int, len(p.Order))
+		for i, name := range p.Order {
+			pos[name] = i
+		}
+		if len(p.Order) != len(g.Stages) || len(pos) != len(g.Stages) {
+			t.Fatalf("%q: order %v for %d stages", src, p.Order, len(g.Stages))
+		}
+		for _, s := range g.Stages {
+			for _, d := range s.After {
+				if pos[d] >= pos[s.Name] {
+					t.Fatalf("%q: %q ordered before its dependency %q: %v", src, s.Name, d, p.Order)
+				}
+			}
+		}
+	})
+}
+
 func TestUpdateEnvelopeRoundTrip(t *testing.T) {
 	u := flow.Update{Flow: "render", Stage: "merge", Kind: "delivered", Attempt: 2, At: 90 * time.Second}
 	got, err := flow.DecodeUpdate(flow.EncodeUpdate(u))

@@ -31,18 +31,13 @@ import (
 // RNTree adapts an rntree.Node to grid.Matchmaker.
 type RNTree struct {
 	RN *rntree.Node
-	// K is the extended-search candidate target (0 = the node default).
-	K int
 }
 
-// FindRunNode implements grid.Matchmaker: search the tree for
-// candidates and pick the least loaded that is not excluded.
+// FindRunNode implements grid.Matchmaker: search the tree for its
+// extended-search target of candidates and pick the least loaded that
+// is not excluded.
 func (m *RNTree) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	k := m.K
-	if k <= 0 {
-		k = 4
-	}
-	cands, st, err := m.RN.FindCandidates(rt, cons, k+len(exclude))
+	cands, st, err := m.RN.FindCandidates(rt, cons, m.RN.K()+len(exclude))
 	stats := grid.MatchStats{
 		Hops:        st.RPCs,
 		Visits:      st.Visits,

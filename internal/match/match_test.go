@@ -27,7 +27,7 @@ type rig struct {
 	loads []int
 }
 
-func newRig(t *testing.T, n int, seed int64, caps func(i int) resource.Vector) *rig {
+func newRig(t *testing.T, n int, seed int64, cfg rntree.Config, caps func(i int) resource.Vector) *rig {
 	t.Helper()
 	e := sim.NewEngine(seed)
 	net := simnet.New(e)
@@ -36,7 +36,7 @@ func newRig(t *testing.T, n int, seed int64, caps func(i int) resource.Vector) *
 	for i := 0; i < n; i++ {
 		h := simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i))))
 		ch := chord.New(h, chord.Config{})
-		rn := rntree.New(h, ch, caps(i), "linux", rntree.Config{})
+		rn := rntree.New(h, ch, caps(i), "linux", cfg)
 		i := i
 		rn.SetLoadFn(func() int { return r.loads[i] })
 		r.hosts = append(r.hosts, h)
@@ -60,7 +60,7 @@ func (r *rig) do(i int, fn func(rt transport.Runtime)) {
 }
 
 func TestRNTreeMatchmakerPicksLeastLoaded(t *testing.T) {
-	r := newRig(t, 24, 1, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
+	r := newRig(t, 24, 1, rntree.Config{K: 24}, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
 	defer r.e.Shutdown()
 	for i := range r.loads {
 		r.loads[i] = 10
@@ -68,7 +68,7 @@ func TestRNTreeMatchmakerPicksLeastLoaded(t *testing.T) {
 	r.loads[7] = 0
 	// Refresh aggregates to reflect loads.
 	rntree.WarmStart(r.rns, 0)
-	m := &match.RNTree{RN: r.rns[3], K: 24}
+	m := &match.RNTree{RN: r.rns[3]}
 	r.do(3, func(rt transport.Runtime) {
 		addr, stats, err := m.FindRunNode(rt, resource.Unconstrained, nil)
 		if err != nil {
@@ -81,9 +81,9 @@ func TestRNTreeMatchmakerPicksLeastLoaded(t *testing.T) {
 }
 
 func TestRNTreeMatchmakerHonorsExclude(t *testing.T) {
-	r := newRig(t, 16, 2, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
+	r := newRig(t, 16, 2, rntree.Config{K: 4}, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
 	defer r.e.Shutdown()
-	m := &match.RNTree{RN: r.rns[0], K: 4}
+	m := &match.RNTree{RN: r.rns[0]}
 	var first transport.Addr
 	r.do(0, func(rt transport.Runtime) {
 		var err error
@@ -102,7 +102,7 @@ func TestRNTreeMatchmakerHonorsExclude(t *testing.T) {
 }
 
 func TestChordOverlayRoutesDeterministically(t *testing.T) {
-	r := newRig(t, 16, 3, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
+	r := newRig(t, 16, 3, rntree.Config{}, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
 	defer r.e.Shutdown()
 	ov := &match.ChordOverlay{Chord: r.chs[0]} // no walk: pure DHT mapping
 	jobID := ids.HashString("routed-job")
@@ -125,7 +125,7 @@ func TestChordOverlayRoutesDeterministically(t *testing.T) {
 }
 
 func TestChordOverlayWalkSpreadsOwners(t *testing.T) {
-	r := newRig(t, 32, 4, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
+	r := newRig(t, 32, 4, rntree.Config{}, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
 	defer r.e.Shutdown()
 	ov := &match.ChordOverlay{Chord: r.chs[0], Walk: r.rns[0]}
 	owners := map[transport.Addr]bool{}
@@ -202,7 +202,7 @@ func TestTTLFindsCommonMissesRare(t *testing.T) {
 	// 48 nodes, budget 6: a common capability is found, a 1-in-48
 	// capability usually is not.
 	n := 48
-	r := newRig(t, n, 5, func(i int) resource.Vector {
+	r := newRig(t, n, 5, rntree.Config{}, func(i int) resource.Vector {
 		cpu := 5.0
 		if i == 37 {
 			cpu = 10
@@ -212,21 +212,15 @@ func TestTTLFindsCommonMissesRare(t *testing.T) {
 	defer r.e.Shutdown()
 	// Register probes on every host.
 	for i := 0; i < n; i++ {
-		i := i
-		ch := r.chs[i]
-		match.RegisterProbe(r.hosts[i], r.rns[i].Caps(), "linux",
-			func() int { return 0 },
-			func() []transport.Addr { return chordNeighborAddrs(ch) })
+		match.RegisterProbe(r.hosts[i], r.rns[i].Caps(), "linux", func() int { return 0 }, r.chs[i])
 	}
 	mkTTL := func(i int) *match.TTL {
-		ch := r.chs[i]
 		return &match.TTL{
-			Self:      r.hosts[i].Addr(),
-			Caps:      r.rns[i].Caps(),
-			OS:        "linux",
-			Load:      func() int { return 0 },
-			Neighbors: func() []transport.Addr { return chordNeighborAddrs(ch) },
-			Budget:    6,
+			Ring:   r.chs[i],
+			Caps:   r.rns[i].Caps(),
+			OS:     "linux",
+			Load:   func() int { return 0 },
+			Budget: 6,
 		}
 	}
 	common := resource.Unconstrained.Require(resource.CPU, 3)
@@ -250,24 +244,6 @@ func TestTTLFindsCommonMissesRare(t *testing.T) {
 		t.Fatal("TTL never missed the rare capability — the related-work claim cannot reproduce")
 	}
 	t.Logf("rare found %d/10 with budget 6", foundRare)
-}
-
-func chordNeighborAddrs(ch *chord.Node) []transport.Addr {
-	seen := map[transport.Addr]bool{}
-	var out []transport.Addr
-	for _, f := range ch.FingerTable() {
-		if !f.IsZero() && !seen[f.Addr] && f.Addr != ch.Ref().Addr {
-			seen[f.Addr] = true
-			out = append(out, f.Addr)
-		}
-	}
-	for _, s := range ch.SuccessorList() {
-		if !s.IsZero() && !seen[s.Addr] && s.Addr != ch.Ref().Addr {
-			seen[s.Addr] = true
-			out = append(out, s.Addr)
-		}
-	}
-	return out
 }
 
 // scriptedMatcher returns preset candidates in order, recording the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/chord"
 	"repro/internal/grid"
 	"repro/internal/resource"
 	"repro/internal/transport"
@@ -23,18 +24,25 @@ type ProbeResp struct {
 	Neighbors []transport.Addr
 }
 
-// RegisterProbe installs the probe handler on a host. neighbors must
-// return the node's current overlay neighbors (e.g. Chord fingers and
-// successors).
-func RegisterProbe(host transport.Host, caps resource.Vector, os string, load func() int, neighbors func() []transport.Addr) {
+// RegisterProbe installs the probe handler on a host; the answer lists
+// ring's routing neighbours.
+func RegisterProbe(host transport.Host, caps resource.Vector, os string, load func() int, ring *chord.Node) {
 	host.Handle(MProbe, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		cons := req.(ProbeReq).Cons
 		return ProbeResp{
 			Satisfies: cons.SatisfiedBy(caps, os),
 			Load:      load(),
-			Neighbors: neighbors(),
+			Neighbors: neighborAddrs(ring),
 		}, nil
 	})
+}
+
+func neighborAddrs(ring *chord.Node) []transport.Addr {
+	var out []transport.Addr
+	for _, r := range ring.Neighbors(nil) {
+		out = append(out, r.Addr)
+	}
+	return out
 }
 
 // TTL is the related-work baseline ([Iamnitchi & Foster], [Butt et
@@ -44,12 +52,12 @@ func RegisterProbe(host transport.Host, caps resource.Vector, os string, load fu
 // somewhere in the network" — is exactly what the tab5 experiment
 // measures.
 type TTL struct {
-	// Self is this node's own description (the search starts here).
-	Self      transport.Addr
-	Caps      resource.Vector
-	OS        string
-	Load      func() int
-	Neighbors func() []transport.Addr
+	// Ring is this node's Chord node: the search starts here and
+	// expands along routing neighbours (chord.Node.Neighbors).
+	Ring *chord.Node
+	Caps resource.Vector
+	OS   string
+	Load func() int
 	// Budget is the number of remote probes allowed (default 10).
 	Budget int
 }
@@ -68,13 +76,14 @@ func (m *TTL) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclu
 		load int
 	}
 	var hits []hit
-	visited := map[transport.Addr]bool{m.Self: true}
-	if !addrIn(exclude, m.Self) && cons.SatisfiedBy(m.Caps, m.OS) {
-		hits = append(hits, hit{m.Self, m.Load()})
+	self := m.Ring.Ref().Addr
+	visited := map[transport.Addr]bool{self: true}
+	if !addrIn(exclude, self) && cons.SatisfiedBy(m.Caps, m.OS) {
+		hits = append(hits, hit{self, m.Load()})
 	}
 	stats.Visits++
 
-	frontier := append([]transport.Addr(nil), m.Neighbors()...)
+	frontier := neighborAddrs(m.Ring)
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 	for len(frontier) > 0 && stats.Hops < budget {
 		// Expand a uniformly random frontier node (the classic random

@@ -1,9 +1,10 @@
 // Package peer stands up the stack every peer runs (the paper's
 // Fig. 1): Chord, the RN-Tree whose parent rule reads that ring, the
-// grid layer on top. New wires it, Launch brings it up ring-first, on
-// simhost and nettransport alike. experiments.Build is the other
-// assembler, on purpose (six matchmakers, warm start, no joins); it
-// shares NewBroker and RingHook so the two cannot drift.
+// grid layer on top. New is the one assembler of that stack, for live
+// peers and simulated ones alike: experiments.Build calls it for every
+// Chord-family node (Config.Match swaps in a baseline matchmaker) and
+// converges the overlays by warm start instead of Launch, which brings
+// a peer up ring-first on simhost and nettransport.
 package peer
 
 import (
@@ -15,7 +16,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ids"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/pubsub"
 	"repro/internal/replica"
 	"repro/internal/resource"
@@ -32,6 +32,11 @@ type Config struct {
 	Tree   rntree.Config
 	Grid   grid.Config
 	Notify bool // a pub/sub broker whose topics rendezvous on the ring (DESIGN.md §13)
+	// Match, when set, builds the matchmaker over the peer's ring in
+	// place of the RN-Tree's, and jobs route by plain Chord lookup with
+	// no walk. The tree is built all the same, so every peer launches
+	// alike, but nothing searches it.
+	Match func(ring *chord.Node) grid.Matchmaker
 }
 
 // Peer is one assembled stack. Broker is nil without Config.Notify.
@@ -48,45 +53,40 @@ type Peer struct {
 func New(host transport.Host, caps resource.Vector, os string, rec grid.Recorder, cfg Config) *Peer {
 	p := &Peer{Host: host, Ring: chord.New(host, cfg.Chord)}
 	p.Tree = rntree.New(host, p.Ring, caps, os, cfg.Tree)
+	overlay := &match.ChordOverlay{Chord: p.Ring, Walk: p.Tree}
 	p.Match = &match.RNTree{RN: p.Tree}
+	if cfg.Match != nil {
+		overlay.Walk = nil
+		p.Match = cfg.Match(p.Ring)
+	}
 	gcfg := cfg.Grid
 	if gcfg.Trust != nil {
 		p.Match = &match.Trusted{Inner: p.Match, Table: gcfg.Trust}
 	}
 	gcfg.ReplicaRing = replica.ChordRing{Node: p.Ring} // idle at ReplicaK 0
 	if cfg.Notify {
-		p.Broker = NewBroker(host, p.Ring, gcfg.ReplicaK, gcfg.Obs)
+		// Topics rendezvous at the ring owner of their key; ReplicaK > 0
+		// also replicates subscriber lists over that owner's successors.
+		p.Broker = pubsub.New(host, pubsub.Config{
+			Obs: gcfg.Obs, Ring: replica.ChordRing{Node: p.Ring}, K: gcfg.ReplicaK,
+			Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
+				ref, _, err := p.Ring.Lookup(rt, key)
+				return ref.Addr, err
+			},
+		})
 		gcfg.Notify = p.Broker
 	}
-	p.Grid = grid.NewNode(host, caps, os, &match.ChordOverlay{Chord: p.Ring, Walk: p.Tree}, p.Match, rec, gcfg)
+	p.Grid = grid.NewNode(host, caps, os, overlay, p.Match, rec, gcfg)
 	p.Tree.SetLoadFn(p.Grid.QueueLen)
-	p.Ring.SetRingChange(RingHook(p.Grid, p.Broker))
-	return p
-}
-
-// NewBroker builds a broker whose topics rendezvous at the ring owner
-// of their key; replicaK > 0 also replicates subscriber lists over that
-// owner's successors.
-func NewBroker(host transport.Host, ring *chord.Node, replicaK int, o *obs.Obs) *pubsub.Broker {
-	return pubsub.New(host, pubsub.Config{
-		Obs: o, Ring: replica.ChordRing{Node: ring}, K: replicaK,
-		Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-			ref, _, err := ring.Lookup(rt, key)
-			return ref.Addr, err
-		},
-	})
-}
-
-// RingHook is what a peer does when its ring neighbourhood changes:
-// owner-state replicas, then subscriber lists (b, nil when off), re-aim
-// at the new successors without waiting out an anti-entropy period.
-func RingHook(gn *grid.Node, b *pubsub.Broker) func() {
-	return func() {
-		gn.ReplicaKick()
-		if b != nil {
-			b.RingChange()
+	p.Ring.SetRingChange(func() {
+		// Owner-state replicas, then subscriber lists, re-aim at the new
+		// successors without waiting out an anti-entropy period.
+		p.Grid.ReplicaKick()
+		if p.Broker != nil {
+			p.Broker.RingChange()
 		}
-	}
+	})
+	return p
 }
 
 // A bootstrap started in the same breath may not be listening yet; a

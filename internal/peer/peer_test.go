@@ -3,6 +3,7 @@ package peer
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,13 +224,15 @@ func TestJoinGivesUp(t *testing.T) {
 }
 
 // TestNewWiresOptions covers the option combinations gridnode and
-// experiments.Build use: what New constructs, and that ring changes
-// reach exactly the subsystems that are on (their kick activities run).
+// experiments.Build use: what New constructs, that ring changes reach
+// exactly the subsystems that are on (their kick activities run), and
+// that only the RN-Tree's jobs take the walk.
 func TestNewWiresOptions(t *testing.T) {
+	central := &match.Central{Reg: match.NewRegistry()}
 	for _, tc := range []struct {
-		name                   string
-		cfg                    Config
-		trusted, pubsub, store bool
+		name                             string
+		cfg                              Config
+		trusted, pubsub, store, baseline bool
 	}{
 		{name: "plain (gridctl, livegrid)", cfg: fast},
 		{name: "voting (gridnode -replicas 2)", trusted: true,
@@ -240,6 +243,8 @@ func TestNewWiresOptions(t *testing.T) {
 			cfg: Config{Tree: fast.Tree, Grid: grid.Config{ReplicaK: 2}}},
 		{name: "notify + replica (sim_chaos)", pubsub: true, store: true,
 			cfg: Config{Tree: fast.Tree, Grid: grid.Config{ReplicaK: 2}, Notify: true}},
+		{name: "central (experiments.Build baselines)", baseline: true,
+			cfg: Config{Tree: fast.Tree, Match: func(*chord.Node) grid.Matchmaker { return central }}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 7, 3, tc.cfg)
@@ -249,6 +254,15 @@ func TestNewWiresOptions(t *testing.T) {
 				}
 				if (p.Broker != nil) != tc.pubsub {
 					t.Fatalf("broker %v, wanted: %v", p.Broker, tc.pubsub)
+				}
+				if tc.baseline {
+					if p.Match != central {
+						t.Fatalf("matchmaker is %T, want the one Config.Match built", p.Match)
+					}
+					central.Reg.Register(p.Host.Addr(), match.RegistryEntry{
+						Caps: resource.Vector{float64(1 + i), 1024, 50}, OS: "linux",
+						Load: p.Grid.QueueLen, Up: c.net.Endpoint(simnet.Addr(p.Host.Addr())).Up,
+					})
 				}
 				c.launch(t, i)
 			}
@@ -278,6 +292,49 @@ func TestNewWiresOptions(t *testing.T) {
 			if got := client.Grid.NotifyRecv > 0; got != tc.pubsub {
 				t.Errorf("client absorbed %d notifications, wanted any: %v", client.Grid.NotifyRecv, tc.pubsub)
 			}
+			walks := 0
+			for _, line := range c.log {
+				if strings.Contains(line, " "+rntree.MWalk+" ") {
+					walks++
+				}
+			}
+			if (walks > 0) == tc.baseline {
+				t.Errorf("%d walk messages, wanted any: %v", walks, !tc.baseline)
+			}
 		})
+	}
+}
+
+// TestTreeKReachesTheSearch: Config.Tree.K is the matchmaker's
+// candidate target. With K covering all 24 peers, the search finds the
+// one idle peer wherever it sits in the tree; at the default K of 4 it
+// stops at the first four busy ones it meets.
+func TestTreeKReachesTheSearch(t *testing.T) {
+	const idle = 7
+	c := newCluster(t, 1, 24, Config{Tree: rntree.Config{K: 24}})
+	var rings []*chord.Node
+	var trees []*rntree.Node
+	for i, p := range c.peers {
+		load := 10
+		if i == idle {
+			load = 0
+		}
+		p.Tree.SetLoadFn(func() int { return load })
+		rings = append(rings, p.Ring)
+		trees = append(trees, p.Tree)
+	}
+	chord.WarmStart(rings)
+	rntree.WarmStart(trees, 0)
+	searcher := c.peers[3]
+	var got transport.Addr
+	searcher.Host.Go("match", func(rt transport.Runtime) {
+		var err error
+		if got, _, err = searcher.Match.FindRunNode(rt, resource.Unconstrained, nil); err != nil {
+			t.Errorf("find: %v", err)
+		}
+	})
+	c.e.RunFor(time.Minute)
+	if want := c.peers[idle].Host.Addr(); got != want {
+		t.Fatalf("chose %s, want the idle %s", got, want)
 	}
 }

@@ -270,6 +270,9 @@ func (n *Node) Caps() resource.Vector { return n.caps }
 // OS returns the node's operating system label.
 func (n *Node) OS() string { return n.os }
 
+// K returns the extended-search candidate target (Config.K).
+func (n *Node) K() int { return n.cfg.K }
+
 // Parent returns the current parent (zero for the root).
 func (n *Node) Parent() chord.Ref {
 	n.mu.Lock()
@@ -447,39 +450,11 @@ func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref,
 // state (fingers spread across the ring make repeated steps mix fast).
 func (n *Node) randomNeighbor(rt transport.Runtime) chord.Ref {
 	var buf [32]chord.Ref
-	fingers := n.chord.FingerTable()
-	opts := neighbors(buf[:0], n.host.Addr(), fingers[:], n.chord.SuccessorList())
+	opts := n.chord.Neighbors(buf[:0])
 	if len(opts) == 0 {
 		return chord.Ref{}
 	}
 	return opts[rt.Rand().Intn(len(opts))]
-}
-
-// neighbors appends to dst the distinct addresses among fingers, then
-// successors, in first-seen order, leaving out self and zero refs. A
-// ring of N nodes has about log2(N) distinct fingers, in runs of equal
-// refs, so a scan of what is already kept beats a set.
-func neighbors(dst []chord.Ref, self transport.Addr, fingers, succs []chord.Ref) []chord.Ref {
-	add := func(r chord.Ref) {
-		if r.IsZero() || r.Addr == self {
-			return
-		}
-		for _, o := range dst {
-			if o.Addr == r.Addr {
-				return
-			}
-		}
-		dst = append(dst, r)
-	}
-	for i, f := range fingers {
-		if i == 0 || f != fingers[i-1] {
-			add(f)
-		}
-	}
-	for _, s := range succs {
-		add(s)
-	}
-	return dst
 }
 
 // FindCandidates searches for nodes satisfying cons, starting from this
