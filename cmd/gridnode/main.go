@@ -50,6 +50,22 @@ func main() {
 	chaosLog := flag.String("chaos-log", "", "append one 'peer method seq fate' line per chaos decision to this file ('' = off)")
 	flag.Parse()
 
+	// Out-of-range numbers are usage errors, like a bad -chaos spec.
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*replicas < 1, "-replicas: must be at least 1"},
+		{*quorum < 1, "-quorum: must be at least 1"},
+		{*probeEvery < 0, "-probe-every: must not be negative"},
+		{*ownerCap < 0, "-owner-cap: must not be negative"},
+	} {
+		if c.bad {
+			fmt.Fprintf(os.Stderr, "gridnode: %s\n", c.msg)
+			os.Exit(2)
+		}
+	}
+
 	var topts nettransport.Opts
 	var chaosRules []nettransport.ChaosRule
 	if *chaosSpec != "" {
@@ -101,7 +117,7 @@ func main() {
 	// table is answerable over grid.trust (gridctl trust).
 	var tb *trust.Table
 	if *replicas > 1 || *quorum > 1 {
-		tb = trust.New(trust.Config{})
+		tb = trust.New()
 	}
 	logger := grid.RecorderFunc(func(ev grid.Event) {
 		fmt.Printf("%s job=%s attempt=%d node=%s\n", ev.Kind, ev.JobID.Short(), ev.Attempt, ev.Node)

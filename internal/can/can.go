@@ -37,62 +37,35 @@ var (
 	ErrNotJoined   = errors.New("can: node has not joined")
 )
 
+// Fixed protocol periods and bounds.
+const (
+	gossipEvery   = time.Second     // neighbor state-exchange period
+	neighborTTL   = 4 * time.Second // expires silent neighbors
+	takeoverAfter = 2 * time.Second // extra delay before claiming a dead neighbor's zones
+	maxRouteHops  = 64              // aborts runaway greedy routes
+	pushTTL       = 8               // bounds load-based pushing (the improved variant)
+	// pushThreshold is the queue length above which an owner considers
+	// pushing an incoming job upward.
+	pushThreshold = 2
+)
+
 // Config tunes a CAN node. The zero value selects the defaults.
 type Config struct {
-	// Space normalizes raw resource values into unit coordinates
-	// (default resource.DefaultSpace).
-	Space resource.Space
 	// DisableVirtualDim turns off the virtual dimension (node and job
 	// points normally get a uniformly random final coordinate). It is
 	// the ablation switch for the paper's clustering pathology.
 	DisableVirtualDim bool
-	// GossipEvery is the neighbor state-exchange period (default 1 s).
-	GossipEvery time.Duration
-	// NeighborTTL expires silent neighbors (default 4 s).
-	NeighborTTL time.Duration
-	// TakeoverAfter is the additional delay before claiming a dead
-	// neighbor's zones (default 2 s).
-	TakeoverAfter time.Duration
-	// MaxRouteHops aborts runaway greedy routes (default 64).
-	MaxRouteHops int
 	// MatchTTL bounds the upward forwarding walk when the owner
 	// neighborhood cannot satisfy a job (default 16).
 	MatchTTL int
-	// PushTTL bounds load-based pushing (the improved variant;
-	// default 8).
-	PushTTL int
-	// PushThreshold is the queue length above which an owner considers
-	// pushing an incoming job upward (default 2).
-	PushThreshold int
 	// Obs, when non-nil, receives routing and matchmaking metrics.
 	// Purely observational: no routing decision reads it.
 	Obs *obs.Obs
 }
 
 func (c Config) withDefaults() Config {
-	if c.Space == (resource.Space{}) {
-		c.Space = resource.DefaultSpace
-	}
-	if c.GossipEvery == 0 {
-		c.GossipEvery = time.Second
-	}
-	if c.NeighborTTL == 0 {
-		c.NeighborTTL = 4 * time.Second
-	}
-	if c.TakeoverAfter == 0 {
-		c.TakeoverAfter = 2 * time.Second
-	}
-	if c.MaxRouteHops == 0 {
-		c.MaxRouteHops = 64
-	}
 	if c.MatchTTL == 0 {
 		c.MatchTTL = 16
-	}
-	if c.PushTTL == 0 {
-		c.PushTTL = 8
-	}
-	if c.PushThreshold == 0 {
-		c.PushThreshold = 2
 	}
 	return c
 }
@@ -342,7 +315,7 @@ func (n *Node) pointFor() Point {
 	if !n.cfg.DisableVirtualDim {
 		virtual = uniformFromID(ids.HashString(string(n.host.Addr()) + "#virtual"))
 	}
-	return PointFor(n.cfg.Space, n.caps, virtual)
+	return PointFor(resource.DefaultSpace, n.caps, virtual)
 }
 
 // JobPoint maps a job's constraints to its insertion point: its
@@ -353,7 +326,7 @@ func (n *Node) JobPoint(jobID ids.ID, cons resource.Constraints) Point {
 	if !n.cfg.DisableVirtualDim {
 		virtual = uniformFromID(jobID)
 	}
-	return PointFor(n.cfg.Space, cons.Effective(), virtual)
+	return PointFor(resource.DefaultSpace, cons.Effective(), virtual)
 }
 
 // Create initializes this node as the first member, owning the whole

@@ -335,11 +335,7 @@ func TestNoVirtualDimStillTiles(t *testing.T) {
 }
 
 func TestTakeoverHealsCoverage(t *testing.T) {
-	m := newMesh(t, 16, 12, Config{
-		GossipEvery:   500 * time.Millisecond,
-		NeighborTTL:   2 * time.Second,
-		TakeoverAfter: time.Second,
-	}, capsVaried)
+	m := newMesh(t, 16, 12, Config{}, capsVaried)
 	defer m.e.Shutdown()
 	WarmStart(m.nodes, 0)
 	for _, n := range m.nodes {
@@ -373,7 +369,7 @@ func TestTakeoverHealsCoverage(t *testing.T) {
 }
 
 func TestGossipSpreadsLoadInfo(t *testing.T) {
-	m := newMesh(t, 8, 13, Config{GossipEvery: 500 * time.Millisecond}, capsUniform)
+	m := newMesh(t, 8, 13, Config{}, capsUniform)
 	defer m.e.Shutdown()
 	WarmStart(m.nodes, 0)
 	for _, n := range m.nodes {
@@ -402,7 +398,7 @@ func TestGossipSpreadsLoadInfo(t *testing.T) {
 func TestPushMovesJobOffOverloadedOwner(t *testing.T) {
 	// All nodes idle except the owner region; with push enabled the job
 	// should land elsewhere.
-	m := newMesh(t, 16, 14, Config{GossipEvery: 300 * time.Millisecond}, capsVaried)
+	m := newMesh(t, 16, 14, Config{}, capsVaried)
 	defer m.e.Shutdown()
 	WarmStart(m.nodes, 0)
 	for _, n := range m.nodes {
@@ -447,7 +443,7 @@ func TestRefZero(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MatchTTL == 0 || c.GossipEvery == 0 || c.Space == (resource.Space{}) {
+	if c.MatchTTL == 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 	if c.DisableVirtualDim {

@@ -12,7 +12,7 @@ import (
 // estimates used by the pushing variant.
 func (n *Node) gossipLoop(rt transport.Runtime) {
 	for {
-		rt.Sleep(transport.Jitter(rt, n.cfg.GossipEvery))
+		rt.Sleep(transport.Jitter(rt, gossipEvery))
 		n.mu.Lock()
 		joined := n.joined
 		n.mu.Unlock()
@@ -123,7 +123,7 @@ func (n *Node) expireAndTakeover(rt transport.Runtime) {
 	var inherited []Brief
 	for _, addr := range n.sortedNeighborAddrsLocked() {
 		nb := n.neighbors[addr]
-		if now-nb.lastSeen <= n.cfg.NeighborTTL {
+		if now-nb.lastSeen <= neighborTTL {
 			nb.dead = 0
 			continue
 		}
@@ -133,12 +133,12 @@ func (n *Node) expireAndTakeover(rt transport.Runtime) {
 		}
 		age := now - nb.dead
 		switch {
-		case age < n.cfg.TakeoverAfter:
+		case age < takeoverAfter:
 			// grace period
 		case n.claimedByLiveLocked(nb):
 			// Someone else took the zones over; forget the dead node.
 			delete(n.neighbors, addr)
-		case n.shouldClaimLocked(nb) || age > time.Duration(3+n.claimRankLocked(nb))*n.cfg.TakeoverAfter:
+		case n.shouldClaimLocked(nb) || age > time.Duration(3+n.claimRankLocked(nb))*takeoverAfter:
 			claims = append(claims, nb.info.Zones)
 			inherited = append(inherited, nb.digest...)
 			delete(n.neighbors, addr)

@@ -28,7 +28,7 @@ func (n *Node) FindRunNode(rt transport.Runtime, cons resource.Constraints, excl
 		Cons:    cons,
 		Exclude: exclude,
 		TTL:     n.cfg.MatchTTL,
-		PushTTL: n.cfg.PushTTL,
+		PushTTL: pushTTL,
 		Push:    push,
 	})
 	stats := MatchStats{Hops: resp.Hops, Pushes: resp.Pushes, Visits: 1 + len(resp.Visited)}
@@ -132,7 +132,7 @@ func (n *Node) match(rt transport.Runtime, req MatchReq) MatchResp {
 // job's feasible orthant, most promising (smallest capability deficit)
 // first.
 func (n *Node) orthantNeighbors(req MatchReq) []Ref {
-	norm := n.cfg.Space.Normalize(req.Cons.Effective())
+	norm := resource.DefaultSpace.Normalize(req.Cons.Effective())
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	type scored struct {
@@ -162,7 +162,7 @@ func (n *Node) orthantNeighbors(req MatchReq) []Ref {
 		if !eligible {
 			continue
 		}
-		out = append(out, scored{nb.info.Ref, deficit(req.Cons, nb.info.Caps, nb.info.OS, n.cfg.Space)})
+		out = append(out, scored{nb.info.Ref, deficit(req.Cons, nb.info.Caps, nb.info.OS)})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].d != out[j].d {
@@ -192,7 +192,7 @@ func appendAddr(list []transport.Addr, a transport.Addr) []transport.Addr {
 func (n *Node) pushTarget(rt transport.Runtime, req MatchReq) (Ref, int, bool) {
 	n.mu.Lock()
 	own := n.loadFn()
-	if own < n.cfg.PushThreshold {
+	if own < pushThreshold {
 		n.mu.Unlock()
 		return Ref{}, 0, false
 	}
@@ -316,9 +316,9 @@ func (n *Node) probeLoad(rt transport.Runtime, addr transport.Addr) (int, error)
 // deficit measures how far caps fall short of the constraints, in
 // normalized coordinates; zero means fully satisfying. An OS mismatch
 // adds a constant penalty so the walk prefers matching-OS regions.
-func deficit(c resource.Constraints, caps resource.Vector, os string, space resource.Space) float64 {
-	nc := space.Normalize(c.Effective())
-	nv := space.Normalize(caps)
+func deficit(c resource.Constraints, caps resource.Vector, os string) float64 {
+	nc := resource.DefaultSpace.Normalize(c.Effective())
+	nv := resource.DefaultSpace.Normalize(caps)
 	d := 0.0
 	for i, m := range c.Mask {
 		if m && nv[i] < nc[i] {

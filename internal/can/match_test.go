@@ -125,7 +125,7 @@ func TestProbeLoadLive(t *testing.T) {
 }
 
 func TestDirLoadEstimates(t *testing.T) {
-	m := newMesh(t, 8, 34, Config{GossipEvery: 300 * time.Millisecond}, capsUniform)
+	m := newMesh(t, 8, 34, Config{}, capsUniform)
 	defer m.e.Shutdown()
 	WarmStart(m.nodes, 0)
 	for i := range m.nodes {

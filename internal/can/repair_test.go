@@ -89,11 +89,7 @@ func pointWith(p Point, dim int, v float64) Point {
 }
 
 func TestMultipleCrashesStillRoutable(t *testing.T) {
-	m := newMesh(t, 20, 22, Config{
-		GossipEvery:   400 * time.Millisecond,
-		NeighborTTL:   1600 * time.Millisecond,
-		TakeoverAfter: 800 * time.Millisecond,
-	}, capsVaried)
+	m := newMesh(t, 20, 22, Config{}, capsVaried)
 	defer m.e.Shutdown()
 	WarmStart(m.nodes, 0)
 	for _, n := range m.nodes {

@@ -32,7 +32,7 @@ func (n *Node) routeFrom(rt transport.Runtime, cur Ref, target Point) (Ref, int,
 	hops := 0
 	failures := 0
 	var visited []transport.Addr
-	for hops < n.cfg.MaxRouteHops {
+	for hops < maxRouteHops {
 		var resp StepResp
 		if cur.Addr == n.host.Addr() {
 			resp = n.step(StepReq{Target: target, Exclude: visited})
@@ -59,7 +59,7 @@ func (n *Node) routeFrom(rt transport.Runtime, cur Ref, target Point) (Ref, int,
 		visited = appendAddr(visited, cur.Addr)
 		cur = resp.Next
 	}
-	return Ref{}, hops, fmt.Errorf("%w: exceeded %d hops", ErrRouteFailed, n.cfg.MaxRouteHops)
+	return Ref{}, hops, fmt.Errorf("%w: exceeded %d hops", ErrRouteFailed, maxRouteHops)
 }
 
 // step computes one routing step: done if we own the target, otherwise

@@ -37,48 +37,38 @@ func (r Ref) String() string {
 	return fmt.Sprintf("%s@%s", r.ID.Short(), r.Addr)
 }
 
+// Fixed protocol sizes.
+const (
+	successorListLen = 8   // successors kept for fault tolerance
+	fingersPerRound  = 8   // finger entries each repair round refreshes
+	maxHops          = 120 // aborts runaway lookups
+)
+
 // Config tunes a Chord node. The zero value selects the defaults.
 type Config struct {
-	// SuccessorListLen is the number of successors kept for fault
-	// tolerance (default 8).
-	SuccessorListLen int
 	// StabilizeEvery is the period of the successor-repair loop
 	// (default 500 ms).
 	StabilizeEvery time.Duration
 	// FixFingersEvery is the period of the finger-repair loop
 	// (default 500 ms).
 	FixFingersEvery time.Duration
-	// FingersPerRound is how many finger entries each repair round
-	// refreshes (default 8).
-	FingersPerRound int
 	// CheckPredEvery is the period of the predecessor liveness check
 	// (default 1 s).
 	CheckPredEvery time.Duration
-	// MaxHops aborts runaway lookups (default 120).
-	MaxHops int
 	// Obs, when non-nil, receives lookup metrics (hop histograms and
 	// counters). Purely observational: no routing decision reads it.
 	Obs *obs.Obs
 }
 
 func (c Config) withDefaults() Config {
-	if c.SuccessorListLen == 0 {
-		c.SuccessorListLen = 8
-	}
 	if c.StabilizeEvery == 0 {
 		c.StabilizeEvery = 500 * time.Millisecond
 	}
 	if c.FixFingersEvery == 0 {
 		c.FixFingersEvery = 500 * time.Millisecond
 	}
-	if c.FingersPerRound == 0 {
-		c.FingersPerRound = 8
-	}
 	if c.CheckPredEvery == 0 {
 		c.CheckPredEvery = time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 120
 	}
 	return c
 }
@@ -341,7 +331,7 @@ func (n *Node) lookupVia(rt transport.Runtime, start transport.Addr, key ids.ID)
 func (n *Node) lookupFrom(rt transport.Runtime, cur Ref, key ids.ID) (Ref, int, error) {
 	hops := 0
 	failures := 0
-	for hops < n.cfg.MaxHops {
+	for hops < maxHops {
 		var resp StepResp
 		if cur.Addr == n.host.Addr() {
 			resp = n.step(key)
@@ -368,7 +358,7 @@ func (n *Node) lookupFrom(rt transport.Runtime, cur Ref, key ids.ID) (Ref, int, 
 		}
 		cur = resp.Next
 	}
-	return Ref{}, hops, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, n.cfg.MaxHops)
+	return Ref{}, hops, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, maxHops)
 }
 
 // step computes one iterative-lookup step from this node's state.
@@ -514,7 +504,7 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 			n.mu.Lock()
 			changed := false
 			if !n.pred.IsZero() && n.pred.ID != n.id {
-				n.succs = prependTrim(n.pred, nil, n.cfg.SuccessorListLen)
+				n.succs = prependTrim(n.pred, nil, successorListLen)
 				changed = true
 			}
 			n.mu.Unlock()
@@ -559,9 +549,9 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 		old := n.succs
 		if newSucc == succ {
 			// Adopt successor's list, shifted by one.
-			n.succs = prependTrim(succ, st.Succs, n.cfg.SuccessorListLen)
+			n.succs = prependTrim(succ, st.Succs, successorListLen)
 		} else {
-			n.succs = prependTrim(newSucc, old, n.cfg.SuccessorListLen)
+			n.succs = prependTrim(newSucc, old, successorListLen)
 		}
 		changed := !refsEqual(old, n.succs)
 		n.mu.Unlock()
@@ -614,7 +604,7 @@ func (n *Node) fixFingersLoop(rt transport.Runtime) {
 // Entries whose interval start falls within (self, successor] need no
 // lookup: the successor is the answer.
 func (n *Node) fixFingersOnce(rt transport.Runtime) {
-	for i := 0; i < n.cfg.FingersPerRound; i++ {
+	for i := 0; i < fingersPerRound; i++ {
 		n.mu.Lock()
 		k := n.nextFinger
 		n.nextFinger = (n.nextFinger + 1) % ids.Bits

@@ -12,7 +12,7 @@ import (
 //   - every successor list is the true next live nodes, in order;
 //   - every finger is the true successor of its start.
 //
-// Fingers are refreshed FingersPerRound at a time, so call it after a
+// Fingers are refreshed fingersPerRound at a time, so call it after a
 // full fix-fingers cycle of quiet: no joins, no crashes.
 func CheckRing(live []*Node) error {
 	sorted := make([]*Node, len(live))
@@ -22,7 +22,6 @@ func CheckRing(live []*Node) error {
 	for i, nd := range sorted {
 		nd.mu.Lock()
 		pred, succs, fingers := nd.pred, append([]Ref(nil), nd.succs...), nd.fingers
-		listLen := nd.cfg.SuccessorListLen
 		nd.mu.Unlock()
 		self := nd.Ref()
 
@@ -31,9 +30,7 @@ func CheckRing(live []*Node) error {
 		}
 		// Entry 0 is the successor pointer: each node's being the next in
 		// ID order is the walk that visits every live node once.
-		if listLen > n {
-			listLen = n
-		}
+		listLen := min(successorListLen, n)
 		for j := 0; j < listLen; j++ {
 			want := sorted[(i+1+j)%n].Ref()
 			if j >= len(succs) || succs[j] != want {

@@ -33,12 +33,8 @@ func WarmStart(nodes []*Node) []*Node {
 	for i, nd := range sorted {
 		nd.mu.Lock()
 		nd.pred = refs[(i-1+n)%n]
-		listLen := nd.cfg.SuccessorListLen
-		if listLen > n {
-			listLen = n
-		}
 		nd.succs = nd.succs[:0]
-		for j := 1; j <= listLen; j++ {
+		for j := 1; j <= min(successorListLen, n); j++ {
 			nd.succs = append(nd.succs, refs[(i+j)%n])
 		}
 		if len(nd.succs) == 0 {

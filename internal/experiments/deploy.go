@@ -73,9 +73,6 @@ type Scenario struct {
 	DisableVirtualDim bool
 	// ExtendedSearchK overrides the RN-Tree candidate target.
 	ExtendedSearchK int
-	// DrainSlack is how long past the last arrival the simulation may
-	// run to drain queues (default 40x mean runtime).
-	DrainSlack time.Duration
 	// Churn, if set, crashes that fraction of nodes (uniformly chosen,
 	// never clients) spread over the arrival window.
 	Churn float64
@@ -87,11 +84,11 @@ type Scenario struct {
 	Faults *faultinject.Plan
 	// FaultSeed seeds the fault schedule; defaults to NetSeed.
 	FaultSeed int64
-	// Trust, when set, equips every node with a fresh local reputation
-	// table under this configuration and wraps its matchmaker with
-	// match.Trusted (blacklist exclusion + suspect retry). Tables are
-	// strictly per-node; there is no score gossip.
-	Trust *trust.Config
+	// Trust equips every node with a fresh local reputation table and
+	// wraps its matchmaker with match.Trusted (blacklist exclusion +
+	// suspect retry). Tables are strictly per-node; there is no score
+	// gossip.
+	Trust bool
 	// Sabotage, when set, turns a seeded fraction of non-client nodes
 	// Byzantine: as run nodes they corrupt result digests or withhold
 	// results per faultinject.ByzPlan. Zero-valued Protect is filled
@@ -203,8 +200,8 @@ func Build(s Scenario) *Deployment {
 		spec := w.Nodes[i]
 
 		gcfg := s.Grid
-		if s.Trust != nil {
-			gcfg.Trust = trust.New(*s.Trust)
+		if s.Trust {
+			gcfg.Trust = trust.New()
 		}
 		if d.Byz != nil {
 			gcfg.Byzantine = d.Byz.Behavior(i)
@@ -213,10 +210,7 @@ func Build(s Scenario) *Deployment {
 		// live peer and is wired here.
 		var gn *grid.Node
 		if needCAN {
-			cn := can.New(h, spec.Caps, spec.OS, can.Config{
-				DisableVirtualDim: s.DisableVirtualDim,
-				Space:             s.Workload.Space,
-			})
+			cn := can.New(h, spec.Caps, spec.OS, can.Config{DisableVirtualDim: s.DisableVirtualDim})
 			d.CANs = append(d.CANs, cn)
 			var matcher grid.Matchmaker = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
 			if s.Notify {

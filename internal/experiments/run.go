@@ -188,11 +188,9 @@ func (d *Deployment) drive() {
 		})
 	}
 
-	drain := s.DrainSlack
-	if drain == 0 {
-		drain = 40 * s.Workload.MeanRuntime
-	}
-	deadline := w.Makespan() + drain
+	// Past the last arrival, the run may drain queues for 40x the mean
+	// runtime.
+	deadline := w.Makespan() + 40*s.Workload.MeanRuntime
 	for {
 		d.Engine.RunFor(10 * time.Second)
 		if d.Collector.Count(grid.EvResultDelivered) >= len(w.Jobs) {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/grid"
-	"repro/internal/trust"
 	"repro/internal/workload"
 )
 
@@ -63,9 +62,7 @@ func TrustSweep(o Options) *Table {
 				NetSeed:      o.Seed + 95,
 				Maintenance:  true,
 				SabotageSeed: o.Seed + 96,
-			}
-			if pol.trust {
-				s.Trust = &trust.Config{}
+				Trust:        pol.trust,
 			}
 			if pol.probes {
 				s.Grid.ProbeEvery = 30 * time.Second

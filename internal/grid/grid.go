@@ -101,7 +101,7 @@ type Config struct {
 	// only voting outcomes and probes ever update it.
 	Trust *trust.Table
 	// ProbeEvery spaces known-answer probe jobs sent to the worst
-	// blacklisted peer in Trust (default 0: probing off).
+	// blacklisted peer in Trust (default 0; <= 0: probing off).
 	ProbeEvery time.Duration
 	// Byzantine, when set, makes THIS node a saboteur as a run node: for
 	// each (job, attempt) it may return a corrupted result digest

@@ -77,12 +77,7 @@ func newNotifyCluster(t *testing.T, n int, seed int64, cfg grid.Config, wired bo
 	matcher := &firstCentral{}
 	nc.cluster = newClusterPrep(t, n, seed, func(int) grid.Config { return cfg }, uniform,
 		func(i int, h *simhost.Host, c *grid.Config) grid.Matchmaker {
-			b := pubsub.New(h, pubsub.Config{
-				Lookup:         lookup,
-				FlushEvery:     50 * time.Millisecond,
-				RedeliverEvery: 500 * time.Millisecond,
-				RedeliverMax:   6,
-			})
+			b := pubsub.New(h, pubsub.Config{Lookup: lookup})
 			nc.brokers = append(nc.brokers, b)
 			if wired {
 				c.Notify = b

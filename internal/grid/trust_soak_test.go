@@ -31,7 +31,7 @@ func byzSoakCfg() func(i int, byz *faultinject.Byz) grid.Config {
 		cfg := soakCfg()
 		cfg.Replicas = 3
 		cfg.Quorum = 2
-		cfg.Trust = trust.New(trust.Config{})
+		cfg.Trust = trust.New()
 		cfg.Byzantine = byz.Behavior(i)
 		return cfg
 	}

@@ -369,7 +369,7 @@ const probeWork = 100 * time.Millisecond
 // the redemption path back out of the blacklist; a wrong one digs the
 // hole deeper. Call errors are no evidence either way.
 func (n *Node) maybeProbe(rt transport.Runtime, now time.Duration) {
-	if n.cfg.ProbeEvery == 0 || n.cfg.Trust == nil {
+	if n.cfg.ProbeEvery <= 0 || n.cfg.Trust == nil {
 		return
 	}
 	n.mu.Lock()

@@ -89,7 +89,7 @@ func vote(t *testing.T, n *Node, rt transport.Runtime, id ids.ID, run transport.
 // queued for relay, and reputation must move for all three voters.
 func TestVotingQuorumAcceptsAndScores(t *testing.T) {
 	id := ids.HashString("job")
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	rec := &eventLog{}
 	n, _ := newStubNode(rec.record(), Config{Replicas: 3, Quorum: 2, Trust: tb})
 	job := votingJob(n, id, "r1", "r2", "r3")
@@ -161,7 +161,7 @@ func TestVotingIgnoresZombieAndDuplicateVotes(t *testing.T) {
 // are scored against the winner but cannot change the outcome.
 func TestVotingLateVoteAfterAcceptance(t *testing.T) {
 	id := ids.HashString("job")
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	rec := &eventLog{}
 	n, _ := newStubNode(rec.record(), Config{Replicas: 3, Quorum: 2, Trust: tb})
 	job := votingJob(n, id, "r1", "r2", "r3")
@@ -271,7 +271,7 @@ func TestHandleProbeHonestAndByzantine(t *testing.T) {
 // TestMaybeProbeRedeemsAndCondemns: a correct probe answer lifts a
 // blacklisted peer's score, a corrupt one sinks it further.
 func TestMaybeProbeRedeemsAndCondemns(t *testing.T) {
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	rec := &eventLog{}
 	n, _ := newStubNode(rec.record(), Config{ProbeEvery: 10 * time.Second, Trust: tb})
 	// Sink a peer below the blacklist threshold.
@@ -310,6 +310,31 @@ func TestMaybeProbeRedeemsAndCondemns(t *testing.T) {
 	n.maybeProbe(rt, rt.now)
 	if got := tb.Score("suspect"); got >= before {
 		t.Fatalf("corrupt probe answer did not penalize: %v -> %v", before, got)
+	}
+}
+
+// TestNegativeProbeEveryIsOff: a negative period turns probing off, as
+// zero does, rather than making every monitor tick due.
+func TestNegativeProbeEveryIsOff(t *testing.T) {
+	tb := trust.New()
+	rec := &eventLog{}
+	n, _ := newStubNode(rec.record(), Config{ProbeEvery: -time.Second, Trust: tb})
+	tb.Disagree("suspect")
+	tb.Disagree("suspect")
+	if !tb.Blacklisted("suspect") {
+		t.Fatal("setup: suspect not blacklisted")
+	}
+	rt := &stubRT{now: time.Minute, rng: rand.New(rand.NewSource(7))}
+	rt.call = func(to transport.Addr, method string, req any) (any, error) {
+		t.Fatalf("unexpected call %s to %s", method, to)
+		return nil, nil
+	}
+	for i := 0; i < 3; i++ {
+		n.maybeProbe(rt, rt.now)
+		rt.now += time.Second
+	}
+	if rec.count(EvProbed) != 0 {
+		t.Fatalf("EvProbed %d, want 0", rec.count(EvProbed))
 	}
 }
 

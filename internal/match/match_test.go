@@ -265,7 +265,7 @@ func (s *scriptedMatcher) FindRunNode(rt transport.Runtime, cons resource.Constr
 }
 
 func TestTrustedExcludesBlacklisted(t *testing.T) {
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	for i := 0; i < 2; i++ {
 		tb.Disagree("bad") // 0.5 -> 0.2 -> 0: blacklisted
 	}
@@ -282,7 +282,7 @@ func TestTrustedExcludesBlacklisted(t *testing.T) {
 }
 
 func TestTrustedRetriesSuspectCandidate(t *testing.T) {
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	tb.Disagree("shady") // 0.2: below neutral, above blacklist
 	inner := &scriptedMatcher{picks: []transport.Addr{"shady", "clean"}}
 	m := &match.Trusted{Inner: inner, Table: tb}
@@ -299,7 +299,7 @@ func TestTrustedRetriesSuspectCandidate(t *testing.T) {
 }
 
 func TestTrustedKeepsSuspectWhenNoBetter(t *testing.T) {
-	tb := trust.New(trust.Config{})
+	tb := trust.New()
 	tb.Disagree("shady")
 	inner := &scriptedMatcher{picks: []transport.Addr{"shady"}} // retry fails
 	m := &match.Trusted{Inner: inner, Table: tb}

@@ -164,19 +164,6 @@ func (c *Collector) Turnarounds() []float64 {
 	return out
 }
 
-// WaitQuantiles returns the (p50, p95, p99) wait-time triple in
-// seconds — the tail shape the live /metrics endpoint estimates from
-// bucketed histograms, computed here exactly from the event stream.
-func (c *Collector) WaitQuantiles() (p50, p95, p99 float64) {
-	return Quantiles(c.WaitTimes())
-}
-
-// TurnaroundQuantiles returns the (p50, p95, p99) turnaround triple in
-// seconds for delivered jobs.
-func (c *Collector) TurnaroundQuantiles() (p50, p95, p99 float64) {
-	return Quantiles(c.Turnarounds())
-}
-
 // MatchCosts returns, per matched job, the total matchmaking message
 // count (route hops + search RPCs + walk + pushes).
 func (c *Collector) MatchCosts() []float64 {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary holds descriptive statistics of a sample.
@@ -61,17 +60,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// Quantiles returns the (p50, p95, p99) triple of a sample — the
-// shape reported by grid.stats and the paper's wait-time tables.
-func Quantiles(xs []float64) (p50, p95, p99 float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, 0.50), quantileSorted(sorted, 0.95), quantileSorted(sorted, 0.99)
-}
-
 // quantileSorted interpolates the q-quantile of a sorted sample.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
@@ -89,79 +77,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f std=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N, s.Mean, s.Std, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Welford is a streaming mean/variance accumulator.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Std returns the running sample standard deviation.
-func (w *Welford) Std() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// Histogram counts observations in fixed-width buckets.
-type Histogram struct {
-	Width   float64
-	buckets map[int]int
-	n       int
-}
-
-// NewHistogram creates a histogram with the given bucket width.
-func NewHistogram(width float64) *Histogram {
-	return &Histogram{Width: width, buckets: make(map[int]int)}
-}
-
-// Add folds one observation in.
-func (h *Histogram) Add(x float64) {
-	h.buckets[int(math.Floor(x/h.Width))]++
-	h.n++
-}
-
-// N returns the observation count.
-func (h *Histogram) N() int { return h.n }
-
-// String renders an ASCII bar chart.
-func (h *Histogram) String() string {
-	if h.n == 0 {
-		return "(empty)"
-	}
-	keys := make([]int, 0, len(h.buckets))
-	maxCount := 0
-	for k, c := range h.buckets {
-		keys = append(keys, k)
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		c := h.buckets[k]
-		bar := strings.Repeat("#", 1+c*40/maxCount)
-		fmt.Fprintf(&b, "%10.1f-%-10.1f %6d %s\n", float64(k)*h.Width, float64(k+1)*h.Width, c, bar)
-	}
-	return b.String()
 }
 
 // Imbalance quantifies load imbalance across nodes: the coefficient of

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -69,21 +67,6 @@ func TestQuantileExported(t *testing.T) {
 	}
 }
 
-func TestQuantilesTriple(t *testing.T) {
-	var xs []float64
-	for i := 1; i <= 100; i++ {
-		xs = append(xs, float64(i))
-	}
-	p50, p95, p99 := Quantiles(xs)
-	s := Summarize(xs)
-	if p50 != s.P50 || p95 != s.P95 || p99 != s.P99 {
-		t.Fatalf("triple (%v,%v,%v) vs summary (%v,%v,%v)", p50, p95, p99, s.P50, s.P95, s.P99)
-	}
-	if a, b, c := Quantiles(nil); a != 0 || b != 0 || c != 0 {
-		t.Fatal("empty triple")
-	}
-}
-
 func TestCollectorQuantiles(t *testing.T) {
 	c := NewCollector()
 	// Five jobs with wait times 1..5 s and turnarounds 11..15 s.
@@ -93,15 +76,16 @@ func TestCollectorQuantiles(t *testing.T) {
 		c.Record(grid.Event{Kind: grid.EvStarted, JobID: id, At: time.Duration(i) * time.Second})
 		c.Record(grid.Event{Kind: grid.EvResultDelivered, JobID: id, At: time.Duration(10+i) * time.Second})
 	}
-	p50, p95, p99 := c.WaitQuantiles()
-	ws, ts := Summarize(c.WaitTimes()), Summarize(c.Turnarounds())
+	waits, turns := c.WaitTimes(), c.Turnarounds()
+	ws, ts := Summarize(waits), Summarize(turns)
+	p50, p95, p99 := Quantile(waits, 0.50), Quantile(waits, 0.95), Quantile(waits, 0.99)
 	if p50 != ws.P50 || p95 != ws.P95 || p99 != ws.P99 {
 		t.Fatalf("wait quantiles (%v,%v,%v) vs %+v", p50, p95, p99, ws)
 	}
 	if p50 != 3 {
 		t.Fatalf("wait p50 = %v, want 3", p50)
 	}
-	q50, q95, q99 := c.TurnaroundQuantiles()
+	q50, q95, q99 := Quantile(turns, 0.50), Quantile(turns, 0.95), Quantile(turns, 0.99)
 	if q50 != ts.P50 || q95 != ts.P95 || q99 != ts.P99 {
 		t.Fatalf("turnaround quantiles (%v,%v,%v) vs %+v", q50, q95, q99, ts)
 	}
@@ -111,35 +95,6 @@ func TestQuantileMonotone(t *testing.T) {
 	s := Summarize([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	if !(s.P50 <= s.P90 && s.P90 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
 		t.Fatalf("quantiles not monotone: %+v", s)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var w Welford
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*10 + 50
-		xs = append(xs, x)
-		w.Add(x)
-	}
-	s := Summarize(xs)
-	if math.Abs(w.Mean()-s.Mean) > 1e-9 || math.Abs(w.Std()-s.Std) > 1e-9 {
-		t.Fatalf("welford (%.6f, %.6f) vs batch (%.6f, %.6f)", w.Mean(), w.Std(), s.Mean, s.Std)
-	}
-	if w.N() != 1000 {
-		t.Fatal("count")
-	}
-}
-
-func TestWelfordSmall(t *testing.T) {
-	var w Welford
-	if w.Std() != 0 {
-		t.Fatal("empty std")
-	}
-	w.Add(5)
-	if w.Mean() != 5 || w.Std() != 0 {
-		t.Fatal("single observation")
 	}
 }
 
@@ -161,23 +116,6 @@ func TestSummaryMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, x := range []float64{1, 5, 15, 25, 25.5} {
-		h.Add(x)
-	}
-	if h.N() != 5 {
-		t.Fatal("count")
-	}
-	out := h.String()
-	if !strings.Contains(out, "#") || strings.Count(out, "\n") != 3 {
-		t.Fatalf("histogram render:\n%s", out)
-	}
-	if NewHistogram(1).String() != "(empty)" {
-		t.Fatal("empty histogram")
 	}
 }
 

@@ -236,7 +236,7 @@ func TestNewWiresOptions(t *testing.T) {
 	}{
 		{name: "plain (gridctl, livegrid)", cfg: fast},
 		{name: "voting (gridnode -replicas 2)", trusted: true,
-			cfg: Config{Tree: fast.Tree, Grid: grid.Config{Replicas: 2, Quorum: 2, Trust: trust.New(trust.Config{})}}},
+			cfg: Config{Tree: fast.Tree, Grid: grid.Config{Replicas: 2, Quorum: 2, Trust: trust.New()}}},
 		{name: "notify (gridnode -notify)", pubsub: true,
 			cfg: Config{Tree: fast.Tree, Notify: true}},
 		{name: "replica (replsweep)", store: true,

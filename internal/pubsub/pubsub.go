@@ -7,8 +7,8 @@
 //
 //   - the rendezvous mints a per-topic sequence number for every
 //     event and keeps the events a subscriber has not acknowledged;
-//   - unacknowledged events are redelivered every RedeliverEvery up
-//     to RedeliverMax attempts, then abandoned (the application's
+//   - unacknowledged events are redelivered every redeliverEvery up
+//     to redeliverMax attempts, then abandoned (the application's
 //     fallback path — the grid's slow liveness polling — covers the
 //     remainder);
 //   - receivers deduplicate on (topic, epoch, seq) with a contiguous
@@ -150,6 +150,24 @@ type ResolveResp struct {
 	Addr transport.Addr
 }
 
+// Fixed broker periods and bounds.
+const (
+	// syncEvery is the subscriber-list anti-entropy period and deadAfter
+	// the rendezvous-death threshold, both handed to the inner replica
+	// manager.
+	syncEvery = 2 * time.Second
+	deadAfter = 5 * time.Second
+	// flushEvery is the publisher-side coalescing window: transitions
+	// published within it ride one PublishReq.
+	flushEvery = 100 * time.Millisecond
+	// redeliverEvery is the retry period for unacknowledged events,
+	// unconfirmed subscriptions, and unflushed publishes.
+	redeliverEvery = 2 * time.Second
+	// redeliverMax bounds delivery attempts per event per subscriber
+	// (and per publish batch); beyond it the event is abandoned.
+	redeliverMax = 8
+)
+
 // Config parameterizes a Broker.
 type Config struct {
 	// Lookup resolves the rendezvous node for a topic key: the Chord
@@ -161,41 +179,8 @@ type Config struct {
 	// the application fallback carries the jobs.
 	Ring replica.Ring
 	K    int
-	// SyncEvery is the subscriber-list anti-entropy period and
-	// DeadAfter the rendezvous-death threshold (both forwarded to the
-	// inner replica manager).
-	SyncEvery time.Duration
-	DeadAfter time.Duration
-	// FlushEvery is the publisher-side coalescing window: transitions
-	// published within it ride one PublishReq.
-	FlushEvery time.Duration
-	// RedeliverEvery is the retry period for unacknowledged events,
-	// unconfirmed subscriptions, and unflushed publishes.
-	RedeliverEvery time.Duration
-	// RedeliverMax bounds delivery attempts per event per subscriber
-	// (and per publish batch); beyond it the event is abandoned.
-	RedeliverMax int
 	// Obs, when non-nil, receives broker counters and gauges.
 	Obs *obs.Obs
-}
-
-func (c Config) withDefaults() Config {
-	if c.SyncEvery == 0 {
-		c.SyncEvery = 2 * time.Second
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = 5 * time.Second
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 100 * time.Millisecond
-	}
-	if c.RedeliverEvery == 0 {
-		c.RedeliverEvery = 2 * time.Second
-	}
-	if c.RedeliverMax == 0 {
-		c.RedeliverMax = 8
-	}
-	return c
 }
 
 // Stats is a snapshot of the broker's additive counters.
@@ -203,7 +188,7 @@ type Stats struct {
 	Published   int64 // events accepted at this rendezvous
 	Notified    int64 // events delivered in successful notify calls
 	Redelivered int64 // events re-sent after a failed/partial attempt
-	Abandoned   int64 // events dropped after RedeliverMax attempts
+	Abandoned   int64 // events dropped after redeliverMax attempts
 	Delivered   int64 // fresh events handed to OnEvent here
 	Duplicates  int64 // events discarded by receiver dedup
 	Takeovers   int64 // topics adopted after a rendezvous death
@@ -282,7 +267,7 @@ type Broker struct {
 func New(host transport.Host, cfg Config) *Broker {
 	b := &Broker{
 		host:   host,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		topics: make(map[ids.ID]*topicState),
 		out:    make(map[ids.ID]*outTopic),
 		subs:   make(map[ids.ID]*inTopic),
@@ -293,9 +278,9 @@ func New(host transport.Host, cfg Config) *Broker {
 		// manager on the same registry.
 		b.mgr = replica.New(host, b.cfg.Ring, replica.Config{
 			K:            b.cfg.K,
-			PushEvery:    b.cfg.SyncEvery,
-			ProbeEvery:   b.cfg.SyncEvery,
-			DeadAfter:    b.cfg.DeadAfter,
+			PushEvery:    syncEvery,
+			ProbeEvery:   syncEvery,
+			DeadAfter:    deadAfter,
 			MethodPrefix: ReplicaPrefix,
 			OnOwn:        b.onOwn,
 			OnFenced:     b.onFenced,
@@ -358,7 +343,7 @@ func (b *Broker) Start() {
 	}
 	b.host.Go("pubsub.tick", func(rt transport.Runtime) {
 		for {
-			rt.Sleep(b.cfg.RedeliverEvery)
+			rt.Sleep(redeliverEvery)
 			b.tick(rt)
 		}
 	})
@@ -366,7 +351,7 @@ func (b *Broker) Start() {
 
 // Kick schedules one near-immediate work round (publish flush,
 // subscription sync, delivery), coalescing bursts: events enqueued
-// within one FlushEvery window ride the same RPCs.
+// within one flushEvery window ride the same RPCs.
 func (b *Broker) Kick() {
 	b.mu.Lock()
 	if !b.started || b.kicking {
@@ -376,7 +361,7 @@ func (b *Broker) Kick() {
 	b.kicking = true
 	b.mu.Unlock()
 	b.host.Go("pubsub.kick", func(rt transport.Runtime) {
-		rt.Sleep(b.cfg.FlushEvery)
+		rt.Sleep(flushEvery)
 		b.mu.Lock()
 		b.kicking = false
 		b.mu.Unlock()
@@ -424,7 +409,7 @@ func (b *Broker) Stats() Stats {
 
 // Publish enqueues one event payload for topic. It never blocks and
 // performs no I/O: a broker activity resolves the rendezvous and
-// ships the batch within FlushEvery.
+// ships the batch within flushEvery.
 func (b *Broker) Publish(topic ids.ID, payload []byte) {
 	b.mu.Lock()
 	ot := b.out[topic]
@@ -509,7 +494,7 @@ func sortedAddrs[T any](m map[transport.Addr]T) []transport.Addr {
 
 // flushPublishes drains the publisher queues, one PublishReq per
 // topic. Failed batches re-queue (ahead of anything published since)
-// and retry next round with a fresh lookup, up to RedeliverMax.
+// and retry next round with a fresh lookup, up to redeliverMax.
 func (b *Broker) flushPublishes(rt transport.Runtime) {
 	self := b.host.Addr()
 	b.mu.Lock()
@@ -544,7 +529,7 @@ func (b *Broker) flushPublishes(rt transport.Runtime) {
 			if len(ot.payloads) == 0 {
 				delete(b.out, topic)
 			}
-		} else if tries+1 >= b.cfg.RedeliverMax {
+		} else if tries+1 >= redeliverMax {
 			b.stats.Abandoned += int64(len(batch))
 			b.mAbandoned.Add(int64(len(batch)))
 			ot.rdv = ""
@@ -606,7 +591,7 @@ func (b *Broker) syncSubscriptions(rt transport.Runtime) {
 
 // deliverPending sends every subscriber its outstanding events, one
 // NotifyReq per (topic, subscriber). Acknowledged events drop;
-// events that outlive RedeliverMax attempts are abandoned.
+// events that outlive redeliverMax attempts are abandoned.
 func (b *Broker) deliverPending(rt transport.Runtime) {
 	self := b.host.Addr()
 	b.mu.Lock()
@@ -687,7 +672,7 @@ func (b *Broker) deliverPending(rt transport.Runtime) {
 					if sent[pe.ev.Seq] {
 						pe.tries++
 					}
-					if pe.tries >= b.cfg.RedeliverMax {
+					if pe.tries >= redeliverMax {
 						dropped++
 						continue
 					}

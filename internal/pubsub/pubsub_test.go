@@ -110,14 +110,7 @@ func (h *harness) lookup(rt transport.Runtime, key ids.ID) (transport.Addr, erro
 func (h *harness) add(name string, k int) *testNode {
 	host := simhost.New(h.net.NewEndpoint(simnet.Addr(name)))
 	n := &testNode{host: host, ring: &scriptRing{self: transport.Addr(name)}}
-	cfg := Config{
-		Lookup:         h.lookup,
-		FlushEvery:     20 * time.Millisecond,
-		RedeliverEvery: 200 * time.Millisecond,
-		RedeliverMax:   4,
-		SyncEvery:      200 * time.Millisecond,
-		DeadAfter:      time.Second,
-	}
+	cfg := Config{Lookup: h.lookup}
 	if k > 0 {
 		cfg.Ring = n.ring
 		cfg.K = k
@@ -259,7 +252,7 @@ func TestRendezvousHandoff(t *testing.T) {
 	b.ring.setOwns(k, true) // the ring hands a's arc to b
 	h.setRendezvous(k, "b") // lookups now resolve to the successor
 	b.b.RingChange()
-	h.e.RunFor(5 * time.Second) // probe a dead, promote, rebuild topic
+	h.e.RunFor(10 * time.Second) // probe a dead past deadAfter, promote, rebuild topic
 
 	if st := b.b.Stats(); st.Takeovers != 1 {
 		t.Fatalf("successor stats = %+v, want exactly one takeover", st)
@@ -278,7 +271,7 @@ func TestRendezvousHandoff(t *testing.T) {
 
 // TestRedeliveryAndAbandon: an event for a briefly-down subscriber is
 // redelivered once it returns (at-least-once), while a subscriber that
-// never comes back has its event abandoned after RedeliverMax; the
+// never comes back has its event abandoned after redeliverMax; the
 // always-reachable subscriber is unaffected throughout.
 func TestRedeliveryAndAbandon(t *testing.T) {
 	h := newHarness(t, 5)
@@ -301,7 +294,7 @@ func TestRedeliveryAndAbandon(t *testing.T) {
 	pub.b.Publish(k, []byte("x"))
 	h.e.RunFor(300 * time.Millisecond) // one or two failed attempts at flaky
 	flaky.host.Endpoint().Restart()
-	h.e.RunFor(30 * time.Second) // flaky catches up; gone exhausts RedeliverMax
+	h.e.RunFor(30 * time.Second) // flaky catches up; gone exhausts redeliverMax
 
 	if got := sub.events(); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("live subscriber got %v, want [x]", got)

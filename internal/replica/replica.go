@@ -159,6 +159,10 @@ type ProbeResp struct {
 	Has []ids.ID
 }
 
+// gcAfter is how long tombstones are retained so late replicas learn
+// of the deletion instead of resurrecting the record.
+const gcAfter = 2 * time.Minute
+
 // Config parameterizes a Manager.
 type Config struct {
 	// K is the replication degree: records push to the first K
@@ -171,9 +175,6 @@ type Config struct {
 	// DeadAfter is how long an owner must fail probes before replicas
 	// take over its keys.
 	DeadAfter time.Duration
-	// GCAfter is how long tombstones are retained so late replicas
-	// learn of the deletion instead of resurrecting the record.
-	GCAfter time.Duration
 	// OnOwn fires when this node becomes responsible for a record:
 	// promoted=true for a takeover after owner death, false when a
 	// replica restores a record this (restarted) node already owned.
@@ -202,9 +203,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter == 0 {
 		c.DeadAfter = 3 * time.Second
-	}
-	if c.GCAfter == 0 {
-		c.GCAfter = 2 * time.Minute
 	}
 	return c
 }
@@ -396,7 +394,7 @@ func (m *Manager) Publish(key ids.ID, data []byte) {
 }
 
 // Delete tombstones a record this node owns (the job finished); the
-// tombstone replicates like any write and is GC'd after cfg.GCAfter.
+// tombstone replicates like any write and is GC'd after gcAfter.
 func (m *Manager) Delete(now time.Duration, key ids.ID) {
 	self := m.ring.Self()
 	m.mu.Lock()
@@ -903,7 +901,7 @@ func (m *Manager) gc(now time.Duration) {
 	m.mu.Lock()
 	referenced := make(map[transport.Addr]bool)
 	for k, e := range m.recs {
-		if e.rec.Deleted && e.deadAt > 0 && now-e.deadAt >= m.cfg.GCAfter {
+		if e.rec.Deleted && e.deadAt > 0 && now-e.deadAt >= gcAfter {
 			delete(m.recs, k)
 			continue
 		}

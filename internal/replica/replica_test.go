@@ -382,7 +382,7 @@ func TestTombstoneReplicatesAndGC(t *testing.T) {
 		}
 	})
 
-	h.e.RunFor(3 * time.Minute) // GCAfter defaults to 2 min
+	h.e.RunFor(3 * time.Minute) // gcAfter is 2 min
 	h.do("a", func(rt transport.Runtime) { a.mgr.pushOnce(rt) })
 	h.do("b", func(rt transport.Runtime) { b.mgr.gc(rt.Now()) })
 	if a.mgr.Status(k).Known || b.mgr.Status(k).Known {

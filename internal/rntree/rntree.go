@@ -27,25 +27,25 @@ import (
 	"repro/internal/transport"
 )
 
+// Fixed tree and search sizes.
+const (
+	// prefixBits is m, the GUID prefix width the parent rule operates
+	// on. 2^m must comfortably exceed the node count.
+	prefixBits = 24
+	// randomWalkLen is the limited random walk applied after the
+	// initial DHT mapping of a job to its owner.
+	randomWalkLen = 3
+	// maxVisits bounds the number of nodes one search may touch.
+	maxVisits = 64
+)
+
 // Config tunes the RN-Tree. The zero value selects the defaults.
 type Config struct {
-	// PrefixBits is m, the GUID prefix width the parent rule operates
-	// on (default 24). 2^m must comfortably exceed the node count.
-	PrefixBits int
 	// AggregateEvery is the period of child->parent summary pushes
-	// (default 2 s).
+	// (default 2 s). Children that stop reporting for 3x this expire.
 	AggregateEvery time.Duration
-	// ChildTTL expires children that stop reporting (default 3x
-	// AggregateEvery).
-	ChildTTL time.Duration
 	// K is the extended-search candidate target (default 4).
 	K int
-	// RandomWalkLen is the limited random walk length applied after the
-	// initial DHT mapping of a job to its owner (default 3).
-	RandomWalkLen int
-	// MaxVisits bounds the number of nodes one search may touch
-	// (default 64).
-	MaxVisits int
 	// ParentRefreshEvery is how often the parent is recomputed from
 	// Chord ownership even when pushes succeed (default 15 s); between
 	// refreshes the cached parent is reused.
@@ -57,23 +57,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PrefixBits == 0 {
-		c.PrefixBits = 24
-	}
 	if c.AggregateEvery == 0 {
 		c.AggregateEvery = 2 * time.Second
 	}
-	if c.ChildTTL == 0 {
-		c.ChildTTL = 3 * c.AggregateEvery
-	}
 	if c.K == 0 {
 		c.K = 4
-	}
-	if c.RandomWalkLen == 0 {
-		c.RandomWalkLen = 3
-	}
-	if c.MaxVisits == 0 {
-		c.MaxVisits = 64
 	}
 	if c.ParentRefreshEvery == 0 {
 		c.ParentRefreshEvery = 15 * time.Second
@@ -327,7 +315,7 @@ func (n *Node) localSummary(now time.Duration) Summary {
 	defer n.mu.Unlock()
 	sum := Summary{MaxCaps: n.caps, MinLoad: n.loadFn(), Nodes: 1, OSes: []string{n.os}}
 	for addr, c := range n.children {
-		if now-c.lastSeen > n.cfg.ChildTTL {
+		if now-c.lastSeen > 3*n.cfg.AggregateEvery {
 			delete(n.children, addr)
 			continue
 		}
@@ -383,12 +371,11 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 // still owned by this node) and look up the owner. A zero return means
 // this node is the root.
 func (n *Node) computeParent(rt transport.Runtime) (chord.Ref, error) {
-	m := n.cfg.PrefixBits
-	p := n.chord.ID().Prefix(m)
+	p := n.chord.ID().Prefix(prefixBits)
 	for {
 		if p == 0 {
 			// Owner of identifier zero: root if that is us.
-			owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(0, m))
+			owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(0, prefixBits))
 			if err != nil {
 				return chord.Ref{}, err
 			}
@@ -398,7 +385,7 @@ func (n *Node) computeParent(rt transport.Runtime) (chord.Ref, error) {
 			return owner, nil
 		}
 		p = ids.ClearLowestSetBit(p)
-		owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(p, m))
+		owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(p, prefixBits))
 		if err != nil {
 			return chord.Ref{}, err
 		}
@@ -425,7 +412,7 @@ func (n *Node) RandomWalk(rt transport.Runtime) (chord.Ref, int) {
 func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref, int) {
 	cur := start
 	hops := 0
-	for i := 0; i < n.cfg.RandomWalkLen; i++ {
+	for i := 0; i < randomWalkLen; i++ {
 		var next chord.Ref
 		if cur.Addr == n.host.Addr() {
 			next = n.randomNeighbor(rt)
@@ -465,7 +452,7 @@ func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k
 		k = n.cfg.K
 	}
 	var stats SearchStats
-	budget := n.cfg.MaxVisits
+	budget := maxVisits
 
 	resp := n.searchSubtree(rt, SearchReq{Cons: cons, K: k, Budget: budget})
 	cands := resp.Cands

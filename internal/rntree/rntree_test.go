@@ -248,7 +248,7 @@ func TestRandomWalkTerminatesAndMoves(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		f.do(0, func(rt transport.Runtime) {
 			end, hops := f.rns[0].RandomWalk(rt)
-			if hops > f.rns[0].cfg.RandomWalkLen {
+			if hops > randomWalkLen {
 				t.Fatalf("walk took %d hops", hops)
 			}
 			if end.Addr != f.hosts[0].Addr() {
@@ -362,10 +362,10 @@ func TestRootExpiresSilentChild(t *testing.T) {
 		}
 	}
 	// One jittered aggregation round past the TTL.
-	f.e.RunFor(root.cfg.ChildTTL + 2*root.cfg.AggregateEvery)
+	f.e.RunFor(3*root.cfg.AggregateEvery + 2*root.cfg.AggregateEvery)
 	for _, a := range root.Children() {
 		if a == victim {
-			t.Fatalf("root still lists %s, silent for more than ChildTTL", victim)
+			t.Fatalf("root still lists %s, silent for more than 3x AggregateEvery", victim)
 		}
 	}
 }

@@ -31,19 +31,18 @@ func WarmStart(nodes []*Node, now time.Duration) *Node {
 	var root *Node
 	parentOf := make(map[*Node]*Node, len(nodes))
 	for _, n := range sorted {
-		m := n.cfg.PrefixBits
-		p := n.chord.ID().Prefix(m)
+		p := n.chord.ID().Prefix(prefixBits)
 		var parent *Node
 		for {
 			if p == 0 {
-				owner := ownerOf(ids.FromPrefix(0, m))
+				owner := ownerOf(ids.FromPrefix(0, prefixBits))
 				if owner != n {
 					parent = owner
 				}
 				break
 			}
 			p = ids.ClearLowestSetBit(p)
-			owner := ownerOf(ids.FromPrefix(p, m))
+			owner := ownerOf(ids.FromPrefix(p, prefixBits))
 			if owner != n {
 				parent = owner
 				break

@@ -24,50 +24,16 @@ import (
 	"repro/internal/transport"
 )
 
-// Config tunes the reputation dynamics. The zero value selects the
-// defaults.
-type Config struct {
-	// Initial is the score a never-seen peer starts with (default 0.5).
-	Initial float64
-	// AgreeDelta is added when a peer's replica agreed with the
-	// accepted quorum digest (default +0.05).
-	AgreeDelta float64
-	// DisagreeDelta is added when a peer's replica dissented from the
-	// accepted digest (default -0.3: one wrong answer costs six right
-	// ones, the asymmetry sabotage tolerance needs).
-	DisagreeDelta float64
-	// ProbeOKDelta is added when a spot-check probe returned the known
-	// answer (default +0.15: redemption is slower than conviction).
-	ProbeOKDelta float64
-	// ProbeBadDelta is added when a probe returned a wrong answer
-	// (default -0.5).
-	ProbeBadDelta float64
-	// BlacklistBelow is the score under which a peer is blacklisted
-	// (default 0.2). Scores are clamped to [0, 1].
-	BlacklistBelow float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Initial == 0 {
-		c.Initial = 0.5
-	}
-	if c.AgreeDelta == 0 {
-		c.AgreeDelta = 0.05
-	}
-	if c.DisagreeDelta == 0 {
-		c.DisagreeDelta = -0.3
-	}
-	if c.ProbeOKDelta == 0 {
-		c.ProbeOKDelta = 0.15
-	}
-	if c.ProbeBadDelta == 0 {
-		c.ProbeBadDelta = -0.5
-	}
-	if c.BlacklistBelow == 0 {
-		c.BlacklistBelow = 0.2
-	}
-	return c
-}
+// The reputation dynamics. Scores are clamped to [0, 1].
+const (
+	initial       = 0.5  // a never-seen peer's score
+	agreeDelta    = 0.05 // a replica agreed with the accepted quorum digest
+	disagreeDelta = -0.3 // a replica dissented: one wrong answer costs six right ones
+	probeOKDelta  = 0.15 // a probe returned the known answer: redemption is slower than conviction
+	probeBadDelta = -0.5 // a probe returned a wrong answer
+	// blacklistBelow is the score under which a peer is blacklisted.
+	blacklistBelow = 0.2
+)
 
 // Entry is one peer's reputation record.
 type Entry struct {
@@ -84,22 +50,21 @@ type Entry struct {
 // concurrent use.
 type Table struct {
 	mu    sync.Mutex
-	cfg   Config
 	peers map[transport.Addr]*Entry
 }
 
-// New returns an empty table with the given (defaulted) configuration.
-func New(cfg Config) *Table {
-	return &Table{cfg: cfg.withDefaults(), peers: make(map[transport.Addr]*Entry)}
+// New returns an empty table.
+func New() *Table {
+	return &Table{peers: make(map[transport.Addr]*Entry)}
 }
 
-// InitialScore returns the configured neutral starting score.
-func (t *Table) InitialScore() float64 { return t.cfg.Initial }
+// InitialScore returns the neutral starting score.
+func (t *Table) InitialScore() float64 { return initial }
 
 func (t *Table) entryLocked(a transport.Addr) *Entry {
 	e, ok := t.peers[a]
 	if !ok {
-		e = &Entry{Node: a, Score: t.cfg.Initial}
+		e = &Entry{Node: a, Score: initial}
 		t.peers[a] = e
 	}
 	return e
@@ -119,8 +84,8 @@ func (t *Table) bump(a transport.Addr, delta float64) (float64, bool) {
 	if e.Score > 1 {
 		e.Score = 1
 	}
-	wasBlack := before < t.cfg.BlacklistBelow
-	e.Blacklisted = e.Score < t.cfg.BlacklistBelow
+	wasBlack := before < blacklistBelow
+	e.Blacklisted = e.Score < blacklistBelow
 	return e.Score - before, !wasBlack && e.Blacklisted
 }
 
@@ -128,7 +93,7 @@ func (t *Table) bump(a transport.Addr, delta float64) (float64, bool) {
 // returns the applied score delta and whether the peer just crossed
 // into the blacklist (always false here, deltas being positive).
 func (t *Table) Agree(a transport.Addr) (delta float64, blacklisted bool) {
-	delta, blacklisted = t.bump(a, t.cfg.AgreeDelta)
+	delta, blacklisted = t.bump(a, agreeDelta)
 	t.mu.Lock()
 	t.peers[a].Agreed++
 	t.mu.Unlock()
@@ -138,7 +103,7 @@ func (t *Table) Agree(a transport.Addr) (delta float64, blacklisted bool) {
 // Disagree penalizes a peer whose replica dissented from an accepted
 // quorum.
 func (t *Table) Disagree(a transport.Addr) (delta float64, blacklisted bool) {
-	delta, blacklisted = t.bump(a, t.cfg.DisagreeDelta)
+	delta, blacklisted = t.bump(a, disagreeDelta)
 	t.mu.Lock()
 	t.peers[a].Disagreed++
 	t.mu.Unlock()
@@ -148,7 +113,7 @@ func (t *Table) Disagree(a transport.Addr) (delta float64, blacklisted bool) {
 // ProbeOK credits a peer that answered a known-answer probe correctly —
 // the redemption path for blacklisted nodes.
 func (t *Table) ProbeOK(a transport.Addr) (delta float64, blacklisted bool) {
-	delta, blacklisted = t.bump(a, t.cfg.ProbeOKDelta)
+	delta, blacklisted = t.bump(a, probeOKDelta)
 	t.mu.Lock()
 	t.peers[a].ProbesOK++
 	t.mu.Unlock()
@@ -157,7 +122,7 @@ func (t *Table) ProbeOK(a transport.Addr) (delta float64, blacklisted bool) {
 
 // ProbeBad penalizes a peer that answered a probe wrongly.
 func (t *Table) ProbeBad(a transport.Addr) (delta float64, blacklisted bool) {
-	delta, blacklisted = t.bump(a, t.cfg.ProbeBadDelta)
+	delta, blacklisted = t.bump(a, probeBadDelta)
 	t.mu.Lock()
 	t.peers[a].ProbesBad++
 	t.mu.Unlock()
@@ -172,7 +137,7 @@ func (t *Table) Score(a transport.Addr) float64 {
 	if e, ok := t.peers[a]; ok {
 		return e.Score
 	}
-	return t.cfg.Initial
+	return initial
 }
 
 // Blacklisted reports whether a peer is currently blacklisted.

@@ -10,7 +10,7 @@ import (
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestDefaultsAndInitialScore(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	if got := tb.InitialScore(); got != 0.5 {
 		t.Fatalf("InitialScore = %v, want 0.5", got)
 	}
@@ -23,7 +23,7 @@ func TestDefaultsAndInitialScore(t *testing.T) {
 }
 
 func TestAgreeDisagreeDeltasAndCounts(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	a := transport.Addr("n001")
 
 	d, black := tb.Agree(a)
@@ -46,7 +46,7 @@ func TestAgreeDisagreeDeltasAndCounts(t *testing.T) {
 }
 
 func TestBlacklistCrossingAndClamp(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	a := transport.Addr("evil")
 
 	// 0.5 -> 0.2: not yet blacklisted (threshold is strict <).
@@ -92,7 +92,7 @@ func TestBlacklistCrossingAndClamp(t *testing.T) {
 }
 
 func TestScoreClampAtOne(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	a := transport.Addr("saint")
 	for i := 0; i < 20; i++ {
 		tb.Agree(a)
@@ -103,7 +103,7 @@ func TestScoreClampAtOne(t *testing.T) {
 }
 
 func TestBlacklistedPeersAndWorst(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	sink := func(a transport.Addr, n int) {
 		for i := 0; i < n; i++ {
 			tb.Disagree(a)
@@ -133,7 +133,7 @@ func TestBlacklistedPeersAndWorst(t *testing.T) {
 }
 
 func TestWorstBlacklistedEmpty(t *testing.T) {
-	tb := New(Config{})
+	tb := New()
 	tb.Agree("x")
 	if _, ok := tb.WorstBlacklisted(); ok {
 		t.Fatal("no peer is blacklisted")

@@ -63,25 +63,25 @@ func (l ConstraintLevel) Prob() float64 {
 	return 0.8
 }
 
+// classes is the class count of a clustered population, nodes and jobs
+// alike, so round-robin anchoring gives every machine class one job
+// class.
+const classes = 5
+
 // Config parameterizes generation. NewConfig supplies the paper's
 // defaults: 1000 nodes, 5000 jobs, 100 s mean runtime, 0.1 s mean
 // inter-arrival.
 type Config struct {
-	Nodes       int
-	Jobs        int
-	Seed        int64
-	NodePop     Population
-	JobPop      Population
-	Level       ConstraintLevel
-	NodeClasses int // class count when NodePop == Clustered
-	JobClasses  int // class count when JobPop == Clustered
-	Clients     int // distinct submitting clients
+	Nodes   int
+	Jobs    int
+	Seed    int64
+	NodePop Population
+	JobPop  Population
+	Level   ConstraintLevel
+	Clients int // distinct submitting clients
 
 	MeanRuntime      time.Duration
 	MeanInterarrival time.Duration
-
-	// Space bounds capability sampling (default resource.DefaultSpace).
-	Space resource.Space
 }
 
 // NewConfig returns the paper-scale defaults.
@@ -93,12 +93,9 @@ func NewConfig() Config {
 		NodePop:          Mixed,
 		JobPop:           Mixed,
 		Level:            Lightly,
-		NodeClasses:      5,
-		JobClasses:       5,
 		Clients:          8,
 		MeanRuntime:      100 * time.Second,
 		MeanInterarrival: 100 * time.Millisecond,
-		Space:            resource.DefaultSpace,
 	}
 }
 
@@ -146,17 +143,8 @@ type Workload struct {
 
 // Generate builds a workload deterministically from cfg.Seed.
 func Generate(cfg Config) *Workload {
-	if cfg.Space == (resource.Space{}) {
-		cfg.Space = resource.DefaultSpace
-	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
-	}
-	if cfg.NodeClasses <= 0 {
-		cfg.NodeClasses = 5
-	}
-	if cfg.JobClasses <= 0 {
-		cfg.JobClasses = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &Workload{Config: cfg}
@@ -165,14 +153,14 @@ func Generate(cfg Config) *Workload {
 	sampleCaps := func() resource.Vector {
 		var v resource.Vector
 		for i := range v {
-			lo, hi := cfg.Space.Lo[i], cfg.Space.Hi[i]
+			lo, hi := resource.DefaultSpace.Lo[i], resource.DefaultSpace.Hi[i]
 			v[i] = lo + rng.Float64()*(hi-lo)
 		}
 		return v
 	}
 	var nodeClasses []resource.Vector
 	if cfg.NodePop == Clustered {
-		for i := 0; i < cfg.NodeClasses; i++ {
+		for i := 0; i < classes; i++ {
 			nodeClasses = append(nodeClasses, sampleCaps())
 		}
 	}
@@ -198,7 +186,7 @@ func Generate(cfg Config) *Workload {
 			if rng.Float64() >= p {
 				continue
 			}
-			lo := cfg.Space.Lo[t]
+			lo := resource.DefaultSpace.Lo[t]
 			cons = cons.Require(t, lo+rng.Float64()*(anchor[t]-lo))
 		}
 		return cons
@@ -213,7 +201,7 @@ func Generate(cfg Config) *Workload {
 	// classes idle — a workload artifact, not a matchmaking effect).
 	var jobClasses []resource.Constraints
 	if cfg.JobPop == Clustered {
-		for i := 0; i < cfg.JobClasses; i++ {
+		for i := 0; i < classes; i++ {
 			var anchor resource.Vector
 			if cfg.NodePop == Clustered {
 				anchor = nodeClasses[i%len(nodeClasses)]

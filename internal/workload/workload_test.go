@@ -68,15 +68,15 @@ func TestClusteredPopulationsHaveFewClasses(t *testing.T) {
 	for _, n := range w.Nodes {
 		nodeCaps[n.Caps] = true
 	}
-	if len(nodeCaps) > cfg.NodeClasses {
-		t.Fatalf("%d distinct node capability vectors, want <= %d", len(nodeCaps), cfg.NodeClasses)
+	if len(nodeCaps) > classes {
+		t.Fatalf("%d distinct node capability vectors, want <= %d", len(nodeCaps), classes)
 	}
 	jobCons := map[string]bool{}
 	for _, j := range w.Jobs {
 		jobCons[j.Cons.String()] = true
 	}
-	if len(jobCons) > cfg.JobClasses {
-		t.Fatalf("%d distinct job constraint classes, want <= %d", len(jobCons), cfg.JobClasses)
+	if len(jobCons) > classes {
+		t.Fatalf("%d distinct job constraint classes, want <= %d", len(jobCons), classes)
 	}
 }
 
