@@ -5,12 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/grid"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/nettransport"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -99,8 +99,12 @@ func benchCmd(args []string) {
 		elapsed := time.Since(began)
 		res.InjectElapsedS = elapsed.Seconds()
 		res.InjectJobsPerS = float64(want) / elapsed.Seconds()
-		res.InjectP50MS = percentile(lats, 0.50).Seconds() * 1e3
-		res.InjectP99MS = percentile(lats, 0.99).Seconds() * 1e3
+		ms := make([]float64, len(lats))
+		for i, l := range lats {
+			ms[i] = l.Seconds() * 1e3
+		}
+		res.InjectP50MS = metrics.Quantile(ms, 0.50)
+		res.InjectP99MS = metrics.Quantile(ms, 0.99)
 		res.InjectRPCs = len(lats)
 		benchErr <- nil
 	})
@@ -213,14 +217,4 @@ func injectBatched(rt transport.Runtime, node transport.Addr, reqs []grid.Inject
 		return lats, fmt.Errorf("%d jobs never accepted after retries", len(pendingReqs))
 	}
 	return lats, nil
-}
-
-func percentile(lats []time.Duration, p float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p * float64(len(s)-1))
-	return s[idx]
 }

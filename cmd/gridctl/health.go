@@ -3,13 +3,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/nettransport"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // healthCmd asks one node for its per-peer circuit-breaker table
@@ -21,20 +18,10 @@ func healthCmd(args []string) {
 	node := fs.String("node", "127.0.0.1:7001", "grid node to ask")
 	_ = fs.Parse(args)
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer host.Close()
-
-	done := make(chan error, 1)
-	host.Go("health", func(rt transport.Runtime) {
+	ask("health", func(rt transport.Runtime) error {
 		raw, err := rt.CallT(transport.Addr(*node), grid.MHealth, grid.HealthReq{}, 5*time.Second)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		resp := raw.(grid.HealthResp)
 		fmt.Printf("node %s: %d peers with breaker state\n", resp.Node, len(resp.Peers))
@@ -50,10 +37,6 @@ func healthCmd(args []string) {
 					p.Peer, p.State, p.ConsecFails, p.Failures, p.Successes, p.Opens, retry)
 			}
 		}
-		done <- nil
+		return nil
 	})
-	if err := <-done; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: health: %v\n", err)
-		os.Exit(1)
-	}
 }

@@ -196,20 +196,10 @@ func statsCmd(args []string) {
 	all := fs.Bool("all", false, "print every metric sample, not just the summary")
 	_ = fs.Parse(args)
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer host.Close()
-
-	done := make(chan error, 1)
-	host.Go("stats", func(rt transport.Runtime) {
+	ask("stats", func(rt transport.Runtime) error {
 		raw, err := rt.CallT(transport.Addr(*node), grid.MStats, grid.StatsReq{}, 10*time.Second)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		s := raw.(grid.StatsResp).Stats
 		fmt.Printf("node %s (up %v)\n", s.Addr, s.Now.Round(time.Second))
@@ -227,12 +217,8 @@ func statsCmd(args []string) {
 			}
 			fmt.Println("  (use -all for histograms and gauges)")
 		}
-		done <- nil
+		return nil
 	})
-	if err := <-done; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: stats: %v\n", err)
-		os.Exit(1)
-	}
 }
 
 // traceCmd reconstructs one job's cross-node lifecycle: it pulls the
@@ -253,16 +239,7 @@ func traceCmd(args []string) {
 		os.Exit(2)
 	}
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer host.Close()
-
-	done := make(chan error, 1)
-	host.Go("trace", func(rt transport.Runtime) {
+	ask("trace", func(rt transport.Runtime) error {
 		const maxNodes = 64
 		var evs []obs.TraceEvent
 		seen := map[transport.Addr]bool{}
@@ -285,13 +262,11 @@ func traceCmd(args []string) {
 			queue = append(queue, resp.Peers...)
 		}
 		if asked == 0 {
-			done <- fmt.Errorf("no node answered (is -metrics-addr / obs enabled?)")
-			return
+			return fmt.Errorf("no node answered (is -metrics-addr / obs enabled?)")
 		}
 		evs = obs.MergeSort(evs)
 		if len(evs) == 0 {
-			done <- fmt.Errorf("no events for job %s on %d nodes (trace evicted or id unknown)", trace, asked)
-			return
+			return fmt.Errorf("no events for job %s on %d nodes (trace evicted or id unknown)", trace, asked)
 		}
 		fmt.Printf("trace %s: %d events from %d nodes\n", trace, len(evs), asked)
 		fmt.Printf("%-4s %-12s %-22s %-18s a%-3s %-22s %s\n", "hop", "at", "stage", "node", "", "peer", "note")
@@ -299,12 +274,8 @@ func traceCmd(args []string) {
 			fmt.Printf("%-4d %-12v %-22s %-18s a%-3d %-22s %s\n",
 				ev.Hop, ev.At.Round(time.Millisecond), ev.Stage, ev.Node, ev.Attempt, ev.Peer, ev.Note)
 		}
-		done <- nil
+		return nil
 	})
-	if err := <-done; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: trace: %v\n", err)
-		os.Exit(1)
-	}
 }
 
 // replicasCmd asks one node for a job's replication status and prints
@@ -324,27 +295,16 @@ func replicasCmd(args []string) {
 		os.Exit(2)
 	}
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer host.Close()
-
-	done := make(chan error, 1)
-	host.Go("replicas", func(rt transport.Runtime) {
+	ask("replicas", func(rt transport.Runtime) error {
 		raw, err := rt.CallT(transport.Addr(*node), grid.MReplicas, grid.ReplicasReq{JobID: jobID}, 10*time.Second)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		st := raw.(grid.ReplicasResp).Status
 		if !st.Known {
 			fmt.Printf("node %s holds no record for job %s (replication off, GC'd, or never replicated here)\n",
 				*node, jobID.Short())
-			done <- nil
-			return
+			return nil
 		}
 		state := "live"
 		if st.Deleted {
@@ -354,19 +314,14 @@ func replicasCmd(args []string) {
 			jobID.Short(), st.Owner, st.Epoch, st.Version, state)
 		if len(st.Peers) == 0 {
 			fmt.Printf("  (no replica set: ask the owner %s for acknowledgement state)\n", st.Owner)
-			done <- nil
-			return
+			return nil
 		}
 		fmt.Printf("  %-24s %-7s %-9s %s\n", "replica", "epoch", "version", "acked")
 		for _, p := range st.Peers {
 			fmt.Printf("  %-24s %-7d %-9d %v\n", p.Addr, p.Epoch, p.Version, p.Acked)
 		}
-		done <- nil
+		return nil
 	})
-	if err := <-done; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: replicas: %v\n", err)
-		os.Exit(1)
-	}
 }
 
 // trustCmd asks one node for its reputation table and prints it.
@@ -375,26 +330,15 @@ func trustCmd(args []string) {
 	node := fs.String("node", "127.0.0.1:7001", "node whose reputation table to dump")
 	_ = fs.Parse(args)
 
-	wire.RegisterAll()
-	host, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
-		os.Exit(1)
-	}
-	defer host.Close()
-
-	done := make(chan error, 1)
-	host.Go("trust", func(rt transport.Runtime) {
+	ask("trust", func(rt transport.Runtime) error {
 		raw, err := rt.CallT(transport.Addr(*node), grid.MTrust, grid.TrustReq{}, 10*time.Second)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		entries := raw.(grid.TrustResp).Entries
 		if len(entries) == 0 {
 			fmt.Printf("node %s tracks no peers (trust disabled or no votes yet)\n", *node)
-			done <- nil
-			return
+			return nil
 		}
 		fmt.Printf("%-24s %-7s %-7s %-10s %-9s %-10s %s\n",
 			"node", "score", "agreed", "disagreed", "probes-ok", "probes-bad", "blacklisted")
@@ -402,10 +346,26 @@ func trustCmd(args []string) {
 			fmt.Printf("%-24s %-7.3f %-7d %-10d %-9d %-10d %v\n",
 				e.Node, e.Score, e.Agreed, e.Disagreed, e.ProbesOK, e.ProbesBad, e.Blacklisted)
 		}
-		done <- nil
+		return nil
 	})
-	if err := <-done; err != nil {
-		fmt.Fprintf(os.Stderr, "gridctl: trust: %v\n", err)
+}
+
+// ask runs one query on a fresh client host, the shared body of the
+// one-shot subcommands, and exits 1 with "gridctl: <name>: <err>" if
+// it fails.
+func ask(name string, fn func(rt transport.Runtime) error) {
+	wire.RegisterAll()
+	host, err := nettransport.Listen("127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
+		os.Exit(1)
+	}
+	done := make(chan error, 1)
+	host.Go(name, func(rt transport.Runtime) { done <- fn(rt) })
+	err = <-done
+	host.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gridctl: %s: %v\n", name, err)
 		os.Exit(1)
 	}
 }

@@ -6,13 +6,14 @@
 // bigger configurations need more memory and a faster CPU. The example
 // runs the same campaign under all three matchmakers and compares job
 // wait times, mirroring how the paper's astronomers would choose a
-// configuration.
+// configuration. It exits 1 if any matchmaker leaves a job undelivered.
 //
 //	go run ./examples/astronomy
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	p2pgrid "repro"
@@ -57,6 +58,7 @@ func main() {
 	fmt.Printf("campaign: %d N-body simulations\n\n", len(sweep))
 	fmt.Printf("%-10s %10s %12s %12s %12s\n", "algorithm", "delivered", "avg-wait(s)", "p95-wait(s)", "msgs/match")
 
+	lost := false
 	for _, alg := range []p2pgrid.Algorithm{p2pgrid.RNTree, p2pgrid.CANPush, p2pgrid.Central} {
 		cluster := p2pgrid.New(p2pgrid.Config{
 			Nodes:     200,
@@ -81,9 +83,13 @@ func main() {
 		rep := cluster.Run(6 * time.Hour)
 		fmt.Printf("%-10s %6d/%3d %12.1f %12.1f %12.1f\n",
 			alg, rep.Delivered, rep.Submitted, rep.Wait.Mean, rep.Wait.P95, rep.MatchCost.Mean)
+		lost = lost || rep.Delivered < rep.Submitted
 	}
 
 	fmt.Println("\nEvery matchmaker must route the 1024-body runs to the")
 	fmt.Println("big-memory workstations; the interesting difference is how")
 	fmt.Println("evenly the small runs spread across the modest desktops.")
+	if lost {
+		os.Exit(1)
+	}
 }

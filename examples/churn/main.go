@@ -2,13 +2,15 @@
 // Long jobs run while a third of the grid crashes mid-execution; owners
 // detect dead run nodes by heartbeat timeout and rematch, run nodes
 // detect dead owners and have the job adopted by the new DHT owner, and
-// clients resubmit jobs whose owner and run node both vanished.
+// clients resubmit jobs whose owner and run node both vanished. It
+// exits 1 if any job is not delivered.
 //
 //	go run ./examples/churn
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	p2pgrid "repro"
@@ -54,5 +56,6 @@ func main() {
 		fmt.Println("\nall jobs survived the churn — no central server required")
 	} else {
 		fmt.Printf("\n%d jobs missed the drain deadline\n", report.Submitted-report.Delivered)
+		os.Exit(1)
 	}
 }

@@ -1,11 +1,13 @@
 // Quickstart: build a 64-peer simulated desktop grid with RN-Tree
-// matchmaking, submit 100 jobs, and print the outcome.
+// matchmaking, submit 100 jobs, and print the outcome. It exits 1 if
+// any job is not delivered.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	p2pgrid "repro"
@@ -44,4 +46,7 @@ func main() {
 		}
 	}
 	fmt.Printf("load spread:      %d of %d peers ran jobs\n", busy, cluster.NodeCount())
+	if report.Delivered < report.Submitted {
+		os.Exit(1)
+	}
 }

@@ -13,9 +13,10 @@ import (
 // rejected with a retry-after hint rather than queued without bound,
 // and the client's honor-the-hint retry loop (plus the monitor as the
 // last resort) must still land every job: rejections shed load, they
-// never lose work.
+// never lose work. Obs is on so the rejection path is in the
+// trace-stage/event count check too.
 func TestOwnerBackpressureNoLostJobs(t *testing.T) {
-	cfg := grid.Config{OwnerCapacity: 2}
+	cfg, o := obsSoakCfg(grid.Config{OwnerCapacity: 2})
 	c := newCluster(t, 6, 11, cfg, uniform)
 	defer c.e.Shutdown()
 	c.nodes[0].StartClientMonitor(10 * time.Second)
@@ -40,6 +41,7 @@ func TestOwnerBackpressureNoLostJobs(t *testing.T) {
 	if c.rec.count(grid.EvInjectRejected) == 0 {
 		t.Fatal("no inject-rejected events: capacity bound never engaged")
 	}
+	assertStagesMatchEvents(t, 11, o)
 }
 
 // TestSubmitAllBatched pushes a batch through the grouped

@@ -57,8 +57,9 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 			results[i].Err = fmt.Sprintf("route job %s: %v", prof.ID.Short(), err)
 			continue
 		}
-		tc = n.trace(tc, rt.Now(), "injected", prof.Attempt, owner, n.traceNote("hops=%d", hops))
-		n.rec.Record(Event{Kind: EvInjected, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr(), Hops: hops})
+		ev := n.jobEvent(EvInjected, prof, rt.Now())
+		ev.Hops = hops
+		tc = n.emit(tc, ev, owner, n.traceNote("hops=%d", hops))
 		results[i].Owner = owner
 		results[i].Hops = hops
 		byOwner[owner] = append(byOwner[owner], pending{idx: i, prof: prof, tc: tc})

@@ -76,17 +76,27 @@ func TestCheckpointResumeAfterRunNodeCrash(t *testing.T) {
 	if c.rec.count(grid.EvRunFailureDetected) == 0 {
 		t.Fatal("owner never detected the run-node failure")
 	}
-	// The replacement must have resumed from owner-held progress.
+	// The replacement must have resumed from owner-held progress, and
+	// its EvStarted carries the same resume offset.
 	c.rec.mu.Lock()
-	resumed := time.Duration(0)
+	resumed, started := time.Duration(0), time.Duration(-1)
 	for _, ev := range c.rec.evs {
-		if ev.Kind == grid.EvResumed && ev.Node != runAddr {
+		if ev.Node == runAddr {
+			continue
+		}
+		switch ev.Kind {
+		case grid.EvResumed:
 			resumed = ev.Progress
+		case grid.EvStarted:
+			started = ev.Progress
 		}
 	}
 	c.rec.mu.Unlock()
 	if resumed <= 0 {
 		t.Fatal("replacement run node did not resume from a checkpoint")
+	}
+	if started != resumed {
+		t.Fatalf("replacement's EvStarted progress %v, want the resume offset %v", started, resumed)
 	}
 	if got := c.rec.count(grid.EvResultDelivered); got != 1 {
 		t.Fatalf("%d results delivered, want exactly 1", got)

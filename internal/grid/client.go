@@ -98,15 +98,13 @@ func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt in
 	}
 	// The trace spans the whole lineage: its ID is the attempt-0 GUID,
 	// so resubmissions chain onto the same trace.
-	req.TC = n.trace(obs.TC{ID: TraceID(req.Client, seq)}, rt.Now(), "submitted", attempt,
-		"", n.traceNote("work=%s", spec.Work))
 	// Seq and the expected digest give collectors a ground-truth channel:
 	// the digest an honest execution of this job must produce, compared
 	// against EvResultDelivered's digest to count accepted-wrong results.
-	n.rec.Record(Event{
+	req.TC = n.emit(obs.TC{ID: TraceID(req.Client, seq)}, Event{
 		Kind: EvSubmitted, JobID: jobID, Attempt: attempt, At: rt.Now(), Node: n.host.Addr(),
 		Seq: seq, Digest: ResultDigest(req.Client, seq, spec.OutputKB, ""),
-	})
+	}, "", n.traceNote("work=%s", spec.Work))
 	return req
 }
 
@@ -319,11 +317,10 @@ func (n *Node) acceptResult(rt transport.Runtime, res Result, tc obs.TC) obs.TC 
 		if tc.Zero() {
 			tc = obs.TC{ID: TraceID(n.host.Addr(), seq)}
 		}
-		tc = n.trace(tc, rt.Now(), "result-delivered", res.Attempt, res.RunNode, "")
-		n.rec.Record(Event{
+		tc = n.emit(tc, Event{
 			Kind: EvResultDelivered, JobID: res.JobID, Attempt: res.Attempt,
 			At: rt.Now(), Node: res.RunNode, Progress: work, Digest: res.Digest,
-		})
+		}, res.RunNode, "")
 	}
 	return tc
 }
@@ -415,11 +412,10 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 	}
 	delete(n.pending, jobID)
 	n.mu.Unlock()
-	n.trace(n.om.tracer.Context(TraceID(n.host.Addr(), p.seq)), rt.Now(), "resubmitted", p.attempt, "",
+	prof := Profile{ID: jobID, Client: n.host.Addr(), Seq: p.seq, Attempt: p.attempt}
+	n.emit(n.om.tracer.Context(TraceID(n.host.Addr(), p.seq)), n.jobEvent(EvResubmitted, prof, rt.Now()), "",
 		n.traceNote("next_attempt=%d", p.attempt+1))
-	n.rec.Record(Event{Kind: EvResubmitted, JobID: jobID, Attempt: p.attempt, At: rt.Now(), Node: n.host.Addr()})
-	n.notifyTransition(rt.Now(), Profile{ID: jobID, Client: n.host.Addr(), Seq: p.seq, Attempt: p.attempt},
-		EvResubmitted, n.host.Addr(), 0)
+	n.notifyTransition(rt.Now(), prof, EvResubmitted, n.host.Addr(), 0)
 	spec := JobSpec{
 		Cons: p.cons, Work: p.work, InputKB: p.inputKB, OutputKB: p.outputKB,
 		Input: p.input, CkptBias: p.ckptBias, CarryOutput: p.carryOutput,

@@ -301,7 +301,6 @@ type Node struct {
 	overlay Overlay
 	matcher Matchmaker
 	rec     Recorder
-	obsv    *obs.Obs // nil when observability is off
 	om      *nodeObs // resolved instruments (never nil; no-op fields)
 	// repl is the replicated owner-state store (DESIGN.md §10); nil
 	// unless cfg.ReplicaK > 0 and a ReplicaRing is supplied.
@@ -402,11 +401,7 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 	}
 	n.queueCond.L = &n.mu
 	n.resultCond.L = &n.mu
-	n.obsv = n.cfg.Obs
 	n.om = newNodeObs(n, n.cfg.Obs)
-	if n.cfg.Obs != nil {
-		n.rec = &obsTee{n: n, hub: n.cfg.Obs.GetHub(), next: n.rec}
-	}
 	host.Handle(MInject, n.handleInject)
 	host.Handle(MInjectBatch, n.handleInjectBatch)
 	host.Handle(MOwnBatch, n.handleOwnBatch)
@@ -501,14 +496,6 @@ func (n *Node) Restart() {
 	n.Start()
 }
 
-func (n *Node) record(kind EventKind, prof Profile, at time.Duration, extra ...MatchStats) {
-	ev := Event{Kind: kind, JobID: prof.ID, Attempt: prof.Attempt, At: at, Node: n.host.Addr()}
-	if len(extra) > 0 {
-		ev.Match = extra[0]
-	}
-	n.rec.Record(ev)
-}
-
 // --- owner role ---
 
 func (n *Node) handleOwnBatch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
@@ -561,7 +548,7 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC) error {
 	}
 	if err := n.admitOwnLocked(); err != nil {
 		n.mu.Unlock()
-		n.rec.Record(Event{Kind: EvInjectRejected, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr()})
+		n.emit(tc, n.jobEvent(EvInjectRejected, prof, rt.Now()), "", "")
 		return err
 	}
 	job := &ownedJob{prof: prof, lastHB: rt.Now(), matching: true, tc: tc}
@@ -572,8 +559,7 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC) error {
 	}
 	n.owned[prof.ID] = job
 	n.mu.Unlock()
-	n.trace(tc, rt.Now(), "owned", prof.Attempt, "", "")
-	n.record(EvOwned, prof, rt.Now())
+	n.emit(tc, n.jobEvent(EvOwned, prof, rt.Now()), "", "")
 	n.notifyTransition(rt.Now(), prof, EvOwned, n.host.Addr(), 0)
 	n.republish(prof.ID)
 	if job.vote != nil {
@@ -619,8 +605,9 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 
 		run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, excluded)
 		if err != nil {
-			n.trace(tc, rt.Now(), "match-failed", prof.Attempt, "", "")
-			n.record(EvMatchFailed, prof, rt.Now(), stats)
+			ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
+			ev.Match = stats
+			n.emit(tc, ev, "", "")
 			rt.Sleep(n.cfg.MatchRetryEvery)
 			continue
 		}
@@ -631,10 +618,10 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 			demoted = append(demoted, run)
 			continue
 		}
-		// The "matched" trace step is recorded before the assignment so
-		// the run node's "enqueued" hop sorts strictly after it; a failed
-		// assignment leaves a matched step with no enqueue following it.
-		tc = n.trace(tc, rt.Now(), "matched", prof.Attempt, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
+		// The "assigning" trace step is recorded before the assignment so
+		// the run node's "enqueued" hop sorts strictly after it; "matched"
+		// follows only once the run node has acknowledged.
+		tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
 		req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
 		var assignErr error
 		if run == n.host.Addr() {
@@ -651,6 +638,9 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 			n.republish(jobID)
 			continue
 		}
+		ev := n.jobEvent(EvMatched, prof, rt.Now())
+		ev.Match = stats
+		tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok {
 			job.run = run
@@ -659,7 +649,6 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 			job.tc = tc
 		}
 		n.mu.Unlock()
-		n.record(EvMatched, prof, rt.Now(), stats)
 		n.notifyTransition(rt.Now(), prof, EvMatched, run, 0)
 		n.republish(jobID)
 		return
@@ -675,8 +664,7 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 	}
 	n.mu.Unlock()
 	if ok {
-		n.trace(tc, rt.Now(), "gave-up", prof.Attempt, "", "")
-		n.record(EvGaveUp, prof, rt.Now())
+		n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
 		n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
 		n.retire(rt.Now(), jobID)
 	}
@@ -744,20 +732,14 @@ func (n *Node) monitorTick(rt transport.Runtime) {
 	}
 	n.mu.Unlock()
 	for _, d := range deadReps {
-		n.trace(d.tc, now, "run-failure-detected", d.prof.Attempt, d.run, "")
-		n.rec.Record(Event{
-			Kind: EvRunFailureDetected, JobID: d.prof.ID, Attempt: d.prof.Attempt,
-			At: now, Node: n.host.Addr(),
-		})
+		n.emit(d.tc, n.jobEvent(EvRunFailureDetected, d.prof, now), d.run, "")
 		n.notifyTransition(now, d.prof, EvRunFailureDetected, d.run, 0)
 		n.republish(d.id)
 	}
 	for _, d := range rematch {
-		n.trace(d.tc, now, "run-failure-detected", d.prof.Attempt, d.run, n.traceNote("saved=%s", d.saved))
-		n.rec.Record(Event{
-			Kind: EvRunFailureDetected, JobID: d.prof.ID, Attempt: d.prof.Attempt,
-			At: now, Node: n.host.Addr(), Progress: d.saved,
-		})
+		ev := n.jobEvent(EvRunFailureDetected, d.prof, now)
+		ev.Progress = d.saved
+		n.emit(d.tc, ev, d.run, n.traceNote("saved=%s", d.saved))
 		n.notifyTransition(now, d.prof, EvRunFailureDetected, d.run, d.saved)
 		n.republish(d.id)
 		id := d.id
@@ -816,8 +798,7 @@ func (n *Node) tryRelay(rt transport.Runtime, res Result) {
 	}
 	n.mu.Unlock()
 	if gaveUp {
-		n.trace(tc, rt.Now(), "gave-up", prof.Attempt, "", "")
-		n.record(EvGaveUp, prof, rt.Now())
+		n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
 		n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
 		n.retire(rt.Now(), res.JobID)
 	}
@@ -832,9 +813,18 @@ func (n *Node) handleComplete(rt transport.Runtime, from transport.Addr, req any
 		jobTC := job.tc
 		prof := job.prof
 		n.mu.Unlock()
-		n.traceVoteEvents(c.TC, jobTC, evs)
+		// The votes chain off the replica's incoming context, falling
+		// back to the owner's stored one for untraced senders.
+		tc := c.TC
+		if tc.Zero() {
+			tc = jobTC
+		}
 		for _, ev := range evs {
-			n.rec.Record(ev)
+			peer := ev.Node
+			if peer == n.host.Addr() {
+				peer = ""
+			}
+			tc = n.emit(tc, ev, peer, "")
 			n.notifyTransition(ev.At, prof, ev.Kind, c.Run, 0)
 		}
 		if fill {
@@ -865,8 +855,7 @@ func (n *Node) handleComplete(rt transport.Runtime, from transport.Addr, req any
 	}
 	n.mu.Unlock()
 	if ok {
-		n.trace(tc, rt.Now(), "completed", job.prof.Attempt, c.Run, "")
-		n.record(EvCompleted, job.prof, rt.Now())
+		n.emit(tc, n.jobEvent(EvCompleted, job.prof, rt.Now()), c.Run, "")
 		n.notifyTransition(rt.Now(), job.prof, EvCompleted, c.Run, 0)
 	}
 	if retired {
@@ -934,8 +923,7 @@ func (n *Node) handleAdopt(rt transport.Runtime, from transport.Addr, req any) (
 		n.owned[a.Prof.ID] = job
 	}
 	n.mu.Unlock()
-	n.trace(a.TC, rt.Now(), "owner-adopted", a.Prof.Attempt, a.Run, "")
-	n.record(EvOwnerAdopted, a.Prof, rt.Now())
+	n.emit(a.TC, n.jobEvent(EvOwnerAdopted, a.Prof, rt.Now()), a.Run, "")
 	n.notifyTransition(rt.Now(), a.Prof, EvOwnerAdopted, a.Run, 0)
 	// Adoption is an ownership transfer: republish opens a new epoch
 	// that fences out whatever the previous owner replicated.

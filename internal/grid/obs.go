@@ -22,6 +22,7 @@ import (
 // predictable branch.
 type nodeObs struct {
 	tracer *obs.Tracer
+	hub    *obs.EventHub
 
 	queueWait   *obs.Histogram // assignment -> execution start
 	runSeconds  *obs.Histogram // execution start -> finish
@@ -49,6 +50,7 @@ func newNodeObs(n *Node, o *obs.Obs) *nodeObs {
 	r := o.Registry()
 	no := &nodeObs{
 		tracer:       o.GetTracer(),
+		hub:          o.GetHub(),
 		queueWait:    r.Histogram("grid_queue_wait_seconds", obs.DefBucketsSeconds),
 		runSeconds:   r.Histogram("grid_run_seconds", obs.DefBucketsSeconds),
 		ckptBytes:    r.Histogram("grid_checkpoint_bytes", ckptBytesBuckets),
@@ -82,9 +84,10 @@ func (n *Node) ownedCount() int {
 	return len(n.owned)
 }
 
-// trace records one step of a job's lifecycle at this node and returns
-// the context to propagate onward. Nil tracer or zero context pass
-// through unchanged.
+// trace records one plumbing step of a job's path at this node (a step
+// with no EventKind; lifecycle steps go through emit) and returns the
+// context to propagate onward. Nil tracer or zero context pass through
+// unchanged.
 func (n *Node) trace(tc obs.TC, at time.Duration, stage string, attempt int, peer transport.Addr, note string) obs.TC {
 	return n.om.tracer.Record(tc, at, n.host.Addr(), stage, attempt, peer, note)
 }
@@ -98,32 +101,38 @@ func (n *Node) traceNote(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// traceVoteEvents mirrors the voting events of one grid.complete into
-// the tracer, chaining hops off the replica's incoming context (falling
-// back to the owner's stored context for untraced senders).
-func (n *Node) traceVoteEvents(tc, fallback obs.TC, evs []Event) {
-	if n.om.tracer == nil || len(evs) == 0 {
-		return
-	}
-	if tc.Zero() {
-		tc = fallback
-	}
-	for _, ev := range evs {
-		peer := ev.Node
-		if peer == n.host.Addr() {
-			peer = ""
-		}
-		tc = n.trace(tc, ev.At, ev.Kind.String(), ev.Attempt, peer, "")
-	}
+// jobEvent is the Event for one step of prof's lifecycle at this node.
+func (n *Node) jobEvent(kind EventKind, prof Profile, at time.Duration) Event {
+	return Event{Kind: kind, JobID: prof.ID, Attempt: prof.Attempt, At: at, Node: n.host.Addr()}
 }
 
-// obsTee mirrors every lifecycle event into the metrics registry and
-// the structured-event hub before handing it to the configured
-// recorder. Installed only when Config.Obs is set.
-type obsTee struct {
-	n    *Node
-	hub  *obs.EventHub
-	next Recorder
+// emit announces one lifecycle step, and is the recorder's only
+// caller: it records a trace stage named ev.Kind.String() (peer and
+// note annotate the trace only), counts the step in grid_events_total
+// and the inject/match histograms, publishes it on /events, and hands
+// it to the recorder. It returns the advanced trace context. emit
+// never takes n.mu, so callers may hold it.
+func (n *Node) emit(tc obs.TC, ev Event, peer transport.Addr, note string) obs.TC {
+	om := n.om
+	tc = n.trace(tc, ev.At, ev.Kind.String(), ev.Attempt, peer, note)
+	om.events[ev.Kind].Inc()
+	switch ev.Kind {
+	case EvInjected:
+		om.injectHops.Observe(float64(ev.Hops))
+	case EvMatched:
+		om.matchHops.Observe(float64(ev.Match.Hops + ev.Match.WalkHops + ev.Match.Pushes + ev.Match.Escalations))
+		om.matchVisits.Observe(float64(ev.Match.Visits))
+	}
+	if om.hub != nil {
+		om.hub.Publish(hubEvent{
+			Ev: ev.Kind.String(), Job: ev.JobID.String(), Attempt: ev.Attempt,
+			AtMS: ev.At.Milliseconds(), Node: string(ev.Node), Hops: ev.Hops,
+			ProgressMS: ev.Progress.Milliseconds(), Digest: ev.Digest,
+			Delta: ev.Delta, Seq: ev.Seq,
+		})
+	}
+	n.rec.Record(ev)
+	return tc
 }
 
 // hubEvent is the JSONL shape of one lifecycle event on /events.
@@ -138,26 +147,4 @@ type hubEvent struct {
 	Digest     string  `json:"digest,omitempty"`
 	Delta      float64 `json:"delta,omitempty"`
 	Seq        int     `json:"seq,omitempty"`
-}
-
-// Record implements Recorder.
-func (t *obsTee) Record(ev Event) {
-	om := t.n.om
-	if int(ev.Kind) < len(om.events) {
-		om.events[ev.Kind].Inc()
-	}
-	switch ev.Kind {
-	case EvInjected:
-		om.injectHops.Observe(float64(ev.Hops))
-	case EvMatched:
-		om.matchHops.Observe(float64(ev.Match.Hops + ev.Match.WalkHops + ev.Match.Pushes + ev.Match.Escalations))
-		om.matchVisits.Observe(float64(ev.Match.Visits))
-	}
-	t.hub.Publish(hubEvent{
-		Ev: ev.Kind.String(), Job: ev.JobID.String(), Attempt: ev.Attempt,
-		AtMS: ev.At.Milliseconds(), Node: string(ev.Node), Hops: ev.Hops,
-		ProgressMS: ev.Progress.Milliseconds(), Digest: ev.Digest,
-		Delta: ev.Delta, Seq: ev.Seq,
-	})
-	t.next.Record(ev)
 }

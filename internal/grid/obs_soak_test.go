@@ -123,12 +123,39 @@ func assertObsPopulated(t *testing.T, seed int64, o *obs.Obs) {
 	if delivered != soakJobs {
 		t.Errorf("seed %d: %d traces reach result-delivered, want %d", seed, delivered, soakJobs)
 	}
+	assertStagesMatchEvents(t, seed, o)
 	// Every trace must begin at a submission.
 	for _, id := range traces {
 		evs, _ := o.GetTracer().Get(id)
 		first := obs.MergeSort(evs)[0]
 		if !strings.HasPrefix(first.Stage, "submitted") {
 			t.Errorf("seed %d: trace %s starts at %q, want submitted", seed, id.Short(), first.Stage)
+		}
+	}
+}
+
+// assertStagesMatchEvents checks that the job trace and the event
+// stream name the same steps: for every EventKind, the trace holds as
+// many stages of that name as grid_events_total counted.
+func assertStagesMatchEvents(t *testing.T, seed int64, o *obs.Obs) {
+	t.Helper()
+	counted := map[string]float64{}
+	for _, s := range o.Registry().Snapshot() {
+		counted[s.Name] = s.Value
+	}
+	stages := map[string]int{}
+	tr := o.GetTracer()
+	for _, id := range tr.Traces() {
+		evs, _ := tr.Get(id)
+		for _, ev := range evs {
+			stages[ev.Stage]++
+		}
+	}
+	// Kinds past the last one print as "EventKind(n)".
+	for k := grid.EventKind(0); !strings.HasPrefix(k.String(), "EventKind("); k++ {
+		name := k.String()
+		if got, want := stages[name], counted[`grid_events_total{kind="`+name+`"}`]; float64(got) != want {
+			t.Errorf("seed %d: %d %q trace stages, %v events", seed, got, name, want)
 		}
 	}
 }

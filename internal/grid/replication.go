@@ -153,15 +153,16 @@ func (n *Node) onReplicaOwn(rt transport.Runtime, rec replpkg.Record, promoted b
 	saved := job.ckpt.Done
 	n.mu.Unlock()
 
-	kind, stage := EvRestored, "restored"
+	kind := EvRestored
 	if promoted {
-		kind, stage = EvPromoted, "promoted"
+		kind = EvPromoted
 	}
-	tc := n.trace(or.TC, now, stage, or.Prof.Attempt, rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
-	n.rec.Record(Event{Kind: kind, JobID: or.Prof.ID, Attempt: or.Prof.Attempt, At: now, Node: n.host.Addr(), Progress: saved})
+	ev := n.jobEvent(kind, or.Prof, now)
+	ev.Progress = saved
+	tc := n.emit(or.TC, ev, rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
 	n.notifyTransition(now, or.Prof, kind, n.host.Addr(), saved)
-	tc = n.trace(tc, now, "handoff", or.Prof.Attempt, or.Run, n.traceNote("path=%s", proc))
-	n.rec.Record(Event{Kind: EvHandoff, JobID: or.Prof.ID, Attempt: or.Prof.Attempt, At: now, Node: n.host.Addr(), Progress: saved})
+	ev.Kind = EvHandoff
+	tc = n.emit(tc, ev, or.Run, n.traceNote("path=%s", proc))
 	n.notifyTransition(now, or.Prof, EvHandoff, or.Run, saved)
 	n.mu.Lock()
 	if job, ok := n.owned[or.Prof.ID]; ok {
@@ -239,8 +240,7 @@ func (n *Node) onReplicaFenced(rt transport.Runtime, rec replpkg.Record) {
 	if !ok {
 		return
 	}
-	n.trace(tc, rt.Now(), "demoted", prof.Attempt, rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
-	n.rec.Record(Event{Kind: EvDemoted, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr()})
+	n.emit(tc, n.jobEvent(EvDemoted, prof, rt.Now()), rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
 }
 
 // MReplicas is the diagnostics RPC behind `gridctl replicas`.

@@ -55,8 +55,7 @@ func (n *Node) assign(rt transport.Runtime, req AssignReq) (AssignResp, error) {
 	if n.running != nil {
 		pos++
 	}
-	q.tc = n.trace(req.TC, rt.Now(), "enqueued", req.Prof.Attempt, req.Owner, n.traceNote("pos=%d", pos))
-	n.record(EvEnqueued, req.Prof, rt.Now())
+	q.tc = n.emit(req.TC, n.jobEvent(EvEnqueued, req.Prof, rt.Now()), req.Owner, n.traceNote("pos=%d", pos))
 	return AssignResp{Position: pos}, nil
 }
 
@@ -76,8 +75,14 @@ func (n *Node) execLoop(rt transport.Runtime) {
 		job := n.dequeue(rt, served)
 		started := rt.Now()
 		n.om.queueWait.Observe((started - job.enqueuedAt).Seconds())
-		n.record(EvStarted, job.prof, started)
-		n.notifyTransition(started, job.prof, EvStarted, n.host.Addr(), job.ckpt.Done)
+		// Only this goroutine writes a running job's tc; readers hold n.mu.
+		ev := n.jobEvent(EvStarted, job.prof, started)
+		ev.Progress = job.ckpt.Done
+		tc := n.emit(job.tc, ev, "", "")
+		n.mu.Lock()
+		job.tc = tc
+		n.mu.Unlock()
+		n.notifyTransition(started, job.prof, EvStarted, n.host.Addr(), ev.Progress)
 		n.executeAndReport(rt, job, started)
 	}
 }
@@ -102,7 +107,6 @@ func (n *Node) dequeue(rt transport.Runtime, served map[transport.Addr]int) *que
 	n.queue = append(n.queue[:pick], n.queue[pick+1:]...)
 	n.running = job
 	served[job.prof.Client]++
-	job.tc = n.trace(job.tc, rt.Now(), "started", job.prof.Attempt, "", "")
 	return job
 }
 
@@ -253,13 +257,12 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 	n.mu.Unlock()
 	if !seed.Zero() && seed.Attempt == job.prof.Attempt {
 		if err := sw.ResumeFrom(workload.Snapshot{Done: seed.Done, Data: seed.Data}); err == nil {
+			ev := n.jobEvent(EvResumed, job.prof, rt.Now())
+			ev.Progress = seed.Done
+			tc := n.emit(job.tc, ev, "", n.traceNote("done=%s", seed.Done))
 			n.mu.Lock()
-			job.tc = n.trace(job.tc, rt.Now(), "resumed", job.prof.Attempt, "", n.traceNote("done=%s", seed.Done))
+			job.tc = tc
 			n.mu.Unlock()
-			n.rec.Record(Event{
-				Kind: EvResumed, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-				At: rt.Now(), Node: n.host.Addr(), Progress: seed.Done,
-			})
 		}
 	}
 	// Execution seconds per nominal work second (SpeedScaling support:
@@ -292,16 +295,14 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 				JobID: job.prof.ID, Attempt: job.prof.Attempt, Run: n.host.Addr(),
 				Done: snap.Done, Data: snap.Data, At: rt.Now(),
 			}
+			n.om.ckptBytes.Observe(float64(len(snap.Data)))
+			ev := n.jobEvent(EvCheckpointed, job.prof, rt.Now())
+			ev.Progress = snap.Done
+			tc := n.emit(job.tc, ev, "", n.traceNote("done=%s bytes=%d", snap.Done, len(snap.Data)))
 			n.mu.Lock()
 			job.ckpt = ck
-			job.tc = n.trace(job.tc, rt.Now(), "checkpointed", job.prof.Attempt, "",
-				n.traceNote("done=%s bytes=%d", snap.Done, len(snap.Data)))
+			job.tc = tc
 			n.mu.Unlock()
-			n.om.ckptBytes.Observe(float64(len(snap.Data)))
-			n.rec.Record(Event{
-				Kind: EvCheckpointed, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-				At: rt.Now(), Node: n.host.Addr(), Progress: snap.Done,
-			})
 			nextCkpt = rt.Now() + n.ckptInterval(rt.Now(), job.prof.CkptBias)
 		}
 	}
@@ -409,8 +410,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 					delete(ownerSilentSince, owner)
 					n.noteFailureSignal(now)
 					for _, id := range jobIDs {
-						tc := n.trace(tcs[id], now, "owner-failure-detected", profs[id].Attempt, owner, "")
-						n.record(EvOwnerFailureDetected, profs[id], now)
+						tc := n.emit(tcs[id], n.jobEvent(EvOwnerFailureDetected, profs[id], now), owner, "")
 						n.reassignOwner(rt, profs[id], owner, reps[id], tc)
 					}
 				}
@@ -487,8 +487,7 @@ func (n *Node) tryAdopt(rt transport.Runtime, prof Profile, newOwner transport.A
 		job.absorbCkpt(ckpt)
 		n.mu.Unlock()
 		if !dup {
-			n.trace(tc, rt.Now(), "owner-adopted", prof.Attempt, "", "")
-			n.record(EvOwnerAdopted, prof, rt.Now())
+			n.emit(tc, n.jobEvent(EvOwnerAdopted, prof, rt.Now()), "", "")
 		}
 	} else if _, err := rt.Call(newOwner, MAdopt, AdoptReq{Prof: prof, Run: n.host.Addr(), Ckpt: ckpt, TC: tc}); err != nil {
 		return tc, false

@@ -69,7 +69,7 @@ func (n *Node) handleStats(rt transport.Runtime, from transport.Addr, req any) (
 		Pending:   pending,
 		Completed: completed,
 		Executed:  executed,
-		Samples:   n.obsv.Registry().Snapshot(),
+		Samples:   n.cfg.Obs.Registry().Snapshot(),
 	}}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -173,10 +174,8 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 			tc := job.tc
 			delete(n.owned, jobID)
 			n.mu.Unlock()
-			tc = n.trace(tc, rt.Now(), "quorum-failed", prof.Attempt, "", "")
-			n.trace(tc, rt.Now(), "gave-up", prof.Attempt, "", "")
-			n.rec.Record(Event{Kind: EvQuorumFailed, JobID: prof.ID, Attempt: prof.Attempt, At: rt.Now(), Node: n.host.Addr()})
-			n.record(EvGaveUp, prof, rt.Now())
+			tc = n.emit(tc, n.jobEvent(EvQuorumFailed, prof, rt.Now()), "", "")
+			n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
 			n.retire(rt.Now(), jobID)
 			return
 		}
@@ -192,12 +191,13 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 
 		run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, exclude)
 		if err != nil {
-			n.trace(tc, rt.Now(), "match-failed", prof.Attempt, "", "")
-			n.record(EvMatchFailed, prof, rt.Now(), stats)
+			ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
+			ev.Match = stats
+			n.emit(tc, ev, "", "")
 			rt.Sleep(n.cfg.MatchRetryEvery)
 			continue
 		}
-		tc = n.trace(tc, rt.Now(), "matched", prof.Attempt, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
+		tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
 		req := AssignReq{Prof: prof, Owner: n.host.Addr(), Reps: n.replTargets(), TC: tc}
 		var assignErr error
 		if run == n.host.Addr() {
@@ -213,6 +213,9 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 			n.mu.Unlock()
 			continue
 		}
+		ev := n.jobEvent(EvMatched, prof, rt.Now())
+		ev.Match = stats
+		tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok && job.vote != nil &&
 			job.vote.winner == "" && !job.isExcluded(run) && !job.vote.hasReplica(run) {
@@ -220,7 +223,6 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 			job.tc = tc
 		}
 		n.mu.Unlock()
-		n.record(EvMatched, prof, rt.Now(), stats)
 	}
 }
 
@@ -402,10 +404,10 @@ func (n *Node) maybeProbe(rt transport.Runtime, now time.Duration) {
 	} else {
 		delta, _ = n.cfg.Trust.ProbeBad(target)
 	}
-	n.rec.Record(Event{
+	n.emit(obs.TC{}, Event{
 		Kind: EvProbed, JobID: ids.HashString("probe/" + nonce),
 		At: rt.Now(), Node: target, Delta: delta,
-	})
+	}, "", "")
 }
 
 // handleProbe executes a known-answer probe job. A Byzantine node

@@ -47,8 +47,10 @@ for attempt in $(seq 1 20); do
 done
 echo "$out"
 # "submitted" is recorded by in-grid clients only; gridctl is an
-# external client, so its jobs' traces begin at "injected".
-for stage in injected owned matched enqueued started executed result-sent; do
+# external client, so its jobs' traces begin at "injected". The owner
+# traces "assigning" before the assign RPC and "matched" once the run
+# node has acknowledged it.
+for stage in injected owned assigning matched enqueued started executed result-sent; do
   if ! grep -q " $stage " <<<"$out"; then
     echo "obs_smoke: FAIL: stage '$stage' missing from trace" >&2
     exit 1
