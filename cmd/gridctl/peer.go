@@ -47,7 +47,7 @@ func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Dur
 		p.mu.Unlock()
 	})
 	stack := peer.New(host, resource.Vector{0.1, 1, 1}, "linux", rec, peer.Config{
-		Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second},
+		Tree: rntree.Config{AggregateEvery: time.Second},
 		Grid: grid.Config{HeartbeatEvery: time.Second, PeerDown: host.PeerDown, Health: host.Health},
 	})
 	p.node = stack.Grid

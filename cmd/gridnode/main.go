@@ -153,8 +153,7 @@ func main() {
 	}
 	p := peer.New(host, caps, *osname, logger, peer.Config{
 		Chord: chord.Config{Obs: o},
-		// The short refresh un-roots a creator, whose tree started alone.
-		Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second, Obs: o},
+		Tree:  rntree.Config{AggregateEvery: time.Second, Obs: o},
 		Grid: grid.Config{
 			HeartbeatEvery: time.Second,
 			Executor:       executor,

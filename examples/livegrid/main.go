@@ -129,7 +129,7 @@ func main() {
 		}
 		peers[i] = peer.New(h, caps, "linux", nil, peer.Config{
 			Chord: chord.Config{StabilizeEvery: 50 * time.Millisecond, FixFingersEvery: 50 * time.Millisecond},
-			Tree:  rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond},
+			Tree:  rntree.Config{AggregateEvery: 100 * time.Millisecond},
 			Grid: grid.Config{
 				HeartbeatEvery:  200 * time.Millisecond,
 				MatchRetryEvery: 500 * time.Millisecond,

@@ -129,8 +129,16 @@ type Node struct {
 	fingers    [ids.Bits]Ref
 	nextFinger int
 	started    bool
-	ringChange func()
-	ringCond   transport.Cond // on mu; broadcast by ringChanged
+	ringChange []func()
+	ringCond   transport.Cond // on mu; broadcast by ringChanged and hintLocked
+	// hinted is a successor hint (hintLocked): the stabilize loop runs
+	// its next round at once instead of at the end of its period.
+	hinted bool
+	// relay is set by a refresh hint (a notify naming this node): the
+	// successor's list gained a joiner, so the next round tells the
+	// predecessor in turn if the list changed since it was last told
+	// (untold).
+	relay, untold bool
 	// unrest counts ring changes and failed chord calls. A stabilize
 	// period across which it did not move was calm (see calmRounds).
 	unrest uint64
@@ -194,14 +202,15 @@ func (n *Node) Predecessor() Ref {
 	return n.pred
 }
 
-// SetRingChange registers fn to run (outside the node lock) whenever
-// this node's ring neighborhood changes: predecessor set or cleared,
-// or the successor list rewritten. Layers that re-target state on ring
-// position — the replica subsystem's handoff trigger — hook in here
-// instead of polling.
-func (n *Node) SetRingChange(fn func()) {
+// OnRingChange adds fn to the hooks run (outside the node lock, in
+// the order added) whenever this node's ring neighborhood changes:
+// predecessor set or cleared, or the successor list rewritten. Layers
+// that re-target state on ring position — the RN-Tree's parent, the
+// replica subsystem's handoff trigger — hook in here instead of
+// polling.
+func (n *Node) OnRingChange(fn func()) {
 	n.mu.Lock()
-	n.ringChange = fn
+	n.ringChange = append(n.ringChange, fn)
 	n.mu.Unlock()
 }
 
@@ -209,11 +218,22 @@ func (n *Node) ringChanged() {
 	n.ringCond.Broadcast()
 	n.mu.Lock()
 	n.unrest++
-	fn := n.ringChange
+	hooks := n.ringChange
 	n.mu.Unlock()
-	if fn != nil {
+	for _, fn := range hooks {
 		fn()
 	}
+}
+
+// hintLocked records a successor hint: news of a live node that
+// belongs between this node and its successor, or in its successor
+// list, which the stabilize loop acts on at once instead of at the end
+// of its period (see stabilizeLoop). Joins hint; a failure does not:
+// a round run at once after a purge would re-import the dead node from
+// a successor that has not purged it yet.
+func (n *Node) hintLocked() {
+	n.hinted = true
+	n.ringCond.Broadcast()
 }
 
 // call is rt.Call for the chord protocol's own RPCs: a failure marks
@@ -282,6 +302,10 @@ func (n *Node) Start() {
 		return
 	}
 	n.started = true
+	if n.pred.IsZero() {
+		// A joiner nobody has notified yet: splice in at once.
+		n.hintLocked()
+	}
 	n.mu.Unlock()
 	n.host.Go("chord.stabilize", n.stabilizeLoop)
 	n.host.Go("chord.fixfingers", n.fixFingersLoop)
@@ -428,17 +452,43 @@ func (n *Node) handleState(rt transport.Runtime, from transport.Addr, req any) (
 	return StateResp{Self: Ref{ID: n.id, Addr: n.host.Addr()}, Pred: n.pred, Succs: succs}, nil
 }
 
+// handleNotify adopts cand as predecessor if it is closer than the one
+// it has. A notify can also carry news about this node's successor, and
+// is then a hint (stabilizeLoop): cand lies between this node and its
+// successor (a joiner, named by the node it displaced), or cand is this
+// node itself, named by a successor whose list gained a joiner (a
+// refresh, see stabilizeOnce). When cand displaces a live predecessor,
+// the displaced node is told about cand, so that its next stabilize
+// round, run at once, adopts cand as its successor.
 func (n *Node) handleNotify(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	cand := req.(NotifyReq).Cand
 	n.mu.Lock()
+	if cand.ID == n.id {
+		n.relay = true
+		n.hintLocked()
+		n.mu.Unlock()
+		return NotifyResp{}, nil
+	}
 	changed := false
+	var displaced Ref
 	if n.pred.IsZero() || n.pred.ID == n.id || ids.Between(cand.ID, n.pred.ID, n.id) {
+		if !n.pred.IsZero() && n.pred.ID != n.id && n.pred != cand {
+			displaced = n.pred
+		}
 		changed = n.pred != cand
 		n.pred = cand
+	}
+	if len(n.succs) > 0 && ids.Between(cand.ID, n.id, n.succs[0].ID) {
+		n.hintLocked()
 	}
 	n.mu.Unlock()
 	if changed {
 		n.ringChanged()
+	}
+	if !displaced.IsZero() {
+		n.host.Go("chord.displaced", func(rt transport.Runtime) {
+			_, _ = n.call(rt, displaced.Addr, MNotify, NotifyReq{Cand: cand})
+		})
 	}
 	return NotifyResp{}, nil
 }
@@ -465,17 +515,27 @@ const (
 	calmFactor = 2
 )
 
+// stabilizeLoop runs a stabilize round at the end of each jittered
+// period, or at once on a successor hint (hintLocked). At most
+// successorListLen hinted rounds run per StabilizeEvery; a hint beyond
+// that waits for the period to end, so a stream of joiners cannot keep
+// the node busy. A ring that does not change sends no hint and keeps
+// the periodic pace, drawing one jitter per period as before.
 func (n *Node) stabilizeLoop(rt transport.Runtime) {
-	calm := 0
+	calm, burst := 0, 0
+	var since time.Duration
 	for {
 		period := n.cfg.StabilizeEvery
 		if calm >= calmRounds {
 			period *= calmFactor
 		}
-		n.mu.Lock()
-		seen := n.unrest
-		n.mu.Unlock()
-		rt.Sleep(transport.Jitter(rt, period))
+		if rt.Now()-since >= n.cfg.StabilizeEvery {
+			burst, since = 0, rt.Now()
+		}
+		seen, hinted := n.awaitRound(rt, period, burst < successorListLen)
+		if hinted {
+			burst++
+		}
 		n.stabilizeOnce(rt)
 		n.mu.Lock()
 		if n.unrest == seen {
@@ -487,10 +547,34 @@ func (n *Node) stabilizeLoop(rt transport.Runtime) {
 	}
 }
 
+// awaitRound parks until a jittered period ends or, when hints are
+// heeded, a successor hint arrives, and consumes the hint. It returns
+// the unrest count at the start of the period and whether a hint ended
+// it. The lock is released by defer: a crashed host's proc unwinds
+// through the wait (DESIGN.md §16).
+func (n *Node) awaitRound(rt transport.Runtime, period time.Duration, heed bool) (seen uint64, hinted bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	seen = n.unrest
+	deadline := rt.Now() + transport.Jitter(rt, period)
+	for !(heed && n.hinted) && rt.Now() < deadline {
+		rt.Wait(&n.ringCond, deadline-rt.Now())
+	}
+	hinted = heed && n.hinted
+	n.hinted = false
+	return seen, hinted
+}
+
 // stabilizeOnce runs one round of the Chord stabilization protocol:
 // verify the immediate successor, adopt its predecessor if closer,
 // refresh the successor list, and notify the successor about us
-// unless it already names us as its predecessor.
+// unless it already names us as its predecessor. A round that spliced
+// in a new successor, or that a refresh hint prompted, also sends the
+// predecessor a refresh, a notify naming the predecessor itself, if
+// the list changed since the predecessor was last told; the
+// predecessor answers with a round of its own. So a joiner reaches
+// every successor list it belongs in within round trips, and the relay
+// stops where the joiner falls off the end of the lists.
 func (n *Node) stabilizeOnce(rt transport.Runtime) {
 	self := n.Ref()
 	for {
@@ -506,6 +590,7 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 			if !n.pred.IsZero() && n.pred.ID != n.id {
 				n.succs = prependTrim(n.pred, nil, successorListLen)
 				changed = true
+				n.hintLocked()
 			}
 			n.mu.Unlock()
 			if changed {
@@ -547,13 +632,22 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 		}
 		n.mu.Lock()
 		old := n.succs
+		relay := n.relay || newSucc != succ
+		n.relay = false
 		if newSucc == succ {
 			// Adopt successor's list, shifted by one.
 			n.succs = prependTrim(succ, st.Succs, successorListLen)
 		} else {
 			n.succs = prependTrim(newSucc, old, successorListLen)
+			n.hintLocked()
 		}
 		changed := !refsEqual(old, n.succs)
+		pred := n.pred
+		n.untold = n.untold || changed
+		refresh := relay && n.untold && !pred.IsZero() && pred.ID != n.id && pred != newSucc
+		if refresh {
+			n.untold = false
+		}
 		n.mu.Unlock()
 		if changed {
 			n.ringChanged()
@@ -562,6 +656,9 @@ func (n *Node) stabilizeOnce(rt transport.Runtime) {
 		// nothing in handleNotify.
 		if newSucc != succ || st.Pred != self {
 			_, _ = n.call(rt, newSucc.Addr, MNotify, NotifyReq{Cand: self})
+		}
+		if refresh {
+			_, _ = n.call(rt, pred.Addr, MNotify, NotifyReq{Cand: pred})
 		}
 		return
 	}

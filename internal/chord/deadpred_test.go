@@ -48,7 +48,7 @@ func TestDeadPredecessorPurged(t *testing.T) {
 		t.Fatal("setup: victim not in watcher's successor list")
 	}
 	var kicks atomic.Int64
-	watcher.SetRingChange(func() { kicks.Add(1) })
+	watcher.OnRingChange(func() { kicks.Add(1) })
 
 	var victimIdx int
 	for i, n := range r.nodes {

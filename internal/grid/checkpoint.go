@@ -104,8 +104,8 @@ type pendingCkpt struct {
 }
 
 // collectPendingCkpts snapshots, under the node lock, every local
-// checkpoint the owner has not yet acknowledged, skipping jobs already
-// marked done (dropped or completed — their progress is moot).
+// checkpoint the owner has not yet acknowledged, skipping jobs the
+// owner dropped (their progress is moot).
 func (n *Node) collectPendingCkpts(jobs []*queuedJob) []pendingCkpt {
 	if !n.ckptEnabled() {
 		return nil
@@ -113,7 +113,7 @@ func (n *Node) collectPendingCkpts(jobs []*queuedJob) []pendingCkpt {
 	var out []pendingCkpt
 	n.mu.Lock()
 	for _, q := range jobs {
-		if n.done[q.prof.ID] || q.ckpt.Zero() || q.ckpt.Done <= q.shippedDone {
+		if q.dropped || q.ckpt.Zero() || q.ckpt.Done <= q.shippedDone {
 			continue
 		}
 		out = append(out, pendingCkpt{owner: q.owner, job: q, ckpt: q.ckpt, tc: q.tc})

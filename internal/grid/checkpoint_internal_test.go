@@ -186,12 +186,12 @@ func TestCollectPendingCkptsAndMarkShipped(t *testing.T) {
 		shippedDone: 4 * time.Second,
 	}
 	done := &queuedJob{
-		prof:  Profile{ID: idDone},
-		owner: "owner1",
-		ckpt:  Checkpoint{JobID: idDone, Done: 2 * time.Second},
+		prof:    Profile{ID: idDone},
+		owner:   "owner1",
+		ckpt:    Checkpoint{JobID: idDone, Done: 2 * time.Second},
+		dropped: true,
 	}
 	noCkpt := &queuedJob{prof: Profile{ID: ids.HashString("fresh")}, owner: "owner1"}
-	n.done[idDone] = true
 
 	got := n.collectPendingCkpts([]*queuedJob{fresh, shipped, done, noCkpt})
 	if len(got) != 1 || got[0].ckpt.JobID != idA || got[0].owner != "owner1" {

@@ -285,6 +285,11 @@ type queuedJob struct {
 	// shippedDone is the progress mark of the last checkpoint the
 	// owner acknowledged; snapshots beyond it are pending shipment.
 	shippedDone time.Duration
+	// dropped marks a job the owner disavowed (dropJobs): its execution
+	// aborts at the next slice, its result is discarded and its
+	// checkpoints are no longer shipped. It lives and dies with the
+	// queued job, so a run node keeps nothing for a job once it leaves.
+	dropped bool
 	// tc/enqueuedAt are observability-only (trace context and queue-wait
 	// measurement); tc is always read and written under the node lock.
 	tc         obs.TC
@@ -313,7 +318,6 @@ type Node struct {
 	// executor waits on it while the queue is empty.
 	queueCond transport.Cond
 	running   *queuedJob
-	done      map[ids.ID]bool // jobs completed or dropped on this run node
 	started   bool
 
 	// client role
@@ -395,7 +399,6 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 		matcher:    matcher,
 		rec:        rec,
 		owned:      make(map[ids.ID]*ownedJob),
-		done:       make(map[ids.ID]bool),
 		pending:    make(map[ids.ID]*pendingJob),
 		executedBy: make(map[ids.ID]time.Duration),
 	}
@@ -484,7 +487,6 @@ func (n *Node) Restart() {
 	n.owned = make(map[ids.ID]*ownedJob)
 	n.queue = nil
 	n.running = nil
-	n.done = make(map[ids.ID]bool)
 	n.failObs = nil
 	n.started = false
 	n.mu.Unlock()

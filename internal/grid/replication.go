@@ -98,7 +98,7 @@ func (n *Node) retire(now time.Duration, jobID ids.ID) {
 }
 
 // ReplicaKick asks the replica subsystem for an immediate push+probe
-// round; the overlay calls it on ring changes (chord.SetRingChange) so
+// round; the overlay calls it on ring changes (chord.OnRingChange) so
 // re-targeting and takeover don't wait out a full anti-entropy period.
 func (n *Node) ReplicaKick() {
 	if n.repl != nil {

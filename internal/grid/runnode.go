@@ -41,7 +41,6 @@ func (n *Node) assign(rt transport.Runtime, req AssignReq) (AssignResp, error) {
 			return AssignResp{Position: i + 1}, nil
 		}
 	}
-	delete(n.done, req.Prof.ID)
 	q := &queuedJob{prof: req.Prof, owner: req.Owner, reps: req.Reps, enqueuedAt: rt.Now()}
 	if !req.Ckpt.Zero() && req.Ckpt.Attempt == req.Prof.Attempt {
 		// Resume seed: the owner already holds this snapshot, so it is
@@ -155,9 +154,8 @@ func (n *Node) executeAndReport(rt transport.Runtime, job *queuedJob, started ti
 
 	n.om.runSeconds.Observe((finished - started).Seconds())
 	n.mu.Lock()
-	dropped := n.done[job.prof.ID] || aborted
+	dropped := job.dropped || aborted
 	n.running = nil
-	n.done[job.prof.ID] = true
 	owner := job.owner
 	tc := job.tc
 	n.mu.Unlock()
@@ -284,7 +282,7 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 		n.mu.Lock()
 		n.Executed += quantum
 		n.executedBy[job.prof.ID] += quantum
-		dropped := n.done[job.prof.ID]
+		dropped := job.dropped
 		n.mu.Unlock()
 		if dropped {
 			return true
@@ -538,13 +536,13 @@ func (n *Node) dropJobs(drop []ids.ID) {
 	kept := n.queue[:0]
 	for _, q := range n.queue {
 		if dropSet[q.prof.ID] {
-			n.done[q.prof.ID] = true
+			q.dropped = true
 			continue
 		}
 		kept = append(kept, q)
 	}
 	n.queue = kept
 	if n.running != nil && dropSet[n.running.prof.ID] {
-		n.done[n.running.prof.ID] = true
+		n.running.dropped = true
 	}
 }

@@ -189,7 +189,7 @@ func TestLiveGridJob(t *testing.T) {
 			FixFingersEvery: 50 * time.Millisecond,
 			CheckPredEvery:  100 * time.Millisecond,
 		},
-		Tree: rntree.Config{AggregateEvery: 100 * time.Millisecond, ParentRefreshEvery: 300 * time.Millisecond},
+		Tree: rntree.Config{AggregateEvery: 100 * time.Millisecond},
 		Grid: grid.Config{HeartbeatEvery: 200 * time.Millisecond},
 	}
 

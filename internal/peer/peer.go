@@ -78,7 +78,7 @@ func New(host transport.Host, caps resource.Vector, os string, rec grid.Recorder
 	}
 	p.Grid = grid.NewNode(host, caps, os, overlay, p.Match, rec, gcfg)
 	p.Tree.SetLoadFn(p.Grid.QueueLen)
-	p.Ring.SetRingChange(func() {
+	p.Ring.OnRingChange(func() {
 		// Owner-state replicas, then subscriber lists, re-aim at the new
 		// successors without waiting out an anti-entropy period.
 		p.Grid.ReplicaKick()
@@ -104,11 +104,15 @@ var ErrNotReady = errors.New("peer not ready")
 // create the ring (bootstrap "") or join it, start Chord, wait until
 // the ring has closed around this node (chord.AwaitClosed), only then
 // start the tree, the grid and the broker, and return once the tree
-// has placed the node (rntree.AwaitAttached). A tree started on a
-// half-formed ring computes its first parent wrong and takes a child
-// TTL to recover. A creator is a whole grid of one, ready at once. A
-// failed join returns its error with nothing started; a gate timeout
-// returns ErrNotReady with every layer running, to serve anyway.
+// has placed the node (rntree.AwaitAttached). Both gates are crossed
+// in round trips, not periods: a joiner stabilizes at once and its new
+// successor tells the predecessor it displaced, and an unplaced tree
+// computes its parent at once and recomputes it whenever the ring
+// around it changes, so a parent computed on a half-formed ring is
+// corrected as the ring closes. A creator is a whole grid of one,
+// ready at once. A failed join returns its error with nothing started;
+// a gate timeout returns ErrNotReady with every layer running, to
+// serve anyway.
 func (p *Peer) Launch(rt transport.Runtime, bootstrap transport.Addr) error {
 	sole := bootstrap == ""
 	if sole {

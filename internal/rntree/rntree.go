@@ -16,6 +16,7 @@ package rntree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,8 +48,11 @@ type Config struct {
 	// K is the extended-search candidate target (default 4).
 	K int
 	// ParentRefreshEvery is how often the parent is recomputed from
-	// Chord ownership even when pushes succeed (default 15 s); between
-	// refreshes the cached parent is reused.
+	// Chord ownership even when nothing prompted it (default 15 s). It
+	// is a safety net only: a change of this node's ring neighbourhood
+	// recomputes the parent at once, so the refresh matters only for a
+	// change far along the ring that moves the owner of the parent
+	// identifier without touching this node's neighbours.
 	ParentRefreshEvery time.Duration
 	// Obs, when non-nil, receives search metrics (visit/escalation/walk
 	// histograms and counters). Purely observational: no search decision
@@ -130,6 +134,13 @@ func (s Summary) mightSatisfy(c resource.Constraints) bool {
 	return true
 }
 
+// sameAdvert reports whether a and b prune a search alike: MaxCaps and
+// OSes are the fields mightSatisfy reads. MinLoad and Nodes inform no
+// decision, so a change in them alone is not pushed early.
+func sameAdvert(a, b Summary) bool {
+	return a.MaxCaps == b.MaxCaps && slices.Equal(a.OSes, b.OSes)
+}
+
 // Candidate is one capable node discovered by a search, with the queue
 // length it reported.
 type Candidate struct {
@@ -208,6 +219,13 @@ type Node struct {
 	loadFn   func() int
 	started  bool
 	attached transport.Cond // on mu; broadcast when a parent is set or a child reports
+	// stale and dirty are the aggregation loop's two prompts, each
+	// broadcast on kick: the ring around this node changed, so the
+	// parent may have; a child is new or its summary changed in a field
+	// a search prunes on, so the parent's view of this subtree is out of
+	// date.
+	stale, dirty bool
+	kick         transport.Cond // on mu
 
 	// Resolved obs instruments (nil-safe when cfg.Obs is nil).
 	mSearches    *obs.Counter
@@ -230,6 +248,8 @@ func New(host transport.Host, ch *chord.Node, caps resource.Vector, os string, c
 		loadFn:   func() int { return 0 },
 	}
 	n.attached.L = &n.mu
+	n.kick.L = &n.mu
+	ch.OnRingChange(n.ringChanged)
 	if reg := n.cfg.Obs.Registry(); reg != nil {
 		n.mSearches = reg.Counter("rntree_searches_total")
 		n.mNoCandidate = reg.Counter("rntree_search_no_candidate_total")
@@ -324,24 +344,44 @@ func (n *Node) localSummary(now time.Duration) Summary {
 	return sum
 }
 
-// aggregateLoop periodically pushes the subtree summary to the parent,
-// recomputing the parent from Chord ownership on a slower cadence (or
-// immediately after a push failure, which usually signals churn).
+// ringChanged is the chord ring-change hook: the parent rule reads the
+// ring, so the parent is recomputed at once.
+func (n *Node) ringChanged() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stale = true
+	n.kick.Broadcast()
+}
+
+// aggregateLoop pushes the subtree summary to the parent once per
+// jittered period, recomputing the parent from Chord ownership every
+// ParentRefreshEvery (or after a push failure, which usually signals
+// churn). Two prompts act before the period ends: a ring change
+// recomputes the parent, and a changed subtree summary is pushed, so a
+// summary climbs the tree in round trips, not periods. An unplaced node
+// computes its first parent at once; a placed one (warm-started) waits
+// its first period as before.
 func (n *Node) aggregateLoop(rt transport.Runtime) {
 	var lastRefresh time.Duration = -1
-	for {
-		rt.Sleep(transport.Jitter(rt, n.cfg.AggregateEvery))
+	n.mu.Lock()
+	wait := !n.parent.IsZero() || n.isRoot // placed
+	n.mu.Unlock()
+	for ; ; wait = true {
+		stale, dirty, timed := n.awaitPrompt(rt, wait)
 		n.mu.Lock()
 		parent := n.parent
 		isRoot := n.isRoot
 		n.mu.Unlock()
-		if (parent.IsZero() && !isRoot) || rt.Now()-lastRefresh > n.cfg.ParentRefreshEvery {
+		moved := false
+		if stale || (parent.IsZero() && !isRoot) || rt.Now()-lastRefresh > n.cfg.ParentRefreshEvery {
 			p, err := n.computeParent(rt)
 			if err != nil {
+				lastRefresh = -1 // retry at the end of the next period
 				continue
 			}
 			lastRefresh = rt.Now()
 			n.mu.Lock()
+			moved = p != n.parent
 			n.parent = p
 			n.isRoot = p.IsZero()
 			parent, isRoot = p, n.isRoot
@@ -351,7 +391,7 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 		// Fold before the root's early exit: folding is what expires
 		// silent children, and the root has children too.
 		sum := n.localSummary(rt.Now())
-		if isRoot || parent.IsZero() {
+		if isRoot || parent.IsZero() || !(timed || dirty || moved) {
 			continue
 		}
 		raw, err := rt.Call(parent.Addr, MUpdate, UpdateReq{Child: n.chord.Ref(), Sum: sum})
@@ -364,6 +404,26 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 			lastRefresh = -1
 		}
 	}
+}
+
+// awaitPrompt parks, if wait is set, until a jittered aggregation
+// period ends or a prompt (stale or dirty) arrives, and consumes the
+// prompts. timed reports that the period ended. The lock is released
+// by defer: a crashed host's proc unwinds through the wait (DESIGN.md
+// §16).
+func (n *Node) awaitPrompt(rt transport.Runtime, wait bool) (stale, dirty, timed bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if wait {
+		deadline := rt.Now() + transport.Jitter(rt, n.cfg.AggregateEvery)
+		for !n.stale && !n.dirty && rt.Now() < deadline {
+			rt.Wait(&n.kick, deadline-rt.Now())
+		}
+		timed = rt.Now() >= deadline
+	}
+	stale, dirty = n.stale, n.dirty
+	n.stale, n.dirty = false, false
+	return stale, dirty, timed
 }
 
 // computeParent applies the parent rule: clear the lowest set bit of
@@ -581,9 +641,16 @@ func (n *Node) handleUpdate(rt transport.Runtime, from transport.Addr, req any) 
 	u := req.(UpdateReq)
 	// Sanity: we should be the Chord owner of the child's parent
 	// identifier; rather than recompute (expensive), accept and rely on
-	// the child's periodic parent recomputation to fix stale routing.
+	// the child's own recomputation (on a ring change around it, or its
+	// periodic refresh) to fix stale routing.
 	n.mu.Lock()
+	old, known := n.children[u.Child.Addr]
 	n.children[u.Child.Addr] = &childEntry{ref: u.Child, sum: u.Sum, lastSeen: rt.Now()}
+	if !known || !sameAdvert(old.sum, u.Sum) {
+		// The parent's view of this subtree is out of date: push now.
+		n.dirty = true
+		n.kick.Broadcast()
+	}
 	n.mu.Unlock()
 	n.attached.Broadcast()
 	return UpdateResp{}, nil

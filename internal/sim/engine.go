@@ -68,6 +68,7 @@ func (ev *Event) Stop() {
 type Engine struct {
 	now     Time
 	seq     uint64
+	cur     uint64 // sequence number of the event firing now, or last fired
 	queue   queue
 	pending int // uncancelled queued events (O(1) Pending)
 	rng     *rand.Rand
@@ -116,13 +117,29 @@ func (e *Engine) NewRand() *rand.Rand {
 func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
 	ev := &Event{at: e.now, seq: e.seq, fire: fn, eng: e, tag: e.curTag}
 	e.seq++
-	e.pending++
 	if d > 0 {
 		ev.at = e.now.Add(d)
 		e.queue.pushHeap(ev)
 	} else {
 		e.queue.pushLane(ev)
 	}
+	e.queued(ev)
+	return ev
+}
+
+// scheduleAt queues fn at instant at (not before now) under a sequence
+// number reserved earlier, so it fires where an event scheduled then
+// would have: the heap orders it among same-instant lane events by seq.
+func (e *Engine) scheduleAt(at Time, seq uint64, fn func()) *Event {
+	ev := &Event{at: at, seq: seq, fire: fn, eng: e, tag: e.curTag}
+	e.queue.pushHeap(ev)
+	e.queued(ev)
+	return ev
+}
+
+// queued counts an event just pushed.
+func (e *Engine) queued(ev *Event) {
+	e.pending++
 	if st := e.stats; st != nil {
 		st.EventsScheduled++
 		if n := e.queue.len(); n > st.PeakQueue {
@@ -130,7 +147,6 @@ func (e *Engine) Schedule(d time.Duration, fn func()) *Event {
 		}
 		st.tag(ev.tag).Scheduled++
 	}
-	return ev
 }
 
 // Pending returns the number of scheduled (uncancelled) events. It is
@@ -216,6 +232,7 @@ func (e *Engine) fireEvent(ev *Event) {
 	}
 	e.pending--
 	e.now = ev.at
+	e.cur = ev.seq
 	e.curTag = ev.tag
 	if st := e.stats; st == nil {
 		ev.fire()

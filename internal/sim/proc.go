@@ -32,6 +32,31 @@ type Proc struct {
 
 	killed  bool
 	spawnEv *Event
+
+	aw *await // set up by the first Await or Waker; most procs never wait
+}
+
+// await is a proc's Await in progress. Await orders events exactly as
+// a receive on a fresh Chan with a timeout does, which schedules a
+// matching pass at the park instant and then the timer. The pass does
+// nothing unless a value arrived first, so Await only reserves its
+// sequence number, and a wake arriving before the pass would have fired
+// is delivered in its place.
+type await struct {
+	gen   uint64 // the parked Await's generation; 0 when none
+	at    Time   // the park instant
+	seq   uint64 // the reserved sequence number of the wake-up pass
+	woken bool
+	wake  func() // the proc's Waker, bound once
+}
+
+// waitState returns the proc's Await state, setting it up on first use.
+func (p *Proc) waitState() *await {
+	if p.aw == nil {
+		p.aw = &await{}
+		p.aw.wake = p.wakeAwait
+	}
+	return p.aw
 }
 
 // coroutine is an iter.Pull coroutine of the engine goroutine that runs
@@ -207,6 +232,54 @@ func (p *Proc) Sleep(d time.Duration) {
 	g := p.nextGen()
 	p.e.Schedule(d, func() { p.deliver(wake{gen: g}) })
 	p.park()
+}
+
+// Await parks the proc until its Waker is called or d passes, and
+// reports whether it was woken; d < 0 waits without a bound. A wake
+// resumes the proc at the waker's own instant. It costs what Sleep
+// costs: one timer, and one event for the wake.
+func (p *Proc) Await(d time.Duration) bool {
+	p.checkKilled()
+	a := p.waitState()
+	e := p.e
+	a.gen, a.at, a.seq, a.woken = p.nextGen(), e.now, e.seq, false
+	e.seq++
+	var timer *Event
+	if d >= 0 {
+		g := a.gen
+		timer = e.Schedule(d, func() { p.deliver(wake{gen: g, timeout: true}) })
+	}
+	w := p.park()
+	a.gen = 0
+	if w.timeout {
+		return false
+	}
+	if timer != nil {
+		timer.Stop()
+	}
+	return true
+}
+
+// Waker returns the function that wakes the proc from the Await it is
+// parked in; called at any other time it does nothing. It may be called
+// from any proc or from engine context.
+func (p *Proc) Waker() func() { return p.waitState().wake }
+
+func (p *Proc) wakeAwait() {
+	a := p.aw
+	if a.gen == 0 || a.woken || p.state == pDead {
+		return
+	}
+	a.woken = true
+	g := a.gen
+	fire := func() { p.deliver(wake{gen: g}) }
+	e := p.e
+	if e.now == a.at && e.cur < a.seq {
+		// The wake-up pass would not have fired yet: take its place.
+		e.scheduleAt(a.at, a.seq, fire)
+	} else {
+		e.Schedule(0, fire)
+	}
 }
 
 // Yield lets all other currently-runnable work proceed before resuming.

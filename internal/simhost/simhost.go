@@ -64,19 +64,17 @@ func (r *runtime) CallT(to transport.Addr, method string, req any, timeout time.
 	return resp, translate(err)
 }
 
-// Wait implements transport.Runtime: the proc parks on a sim.Chan the
-// broadcast sends to, so the virtual clock keeps advancing and the
-// waiter resumes at the broadcast's own instant.
+// Wait implements transport.Runtime: the proc parks in sim.Proc.Await
+// and the broadcast calls its waker, so the virtual clock keeps
+// advancing and the waiter resumes at the broadcast's own instant.
 func (r *runtime) Wait(c *transport.Cond, max time.Duration) bool {
-	ch := sim.NewChan[struct{}](r.p.Engine())
-	return c.Park(func() { ch.Send(struct{}{}) }, func() bool {
-		if max == transport.Forever {
-			ch.Recv(r.p)
-			return true
-		}
-		_, ok := ch.RecvTimeout(r.p, max)
-		return ok
-	})
+	switch {
+	case max == transport.Forever:
+		max = -1 // Await's "no bound"
+	case max < 0:
+		max = 0
+	}
+	return c.Park(r.p.Waker(), func() bool { return r.p.Await(max) })
 }
 
 // translate maps simnet errors to the transport sentinels.

@@ -116,8 +116,16 @@ const Forever = time.Duration(math.MaxInt64)
 type Cond struct {
 	L sync.Locker
 
-	mu     sync.Mutex // guards parked, so Broadcast need not hold L
-	parked []*func()
+	mu     sync.Mutex // guards parked and seq, so Broadcast need not hold L
+	parked []parked
+	seq    uint64
+}
+
+// parked is one registration: the waker, and the number unpark finds
+// it by.
+type parked struct {
+	id   uint64
+	wake func()
 }
 
 // Broadcast wakes every activity parked on c. L may be held or not.
@@ -126,8 +134,8 @@ func (c *Cond) Broadcast() {
 	ws := c.parked
 	c.parked = nil
 	c.mu.Unlock()
-	for _, wake := range ws {
-		(*wake)()
+	for _, w := range ws {
+		w.wake()
 	}
 }
 
@@ -139,13 +147,15 @@ func (c *Cond) Broadcast() {
 // a killed proc's unwind included.
 func (c *Cond) Park(wake func(), block func() bool) (signalled bool) {
 	c.mu.Lock()
-	c.parked = append(c.parked, &wake)
+	c.seq++
+	id := c.seq
+	c.parked = append(c.parked, parked{id, wake})
 	c.mu.Unlock()
 	c.L.Unlock()
 	defer func() {
 		// A registration Broadcast already took is a wake-up even when
 		// block saw its timer first.
-		if !c.unpark(&wake) {
+		if !c.unpark(id) {
 			signalled = true
 		}
 		c.L.Lock()
@@ -154,11 +164,11 @@ func (c *Cond) Park(wake func(), block func() bool) (signalled bool) {
 }
 
 // unpark drops one registration, reporting whether it was still there.
-func (c *Cond) unpark(wake *func()) bool {
+func (c *Cond) unpark(id uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, w := range c.parked {
-		if w == wake {
+		if w.id == id {
 			c.parked = append(c.parked[:i], c.parked[i+1:]...)
 			return true
 		}
