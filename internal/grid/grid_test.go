@@ -2,6 +2,7 @@ package grid_test
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -226,34 +227,37 @@ func TestManyJobsAllComplete(t *testing.T) {
 func TestOneJobAtATimePerRunNode(t *testing.T) {
 	c := newCluster(t, 3, 3, grid.Config{}, uniform)
 	defer c.e.Shutdown()
+	var jobs []ids.ID
 	c.do(0, func(rt transport.Runtime) {
 		for i := 0; i < 12; i++ {
-			if _, err := c.nodes[0].Submit(rt, grid.JobSpec{Work: 2 * time.Second}); err != nil {
+			id, err := c.nodes[0].Submit(rt, grid.JobSpec{Work: 2 * time.Second})
+			if err != nil {
 				t.Fatalf("submit: %v", err)
 			}
+			jobs = append(jobs, id)
 		}
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+10*time.Minute); left != 0 {
 			t.Fatalf("%d unfinished", left)
 		}
 	})
-	// Per node, Started events must alternate with completions:
-	// reconstruct concurrency from the event log.
-	running := map[transport.Addr]int{}
-	c.rec.mu.Lock()
-	defer c.rec.mu.Unlock()
-	ends := map[ids.ID]transport.Addr{}
-	for _, ev := range c.rec.evs {
-		switch ev.Kind {
-		case grid.EvStarted:
-			running[ev.Node]++
-			if running[ev.Node] > 1 {
-				t.Fatalf("node %s ran two jobs concurrently", ev.Node)
-			}
-			ends[ev.JobID] = ev.Node
-		case grid.EvResultDelivered:
-			if n, ok := ends[ev.JobID]; ok {
-				running[n]--
-				delete(ends, ev.JobID)
+	// Per run node, the delivered results' execution intervals
+	// [Started, Finished) must not overlap: the executor holds one job
+	// at a time, whatever its result delivery is still doing.
+	byNode := map[transport.Addr][]grid.Result{}
+	for _, id := range jobs {
+		seq, _ := c.nodes[0].SeqFor(id)
+		st, ok := c.nodes[0].StatusBySeq(seq)
+		if !ok || !st.Done {
+			t.Fatalf("job %s not delivered", id.Short())
+		}
+		byNode[st.Res.RunNode] = append(byNode[st.Res.RunNode], st.Res)
+	}
+	for node, rs := range byNode {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Started < rs[j].Started })
+		for i := 1; i < len(rs); i++ {
+			if rs[i].Started < rs[i-1].Finished {
+				t.Fatalf("node %s ran two jobs concurrently: [%v, %v) and [%v, %v)",
+					node, rs[i-1].Started, rs[i-1].Finished, rs[i].Started, rs[i].Finished)
 			}
 		}
 	}

@@ -21,6 +21,8 @@ import (
 // per job over that stretch and fails; without it the growth is about
 // 1 B per job. The client is a bare endpoint that counts results and
 // keeps nothing per job, so the grid's own state is what is measured.
+// Once the soak drains, the nodes must hold no more procs than before
+// it: nothing a finished job started may outlive it.
 func TestSoakRunNodeMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -38,6 +40,7 @@ func TestSoakRunNodeMemoryFlat(t *testing.T) {
 	reg := match.NewRegistry()
 	overlay := &switchableOverlay{}
 	var nodes []transport.Addr
+	var eps []*simnet.Endpoint
 	for i := 0; i < 3; i++ {
 		ep := net.NewEndpoint(simnet.Addr([]string{"n0", "n1", "n2"}[i]))
 		h := simhost.New(ep)
@@ -47,7 +50,16 @@ func TestSoakRunNodeMemoryFlat(t *testing.T) {
 		reg.Register(h.Addr(), match.RegistryEntry{Caps: cv, OS: os, Load: gn.QueueLen, Up: ep.Up})
 		gn.Start()
 		nodes = append(nodes, h.Addr())
+		eps = append(eps, ep)
 	}
+	procs := func() int {
+		n := 0
+		for _, ep := range eps {
+			n += ep.Procs()
+		}
+		return n
+	}
+	procsBefore := procs()
 
 	client := simhost.New(net.NewEndpoint("client"))
 	delivered := 0
@@ -91,6 +103,11 @@ func TestSoakRunNodeMemoryFlat(t *testing.T) {
 	after := retained()
 	if delivered != total {
 		t.Fatalf("%d results for %d jobs", delivered, total)
+	}
+	// Each finished job's grid.report activity and the handlers it
+	// called must have exited once the soak drains.
+	if got := procs(); got > procsBefore {
+		t.Fatalf("nodes hold %d procs after the soak drained, %d before it", got, procsBefore)
 	}
 	growth := (float64(after) - float64(before)) / (total - warm)
 	t.Logf("retained heap %d -> %d bytes: %.1f B per job", before, after, growth)

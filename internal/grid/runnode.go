@@ -121,7 +121,8 @@ func (n *Node) execTime(prof Profile) time.Duration {
 	return time.Duration(float64(prof.Work) / speed)
 }
 
-// executeAndReport runs one job to completion and delivers the result.
+// executeAndReport runs one job to completion and hands its result to
+// a grid.report activity, returning as soon as the result exists.
 func (n *Node) executeAndReport(rt transport.Runtime, job *queuedJob, started time.Duration) {
 	outKB := job.prof.OutputKB
 	execErr := ""
@@ -191,6 +192,16 @@ func (n *Node) executeAndReport(rt transport.Runtime, job *queuedJob, started ti
 		// run node derives identical bytes (resubmission-safe).
 		res.Data = StageOutput(job.prof)
 	}
+	// The executor is done with this job: the result goes out beside
+	// the next one, so the run queue never waits on the network.
+	prof := job.prof
+	n.host.Go("grid.report", func(rt transport.Runtime) { n.report(rt, prof, owner, res, tc) })
+}
+
+// report hands one finished job's result on, in its own activity: a
+// vote to the owner under redundant execution, otherwise delivery to
+// the client and then completion at the owner.
+func (n *Node) report(rt transport.Runtime, prof Profile, owner transport.Addr, res Result, tc obs.TC) {
 	if n.cfg.votingOn() {
 		// Redundant execution: the replica does not deliver to the
 		// client; its completion IS its vote, and the owner delivers
@@ -201,7 +212,7 @@ func (n *Node) executeAndReport(rt transport.Runtime, job *queuedJob, started ti
 	// Deliver the result first, then release the owner: completing
 	// before delivery would make the owner forget the job and lose the
 	// relay fallback.
-	delivered, tc := n.deliverResult(rt, job.prof, owner, res, tc)
+	delivered, tc := n.deliverResult(rt, prof, owner, res, tc)
 	if delivered {
 		req := CompleteReq{JobID: res.JobID, Run: n.host.Addr(), TC: tc}
 		if owner == n.host.Addr() {

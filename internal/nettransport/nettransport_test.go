@@ -3,6 +3,7 @@ package nettransport
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,6 +219,7 @@ func TestLiveGridJob(t *testing.T) {
 	client := peers[0].Grid
 
 	const jobs = 1000
+	goroutines := goruntime.NumGoroutine()
 	done := make(chan error, 1)
 	peers[0].Host.Go("client", func(rt transport.Runtime) {
 		for j := 0; j < jobs; j++ {
@@ -239,6 +241,16 @@ func TestLiveGridJob(t *testing.T) {
 		}
 	case <-time.After(2 * time.Minute):
 		t.Fatal("live grid jobs timed out")
+	}
+	// Every job's grid.report goroutine exits once its completion lands.
+	// The last few may still be on their way out, as may the client
+	// goroutine, and a new pooled connection adds its reader.
+	const slack = 10
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > goroutines+slack; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %d jobs, %d before them", goruntime.NumGoroutine(), jobs, goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

@@ -99,7 +99,7 @@ func (c *cluster) launch(t *testing.T, i int) {
 
 // fast converges a simulated grid in seconds instead of the defaults'
 // tens of seconds.
-var fast = Config{Tree: rntree.Config{AggregateEvery: time.Second, ParentRefreshEvery: 2 * time.Second}}
+var fast = Config{Tree: rntree.Config{AggregateEvery: time.Second}}
 
 func coldStart(t *testing.T, seed int64) *cluster {
 	c := newCluster(t, seed, 8, fast)

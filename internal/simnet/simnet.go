@@ -209,6 +209,10 @@ func (ep *Endpoint) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return ep.spawn(LayerOf(name), name, fn)
 }
 
+// Procs returns how many procs the endpoint owns: its activities and
+// its in-flight request handlers.
+func (ep *Endpoint) Procs() int { return len(ep.procs) }
+
 // spawn is Go with the layer already classified. The proc is named
 // addr/name#seq in trace lines; the name is built only when the engine
 // traces, since nothing else reads it.
