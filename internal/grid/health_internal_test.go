@@ -6,6 +6,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,49 +71,74 @@ func (m *scriptMatcher) FindRunNode(_ transport.Runtime, _ resource.Constraints,
 }
 
 // TestMatchAndAssignDemotesDown: the matcher's first pick has an open
-// breaker, so matchAndAssign must exclude it from the re-pick and
+// breaker, so the placement loop must exclude it from the re-pick and
 // assign to the next candidate — without recording the demotion on the
-// job, which would outlive the breaker.
+// job, which would outlive the breaker. The voting filler takes the
+// same step for each replica it recruits.
 func TestMatchAndAssignDemotesDown(t *testing.T) {
-	id := ids.HashString("job")
-	matcher := &scriptMatcher{cands: []transport.Addr{"down1", "good"}}
-	h := &stubHost{addr: "owner"}
-	n := NewNode(h, resource.Vector{4, 1024, 100}, "linux", nil, matcher, nil, Config{
-		MaxRematch:      5,
-		MatchRetryEvery: time.Millisecond,
-		PeerDown:        func(a transport.Addr) bool { return a == "down1" },
-	})
-	n.owned[id] = &ownedJob{prof: Profile{ID: id, Client: "client"}}
-	assigns := 0
-	rt := &stubRT{rng: rand.New(rand.NewSource(1))}
-	rt.call = func(to transport.Addr, method string, req any) (any, error) {
-		if method != MAssign {
-			t.Fatalf("unexpected RPC %s to %s", method, to)
-		}
-		assigns++
-		if to != "good" {
-			t.Fatalf("assigned to %s, want good", to)
-		}
-		return AssignResp{}, nil
-	}
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		want     []transport.Addr // the run nodes assigned, in order
+	}{
+		{name: "plain", want: []transport.Addr{"good"}},
+		{name: "voting", replicas: 2, want: []transport.Addr{"good", "good2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := ids.HashString("job")
+			matcher := &scriptMatcher{cands: []transport.Addr{"down1", "good", "good2"}}
+			h := &stubHost{addr: "owner"}
+			n := NewNode(h, resource.Vector{4, 1024, 100}, "linux", nil, matcher, nil, Config{
+				MaxRematch:      5,
+				MatchRetryEvery: time.Millisecond,
+				Replicas:        tc.replicas,
+				Quorum:          tc.replicas,
+				PeerDown:        func(a transport.Addr) bool { return a == "down1" },
+			})
+			job := &ownedJob{prof: Profile{ID: id, Client: "client"}}
+			if tc.replicas > 1 {
+				job.vote = newVoteState()
+			}
+			n.owned[id] = job
+			var assigned []transport.Addr
+			rt := &stubRT{rng: rand.New(rand.NewSource(1))}
+			rt.call = func(to transport.Addr, method string, req any) (any, error) {
+				if method != MAssign {
+					t.Fatalf("unexpected RPC %s to %s", method, to)
+				}
+				if to == "down1" {
+					t.Fatalf("assigned to %s, whose breaker is open", to)
+				}
+				assigned = append(assigned, to)
+				return AssignResp{}, nil
+			}
 
-	n.matchAndAssign(rt, id)
+			if job.vote != nil {
+				n.fillReplicas(rt, id)
+			} else {
+				n.matchAndAssign(rt, id)
+			}
 
-	job := n.owned[id]
-	if job == nil || !job.matched || job.run != "good" {
-		t.Fatalf("job = %+v, want matched on good", job)
-	}
-	if assigns != 1 {
-		t.Fatalf("%d assignments, want 1 (none to the demoted peer)", assigns)
-	}
-	if len(matcher.excluded) != 2 {
-		t.Fatalf("matcher called %d times, want 2", len(matcher.excluded))
-	}
-	if len(matcher.excluded[1]) != 1 || matcher.excluded[1][0] != "down1" {
-		t.Fatalf("re-pick exclusions = %v, want [down1]", matcher.excluded[1])
-	}
-	if len(job.excluded) != 0 {
-		t.Fatalf("demotion leaked onto the job's exclusions: %v", job.excluded)
+			if !slices.Equal(assigned, tc.want) {
+				t.Fatalf("assigned to %v, want %v (none to the demoted peer)", assigned, tc.want)
+			}
+			if job.vote != nil {
+				if len(job.vote.reps) != len(tc.want) {
+					t.Fatalf("%d replicas recorded, want %d", len(job.vote.reps), len(tc.want))
+				}
+			} else if !job.matched || job.run != "good" {
+				t.Fatalf("job = %+v, want matched on good", job)
+			}
+			if len(matcher.excluded) != len(tc.want)+1 {
+				t.Fatalf("matcher called %d times, want %d", len(matcher.excluded), len(tc.want)+1)
+			}
+			if len(matcher.excluded[1]) != 1 || matcher.excluded[1][0] != "down1" {
+				t.Fatalf("re-pick exclusions = %v, want [down1]", matcher.excluded[1])
+			}
+			if len(job.excluded) != 0 {
+				t.Fatalf("demotion leaked onto the job's exclusions: %v", job.excluded)
+			}
+		})
 	}
 }
 

@@ -586,10 +586,8 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 		}
 		n.mu.Unlock()
 	}()
-	// demoted collects candidates whose transport breaker is open this
-	// round. They are excluded from further picks here but never
-	// recorded on the job, so a peer is eligible again the moment its
-	// circuit closes.
+	// demoted: candidates whose breaker was open, left out for the rest
+	// of this round only (see placeOne).
 	var demoted []transport.Addr
 	for tries := 0; tries < n.cfg.MaxRematch; tries++ {
 		n.mu.Lock()
@@ -605,44 +603,17 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 		ckpt := job.ckpt
 		n.mu.Unlock()
 
-		run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, excluded)
-		if err != nil {
-			ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
-			ev.Match = stats
-			n.emit(tc, ev, "", "")
-			rt.Sleep(n.cfg.MatchRetryEvery)
-			continue
-		}
-		if n.peerDown(run) {
-			// Every call to this candidate would fast-fail right now
-			// (open breaker): demote it and pick again instead of
-			// spending an assignment attempt and its timeout.
+		run, tc, res := n.placeOne(rt, jobID, prof, tc, ckpt, excluded)
+		switch res {
+		case skipped:
 			demoted = append(demoted, run)
 			continue
-		}
-		// The "assigning" trace step is recorded before the assignment so
-		// the run node's "enqueued" hop sorts strictly after it; "matched"
-		// follows only once the run node has acknowledged.
-		tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
-		req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
-		var assignErr error
-		if run == n.host.Addr() {
-			_, assignErr = n.assign(rt, req)
-		} else {
-			_, assignErr = rt.Call(run, MAssign, req)
-		}
-		if assignErr != nil {
-			n.mu.Lock()
-			if job, ok := n.owned[jobID]; ok {
-				job.excluded = append(job.excluded, run)
-			}
-			n.mu.Unlock()
+		case refused:
 			n.republish(jobID)
 			continue
+		case unmatched:
+			continue
 		}
-		ev := n.jobEvent(EvMatched, prof, rt.Now())
-		ev.Match = stats
-		tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok {
 			job.run = run
@@ -670,6 +641,60 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
 		n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
 		n.retire(rt.Now(), jobID)
 	}
+}
+
+// placement is what one candidate step of a placement loop came to.
+type placement int
+
+const (
+	placed    placement = iota // the candidate acknowledged the assignment
+	unmatched                  // the matcher found nobody; the step slept MatchRetryEvery
+	skipped                    // the candidate's breaker is open
+	refused                    // the assignment failed; the candidate is on job.excluded
+)
+
+// placeOne is one candidate step of matchAndAssign and fillReplicas:
+// match a run node outside exclude, skip it if its transport breaker
+// is open, trace "assigning", assign locally or by RPC, and emit
+// EvMatched. Only a real assign failure records the candidate on the
+// job's exclusions. A skipped one is left out for the caller's round
+// only, so a peer is eligible again the moment its circuit closes; a
+// skip spends no assignment attempt and no call timeout.
+func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs.TC, ckpt Checkpoint, exclude []transport.Addr) (transport.Addr, obs.TC, placement) {
+	run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, exclude)
+	if err != nil {
+		ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
+		ev.Match = stats
+		n.emit(tc, ev, "", "")
+		rt.Sleep(n.cfg.MatchRetryEvery)
+		return "", tc, unmatched
+	}
+	if n.peerDown(run) {
+		return run, tc, skipped
+	}
+	// The "assigning" trace step is recorded before the assignment so
+	// the run node's "enqueued" hop sorts strictly after it; "matched"
+	// follows only once the run node has acknowledged.
+	tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
+	req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
+	var assignErr error
+	if run == n.host.Addr() {
+		_, assignErr = n.assign(rt, req)
+	} else {
+		_, assignErr = rt.Call(run, MAssign, req)
+	}
+	if assignErr != nil {
+		n.mu.Lock()
+		if job, ok := n.owned[jobID]; ok {
+			job.excluded = append(job.excluded, run)
+		}
+		n.mu.Unlock()
+		return run, tc, refused
+	}
+	ev := n.jobEvent(EvMatched, prof, rt.Now())
+	ev.Match = stats
+	tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
+	return run, tc, placed
 }
 
 // ownerMonitorLoop watches heartbeats of owned jobs and rematches jobs

@@ -187,12 +187,8 @@ func runReplSoak(t *testing.T, seed int64, k int, plan faultinject.Plan) (trace 
 // over the identical schedules resubmits (in aggregate) — the double
 // failure really happened, and replication really absorbed it.
 func TestReplicatedSoakNoResubmits(t *testing.T) {
-	seeds := 10
-	if testing.Short() {
-		seeds = 3
-	}
 	controlResubmits := 0
-	for seed := int64(1); seed <= int64(seeds); seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		if _, re := runReplSoak(t, seed, 2, replPlan(1, false)); re != 0 {
 			t.Errorf("seed %d: %d resubmissions at ReplicaK=2, want 0", seed, re)
 		}

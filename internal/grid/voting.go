@@ -150,6 +150,9 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 		}
 		n.mu.Unlock()
 	}()
+	// demoted: candidates whose breaker was open, left out for the rest
+	// of this filler's run only (see placeOne).
+	var demoted []transport.Addr
 	for {
 		n.mu.Lock()
 		job, ok := n.owned[jobID]
@@ -187,35 +190,16 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 		for _, r := range v.reps {
 			exclude = append(exclude, r.run)
 		}
+		exclude = append(exclude, demoted...)
 		n.mu.Unlock()
 
-		run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, exclude)
-		if err != nil {
-			ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
-			ev.Match = stats
-			n.emit(tc, ev, "", "")
-			rt.Sleep(n.cfg.MatchRetryEvery)
+		run, tc, res := n.placeOne(rt, jobID, prof, tc, Checkpoint{}, exclude)
+		if res == skipped {
+			demoted = append(demoted, run)
+		}
+		if res != placed {
 			continue
 		}
-		tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
-		req := AssignReq{Prof: prof, Owner: n.host.Addr(), Reps: n.replTargets(), TC: tc}
-		var assignErr error
-		if run == n.host.Addr() {
-			_, assignErr = n.assign(rt, req)
-		} else {
-			_, assignErr = rt.Call(run, MAssign, req)
-		}
-		if assignErr != nil {
-			n.mu.Lock()
-			if job, ok := n.owned[jobID]; ok {
-				job.excluded = append(job.excluded, run)
-			}
-			n.mu.Unlock()
-			continue
-		}
-		ev := n.jobEvent(EvMatched, prof, rt.Now())
-		ev.Match = stats
-		tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok && job.vote != nil &&
 			job.vote.winner == "" && !job.isExcluded(run) && !job.vote.hasReplica(run) {

@@ -73,8 +73,8 @@ func TestAwaitWakeAfterTimeoutSchedulesNothing(t *testing.T) {
 }
 
 // A wake in the park instant, from an event queued before the park,
-// resumes the waiter where its wake-up pass was reserved: before an
-// event the waker queues first, as when the wait parked on a sim.Chan.
+// resumes the waiter at the sequence number its park reserved: before
+// an event the waker queues first.
 func TestAwaitSameInstantWakeKeepsReservedOrder(t *testing.T) {
 	e := NewEngine(1)
 	var order []string

@@ -26,20 +26,28 @@ func BenchmarkScheduleFire(b *testing.B) {
 // BenchmarkProcPingPong measures the engine<->proc context-switch cost:
 // each round trip is two wakes and two parks, each a coroutine switch
 // plus the wake event that triggers it — the overhead an event-callback
-// fast path would eliminate.
+// fast path would eliminate. The two procs pass a turn flag and wake
+// each other through Await's waker.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEngine(1)
-	ping, pong := NewChan[int](e), NewChan[int](e)
-	e.Spawn("ping", func(p *Proc) {
+	var ping, pong *Proc
+	pongsTurn := false
+	ping = e.Spawn("ping", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Send(i)
-			pong.Recv(p)
+			pongsTurn = true
+			pong.Waker()()
+			for pongsTurn {
+				p.Await(-1)
+			}
 		}
 	})
-	e.Spawn("pong", func(p *Proc) {
+	pong = e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			ping.Recv(p)
-			pong.Send(i)
+			for !pongsTurn {
+				p.Await(-1)
+			}
+			pongsTurn = false
+			ping.Waker()()
 		}
 	})
 	b.ResetTimer()

@@ -36,16 +36,15 @@ type Proc struct {
 	aw *await // set up by the first Await or Waker; most procs never wait
 }
 
-// await is a proc's Await in progress. Await orders events exactly as
-// a receive on a fresh Chan with a timeout does, which schedules a
-// matching pass at the park instant and then the timer. The pass does
-// nothing unless a value arrived first, so Await only reserves its
-// sequence number, and a wake arriving before the pass would have fired
-// is delivered in its place.
+// await is a proc's Await in progress. Parking reserves one sequence
+// number at the park instant, before the timer's. A wake at that
+// instant, ahead of the reserved number, resumes the proc at it; any
+// later wake resumes the proc one event after the waker's own. Nothing
+// fires at the reserved number unless such an early wake claims it.
 type await struct {
 	gen   uint64 // the parked Await's generation; 0 when none
 	at    Time   // the park instant
-	seq   uint64 // the reserved sequence number of the wake-up pass
+	seq   uint64 // the sequence number reserved at the park
 	woken bool
 	wake  func() // the proc's Waker, bound once
 }
@@ -97,7 +96,6 @@ func (e *Engine) coroutine() *coroutine {
 
 type wake struct {
 	gen     uint64
-	val     any
 	timeout bool
 	killed  bool
 }
@@ -275,7 +273,7 @@ func (p *Proc) wakeAwait() {
 	fire := func() { p.deliver(wake{gen: g}) }
 	e := p.e
 	if e.now == a.at && e.cur < a.seq {
-		// The wake-up pass would not have fired yet: take its place.
+		// Early enough for the sequence number the park reserved.
 		e.scheduleAt(a.at, a.seq, fire)
 	} else {
 		e.Schedule(0, fire)

@@ -106,9 +106,8 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	e.Shutdown()
 	settled("after Shutdown of returned procs", base)
 
-	c := NewChan[int](e)
 	for i := 0; i < 50; i++ {
-		e.Spawn("waiter", func(p *Proc) { c.Recv(p) })
+		e.Spawn("waiter", func(p *Proc) { p.Await(-1) })
 	}
 	e.Run()
 	if e.Parked() != 50 {

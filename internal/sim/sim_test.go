@@ -118,136 +118,14 @@ func TestInterleavedProcsDeterministic(t *testing.T) {
 	}
 }
 
-func TestChanSendThenRecv(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	c.Send(1)
-	c.Send(2)
-	var got []int
-	e.Spawn("rx", func(p *Proc) {
-		got = append(got, c.Recv(p), c.Recv(p))
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestChanRecvBlocksUntilSend(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[string](e)
-	var got string
-	var at Time
-	e.Spawn("rx", func(p *Proc) {
-		got = c.Recv(p)
-		at = p.Now()
-	})
-	e.Spawn("tx", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		c.Send("hello")
-	})
-	e.Run()
-	if got != "hello" || at != Time(3*time.Second) {
-		t.Fatalf("got %q at %v", got, at)
-	}
-}
-
-func TestChanFIFOAcrossReceivers(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	var got []int
-	for i := 0; i < 3; i++ {
-		e.Spawn("rx", func(p *Proc) { got = append(got, c.Recv(p)) })
-	}
-	e.Spawn("tx", func(p *Proc) {
-		p.Sleep(time.Second)
-		for i := 1; i <= 3; i++ {
-			c.Send(i * 10)
-		}
-	})
-	e.Run()
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestChanRecvTimeout(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	var ok bool
-	var at Time
-	e.Spawn("rx", func(p *Proc) {
-		_, ok = c.RecvTimeout(p, 2*time.Second)
-		at = p.Now()
-	})
-	e.Run()
-	if ok || at != Time(2*time.Second) {
-		t.Fatalf("ok=%v at=%v", ok, at)
-	}
-}
-
-func TestChanRecvTimeoutValueWins(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	var v int
-	var ok bool
-	e.Spawn("rx", func(p *Proc) { v, ok = c.RecvTimeout(p, 5*time.Second) })
-	e.Spawn("tx", func(p *Proc) {
-		p.Sleep(time.Second)
-		c.Send(99)
-	})
-	e.Run()
-	if !ok || v != 99 {
-		t.Fatalf("v=%d ok=%v", v, ok)
-	}
-}
-
-func TestChanTimeoutDoesNotEatLaterValue(t *testing.T) {
-	// A receiver that timed out must not consume a value sent later;
-	// the next receiver must get it.
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	var v int
-	e.Spawn("rx1", func(p *Proc) {
-		if _, ok := c.RecvTimeout(p, time.Second); ok {
-			t.Error("rx1 should have timed out")
-		}
-	})
-	e.Spawn("tx", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		c.Send(7)
-	})
-	e.SpawnAfter(90*time.Second, "rx2", func(p *Proc) { v = c.Recv(p) })
-	e.Run()
-	if v != 7 {
-		t.Fatalf("rx2 got %d, want 7", v)
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	e := NewEngine(1)
-	c := NewChan[int](e)
-	if _, ok := c.TryRecv(); ok {
-		t.Fatal("TryRecv on empty chan succeeded")
-	}
-	c.Send(5)
-	if v, ok := c.TryRecv(); !ok || v != 5 {
-		t.Fatalf("TryRecv = %d,%v", v, ok)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
 func TestKillParkedProc(t *testing.T) {
 	e := NewEngine(1)
-	c := NewChan[int](e)
 	reachedEnd := false
 	cleaned := false
 	var p *Proc
 	p = e.Spawn("victim", func(pp *Proc) {
 		defer func() { cleaned = true }()
-		c.Recv(pp)
+		pp.Await(-1)
 		reachedEnd = true
 	})
 	e.Spawn("killer", func(pp *Proc) {
@@ -319,9 +197,8 @@ func TestProcPanicPropagates(t *testing.T) {
 
 func TestShutdownKillsParked(t *testing.T) {
 	e := NewEngine(1)
-	c := NewChan[int](e)
 	for i := 0; i < 3; i++ {
-		e.Spawn("waiter", func(p *Proc) { c.Recv(p) })
+		e.Spawn("waiter", func(p *Proc) { p.Await(-1) })
 	}
 	e.Run()
 	if e.Parked() != 3 {

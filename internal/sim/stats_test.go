@@ -111,8 +111,7 @@ func TestPendingMatchesQueueScan(t *testing.T) {
 func TestParkedAcrossKillAndRestart(t *testing.T) {
 	e := NewEngine(1)
 	st := e.EnableStats()
-	c := NewChan[int](e)
-	worker := func(p *Proc) { c.Recv(p) }
+	worker := func(p *Proc) { p.Await(-1) }
 	p := e.Spawn("w1", worker)
 	e.Run()
 	if e.Parked() != 1 {
@@ -140,16 +139,15 @@ func TestParkedAcrossKillAndRestart(t *testing.T) {
 func TestStatsCounts(t *testing.T) {
 	e := NewEngine(5)
 	st := e.EnableStats()
-	c := NewChan[int](e)
-	e.Spawn("rx", func(p *Proc) {
+	rx := e.Spawn("rx", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			c.Recv(p)
+			p.Await(-1)
 		}
 	})
 	e.Spawn("tx", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Sleep(time.Second)
-			c.Send(i)
+			rx.Waker()()
 		}
 	})
 	e.Run()
@@ -248,19 +246,26 @@ func TestStatsTimelineNeutral(t *testing.T) {
 		e.Trace = func(format string, args ...any) {
 			log = append(log, fmt.Sprintf(format, args...))
 		}
-		c := NewChan[int](e)
+		// The sink counts what the senders left, parking while there is
+		// nothing: a wake while it runs would otherwise be lost.
+		var sink *Proc
+		sent := 0
 		for i := 0; i < 4; i++ {
 			name := string(rune('a' + i))
 			e.Spawn(name, func(p *Proc) {
 				for j := 0; j < 5; j++ {
 					p.Sleep(time.Duration(p.Rand().Intn(900)) * time.Millisecond)
-					c.Send(j)
+					sent++
+					sink.Waker()()
 				}
 			})
 		}
-		e.Spawn("sink", func(p *Proc) {
-			for i := 0; i < 20; i++ {
-				c.Recv(p)
+		sink = e.Spawn("sink", func(p *Proc) {
+			for got := 0; got < 20; {
+				if got == sent {
+					p.Await(-1)
+				}
+				got = sent
 			}
 		})
 		e.Run()

@@ -259,6 +259,26 @@ type rpcResult struct {
 	err  error
 }
 
+// replySlot is one call's reply: the first result sent into it, and
+// the waker of the proc parked in CallT. done is set by that first
+// result or when CallT stops waiting, whichever comes first, so a
+// duplicate or late reply neither overwrites the result nor wakes the
+// proc from whatever it waits on next.
+type replySlot struct {
+	res  rpcResult
+	done bool
+	wake func()
+}
+
+// send fills the slot and wakes the caller, unless it is already done.
+func (r *replySlot) send(res rpcResult) {
+	if r.done {
+		return
+	}
+	r.res, r.done = res, true
+	r.wake()
+}
+
 // Call performs a blocking RPC with the network's default timeout.
 func (ep *Endpoint) Call(p *sim.Proc, to Addr, method string, req any) (any, error) {
 	return ep.CallT(p, to, method, req, ep.net.CallTimeout)
@@ -271,7 +291,7 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 	if !ep.up {
 		return nil, ErrDown
 	}
-	reply := sim.NewChan[rpcResult](n.Engine)
+	reply := &replySlot{wake: p.Waker()}
 	oneWay := n.Latency.Delay(n.rng, ep.addr, to)
 	fault := n.fate(ep.addr, to, method, false)
 
@@ -285,7 +305,7 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 				n.Stats.Refused++
 				n.Engine.Tagged(LayerOf(method), func() {
 					n.Engine.Schedule(oneWay, func() {
-						reply.Send(rpcResult{err: ErrUnreachable})
+						reply.send(rpcResult{err: ErrUnreachable})
 					})
 				})
 			}
@@ -305,18 +325,19 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 		}
 	}
 
-	res, ok := reply.RecvTimeout(p, timeout)
+	ok := p.Await(max(timeout, 0)) // Await reads a negative bound as none
+	reply.done = true
 	if !ok {
 		n.Stats.Timeouts++
 		return nil, ErrTimeout
 	}
-	return res.resp, res.err
+	return reply.res.resp, reply.res.err
 }
 
 // deliver runs on the engine at arrival time: it re-checks liveness
 // (the target may have crashed while the message was in flight) and
 // spawns a handler proc.
-func (n *Net) deliver(from, to Addr, method string, req any, reply *sim.Chan[rpcResult]) {
+func (n *Net) deliver(from, to Addr, method string, req any, reply *replySlot) {
 	target := n.endpoints[to]
 	if target == nil || !target.up {
 		n.Stats.Dropped++
@@ -341,7 +362,7 @@ func (n *Net) deliver(from, to Addr, method string, req any, reply *sim.Chan[rpc
 
 // respond sends a response back across the network, subject to the
 // same loss, partition, and fault-injection rules as the request.
-func (n *Net) respond(from, to Addr, method string, reply *sim.Chan[rpcResult], res rpcResult) {
+func (n *Net) respond(from, to Addr, method string, reply *replySlot, res rpcResult) {
 	src := n.endpoints[from]
 	if src != nil && !src.up {
 		return // responder crashed before replying
@@ -354,13 +375,13 @@ func (n *Net) respond(from, to Addr, method string, reply *sim.Chan[rpcResult], 
 	oneWay := n.Latency.Delay(n.rng, from, to) + fault.Delay
 	send := func() {
 		n.Stats.Messages++
-		reply.Send(res)
+		reply.send(res)
 	}
 	n.Engine.Tagged(LayerOf(method), func() {
 		n.Engine.Schedule(oneWay, send)
 		if fault.Duplicate {
-			// A duplicate reply is buffered and ignored by the caller, which
-			// has already moved on — still worth modelling for stats.
+			// The caller keeps the first reply and ignores this one — still
+			// worth modelling for stats.
 			n.Engine.Schedule(oneWay+n.Latency.Delay(n.rng, from, to), send)
 		}
 	})

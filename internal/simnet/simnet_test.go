@@ -290,22 +290,96 @@ func TestEndpointLookup(t *testing.T) {
 	}
 }
 
+// TestCallTExplicitTimeout: a call times out at its own bound, and a
+// bound of 0 or less times out at once.
 func TestCallTExplicitTimeout(t *testing.T) {
+	for _, tc := range []struct{ timeout, want time.Duration }{
+		{100 * time.Millisecond, 100 * time.Millisecond},
+		{0, 0},
+		{-time.Second, 0},
+	} {
+		e, _, a, b := newPair(t)
+		b.Handle("slow", func(p *sim.Proc, from Addr, req any) (any, error) {
+			p.Sleep(10 * time.Second)
+			return nil, nil
+		})
+		var err error
+		var took time.Duration
+		a.Go("caller", func(p *sim.Proc) {
+			start := p.Now()
+			_, err = a.CallT(p, "b", "slow", nil, tc.timeout)
+			took = p.Now().Sub(start)
+		})
+		e.Run()
+		e.Shutdown()
+		if !errors.Is(err, ErrTimeout) || took != tc.want {
+			t.Fatalf("timeout %v: err=%v took=%v, want a timeout after %v", tc.timeout, err, took, tc.want)
+		}
+	}
+}
+
+// TestStrayReplyDoesNotEndNextWait: a reply that reaches a caller which
+// has stopped waiting for it, late after a timeout or as a duplicate of
+// one already taken, must not wake the proc from its next wait.
+func TestStrayReplyDoesNotEndNextWait(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sleep   time.Duration // the handler's work
+		timeout time.Duration
+		dup     bool
+		wantErr error
+	}{
+		// The reply lands at 120 ms, during the second wait.
+		{name: "late", sleep: 100 * time.Millisecond, timeout: 50 * time.Millisecond, wantErr: ErrTimeout},
+		// The first reply lands at 20 ms, its copy at 30 ms.
+		{name: "duplicate", timeout: time.Second, dup: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, n, a, b := newPair(t)
+			if tc.dup {
+				n.Faults = FaultFunc(func(from, to Addr, method string, response bool) Fault {
+					return Fault{Duplicate: response}
+				})
+			}
+			b.Handle("work", func(p *sim.Proc, from Addr, req any) (any, error) {
+				p.Sleep(tc.sleep)
+				return req, nil
+			})
+			const bound = time.Second
+			var err error
+			var woken bool
+			var returned, resumed sim.Time
+			a.Go("caller", func(p *sim.Proc) {
+				_, err = a.CallT(p, "b", "work", nil, tc.timeout)
+				returned = p.Now()
+				woken = p.Await(bound)
+				resumed = p.Now()
+			})
+			e.Run()
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("call err = %v, want %v", err, tc.wantErr)
+			}
+			if woken || resumed != returned.Add(bound) {
+				t.Fatalf("next wait woken=%v at %v, want its bound at %v", woken, resumed, returned.Add(bound))
+			}
+		})
+	}
+}
+
+// TestRPCRoundTripEvents pins the events one RPC fires on an idle net:
+// the caller's start, the request's arrival, the handler's start, the
+// reply's arrival and the caller's wake.
+func TestRPCRoundTripEvents(t *testing.T) {
 	e, _, a, b := newPair(t)
-	b.Handle("slow", func(p *sim.Proc, from Addr, req any) (any, error) {
-		p.Sleep(10 * time.Second)
-		return nil, nil
-	})
+	st := e.EnableStats()
+	b.Handle("echo", func(p *sim.Proc, from Addr, req any) (any, error) { return req, nil })
 	var err error
-	var took time.Duration
-	a.Go("caller", func(p *sim.Proc) {
-		start := p.Now()
-		_, err = a.CallT(p, "b", "slow", nil, 100*time.Millisecond)
-		took = p.Now().Sub(start)
-	})
+	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "echo", nil) })
 	e.Run()
-	e.Shutdown()
-	if !errors.Is(err, ErrTimeout) || took != 100*time.Millisecond {
-		t.Fatalf("err=%v took=%v", err, took)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EventsFired != 5 {
+		t.Fatalf("one round trip fired %d events, want 5", st.EventsFired)
 	}
 }
