@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/grid"
 	"repro/internal/nettransport"
 	"repro/internal/resource"
 	"repro/internal/transport"
@@ -99,7 +100,8 @@ func flowCmd(args []string) {
 	ferr := <-runDone
 
 	res := flowResult{Flow: g.Name, Stages: len(plan.Order), Delivered: len(results), ElapsedS: time.Since(began).Seconds()}
-	_, res.Duplicates, res.Resubmits = peer.tally()
+	res.Duplicates = peer.col.Count(grid.EvResultDelivered) - len(results)
+	res.Resubmits = peer.col.Count(grid.EvResubmitted)
 
 	if *jsonOut {
 		b, _ := json.Marshal(res)
@@ -112,9 +114,8 @@ func flowCmd(args []string) {
 		fmt.Fprintf(os.Stderr, "gridctl: flow: %v\n", ferr)
 		os.Exit(1)
 	}
-	if res.Delivered != res.Stages || res.Duplicates != 0 {
-		fmt.Fprintf(os.Stderr, "gridctl: flow: FAIL: want %d stages delivered exactly once, got delivered=%d duplicates=%d\n",
-			res.Stages, res.Delivered, res.Duplicates)
+	if err := peer.col.Check(res.Stages); err != nil {
+		fmt.Fprintf(os.Stderr, "gridctl: flow: FAIL: %v\n", err)
 		os.Exit(1)
 	}
 }

@@ -1,11 +1,10 @@
 package main
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/nettransport"
 	"repro/internal/peer"
 	"repro/internal/resource"
@@ -17,14 +16,12 @@ import (
 // clientPeer is gridctl joined to a grid as a full peer, which the
 // chaos and flow harnesses need: submissions route through the overlay
 // and the node's pending map feeds the resubmission monitor. Near-zero
-// capabilities keep constrained work off this process.
+// capabilities keep constrained work off this process. Every event the
+// peer records lands in col, whose Check is the harnesses' verdict.
 type clientPeer struct {
 	host *nettransport.Host
 	node *grid.Node
-
-	mu        sync.Mutex
-	delivered map[ids.ID]int // result deliveries per job GUID
-	resubmits int
+	col  *metrics.Collector
 }
 
 // joinClientPeer listens and launches a peer stack through bootstrap;
@@ -35,18 +32,8 @@ func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Dur
 	if err != nil {
 		return nil, err
 	}
-	p := &clientPeer{host: host, delivered: map[ids.ID]int{}}
-	rec := grid.RecorderFunc(func(ev grid.Event) {
-		p.mu.Lock()
-		switch ev.Kind {
-		case grid.EvResultDelivered:
-			p.delivered[ev.JobID]++
-		case grid.EvResubmitted:
-			p.resubmits++
-		}
-		p.mu.Unlock()
-	})
-	stack := peer.New(host, resource.Vector{0.1, 1, 1}, "linux", rec, peer.Config{
+	p := &clientPeer{host: host, col: metrics.NewCollector()}
+	stack := peer.New(host, resource.Vector{0.1, 1, 1}, "linux", p.col, peer.Config{
 		Tree: rntree.Config{AggregateEvery: time.Second},
 		Grid: grid.Config{HeartbeatEvery: time.Second, PeerDown: host.PeerDown, Health: host.Health},
 	})
@@ -57,16 +44,4 @@ func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Dur
 	}
 	p.node.StartClientMonitor(patience)
 	return p, nil
-}
-
-// tally reports distinct jobs delivered, surplus deliveries and
-// monitor resubmissions seen so far.
-func (p *clientPeer) tally() (delivered, duplicates, resubmits int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.delivered {
-		delivered++
-		duplicates += c - 1
-	}
-	return delivered, duplicates, p.resubmits
 }

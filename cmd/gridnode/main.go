@@ -140,7 +140,8 @@ func main() {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			output := make([]byte, (prof.OutputKB+1)*1024)
+			// The result digest covers the size the client submitted.
+			output := make([]byte, prof.OutputKB*1024)
 			if err := env.WriteFile("output.dat", output); err != nil {
 				return nil, err
 			}

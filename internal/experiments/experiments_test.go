@@ -237,6 +237,34 @@ func TestFaultInjectionRecoveryDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultRowsExactlyOnce runs the fault sweep's four levels at the
+// replay guard's scale and seed, and its chaos level again with the
+// benchmark's sim_chaos grid (owner replication, adaptive checkpoints,
+// push notifications), through the exactly-once oracle.
+func TestFaultRowsExactlyOnce(t *testing.T) {
+	o := Options{Scale: 0.02, Seed: 4}
+	var rows []Scenario
+	for _, lvl := range faultLevels() {
+		rows = append(rows, faultScenario(o, lvl.plan))
+	}
+	chaos := rows[len(rows)-1]
+	chaos.Notify = true
+	chaos.Grid = grid.Config{
+		ReplicaK:           2,
+		CheckpointEvery:    5 * time.Second,
+		CheckpointAdaptive: true,
+		CheckpointMinEvery: 2 * time.Second,
+		CheckpointMaxEvery: 10 * time.Second,
+	}
+	for i, sc := range append(rows, chaos) {
+		d := Build(sc)
+		res := d.Run()
+		if err := d.Collector.Check(res.Jobs); err != nil {
+			t.Errorf("row %d: %v", i, err)
+		}
+	}
+}
+
 func TestCheckpointingReducesWaste(t *testing.T) {
 	// Same crash-bearing schedule as the deterministic fault test; the
 	// only variable is the checkpoint policy. Adaptive checkpointing

@@ -68,20 +68,8 @@ func FaultSweep(o Options) *Table {
 		},
 	}
 	for _, lvl := range faultLevels() {
-		wcfg := o.base()
-		wcfg.Jobs = wcfg.Jobs / 5
-		wcfg.NodePop = workload.Mixed
-		wcfg.JobPop = workload.Mixed
-		wcfg.Level = workload.Lightly
 		o.logf("faultsweep level=%s", lvl.name)
-		res := o.Build(Scenario{
-			Alg:         AlgRNTree,
-			Workload:    wcfg,
-			NetSeed:     o.Seed + 90,
-			Maintenance: true,
-			Faults:      lvl.plan,
-			FaultSeed:   o.Seed + 91,
-		}).Run()
+		res := o.Build(faultScenario(o, lvl.plan)).Run()
 		tbl.Rows = append(tbl.Rows, []string{
 			lvl.name,
 			fmt.Sprintf("%d/%d", res.Delivered, res.Jobs),
@@ -96,4 +84,21 @@ func FaultSweep(o Options) *Table {
 		})
 	}
 	return tbl
+}
+
+// faultScenario is one fault sweep row's scenario under plan.
+func faultScenario(o Options, plan *faultinject.Plan) Scenario {
+	wcfg := o.base()
+	wcfg.Jobs = wcfg.Jobs / 5
+	wcfg.NodePop = workload.Mixed
+	wcfg.JobPop = workload.Mixed
+	wcfg.Level = workload.Lightly
+	return Scenario{
+		Alg:         AlgRNTree,
+		Workload:    wcfg,
+		NetSeed:     o.Seed + 90,
+		Maintenance: true,
+		Faults:      plan,
+		FaultSeed:   o.Seed + 91,
+	}
 }

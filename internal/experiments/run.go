@@ -237,13 +237,6 @@ func (d *Deployment) results() Results {
 		res.NotifyRecv += g.NotifyRecv
 		res.StatusProbes += g.StatusProbes
 	}
-	startedJobs := 0
-	for _, tr := range col.Jobs() {
-		if tr.Started {
-			startedJobs++
-		}
-	}
-	res.DupStarts = res.Started - startedJobs
 	if d.Byz != nil {
 		res.Saboteurs = len(d.Byz.Saboteurs())
 	}
@@ -274,14 +267,16 @@ func (d *Deployment) results() Results {
 			perJob[id] += w
 		}
 	}
+	startedJobs := 0
 	for _, tr := range col.Jobs() {
-		if !tr.Delivered {
-			continue
+		if tr.Started {
+			startedJobs++
 		}
-		if extra := perJob[tr.JobID] - tr.Work; extra > 0 {
+		if extra := perJob[tr.JobID] - tr.Work; tr.Deliveries > 0 && extra > 0 {
 			res.ReexecutedWork += extra
 		}
 	}
+	res.DupStarts = res.Started - startedJobs
 	perNode := make([]float64, 0, len(d.Grids))
 	for _, g := range d.Grids {
 		perNode = append(perNode, float64(g.Completed))

@@ -8,7 +8,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/flow"
 	"repro/internal/grid"
-	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -127,28 +127,16 @@ func runFlowSoak(t *testing.T, seed int64, cfg grid.Config) ([]string, int) {
 	}
 
 	// Exactly once: one delivery per stage lineage, no double fires.
+	col := metrics.NewCollector()
 	c.rec.mu.Lock()
-	delivered := map[ids.ID]int{}
-	total, resumes := 0, 0
 	for _, ev := range c.rec.evs {
-		switch ev.Kind {
-		case grid.EvResultDelivered:
-			delivered[ev.JobID]++
-			total++
-		case grid.EvResumed:
-			resumes++
-		}
+		col.Record(ev)
 	}
 	c.rec.mu.Unlock()
-	for id, n := range delivered {
-		if n > 1 {
-			t.Fatalf("seed %d: job %s delivered %d times", seed, id.Short(), n)
-		}
+	if err := col.Check(4); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
-	if total != 4 {
-		t.Fatalf("seed %d: %d deliveries, want 4", seed, total)
-	}
-	return flowEventTrace(c.rec), resumes
+	return flowEventTrace(c.rec), col.Count(grid.EvResumed)
 }
 
 func flowEventTrace(rec *recorder) []string {

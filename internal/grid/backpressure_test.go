@@ -133,12 +133,5 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 	batched := run(func(n *grid.Node, rt transport.Runtime, spec grid.JobSpec) {
 		_, _ = n.SubmitAll(rt, []grid.JobSpec{spec})
 	})
-	if len(single) != len(batched) {
-		t.Fatalf("Submit recorded %d events, one-element SubmitAll %d", len(single), len(batched))
-	}
-	for i := range single {
-		if single[i] != batched[i] {
-			t.Fatalf("traces diverge at event %d:\n  Submit:    %s\n  SubmitAll: %s", i, single[i], batched[i])
-		}
-	}
+	sameTrace(t, "Submit/SubmitAll", single, batched)
 }

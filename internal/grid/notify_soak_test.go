@@ -150,40 +150,20 @@ func neutralPlan() faultinject.Plan {
 // runNeutralSoak executes one seeded schedule on a fixed-latency
 // network — the only RNG-free latency model, so message timing cannot
 // depend on the extra pub/sub traffic — and returns the event trace
-// plus the run's push-path counters.
+// plus the run's push-path counters. A short resubmit patience makes
+// the monitor actually reach the probe-or-trust decision for delayed
+// jobs; owners stay alive, so probes come back Known and no
+// resubmission fires in either run.
 func runNeutralSoak(t *testing.T, seed int64, wired bool) ([]string, notifyStats) {
 	t.Helper()
 	nc := newNotifyCluster(t, soakNodes, seed, soakCfg(), wired)
 	defer nc.e.Shutdown()
 	nc.net.Latency = simnet.FixedLatency(12 * time.Millisecond)
-	// A short resubmit grace makes the monitor actually reach the
-	// probe-or-trust decision for delayed jobs; owners stay alive, so
-	// probes come back Known and no resubmission fires in either run.
-	nc.nodes[soakClient].StartClientMonitor(2 * time.Second)
-
-	nc.do(soakClient, func(rt transport.Runtime) {
-		for i := 0; i < soakJobs; i++ {
-			if _, err := nc.nodes[soakClient].Submit(rt, grid.JobSpec{Work: time.Duration(2+i%4) * time.Second}); err != nil {
-				t.Fatalf("seed %d: submit %d: %v", seed, i, err)
-			}
-		}
-	})
-
-	sched := faultinject.Generate(seed, neutralPlan())
-	nc.net.Faults = sched.Injector(func() time.Duration { return time.Duration(nc.e.Now()) })
-	disarm := sched.Arm(nc.e, nc.net, notifySoakHarness{nc}, func(i int) simnet.Addr {
-		return simnet.Addr(nc.hosts[i].Addr())
-	})
-	defer disarm()
-
-	deadline := nc.e.Now().Add(10 * time.Minute)
-	for nc.e.Now() < deadline && nc.nodes[soakClient].PendingCount() > 0 {
-		nc.e.RunFor(5 * time.Second)
-	}
-	if left := nc.nodes[soakClient].PendingCount(); left != 0 {
-		t.Fatalf("seed %d (wired=%v): %d of %d jobs never terminated", seed, wired, left, soakJobs)
-	}
-	return eventTrace(nc.rec), nc.gather()
+	plan := neutralPlan()
+	trace, _ := soak{c: nc.cluster, harness: notifySoakHarness{nc}, plan: &plan, spec: shortJobs,
+		patience: 2 * time.Second, deadline: 10 * time.Minute, tag: fmt.Sprintf(" wired=%v", wired),
+	}.run(t, seed)
+	return trace, nc.gather()
 }
 
 // TestNotifySoakTraceNeutral is the overlay's hard constraint: for the
@@ -192,22 +172,11 @@ func runNeutralSoak(t *testing.T, seed int64, wired bool) ([]string, notifyStats
 // notifications are wired up or not. Notifications may observe the
 // protocol; they may never steer it.
 func TestNotifySoakTraceNeutral(t *testing.T) {
-	seeds := int64(5)
-	if testing.Short() {
-		seeds = 2
-	}
 	var onProbes, offProbes int64
-	for seed := int64(1); seed <= seeds; seed++ {
+	for seed := int64(1); seed <= seeds(5, 2); seed++ {
 		offTrace, off := runNeutralSoak(t, seed, false)
 		onTrace, on := runNeutralSoak(t, seed, true)
-		if len(offTrace) != len(onTrace) {
-			t.Fatalf("seed %d: %d events with pubsub off, %d with pubsub on", seed, len(offTrace), len(onTrace))
-		}
-		for i := range offTrace {
-			if offTrace[i] != onTrace[i] {
-				t.Fatalf("seed %d: traces diverge at event %d:\n  off: %s\n  on:  %s", seed, i, offTrace[i], onTrace[i])
-			}
-		}
+		sameTrace(t, fmt.Sprintf("seed %d pubsub off/on", seed), offTrace, onTrace)
 		// Non-vacuous: the wired run really pushed transitions to the
 		// client, the unwired run really sent none.
 		if on.published == 0 || on.notifyRecv == 0 {
@@ -247,62 +216,19 @@ func notifyDropPlan() faultinject.Plan {
 // wired and its traffic heavily faulted, on top of the usual crashes,
 // partitions, and grid-method faults. The exactly-once contract must
 // survive: notifications are an optimisation, so losing them can only
-// cost latency (the silence fallback polls), never correctness.
+// cost latency (the silence fallback polls), never correctness. The
+// 5 s patience is short enough that jobs held up by the plan's crashes
+// and partitions outlive it while their pushes are lost, so the
+// silence fallback polls on several seeds, not only on the rare one
+// where a job waits 15 s past its work.
 func runNotifyDropSoak(t *testing.T, seed int64) ([]string, notifyStats) {
 	t.Helper()
 	nc := newNotifyCluster(t, soakNodes, seed, soakCfg(), true)
 	defer nc.e.Shutdown()
-	// Patience is short enough that jobs held up by the plan's crashes
-	// and partitions outlive it while their pushes are lost, so the
-	// silence fallback polls on several seeds, not only on the rare one
-	// where a job waits 15 s past its work.
-	nc.nodes[soakClient].StartClientMonitor(5 * time.Second)
-
-	nc.do(soakClient, func(rt transport.Runtime) {
-		for i := 0; i < soakJobs; i++ {
-			if _, err := nc.nodes[soakClient].Submit(rt, grid.JobSpec{Work: time.Duration(2+i%4) * time.Second}); err != nil {
-				t.Fatalf("seed %d: submit %d: %v", seed, i, err)
-			}
-		}
-	})
-
-	sched := faultinject.Generate(seed, notifyDropPlan())
-	nc.net.Faults = sched.Injector(func() time.Duration { return time.Duration(nc.e.Now()) })
-	disarm := sched.Arm(nc.e, nc.net, notifySoakHarness{nc}, func(i int) simnet.Addr {
-		return simnet.Addr(nc.hosts[i].Addr())
-	})
-	defer disarm()
-
-	deadline := nc.e.Now().Add(10 * time.Minute)
-	for nc.e.Now() < deadline && nc.nodes[soakClient].PendingCount() > 0 {
-		nc.e.RunFor(5 * time.Second)
-	}
-	if left := nc.nodes[soakClient].PendingCount(); left != 0 {
-		t.Fatalf("seed %d: %d of %d jobs never terminated (crashes=%d parts=%d)",
-			seed, left, soakJobs, len(sched.Nodes), len(sched.Parts))
-	}
-
-	// Exactly once, same contract as the base recovery soak: one
-	// delivery per lineage, soakJobs deliveries in total.
-	nc.rec.mu.Lock()
-	delivered := map[ids.ID]int{}
-	total := 0
-	for _, ev := range nc.rec.evs {
-		if ev.Kind == grid.EvResultDelivered {
-			delivered[ev.JobID]++
-			total++
-		}
-	}
-	nc.rec.mu.Unlock()
-	for id, n := range delivered {
-		if n > 1 {
-			t.Fatalf("seed %d: job %s delivered %d times", seed, id.Short(), n)
-		}
-	}
-	if total != soakJobs {
-		t.Fatalf("seed %d: %d results delivered, want %d", seed, total, soakJobs)
-	}
-	return eventTrace(nc.rec), nc.gather()
+	plan := notifyDropPlan()
+	trace, _ := soak{c: nc.cluster, harness: notifySoakHarness{nc}, plan: &plan, spec: shortJobs,
+		patience: 5 * time.Second, deadline: 10 * time.Minute}.run(t, seed)
+	return trace, nc.gather()
 }
 
 // TestNotifySoakDroppedNotifications runs many seeded schedules with
@@ -311,12 +237,9 @@ func runNotifyDropSoak(t *testing.T, seed int64) ([]string, notifyStats) {
 // seeds) that the runs actually exercised both the push path and its
 // polling fallback.
 func TestNotifySoakDroppedNotifications(t *testing.T) {
-	seeds := 30
-	if testing.Short() {
-		seeds = 10
-	}
+	n := seeds(30, 10)
 	var agg notifyStats
-	for seed := int64(1); seed <= int64(seeds); seed++ {
+	for seed := int64(1); seed <= n; seed++ {
 		_, s := runNotifyDropSoak(t, seed)
 		agg.published += s.published
 		agg.redelivery += s.redelivery
@@ -327,10 +250,10 @@ func TestNotifySoakDroppedNotifications(t *testing.T) {
 		t.Fatalf("push path never exercised: published=%d notifyRecv=%d", agg.published, agg.notifyRecv)
 	}
 	if agg.redelivery == 0 {
-		t.Fatalf("loss path never exercised: no redeliveries, duplicates, or abandonments in %d seeds", seeds)
+		t.Fatalf("loss path never exercised: no redeliveries, duplicates, or abandonments in %d seeds", n)
 	}
 	if agg.probes == 0 {
-		t.Fatalf("fallback polling never exercised across %d seeds", seeds)
+		t.Fatalf("fallback polling never exercised across %d seeds", n)
 	}
 }
 
@@ -342,14 +265,7 @@ func TestNotifySoakReplayDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		a, _ := runNotifyDropSoak(t, seed)
 		b, _ := runNotifyDropSoak(t, seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: replay produced %d events, first run %d", seed, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: traces diverge at event %d:\n  first:  %s\n  replay: %s", seed, i, a[i], b[i])
-			}
-		}
+		sameTrace(t, fmt.Sprintf("seed %d replay", seed), a, b)
 	}
 }
 

@@ -1,6 +1,7 @@
 package grid_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,11 +31,7 @@ func obsSoakCfg(cfg grid.Config) (grid.Config, *obs.Obs) {
 // vacuously with instrumentation compiled out).
 func TestSoakObsTraceNeutral(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		bare := runSoakCfg(t, seed, soakCfg())
-		cfg, o := obsSoakCfg(soakCfg())
-		instrumented := runSoakCfg(t, seed, cfg)
-		assertTracesEqual(t, seed, bare, instrumented)
-		assertObsPopulated(t, seed, o)
+		assertObsNeutral(t, seed, soakCfg())
 	}
 }
 
@@ -43,11 +40,7 @@ func TestSoakObsTraceNeutral(t *testing.T) {
 // the trace lines via Progress).
 func TestSoakObsTraceNeutralCheckpointed(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
-		bare := runSoakCfg(t, seed, soakCkptCfg())
-		cfg, o := obsSoakCfg(soakCkptCfg())
-		instrumented := runSoakCfg(t, seed, cfg)
-		assertTracesEqual(t, seed, bare, instrumented)
-		assertObsPopulated(t, seed, o)
+		assertObsNeutral(t, seed, soakCkptCfg())
 	}
 }
 
@@ -58,21 +51,20 @@ func TestSoakObsReplayDeterministic(t *testing.T) {
 	seed := int64(2)
 	cfgA, _ := obsSoakCfg(soakCfg())
 	cfgB, _ := obsSoakCfg(soakCfg())
-	a := runSoakCfg(t, seed, cfgA)
-	b := runSoakCfg(t, seed, cfgB)
-	assertTracesEqual(t, seed, a, b)
+	a, _ := runSoak(t, seed, cfgA)
+	b, _ := runSoak(t, seed, cfgB)
+	sameTrace(t, "seed 2 obs replay", a, b)
 }
 
-func assertTracesEqual(t *testing.T, seed int64, a, b []string) {
+// assertObsNeutral runs one seed with obs off and on: the traces must
+// match and the obs side must have seen the run.
+func assertObsNeutral(t *testing.T, seed int64, cfg grid.Config) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("seed %d: obs-on produced %d events, obs-off %d", seed, len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed %d: traces diverge at event %d:\n  obs-off: %s\n  obs-on:  %s", seed, i, a[i], b[i])
-		}
-	}
+	bare, _ := runSoak(t, seed, cfg)
+	cfg, o := obsSoakCfg(cfg)
+	instrumented, _ := runSoak(t, seed, cfg)
+	sameTrace(t, fmt.Sprintf("seed %d obs off/on", seed), bare, instrumented)
+	assertObsPopulated(t, seed, o)
 }
 
 // assertObsPopulated checks the instrumentation saw the run: lifecycle

@@ -1,6 +1,7 @@
 package grid_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,9 +9,9 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 	"repro/internal/resource"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -23,12 +24,6 @@ import (
 // over the same schedules must show the resubmissions replication
 // removed, proving the schedules actually exercise the double-failure
 // path.
-
-const (
-	replNodes  = 7 // node 6 is the client and is protected
-	replClient = replNodes - 1
-	replJobs   = 8
-)
 
 // testRing adapts the test cluster to replica.Ring, mirroring the
 // switchableOverlay's routing rule: the ring owner of every key is the
@@ -72,7 +67,7 @@ func (r *testRing) Owns(key ids.ID) bool {
 // degree k on every node (k=0 disables the subsystem entirely — the
 // control configuration).
 func newReplCluster(t *testing.T, seed int64, k int, cfg grid.Config) *cluster {
-	return newReplClusterN(t, replNodes, seed, k, cfg, nil, uniform)
+	return newReplClusterN(t, soakNodes, seed, k, cfg, nil, uniform)
 }
 
 func newReplClusterN(t *testing.T, n int, seed int64, k int, cfg grid.Config,
@@ -105,8 +100,8 @@ func newReplClusterN(t *testing.T, n int, seed int64, k int, cfg grid.Config,
 // anti-entropy paths.
 func replPlan(pairs int, restarts bool) faultinject.Plan {
 	p := faultinject.Plan{
-		Nodes:       replNodes,
-		Protect:     []int{replClient},
+		Nodes:       soakNodes,
+		Protect:     []int{soakClient},
 		Window:      25 * time.Second,
 		PairCrashes: pairs,
 		Rules: []faultinject.Rule{
@@ -124,61 +119,21 @@ func replPlan(pairs int, restarts bool) faultinject.Plan {
 	return p
 }
 
-// runReplSoak executes one seeded schedule at replication degree k and
-// returns the event trace plus the resubmission count. It fails the
-// test if any job never terminates or any GUID is delivered twice.
-func runReplSoak(t *testing.T, seed int64, k int, plan faultinject.Plan) (trace []string, resubmits int) {
+// runReplSoak executes one seeded schedule at replication degree k
+// and returns the event trace plus the collector it was checked with.
+// A calm period before the faults lets a couple of anti-entropy rounds
+// seed every successor, so the schedule probes recovery, not the race
+// between the very first push and the very first crash.
+func runReplSoak(t *testing.T, seed int64, k int, plan faultinject.Plan) ([]string, *metrics.Collector) {
 	t.Helper()
 	c := newReplCluster(t, seed, k, soakCfg())
 	defer c.e.Shutdown()
-	c.nodes[replClient].StartClientMonitor(15 * time.Second)
-
-	c.do(replClient, func(rt transport.Runtime) {
-		for i := 0; i < replJobs; i++ {
-			if _, err := c.nodes[replClient].Submit(rt, grid.JobSpec{Work: time.Duration(6+i%4) * time.Second}); err != nil {
-				t.Fatalf("seed %d k=%d: submit %d: %v", seed, k, i, err)
-			}
-		}
-	})
-	// Calm period before the faults: a couple of anti-entropy rounds
-	// seed every successor, so the schedule probes recovery, not the
-	// race between the very first push and the very first crash.
-	c.e.RunFor(3 * time.Second)
-
-	sched := faultinject.Generate(seed, plan)
-	c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
-	disarm := sched.Arm(c.e, c.net, soakHarness{c}, func(i int) simnet.Addr {
-		return simnet.Addr(c.hosts[i].Addr())
-	})
-	defer disarm()
-
-	deadline := c.e.Now().Add(10 * time.Minute)
-	for c.e.Now() < deadline && c.nodes[replClient].PendingCount() > 0 {
-		c.e.RunFor(5 * time.Second)
-	}
-	if left := c.nodes[replClient].PendingCount(); left != 0 {
-		t.Fatalf("seed %d k=%d: %d of %d jobs never terminated", seed, k, left, replJobs)
-	}
-
-	c.rec.mu.Lock()
-	delivered := map[ids.ID]int{}
-	total := 0
-	for _, ev := range c.rec.evs {
-		if ev.Kind == grid.EvResultDelivered {
-			delivered[ev.JobID]++
-			total++
-		}
-	}
-	c.rec.mu.Unlock()
-	for id, n := range delivered {
-		if n > 1 {
-			t.Fatalf("seed %d k=%d: job %s delivered %d times", seed, k, id.Short(), n)
-		}
-	}
-	if total != replJobs {
-		t.Fatalf("seed %d k=%d: %d results delivered, want %d", seed, k, total, replJobs)
-	}
-	return eventTrace(c.rec), c.rec.count(grid.EvResubmitted)
+	return soak{c: c, harness: soakHarness{c}, plan: &plan, patience: 15 * time.Second,
+		spec:     func(i int) grid.JobSpec { return grid.JobSpec{Work: time.Duration(6+i%4) * time.Second} },
+		calm:     3 * time.Second,
+		deadline: 10 * time.Minute,
+		tag:      fmt.Sprintf(" k=%d", k),
+	}.run(t, seed)
 }
 
 // TestReplicatedSoakNoResubmits is the tentpole acceptance soak: under
@@ -189,11 +144,12 @@ func runReplSoak(t *testing.T, seed int64, k int, plan faultinject.Plan) (trace 
 func TestReplicatedSoakNoResubmits(t *testing.T) {
 	controlResubmits := 0
 	for seed := int64(1); seed <= 10; seed++ {
-		if _, re := runReplSoak(t, seed, 2, replPlan(1, false)); re != 0 {
+		_, col := runReplSoak(t, seed, 2, replPlan(1, false))
+		if re := col.Count(grid.EvResubmitted); re != 0 {
 			t.Errorf("seed %d: %d resubmissions at ReplicaK=2, want 0", seed, re)
 		}
-		_, re := runReplSoak(t, seed, 0, replPlan(1, false))
-		controlResubmits += re
+		_, col = runReplSoak(t, seed, 0, replPlan(1, false))
+		controlResubmits += col.Count(grid.EvResubmitted)
 	}
 	if controlResubmits == 0 {
 		t.Error("k=0 control never resubmitted: the schedules are not exercising the owner+run double failure")
@@ -202,16 +158,21 @@ func TestReplicatedSoakNoResubmits(t *testing.T) {
 
 // TestReplicatedSoakWithRestarts hardens the subsystem against the
 // full churn mix — pair crashes plus independent crashes with
-// probabilistic restarts (restore and fencing paths live here). A
-// restarted ring owner may still force a (safe) resubmission, so this
-// soak asserts exactly-once termination, not zero resubmits.
+// probabilistic restarts. Promotion and fencing paths live here: the
+// seeds must promote, and the full run must also demote a fenced
+// owner (seeds 1-2, the short run, have no demotion). These seeds
+// record no restore; handoff_test.go's targeted test covers that path.
+// A restarted ring owner may still force a (safe) resubmission, so
+// this soak asserts exactly-once termination, not zero resubmits.
 func TestReplicatedSoakWithRestarts(t *testing.T) {
-	seeds := 8
-	if testing.Short() {
-		seeds = 2
+	promotions, demotions := 0, 0
+	for seed := int64(1); seed <= seeds(8, 2); seed++ {
+		_, col := runReplSoak(t, seed, 2, replPlan(2, true))
+		promotions += col.Count(grid.EvPromoted)
+		demotions += col.Count(grid.EvDemoted)
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		runReplSoak(t, seed, 2, replPlan(2, true))
+	if promotions == 0 || (!testing.Short() && demotions == 0) {
+		t.Fatalf("%d promotions and %d demotions across the seeds: the soak is toothless", promotions, demotions)
 	}
 }
 
@@ -222,13 +183,6 @@ func TestReplicatedSoakReplayDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		a, _ := runReplSoak(t, seed, 2, replPlan(2, true))
 		b, _ := runReplSoak(t, seed, 2, replPlan(2, true))
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: replay produced %d events, first run %d", seed, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: traces diverge at event %d:\n  first:  %s\n  replay: %s", seed, i, a[i], b[i])
-			}
-		}
+		sameTrace(t, fmt.Sprintf("seed %d replay", seed), a, b)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/grid"
-	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -70,92 +70,99 @@ func soakCfg() grid.Config {
 	}
 }
 
-// soakCkptCfg is the soak configuration with adaptive checkpointing on,
-// intervals tightened to the soak's few-second jobs.
+// soakCkptCfg is the soak configuration with adaptive checkpointing on.
+// The interval backs off to CheckpointMaxEvery while no failure is
+// seen, so the cap must stay under the soak's 2-5 s jobs or no
+// snapshot is ever taken.
 func soakCkptCfg() grid.Config {
 	cfg := soakCfg()
 	cfg.CheckpointEvery = 2 * time.Second
 	cfg.CheckpointAdaptive = true
 	cfg.CheckpointMinEvery = time.Second
-	cfg.CheckpointMaxEvery = 5 * time.Second
+	cfg.CheckpointMaxEvery = 2 * time.Second
 	return cfg
 }
 
-// runSoak executes one seeded schedule and returns the full event
-// trace (for replay comparison). It fails the test, tagged with the
-// seed, if any job is lost or delivered more than once.
-func runSoak(t *testing.T, seed int64) []string {
-	return runSoakCfg(t, seed, soakCfg())
+// soak is one seeded fault run on a built cluster: the parts in which
+// the grid soaks differ. The last node is the client.
+type soak struct {
+	c        *cluster
+	harness  faultinject.Harness
+	plan     *faultinject.Plan // nil runs no fault schedule
+	spec     func(i int) grid.JobSpec
+	patience time.Duration // the client monitor's resubmit patience
+	calm     time.Duration // quiet time between submission and the schedule
+	deadline time.Duration
+	tag      string // appended to the seed in failure messages
 }
 
-func runSoakCfg(t *testing.T, seed int64, cfg grid.Config) []string {
-	return runSoakPrep(t, seed, cfg, nil)
+// recoverySoak is the base recovery soak on a cluster of soakNodes.
+func recoverySoak(c *cluster) soak {
+	plan := soakPlan()
+	return soak{c: c, harness: soakHarness{c}, plan: &plan, spec: shortJobs,
+		patience: 15 * time.Second, deadline: 10 * time.Minute}
 }
 
-// runSoakPrep is runSoakCfg with a hook that runs against the fresh
-// cluster before anything is scheduled — the stats-neutrality soak uses
-// it to flip kernel instrumentation on without otherwise touching the
-// run.
-func runSoakPrep(t *testing.T, seed int64, cfg grid.Config, prep func(c *cluster)) []string {
+// shortJobs is the soaks' job mix: 2-5 s of work.
+func shortJobs(i int) grid.JobSpec { return grid.JobSpec{Work: time.Duration(2+i%4) * time.Second} }
+
+// run submits soakJobs on a clean network, arms the fault schedule
+// after the calm period, and drains until every job terminates or the
+// deadline passes. It fails the test, tagged with the seed, if a job
+// is still pending or the recorded events break the exactly-once
+// contract (metrics.Collector.Check). It returns the event trace, for
+// replay comparison, and the collector the events were replayed into.
+func (s soak) run(t *testing.T, seed int64) ([]string, *metrics.Collector) {
 	t.Helper()
-	c := newCluster(t, soakNodes, seed, cfg, uniform)
-	defer c.e.Shutdown()
-	if prep != nil {
-		prep(c)
-	}
-	c.nodes[soakClient].StartClientMonitor(15 * time.Second)
-
-	// Submit everything on a clean network, then arm the schedule: the
-	// faults land on the execution and recovery phases, which is what
-	// the soak is probing.
-	c.do(soakClient, func(rt transport.Runtime) {
+	c := s.c
+	client := c.nodes[len(c.nodes)-1]
+	client.StartClientMonitor(s.patience)
+	c.do(len(c.nodes)-1, func(rt transport.Runtime) {
 		for i := 0; i < soakJobs; i++ {
-			if _, err := c.nodes[soakClient].Submit(rt, grid.JobSpec{Work: time.Duration(2+i%4) * time.Second}); err != nil {
-				t.Fatalf("seed %d: submit %d: %v", seed, i, err)
+			if _, err := client.Submit(rt, s.spec(i)); err != nil {
+				t.Fatalf("seed %d%s: submit %d: %v", seed, s.tag, i, err)
 			}
 		}
 	})
+	if s.calm > 0 {
+		c.e.RunFor(s.calm)
+	}
+	var sched faultinject.Schedule
+	if s.plan != nil {
+		sched = faultinject.Generate(seed, *s.plan)
+		c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
+		disarm := sched.Arm(c.e, c.net, s.harness, func(i int) simnet.Addr {
+			return simnet.Addr(c.hosts[i].Addr())
+		})
+		defer disarm() // before the caller's Shutdown drains the engine
+	}
 
-	sched := faultinject.Generate(seed, soakPlan())
-	c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
-	disarm := sched.Arm(c.e, c.net, soakHarness{c}, func(i int) simnet.Addr {
-		return simnet.Addr(c.hosts[i].Addr())
-	})
-	defer disarm() // before Shutdown's drain, which runs LIFO after this
-
-	deadline := c.e.Now().Add(10 * time.Minute)
-	for c.e.Now() < deadline && c.nodes[soakClient].PendingCount() > 0 {
+	deadline := c.e.Now().Add(s.deadline)
+	for c.e.Now() < deadline && client.PendingCount() > 0 {
 		c.e.RunFor(5 * time.Second)
 	}
-	if left := c.nodes[soakClient].PendingCount(); left != 0 {
-		t.Fatalf("seed %d: %d of %d jobs never terminated (crashes=%d parts=%d)",
-			seed, left, soakJobs, len(sched.Nodes), len(sched.Parts))
+	if left := client.PendingCount(); left != 0 {
+		t.Fatalf("seed %d%s: %d of %d jobs never terminated (crashes=%d parts=%d)",
+			seed, s.tag, left, soakJobs, len(sched.Nodes), len(sched.Parts))
 	}
-
-	// Exactly once: every delivery is for a distinct GUID, and the
-	// number of deliveries matches the number of submitted jobs —
-	// resubmissions retire the old GUID before minting a new one, so
-	// each job lineage ends in exactly one delivery.
+	col := metrics.NewCollector()
 	c.rec.mu.Lock()
-	delivered := map[ids.ID]int{}
-	total := 0
 	for _, ev := range c.rec.evs {
-		if ev.Kind == grid.EvResultDelivered {
-			delivered[ev.JobID]++
-			total++
-		}
+		col.Record(ev)
 	}
 	c.rec.mu.Unlock()
-	for id, n := range delivered {
-		if n > 1 {
-			t.Fatalf("seed %d: job %s delivered %d times", seed, id.Short(), n)
-		}
+	if err := col.Check(soakJobs); err != nil {
+		t.Fatalf("seed %d%s: %v", seed, s.tag, err)
 	}
-	if total != soakJobs {
-		t.Fatalf("seed %d: %d results delivered, want %d", seed, total, soakJobs)
-	}
+	return eventTrace(c.rec), col
+}
 
-	return eventTrace(c.rec)
+// runSoak runs the base recovery soak with cfg on every node.
+func runSoak(t *testing.T, seed int64, cfg grid.Config) ([]string, *metrics.Collector) {
+	t.Helper()
+	c := newCluster(t, soakNodes, seed, cfg, uniform)
+	defer c.e.Shutdown()
+	return recoverySoak(c).run(t, seed)
 }
 
 // eventTrace renders every recorded event as one line, including the
@@ -172,27 +179,48 @@ func eventTrace(rec *recorder) []string {
 	return trace
 }
 
-func TestRecoverySoak(t *testing.T) {
-	seeds := 120
-	if testing.Short() {
-		seeds = 30
+// sameTrace fails the test at the first event where two runs' traces
+// differ; what names the two runs.
+func sameTrace(t *testing.T, what string, a, b []string) {
+	t.Helper()
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			t.Fatalf("%s: traces diverge at event %d:\n  %s\n  %s", what, i, a[i], b[i])
+		}
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		runSoak(t, seed)
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d events against %d", what, len(a), len(b))
+	}
+}
+
+// seeds is full, or short under -short.
+func seeds(full, short int64) int64 {
+	if testing.Short() {
+		return short
+	}
+	return full
+}
+
+func TestRecoverySoak(t *testing.T) {
+	for seed := int64(1); seed <= seeds(120, 30); seed++ {
+		runSoak(t, seed, soakCfg())
 	}
 }
 
 // TestRecoverySoakCheckpointed re-runs the soak with adaptive
 // checkpointing enabled: snapshots, piggybacked shipping, and resume
 // paths must preserve the exactly-once guarantee under every fault
-// schedule, not just speed recovery up.
+// schedule, not just speed recovery up. Across the seeds the runs must
+// have taken snapshots and resumed from them, or the soak is toothless.
 func TestRecoverySoakCheckpointed(t *testing.T) {
-	seeds := 60
-	if testing.Short() {
-		seeds = 15
+	ckpts, resumes := 0, 0
+	for seed := int64(1); seed <= seeds(60, 15); seed++ {
+		_, col := runSoak(t, seed, soakCkptCfg())
+		ckpts += col.Count(grid.EvCheckpointed)
+		resumes += col.Count(grid.EvResumed)
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		runSoakCfg(t, seed, soakCkptCfg())
+	if ckpts == 0 || resumes == 0 {
+		t.Fatalf("%d snapshots and %d resumes across the seeds: the soak is toothless", ckpts, resumes)
 	}
 }
 
@@ -218,14 +246,7 @@ func TestRecoverySoakCheckpointedReplayDeterministic(t *testing.T) {
 
 func assertReplayIdentical(t *testing.T, seed int64, cfg grid.Config) {
 	t.Helper()
-	a := runSoakCfg(t, seed, cfg)
-	b := runSoakCfg(t, seed, cfg)
-	if len(a) != len(b) {
-		t.Fatalf("seed %d: replay produced %d events, first run %d", seed, len(b), len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed %d: traces diverge at event %d:\n  first:  %s\n  replay: %s", seed, i, a[i], b[i])
-		}
-	}
+	a, _ := runSoak(t, seed, cfg)
+	b, _ := runSoak(t, seed, cfg)
+	sameTrace(t, fmt.Sprintf("seed %d replay", seed), a, b)
 }

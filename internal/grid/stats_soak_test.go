@@ -1,6 +1,7 @@
 package grid_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,26 +15,13 @@ import (
 // running — not just on a toy kernel scenario.
 
 func TestStatsNeutralSoakReplay(t *testing.T) {
-	seeds := int64(3)
-	if testing.Short() {
-		seeds = 1
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		plain := runSoakCfg(t, seed, soakCfg())
-		var st *sim.Stats
-		instrumented := runSoakPrep(t, seed, soakCfg(), func(c *cluster) {
-			st = c.e.EnableStats()
-		})
-		if len(plain) != len(instrumented) {
-			t.Fatalf("seed %d: stats-on run produced %d events, stats-off %d",
-				seed, len(instrumented), len(plain))
-		}
-		for i := range plain {
-			if plain[i] != instrumented[i] {
-				t.Fatalf("seed %d: traces diverge at event %d:\n  off: %s\n  on:  %s",
-					seed, i, plain[i], instrumented[i])
-			}
-		}
+	for seed := int64(1); seed <= seeds(3, 1); seed++ {
+		plain, _ := runSoak(t, seed, soakCfg())
+		c := newCluster(t, soakNodes, seed, soakCfg(), uniform)
+		st := c.e.EnableStats()
+		instrumented, _ := recoverySoak(c).run(t, seed)
+		c.e.Shutdown()
+		sameTrace(t, fmt.Sprintf("seed %d stats off/on", seed), plain, instrumented)
 		assertStatsPopulated(t, seed, st)
 	}
 }

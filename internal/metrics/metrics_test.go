@@ -2,12 +2,14 @@ package metrics
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/grid"
 	"repro/internal/ids"
+	"repro/internal/transport"
 )
 
 func TestSummarizeBasics(t *testing.T) {
@@ -258,5 +260,74 @@ func TestWrongDeliveries(t *testing.T) {
 	c.Record(grid.Event{Kind: grid.EvResultDelivered, JobID: legacy})
 	if got := c.WrongDeliveries(); got != 1 {
 		t.Fatalf("legacy digestless trace flagged: WrongDeliveries = %d", got)
+	}
+}
+
+// TestCheck feeds hand-built event streams to the exactly-once oracle:
+// one stream per rule that must fail with an error naming the job or
+// lineage, and two that must pass.
+func TestCheck(t *testing.T) {
+	a0, a1, b0 := grid.JobGUID("c", 1, 0), grid.JobGUID("c", 1, 1), grid.JobGUID("c", 2, 0)
+	sub := func(id ids.ID, seq int) grid.Event {
+		return grid.Event{Kind: grid.EvSubmitted, JobID: id, Node: "c", Seq: seq, Digest: "d" + string(rune('0'+seq))}
+	}
+	del := func(id ids.ID, seq int) grid.Event {
+		return grid.Event{Kind: grid.EvResultDelivered, JobID: id, Node: "r", Digest: "d" + string(rune('0'+seq))}
+	}
+	ev := func(kind grid.EventKind, id ids.ID, node transport.Addr, done time.Duration) grid.Event {
+		return grid.Event{Kind: kind, JobID: id, Node: node, Progress: done}
+	}
+	clean := []grid.Event{
+		sub(a0, 1), sub(b0, 2),
+		ev(grid.EvStarted, a0, "r", 0), ev(grid.EvCheckpointed, a0, "r", time.Second),
+		ev(grid.EvStarted, a0, "s", time.Second), ev(grid.EvResumed, a0, "s", time.Second),
+		ev(grid.EvCheckpointed, a0, "s", 2*time.Second), del(a0, 1),
+		ev(grid.EvStarted, b0, "r", 0), del(b0, 2),
+	}
+	for _, tc := range []struct {
+		name string
+		evs  []grid.Event
+		want string // substring of the error; "" means Check passes
+	}{
+		{"clean", clean, ""},
+		{"resubmitted lineage", []grid.Event{
+			sub(a0, 1), sub(b0, 2), ev(grid.EvGaveUp, a0, "o", 0),
+			ev(grid.EvResubmitted, a0, "c", 0), sub(a1, 1), del(a1, 1), del(b0, 2),
+		}, ""},
+		{"1: GUID delivered twice", append(clean, del(b0, 2)), "job " + b0.Short() + " delivered 2 times"},
+		{"1: delivered unsubmitted", []grid.Event{sub(a0, 1), del(a0, 1), del(b0, 2)}, "job " + b0.Short() + " delivered but never submitted"},
+		{"2: lineage delivered twice", []grid.Event{sub(a0, 1), sub(a1, 1), del(a0, 1), del(a1, 1), sub(b0, 2), del(b0, 2)}, "lineage c#1 delivered 2 times"},
+		{"2: lineage undelivered", []grid.Event{sub(a0, 1), sub(b0, 2), del(a0, 1)}, "lineage c#2 delivered 0 times"},
+		{"2: lineage never submitted", []grid.Event{sub(a0, 1), del(a0, 1)}, "1 lineages submitted, want 2"},
+		{"3: wrong digest", []grid.Event{sub(a0, 1), sub(b0, 2), del(a0, 1), del(b0, 1)}, "job " + b0.Short() + " delivered digest"},
+		{"4: resume off the started offset", []grid.Event{
+			sub(a0, 1), sub(b0, 2), ev(grid.EvStarted, a0, "s", time.Second),
+			ev(grid.EvResumed, a0, "s", 2*time.Second), del(a0, 1), del(b0, 2),
+		}, "job " + a0.Short() + ": resumed on s at 2s after 1s"},
+		{"4: snapshot does not rise", []grid.Event{
+			sub(a0, 1), sub(b0, 2), ev(grid.EvStarted, a0, "r", 0), ev(grid.EvCheckpointed, a0, "r", 2*time.Second),
+			ev(grid.EvCheckpointed, a0, "r", 2*time.Second), del(a0, 1), del(b0, 2),
+		}, "job " + a0.Short() + ": checkpointed on r at 2s after 2s"},
+		{"4: snapshot outside an execution", []grid.Event{
+			sub(a0, 1), sub(b0, 2), ev(grid.EvStarted, a0, "r", 0),
+			ev(grid.EvCheckpointed, a0, "s", time.Second), del(a0, 1), del(b0, 2),
+		}, "job " + a0.Short() + ": checkpointed on s with no execution started there"},
+		{"5: gave up, never resubmitted", []grid.Event{
+			sub(a0, 1), sub(b0, 2), ev(grid.EvGaveUp, b0, "o", 0), del(a0, 1),
+		}, "job " + b0.Short() + " gave up and was neither resubmitted nor delivered"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector()
+			for _, e := range tc.evs {
+				c.Record(e)
+			}
+			err := c.Check(2)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Check: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Check = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
