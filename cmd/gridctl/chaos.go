@@ -7,8 +7,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/grid"
-	"repro/internal/nettransport"
 	"repro/internal/resource"
 	"repro/internal/transport"
 )
@@ -47,17 +47,13 @@ func chaosCmd(args []string) {
 	jsonOut := fs.Bool("json", false, "emit one JSON result line on stdout")
 	_ = fs.Parse(args)
 
-	var topts nettransport.Opts
-	if *chaosSpec != "" {
-		rules, err := nettransport.ParseRules(*chaosSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridctl: chaos: %v\n", err)
-			os.Exit(2)
-		}
-		topts.Chaos = nettransport.NewChaos(*chaosSeed, rules...)
+	chaos, err := faultinject.ParseChaos(*chaosSeed, *chaosSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gridctl: chaos: -chaos: %v\n", err)
+		os.Exit(2)
 	}
 
-	peer, err := joinClientPeer(*bootstrap, topts, *patience)
+	peer, err := joinClientPeer(*bootstrap, chaos, *patience)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: chaos: %v\n", err)
 		os.Exit(1)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/grid"
-	"repro/internal/nettransport"
 	"repro/internal/resource"
 	"repro/internal/transport"
 )
@@ -75,7 +74,7 @@ func flowCmd(args []string) {
 		os.Exit(2)
 	}
 
-	peer, err := joinClientPeer(*bootstrap, nettransport.Opts{}, *patience)
+	peer, err := joinClientPeer(*bootstrap, nil, *patience)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: flow: %v\n", err)
 		os.Exit(1)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/nettransport"
@@ -24,10 +26,16 @@ type clientPeer struct {
 	col  *metrics.Collector
 }
 
-// joinClientPeer listens and launches a peer stack through bootstrap;
-// it fails if the join or a readiness gate (peer.Launch) times out.
-func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Duration) (*clientPeer, error) {
+// joinClientPeer listens and launches a peer stack through bootstrap,
+// with chaos (nil = none) on its outbound calls. It fails before
+// joining if a chaos rule names a method no handler serves, and fails
+// if the join or a readiness gate (peer.Launch) times out.
+func joinClientPeer(bootstrap string, chaos *faultinject.Keyed, patience time.Duration) (*clientPeer, error) {
 	wire.RegisterAll()
+	var topts nettransport.Opts
+	if chaos != nil {
+		topts.Chaos = chaos
+	}
 	host, err := nettransport.ListenOpts("127.0.0.1:0", topts)
 	if err != nil {
 		return nil, err
@@ -38,6 +46,10 @@ func joinClientPeer(bootstrap string, topts nettransport.Opts, patience time.Dur
 		Grid: grid.Config{HeartbeatEvery: time.Second, PeerDown: host.PeerDown, Health: host.Health},
 	})
 	p.node = stack.Grid
+	if err := chaos.CheckServed(host.Handles); err != nil {
+		host.Close()
+		return nil, fmt.Errorf("-chaos: %w", err)
+	}
 	if err := stack.LaunchWait(transport.Addr(bootstrap)); err != nil {
 		host.Close()
 		return nil, err

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/chord"
+	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/nettransport"
 	"repro/internal/obs"
@@ -45,7 +46,7 @@ func main() {
 	notify := flag.Bool("notify", false, "publish job-state transitions over the DHT pub/sub overlay (clients subscribe at submit; see 'gridctl watch')")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for /metrics, /events, /debug/pprof ('' = off)")
 	ownerCap := flag.Int("owner-cap", 0, "bound on jobs this node will own at once; beyond it injections are rejected with a retry-after hint (0 = unbounded)")
-	chaosSpec := flag.String("chaos", "", "deterministic outbound fault schedule, e.g. 'method=grid.assign reset=0.1; stall=0.2:300ms' (DESIGN.md §12; '' = off)")
+	chaosSpec := flag.String("chaos", "", "deterministic outbound fault schedule, e.g. 'method=grid.assign reset=0.1; delay=0.2:300ms' (DESIGN.md §12; '' = off)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos schedule; same seed, same rules => same fault sequence")
 	chaosLog := flag.String("chaos-log", "", "append one 'peer method seq fate' line per chaos decision to this file ('' = off)")
 	flag.Parse()
@@ -67,14 +68,12 @@ func main() {
 	}
 
 	var topts nettransport.Opts
-	var chaosRules []nettransport.ChaosRule
-	if *chaosSpec != "" {
-		var err error
-		if chaosRules, err = nettransport.ParseRules(*chaosSpec); err != nil {
-			fmt.Fprintf(os.Stderr, "gridnode: -chaos: %v\n", err)
-			os.Exit(2)
-		}
-		cz := nettransport.NewChaos(*chaosSeed, chaosRules...)
+	chaos, err := faultinject.ParseChaos(*chaosSeed, *chaosSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gridnode: -chaos: %v\n", err)
+		os.Exit(2)
+	}
+	if chaos != nil {
 		if *chaosLog != "" {
 			f, err := os.OpenFile(*chaosLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -82,10 +81,10 @@ func main() {
 				os.Exit(2)
 			}
 			defer f.Close()
-			cz.SetLog(f)
+			chaos.SetLog(f)
 		}
-		topts.Chaos = cz
-		fmt.Printf("gridnode: chaos on (seed %d, %d rules)\n", *chaosSeed, len(chaosRules))
+		topts.Chaos = chaos
+		fmt.Printf("gridnode: chaos on (seed %d: %s)\n", *chaosSeed, *chaosSpec)
 	}
 
 	wire.RegisterAll()
@@ -171,14 +170,9 @@ func main() {
 		},
 		Notify: *notify,
 	})
-	// Every peer runs this binary, so with all handlers registered a
-	// method unknown here is served nowhere: the rule would match no
-	// call and silently inject nothing.
-	for _, r := range chaosRules {
-		if r.Method != "" && r.Method != "*" && !host.Handles(r.Method) {
-			fmt.Fprintf(os.Stderr, "gridnode: -chaos: rule names method %q, which no handler is registered for\n", r.Method)
-			os.Exit(2)
-		}
+	if err := chaos.CheckServed(host.Handles); err != nil {
+		fmt.Fprintf(os.Stderr, "gridnode: -chaos: %v\n", err)
+		os.Exit(2)
 	}
 
 	// Scripts wait for the ready line (scripts/lib.sh). After a gate

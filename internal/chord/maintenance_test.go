@@ -19,11 +19,11 @@ type sent struct {
 // tap records every request sent on r's network from now on.
 func (r *ring) tap() *[]sent {
 	var log []sent
-	r.net.Faults = simnet.FaultFunc(func(from, to simnet.Addr, method string, response bool) simnet.Fault {
+	r.net.Faults = transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		if !response {
-			log = append(log, sent{at: time.Duration(r.e.Now()), from: from, to: to, method: method})
+			log = append(log, sent{at: time.Duration(r.e.Now()), from: simnet.Addr(from), to: simnet.Addr(to), method: method})
 		}
-		return simnet.Fault{}
+		return transport.Fault{}
 	})
 	return &log
 }

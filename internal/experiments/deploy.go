@@ -29,17 +29,16 @@ import (
 // Algorithm selects the matchmaking system under test.
 type Algorithm int
 
-// The matchmakers compared in the paper (plus two extra baselines).
+// The matchmakers compared in the paper (plus the TTL baseline).
 const (
 	AlgRNTree Algorithm = iota
 	AlgCAN
 	AlgCANPush
 	AlgCentral
 	AlgTTL
-	AlgRandom
 )
 
-var algNames = [...]string{"rntree", "can", "can-push", "central", "ttl", "random"}
+var algNames = [...]string{"rntree", "can", "can-push", "central", "ttl"}
 
 func (a Algorithm) String() string {
 	if int(a) < len(algNames) {
@@ -233,8 +232,6 @@ func Build(s Scenario) *Deployment {
 			switch s.Alg {
 			case AlgCentral:
 				cfg.Match = func(*chord.Node) grid.Matchmaker { return &match.Central{Reg: d.Registry} }
-			case AlgRandom:
-				cfg.Match = func(*chord.Node) grid.Matchmaker { return &match.Random{Reg: d.Registry} }
 			case AlgTTL:
 				cfg.Match = func(ring *chord.Node) grid.Matchmaker {
 					ttl = &match.TTL{Ring: ring, Caps: spec.Caps, OS: spec.OS}

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"os"
+	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
@@ -51,11 +54,9 @@ func TestBuildAndRunCentral(t *testing.T) {
 
 func TestBuildAndRunTTLAndRandom(t *testing.T) {
 	wcfg := workload.NewConfig().Scale(0.02)
-	for _, alg := range []Algorithm{AlgTTL, AlgRandom} {
-		res := Build(Scenario{Alg: alg, Workload: wcfg, NetSeed: 4}).Run()
-		if res.Delivered == 0 {
-			t.Fatalf("%s delivered nothing", alg)
-		}
+	res := Build(Scenario{Alg: AlgTTL, Workload: wcfg, NetSeed: 4}).Run()
+	if res.Delivered == 0 {
+		t.Fatal("ttl delivered nothing")
 	}
 }
 
@@ -261,6 +262,59 @@ func TestFaultRowsExactlyOnce(t *testing.T) {
 		res := d.Run()
 		if err := d.Collector.Check(res.Jobs); err != nil {
 			t.Errorf("row %d: %v", i, err)
+		}
+	}
+}
+
+// TestParseRules holds the one rule grammar to the rules that run: the
+// fault sweep's chaos level written as a spec parses to exactly its Go
+// rules, scripts/live_chaos.sh's default spec parses to the faults its
+// header names, and malformed specs are refused.
+func TestParseRules(t *testing.T) {
+	levels := faultLevels()
+	chaos := levels[len(levels)-1]
+	if chaos.name != "chaos" {
+		t.Fatalf("last fault level is %q, want chaos", chaos.name)
+	}
+	script, err := os.ReadFile("../../scripts/live_chaos.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`SPEC=\$\{CHAOS_SPEC:-'([^']*)'\}`).FindSubmatch(script)
+	if m == nil {
+		t.Fatal("scripts/live_chaos.sh has no default SPEC")
+	}
+	for _, tc := range []struct {
+		spec string
+		want []faultinject.Rule // nil: the spec must be refused
+	}{
+		{"method=grid.assign dup=0.2; method=grid.adopt dup=0.2; method=grid.heartbeat drop=0.25; " +
+			"method=grid.complete drop=0.15; method=grid.result drop=0.15; delay=0.2:100ms:1s", chaos.plan.Rules},
+		{string(m[1]), []faultinject.Rule{
+			{Method: grid.MHeartbeat, DelayProb: 0.25, DelayMin: 400 * time.Millisecond, DelayMax: 400 * time.Millisecond},
+			{Method: grid.MAssign, ResetProb: 0.15},
+			{Method: grid.MOwnBatch, RefuseProb: 0.15},
+			{DropProb: 0.03},
+		}},
+		{"refuse=1.5", nil},
+		{"drop=NaN", nil},
+		{"delay=0.1", nil},
+		{"delay=0.1:1s:100ms", nil},
+		{"delay=0.1:-1s", nil},
+		{"stall=0.1:300ms", nil},
+		{"throttle=0.1:2048", nil},
+		{"peer=127.0.0.1:7702 drop=1", nil},
+		{"nonsense=1", nil},
+		{"refuse", nil},
+	} {
+		got, err := faultinject.ParseRules(tc.spec)
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("ParseRules(%q) accepted: %+v", tc.spec, got)
+		case tc.want != nil && err != nil:
+			t.Errorf("ParseRules(%q): %v", tc.spec, err)
+		case tc.want != nil && !reflect.DeepEqual(got, tc.want):
+			t.Errorf("ParseRules(%q) =\n%+v\nwant\n%+v", tc.spec, got, tc.want)
 		}
 	}
 }

@@ -1,10 +1,11 @@
-// Package faultinject is a deterministic, seedable fault-injection
-// harness for the simulated grid. It produces two artefacts from one
-// seed:
+// Package faultinject is the grid's one fault language, for the
+// simulator and the live transport alike. It produces two artefacts
+// from one seed:
 //
-//   - an Injector (message-level faults): drop, delay, or duplicate
-//     individual messages matched by RPC method name, on the request
-//     and/or response leg, via simnet's FaultInjector hook;
+//   - an injector (message-level faults): drop, duplicate, delay,
+//     refuse or reset individual messages matched by RPC method name,
+//     through the transport.FaultInjector hook both transports
+//     consult. Rules are Go values or a ParseRules spec;
 //   - a Schedule (node- and network-level faults): crash/restart
 //     events for individual nodes and temporary partitions of address
 //     sets, armed onto the sim engine at fixed virtual times.
@@ -17,13 +18,18 @@ package faultinject
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // Rule applies message-level faults to one RPC method (or to all
@@ -39,6 +45,10 @@ type Rule struct {
 	Responses bool
 	// DropProb loses the message entirely.
 	DropProb float64
+	// RefuseProb and ResetProb fail the call as unreachable: a refused
+	// connect, or a connection reset mid-request.
+	RefuseProb float64
+	ResetProb  float64
 	// DupProb delivers a second copy of the message.
 	DupProb float64
 	// DelayProb adds a uniform extra delay in [DelayMin, DelayMax].
@@ -60,8 +70,56 @@ func (r Rule) matches(method string, response bool) bool {
 	return r.Requests
 }
 
-// Injector implements simnet.FaultInjector: a seeded RNG plus an
-// ordered rule list. Construct with NewInjector or Schedule.Injector.
+// draws is where a rule evaluation gets its randomness; each draw is
+// named by the decision it makes. The simulator reads one seeded
+// stream in message order (the names go unused); the live transport
+// hashes the names with the message's identity.
+type draws interface {
+	chance(kind string) float64       // uniform in [0, 1)
+	below(kind string, n int64) int64 // uniform in [0, n)
+}
+
+// fate is the one rule evaluation. The first rule matching (method,
+// leg) decides; it draws only for its non-zero probabilities, in the
+// order drop, refuse, reset, dup, delay. The first three end the
+// message, dup and delay combine. ok reports whether a rule matched.
+func fate(rules []Rule, method string, response bool, d draws) (f transport.Fault, ok bool) {
+	for _, r := range rules {
+		if !r.matches(method, response) {
+			continue
+		}
+		switch {
+		case hit(d, "drop", r.DropProb):
+			f.Drop = true
+		case hit(d, "refuse", r.RefuseProb):
+			f.Refuse = true
+		case hit(d, "reset", r.ResetProb):
+			f.Reset = true
+		default:
+			f.Duplicate = hit(d, "dup", r.DupProb)
+			if hit(d, "delay", r.DelayProb) {
+				f.Delay = r.DelayMin
+				if r.DelayMax > r.DelayMin {
+					f.Delay += time.Duration(d.below("delay-span", int64(r.DelayMax-r.DelayMin)))
+				}
+			}
+		}
+		return f, true
+	}
+	return f, false
+}
+
+func hit(d draws, kind string, p float64) bool { return p > 0 && d.chance(kind) < p }
+
+// stream draws from one seeded RNG in call order.
+type stream struct{ rng *rand.Rand }
+
+func (s stream) chance(string) float64         { return s.rng.Float64() }
+func (s stream) below(_ string, n int64) int64 { return s.rng.Int63n(n) }
+
+// Injector is the simulator's transport.FaultInjector: an ordered rule
+// list drawing from one seeded RNG in message order. Construct with
+// NewInjector or Schedule.Injector.
 type Injector struct {
 	rng   *rand.Rand
 	rules []Rule
@@ -70,9 +128,6 @@ type Injector struct {
 	// times before Until, letting a run quiesce and drain.
 	Now   func() time.Duration
 	Until time.Duration
-
-	// Counters, readable after a run.
-	Drops, Dups, Delays int64
 }
 
 // NewInjector returns an injector whose randomness derives only from
@@ -81,35 +136,211 @@ func NewInjector(seed int64, rules ...Rule) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed)), rules: rules}
 }
 
-// Fate implements simnet.FaultInjector.
-func (in *Injector) Fate(from, to simnet.Addr, method string, response bool) simnet.Fault {
+// Fate implements transport.FaultInjector.
+func (in *Injector) Fate(from, to transport.Addr, method string, response bool) transport.Fault {
 	if in.Until > 0 && in.Now != nil && in.Now() >= in.Until {
-		return simnet.Fault{}
+		return transport.Fault{}
 	}
-	for _, r := range in.rules {
-		if !r.matches(method, response) {
-			continue
+	f, _ := fate(in.rules, method, response, stream{in.rng})
+	return f
+}
+
+// keyed draws each decision from a hash of (seed, kind, peer+method,
+// seq), so it depends on the message's identity and not on the order
+// goroutines reach the injector.
+type keyed struct {
+	seed int64
+	key  string
+	seq  int
+}
+
+func (k keyed) chance(kind string) float64 {
+	return uniform(fmt.Sprintf("chaos/%d/%s/%s/%d", k.seed, kind, k.key, k.seq))
+}
+
+func (k keyed) below(kind string, n int64) int64 { return int64(k.chance(kind) * float64(n)) }
+
+// uniform maps a decision's full identity onto [0, 1) through the ids
+// hash. Unlike an RNG stream, the draw is independent of execution
+// interleaving: the same decision comes out the same under any
+// schedule, which keeps live chaos runs and seeded soaks replayable.
+func uniform(key string) float64 {
+	return float64(ids.HashString(key).Uint64()>>11) / float64(1<<53)
+}
+
+// Keyed is the live transport's transport.FaultInjector. Its
+// determinism contract: every fate is a pure function of (seed, peer,
+// method, seq), where peer is the destination and seq counts that
+// (peer, method) pair's matched messages. Two runs with the same seed,
+// rules and per-pair message counts draw the identical fault sequence
+// per pair however goroutines interleave.
+type Keyed struct {
+	seed  int64
+	rules []Rule
+
+	mu   sync.Mutex
+	seq  map[string]int // per "peer method" message counter
+	logw io.Writer
+}
+
+// ParseChaos builds a keyed injector from a seed and a ParseRules
+// spec, the -chaos flag of gridnode and gridctl chaos. A spec with no
+// rules gives nil: no injector.
+func ParseChaos(seed int64, spec string) (*Keyed, error) {
+	rules, err := ParseRules(spec)
+	if err != nil || len(rules) == 0 {
+		return nil, err
+	}
+	return &Keyed{seed: seed, rules: rules, seq: make(map[string]int)}, nil
+}
+
+// CheckServed rejects a rule whose method no handler serves: such a
+// rule matches no call and would silently inject nothing. handles
+// reports whether a handler is registered for a method; every peer of
+// a deployment registers the same set, so one host's answer holds for
+// all of them. Nil-safe.
+func (k *Keyed) CheckServed(handles func(method string) bool) error {
+	if k == nil {
+		return nil
+	}
+	for _, r := range k.rules {
+		if r.Method != "" && !handles(r.Method) {
+			return fmt.Errorf("rule names method %q, which no handler is registered for", r.Method)
 		}
-		var f simnet.Fault
-		if r.DropProb > 0 && in.rng.Float64() < r.DropProb {
-			in.Drops++
-			f.Drop = true
-			return f
-		}
-		if r.DupProb > 0 && in.rng.Float64() < r.DupProb {
-			in.Dups++
-			f.Duplicate = true
-		}
-		if r.DelayProb > 0 && in.rng.Float64() < r.DelayProb {
-			in.Delays++
-			f.Delay = r.DelayMin
-			if r.DelayMax > r.DelayMin {
-				f.Delay += time.Duration(in.rng.Int63n(int64(r.DelayMax - r.DelayMin)))
-			}
-		}
+	}
+	return nil
+}
+
+// SetLog mirrors every decision on a matched message (clean passes
+// included) to w, one "peer method seq fate" line each: the replay
+// evidence scripts/live_chaos.sh compares across runs. Writes happen
+// under the injector's lock; pass something cheap (a file).
+func (k *Keyed) SetLog(w io.Writer) {
+	k.mu.Lock()
+	k.logw = w
+	k.mu.Unlock()
+}
+
+// Fate implements transport.FaultInjector.
+func (k *Keyed) Fate(from, to transport.Addr, method string, response bool) transport.Fault {
+	key := string(to) + " " + method
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	seq := k.seq[key]
+	f, ok := fate(k.rules, method, response, keyed{k.seed, key, seq})
+	if !ok {
 		return f
 	}
-	return simnet.Fault{}
+	k.seq[key] = seq + 1
+	if k.logw != nil {
+		fmt.Fprintf(k.logw, "%s %s %d %s\n", to, method, seq, fateName(f))
+	}
+	return f
+}
+
+// fateName is a fault's one-word name in the decision log.
+func fateName(f transport.Fault) string {
+	switch {
+	case f.Drop:
+		return "drop"
+	case f.Refuse:
+		return "refuse"
+	case f.Reset:
+		return "reset"
+	case f.Duplicate && f.Delay > 0:
+		return "dup+delay"
+	case f.Duplicate:
+		return "dup"
+	case f.Delay > 0:
+		return "delay"
+	}
+	return "none"
+}
+
+// ParseRules parses the flag-friendly rule syntax of gridnode -chaos
+// and gridctl chaos -chaos. Rules are ';'-separated; each is a
+// whitespace-separated list of key=value fields:
+//
+//	method=NAME          match one RPC method (absent = all)
+//	drop=P               lose the message
+//	dup=P                deliver it twice
+//	delay=P:MIN[:MAX]    delay it uniformly in [MIN, MAX] (MAX = MIN if absent)
+//	refuse=P             refuse the connect
+//	reset=P              reset the connection mid-request
+//
+// Example: "method=grid.assign reset=0.1; delay=0.2:100ms:1s drop=0.03"
+func ParseRules(spec string) ([]Rule, error) {
+	var rules []Rule
+	for _, part := range strings.Split(spec, ";") {
+		fields := strings.Fields(part)
+		if len(fields) == 0 {
+			continue
+		}
+		var r Rule
+		for _, tok := range fields {
+			k, v, ok := strings.Cut(tok, "=")
+			if !ok {
+				return nil, fmt.Errorf("faultinject: rule field %q: want key=value", tok)
+			}
+			var err error
+			switch k {
+			case "method":
+				r.Method = v
+			case "drop":
+				r.DropProb, err = parseProb(v)
+			case "dup":
+				r.DupProb, err = parseProb(v)
+			case "refuse":
+				r.RefuseProb, err = parseProb(v)
+			case "reset":
+				r.ResetProb, err = parseProb(v)
+			case "delay":
+				r.DelayProb, r.DelayMin, r.DelayMax, err = parseDelay(v)
+			default:
+				err = fmt.Errorf("unknown key")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("faultinject: rule field %q: %w", tok, err)
+			}
+		}
+		rules = append(rules, r)
+	}
+	return rules, nil
+}
+
+func parseProb(s string) (float64, error) {
+	p, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(p >= 0 && p <= 1) {
+		return 0, fmt.Errorf("probability %v outside [0, 1]", p)
+	}
+	return p, nil
+}
+
+// parseDelay parses P:MIN[:MAX].
+func parseDelay(s string) (p float64, min, max time.Duration, err error) {
+	parts := strings.Split(s, ":")
+	if len(parts) < 2 || len(parts) > 3 {
+		return 0, 0, 0, fmt.Errorf("want P:MIN[:MAX]")
+	}
+	if p, err = parseProb(parts[0]); err != nil {
+		return 0, 0, 0, err
+	}
+	if min, err = time.ParseDuration(parts[1]); err != nil {
+		return 0, 0, 0, err
+	}
+	max = min
+	if len(parts) == 3 {
+		if max, err = time.ParseDuration(parts[2]); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	if min < 0 || max < min {
+		return 0, 0, 0, fmt.Errorf("want 0 <= MIN <= MAX")
+	}
+	return p, min, max, nil
 }
 
 // NodeEvent is one scheduled crash or restart of a node, identified by
@@ -315,14 +546,9 @@ func (b *Byz) Saboteurs() []int {
 	return out
 }
 
-// chance derives a deterministic pseudo-probability draw in [0, 1)
-// from a hash of the decision's full identity. Unlike an RNG stream,
-// the draw is independent of execution interleaving — the same
-// (node, job, attempt) decision comes out the same under any schedule,
-// which keeps seeded soaks replayable.
+// chance is one (node, job, attempt) decision's keyed draw.
 func (b *Byz) chance(kind string, node int, jobID ids.ID, attempt int) float64 {
-	h := ids.HashString(fmt.Sprintf("byz/%d/%s/%d/%s/%d", b.seed, kind, node, jobID, attempt))
-	return float64(h.Uint64()>>11) / float64(1<<53)
+	return uniform(fmt.Sprintf("byz/%d/%s/%d/%s/%d", b.seed, kind, node, jobID, attempt))
 }
 
 // Behavior returns the grid-layer Byzantine hook for node index i, or

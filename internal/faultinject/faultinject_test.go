@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 func TestRuleMatching(t *testing.T) {
@@ -47,17 +48,14 @@ func TestInjectorFirstMatchWins(t *testing.T) {
 	if f.Drop || f.Delay != time.Second {
 		t.Fatalf("catch-all delay rule not applied: %+v", f)
 	}
-	if in.Drops != 1 || in.Delays != 1 {
-		t.Fatalf("counters wrong: drops=%d delays=%d", in.Drops, in.Delays)
-	}
 }
 
 func TestInjectorDeterministic(t *testing.T) {
 	rules := []Rule{{DropProb: 0.3, DupProb: 0.3, DelayProb: 0.3,
 		DelayMin: time.Millisecond, DelayMax: 50 * time.Millisecond}}
-	run := func() []simnet.Fault {
+	run := func() []transport.Fault {
 		in := NewInjector(42, rules...)
-		var out []simnet.Fault
+		var out []transport.Fault
 		for i := 0; i < 200; i++ {
 			out = append(out, in.Fate("a", "b", "m", i%2 == 0))
 		}
@@ -80,6 +78,117 @@ func TestInjectorWindow(t *testing.T) {
 	if f := in.Fate("a", "b", "m", false); f.Drop {
 		t.Fatal("fault injected after the window closed")
 	}
+}
+
+// TestChaosFateDeterministic is the live replay contract: the same
+// seed and rules draw the identical fate sequence for a (peer, method)
+// pair, and a different seed draws a different one.
+func TestChaosFateDeterministic(t *testing.T) {
+	const N = 300
+	seq := func(seed int64) []transport.Fault {
+		k := keyedFor(t, seed, "refuse=0.2 reset=0.2 drop=0.1 dup=0.2 delay=0.2:100ms:1s")
+		out := make([]transport.Fault, N)
+		for i := range out {
+			out[i] = k.Fate("me", "127.0.0.1:9999", "grid.assign", false)
+		}
+		return out
+	}
+	runA, runB, other := seq(7), seq(7), seq(8)
+	faults := 0
+	for i := range runA {
+		if runA[i] != runB[i] {
+			t.Fatalf("draw %d: seed 7 gave %+v then %+v — schedule not deterministic", i, runA[i], runB[i])
+		}
+		if runA[i] != (transport.Fault{}) {
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Fatal("300 draws at ~60% fault mass injected nothing")
+	}
+	if reflect.DeepEqual(runA, other) {
+		t.Fatal("seeds 7 and 8 drew identical fate sequences")
+	}
+}
+
+// TestChaosFateIndependentOfInterleaving checks that two pairs' draw
+// sequences don't perturb each other: interleaving calls to a second
+// peer leaves the first peer's sequence unchanged.
+func TestChaosFateIndependentOfInterleaving(t *testing.T) {
+	solo := keyedFor(t, 3, "refuse=0.3 reset=0.3")
+	mixed := keyedFor(t, 3, "refuse=0.3 reset=0.3")
+	var want, got []transport.Fault
+	for i := 0; i < 100; i++ {
+		want = append(want, solo.Fate("me", "p1", "m", false))
+	}
+	for i := 0; i < 100; i++ {
+		mixed.Fate("me", "p2", "m", false) // interleaved traffic to another peer
+		got = append(got, mixed.Fate("me", "p1", "m", false))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("draw %d for p1: %+v solo vs %+v interleaved", i, want[i], got[i])
+		}
+	}
+}
+
+// TestChaosRuleMethodMustBeHandled is the check gridnode and gridctl
+// chaos apply to their -chaos rules: a rule scoped to a method nobody
+// registered would match no call and inject nothing.
+func TestChaosRuleMethodMustBeHandled(t *testing.T) {
+	handles := func(m string) bool { return m == "echo" }
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"", true}, // no injector
+		{"method=echo refuse=0.5; drop=0.1", true},
+		{"method=echo refuse=0.5; method=grid.nosuch reset=1", false},
+		{"method=* drop=1", false}, // no wildcard: "*" is a method name
+	} {
+		if err := keyedFor(t, 1, c.spec).CheckServed(handles); (err == nil) != c.ok {
+			t.Errorf("CheckServed(%q) = %v, want ok=%v", c.spec, err, c.ok)
+		}
+	}
+}
+
+func keyedFor(t *testing.T, seed int64, spec string) *Keyed {
+	t.Helper()
+	k, err := ParseChaos(seed, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// FuzzParseRules: the spec is operator input from a flag. The parser
+// never panics, and every rule it accepts has probabilities in [0, 1]
+// and a delay range with MIN <= MAX.
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		"method=grid.assign reset=0.15; drop=0.03",
+		"delay=0.2:100ms:1s dup=0.2",
+		"delay=0.25:400ms refuse=1",
+		"drop=NaN", "delay=1:2s:1s", "delay=0.5:-1s", ";;", "method=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			for _, p := range []float64{r.DropProb, r.DupProb, r.DelayProb, r.RefuseProb, r.ResetProb} {
+				if !(p >= 0 && p <= 1) {
+					t.Fatalf("ParseRules(%q) accepted probability %v: %+v", spec, p, r)
+				}
+			}
+			if r.DelayMin > r.DelayMax {
+				t.Fatalf("ParseRules(%q) accepted delay min %v > max %v", spec, r.DelayMin, r.DelayMax)
+			}
+		}
+	})
 }
 
 func TestGenerateDeterministicAndProtects(t *testing.T) {

@@ -9,7 +9,6 @@
 //     its load-balance target.
 //   - TTL: the related-work TTL-bounded search baseline that can miss
 //     existing capable nodes.
-//   - Random: an omniscient random-capable baseline (sanity floor).
 package match
 
 import (
@@ -170,29 +169,6 @@ func (m *Central) FindRunNode(rt transport.Runtime, cons resource.Constraints, e
 		return "", grid.MatchStats{}, fmt.Errorf("central: no satisfying node for %s", cons)
 	}
 	return best[rt.Rand().Intn(len(best))], grid.MatchStats{}, nil
-}
-
-// Random is an omniscient baseline that picks a uniformly random
-// satisfying node, ignoring load.
-type Random struct {
-	Reg *Registry
-}
-
-// FindRunNode implements grid.Matchmaker.
-func (m *Random) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	var ok []transport.Addr
-	for _, e := range m.Reg.Snapshot() {
-		if addrIn(exclude, e.Addr) || !e.Entry.Up() {
-			continue
-		}
-		if cons.SatisfiedBy(e.Entry.Caps, e.Entry.OS) {
-			ok = append(ok, e.Addr)
-		}
-	}
-	if len(ok) == 0 {
-		return "", grid.MatchStats{}, fmt.Errorf("random: no satisfying node for %s", cons)
-	}
-	return ok[rt.Rand().Intn(len(ok))], grid.MatchStats{}, nil
 }
 
 // --- overlays ---

@@ -43,7 +43,7 @@ type breakerSet struct {
 	mu sync.Mutex
 	m  map[transport.Addr]*breaker
 	// rng drives cooldown jitter only — recovery pacing, deliberately
-	// outside the chaos determinism contract (see chaos.go).
+	// outside the chaos determinism contract (DESIGN.md §12).
 	rng *rand.Rand
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // chaosPair boots a serving host b and a client host a whose outbound
-// calls run under the given chaos schedule. The handler counts its
+// calls run under the given fault injector. The handler counts its
 // invocations so tests can prove a fault kept a request off the peer.
 func chaosPair(t *testing.T, opts Opts) (a, b *Host, served *atomic.Int64) {
 	t.Helper()
@@ -33,96 +33,22 @@ func chaosPair(t *testing.T, opts Opts) (a, b *Host, served *atomic.Int64) {
 	return a, b, served
 }
 
-// TestChaosFateDeterministic is the replay contract: the same seed and
-// rules draw the identical fate sequence for a (peer, method) pair,
-// and a different seed draws a different one.
-func TestChaosFateDeterministic(t *testing.T) {
-	rules := []ChaosRule{{Refuse: 0.2, Reset: 0.2, Blackhole: 0.1, Stall: 0.2, StallFor: time.Second}}
-	const N = 300
-	seq := func(seed int64) []string {
-		c := NewChaos(seed, rules...)
-		out := make([]string, N)
-		for i := range out {
-			out[i] = c.fate("127.0.0.1:9999", "grid.assign").name()
-		}
-		return out
-	}
-	runA, runB, other := seq(7), seq(7), seq(8)
-	faults := 0
-	for i := range runA {
-		if runA[i] != runB[i] {
-			t.Fatalf("draw %d: seed 7 gave %q then %q — schedule not deterministic", i, runA[i], runB[i])
-		}
-		if runA[i] != "none" {
-			faults++
-		}
-	}
-	if faults == 0 {
-		t.Fatal("300 draws at ~50% fault mass injected nothing")
-	}
-	same := 0
-	for i := range runA {
-		if runA[i] == other[i] {
-			same++
-		}
-	}
-	if same == N {
-		t.Fatal("seeds 7 and 8 drew identical fate sequences")
-	}
-}
-
-// TestChaosFateIndependentOfInterleaving checks that two pairs' draw
-// sequences don't perturb each other: interleaving calls to a second
-// peer leaves the first peer's sequence unchanged.
-func TestChaosFateIndependentOfInterleaving(t *testing.T) {
-	rules := []ChaosRule{{Refuse: 0.3, Reset: 0.3}}
-	solo := NewChaos(3, rules...)
-	mixed := NewChaos(3, rules...)
-	var want, got []string
-	for i := 0; i < 100; i++ {
-		want = append(want, solo.fate("p1", "m").name())
-	}
-	for i := 0; i < 100; i++ {
-		mixed.fate("p2", "m") // interleaved traffic to another peer
-		got = append(got, mixed.fate("p1", "m").name())
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("draw %d for p1: %q solo vs %q interleaved", i, want[i], got[i])
-		}
-	}
-}
-
-func TestParseRules(t *testing.T) {
-	rules, err := ParseRules("method=grid.assign reset=0.1; peer=127.0.0.1:7702 stall=0.2:300ms throttle=0.5:2048; blackhole=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 3 {
-		t.Fatalf("parsed %d rules, want 3", len(rules))
-	}
-	if rules[0].Method != "grid.assign" || rules[0].Reset != 0.1 {
-		t.Fatalf("rule 0 = %+v", rules[0])
-	}
-	if rules[1].Peer != "127.0.0.1:7702" || rules[1].Stall != 0.2 ||
-		rules[1].StallFor != 300*time.Millisecond || rules[1].Rate != 2048 {
-		t.Fatalf("rule 1 = %+v", rules[1])
-	}
-	if rules[2].Blackhole != 0.05 || rules[2].Peer != "" || rules[2].Method != "" {
-		t.Fatalf("rule 2 = %+v", rules[2])
-	}
-	for _, bad := range []string{"refuse=1.5", "stall=0.1", "throttle=0.1:0", "nonsense=1", "refuse"} {
-		if _, err := ParseRules(bad); err == nil {
-			t.Errorf("ParseRules(%q) accepted", bad)
-		}
+// every injects f into every outbound call of the named method ("" =
+// all methods).
+func every(method string, f transport.Fault) Opts {
+	return Opts{
+		Chaos: transport.FaultFunc(func(_, _ transport.Addr, m string, _ bool) transport.Fault {
+			if method != "" && m != method {
+				return transport.Fault{}
+			}
+			return f
+		}),
+		BreakerThreshold: -1,
 	}
 }
 
 func TestChaosRefuseKeepsRequestOffPeer(t *testing.T) {
-	a, b, served := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Method: "echo", Refuse: 1}),
-		BreakerThreshold: -1,
-	})
+	a, b, served := chaosPair(t, every("echo", transport.Fault{Refuse: true}))
 	rt := a.newRuntime()
 	_, err := rt.Call(b.Addr(), "echo", rntree.SearchReq{K: 1})
 	if !transport.Transient(err) {
@@ -136,11 +62,10 @@ func TestChaosRefuseKeepsRequestOffPeer(t *testing.T) {
 	}
 }
 
+// TestChaosBlackholeBurnsCallerTimeout: a dropped request is a
+// blackhole, never sent, and the caller burns its whole timeout.
 func TestChaosBlackholeBurnsCallerTimeout(t *testing.T) {
-	a, b, served := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Blackhole: 1}),
-		BreakerThreshold: -1,
-	})
+	a, b, served := chaosPair(t, every("", transport.Fault{Drop: true}))
 	rt := a.newRuntime()
 	began := time.Now()
 	_, err := rt.CallT(b.Addr(), "echo", rntree.SearchReq{K: 1}, 120*time.Millisecond)
@@ -159,10 +84,7 @@ func TestChaosBlackholeBurnsCallerTimeout(t *testing.T) {
 // one method: it must fail transient while a following call on an
 // unmatched method redials and succeeds.
 func TestChaosResetScopedByMethod(t *testing.T) {
-	a, b, served := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Method: "echo", Reset: 1}),
-		BreakerThreshold: -1,
-	})
+	a, b, served := chaosPair(t, every("echo", transport.Fault{Reset: true}))
 	b.Handle("other", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return rntree.SearchResp{Visits: 9}, nil
 	})
@@ -182,38 +104,16 @@ func TestChaosResetScopedByMethod(t *testing.T) {
 	}
 }
 
-// TestChaosRuleMethodMustBeHandled is the check gridnode applies to
-// its -chaos rules: a rule scoped to a method nobody registered would
-// match no call and inject nothing, so Handles must tell them apart.
-func TestChaosRuleMethodMustBeHandled(t *testing.T) {
-	_, b, _ := chaosPair(t, Opts{})
-	rules, err := ParseRules("method=echo refuse=0.5; method=grid.nosuch reset=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Handles(rules[0].Method) {
-		t.Fatalf("Handles(%q) = false for a registered method", rules[0].Method)
-	}
-	if b.Handles(rules[1].Method) {
-		t.Fatalf("Handles(%q) = true for a method with no handler", rules[1].Method)
-	}
-}
-
+// TestChaosStall: a delay is a stall before the request is written.
 func TestChaosStall(t *testing.T) {
 	// A stall at least as long as the caller's budget is a timeout...
-	a, b, _ := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Stall: 1, StallFor: time.Second}),
-		BreakerThreshold: -1,
-	})
+	a, b, _ := chaosPair(t, every("", transport.Fault{Delay: time.Second}))
 	rt := a.newRuntime()
 	if _, err := rt.CallT(b.Addr(), "echo", rntree.SearchReq{}, 80*time.Millisecond); err != transport.ErrTimeout {
 		t.Fatalf("over-budget stall: err = %v, want ErrTimeout", err)
 	}
 	// ...while a shorter stall only delays the (successful) call.
-	a2, b2, _ := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Stall: 1, StallFor: 100 * time.Millisecond}),
-		BreakerThreshold: -1,
-	})
+	a2, b2, _ := chaosPair(t, every("", transport.Fault{Delay: 100 * time.Millisecond}))
 	began := time.Now()
 	resp, err := a2.newRuntime().CallT(b2.Addr(), "echo", rntree.SearchReq{K: 5}, 2*time.Second)
 	if err != nil {
@@ -227,26 +127,28 @@ func TestChaosStall(t *testing.T) {
 	}
 }
 
-func TestChaosThrottleDelaysButDelivers(t *testing.T) {
-	a, b, _ := chaosPair(t, Opts{
-		Chaos:            NewChaos(1, ChaosRule{Throttle: 1, Rate: 2000}),
-		BreakerThreshold: -1,
-	})
-	rt := a.newRuntime()
-	began := time.Now()
-	resp, err := rt.CallT(b.Addr(), "echo", rntree.SearchReq{K: 3}, 5*time.Second)
+// TestChaosDuplicateRunsHandlerTwice: a duplicated request reaches
+// the handler twice, the caller gets one reply, and the second reply,
+// to a call ID no longer pending, leaves nothing behind.
+func TestChaosDuplicateRunsHandlerTwice(t *testing.T) {
+	a, b, served := chaosPair(t, every("echo", transport.Fault{Duplicate: true}))
+	resp, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{K: 7}, 2*time.Second)
 	if err != nil {
-		t.Fatalf("throttled call: %v", err)
+		t.Fatalf("duplicated call: %v", err)
 	}
-	if resp.(rntree.SearchResp).Visits != 3 {
+	if resp.(rntree.SearchResp).Visits != 7 {
 		t.Fatalf("bad response: %+v", resp)
 	}
-	// A few hundred frame bytes at 2000 B/s in >=64-byte chunks means
-	// at least a few paced sleeps.
-	if el := time.Since(began); el < 60*time.Millisecond {
-		t.Fatalf("throttled call finished in %s; rate limit did not engage", el)
+	for deadline := time.Now().Add(2 * time.Second); served.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
-	if a.opts.Chaos.Counts()["throttle"] == 0 {
-		t.Fatal("throttle counter did not move")
+	if got := served.Load(); got != 2 {
+		t.Fatalf("handler ran %d times for a duplicated request, want 2", got)
+	}
+	if n := a.pooledConn(b.Addr()).pendingCount(); n != 0 {
+		t.Fatalf("%d calls still pending after the stray reply", n)
+	}
+	if resp, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{K: 8}, 2*time.Second); err != nil || resp.(rntree.SearchResp).Visits != 8 {
+		t.Fatalf("next call on the same connection: %+v, %v", resp, err)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // The framed codec: every message on a connection is one
@@ -81,7 +83,7 @@ func encodeFrame(f *frame, max int) ([]byte, error) {
 // writeFrame sends one frame under the connection's write lock with the
 // given deadline. A zero deadline means no deadline.
 func writeFrame(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Time, max int) error {
-	return writeFrameFault(conn, wmu, f, deadline, max, fault{})
+	return writeFrameFault(conn, wmu, f, deadline, max, transport.Fault{})
 }
 
 // errChaosReset marks a request that was cut off mid-frame by the
@@ -90,19 +92,11 @@ func writeFrame(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Time, ma
 // be retried as never-sent.
 var errChaosReset = errors.New("nettransport: connection reset mid-frame (chaos)")
 
-// chaosTimeoutError surfaces a throttled write that outlived the
-// caller's deadline between chunks (the conn's own write deadline only
-// bounds each Write, not the injected sleeps).
-type chaosTimeoutError struct{}
-
-func (chaosTimeoutError) Error() string   { return "nettransport: write timed out (chaos throttle)" }
-func (chaosTimeoutError) Timeout() bool   { return true }
-func (chaosTimeoutError) Temporary() bool { return true }
-
 // writeFrameFault is writeFrame with an injected fault applied:
-// wf.reset truncates the frame mid-body and kills the connection;
-// wf.rate trickles the bytes out in paced chunks.
-func writeFrameFault(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Time, max int, wf fault) error {
+// wf.Reset truncates the frame mid-body and kills the connection;
+// wf.Duplicate writes the frame twice, and the reader drops the reply
+// to the call ID it no longer waits on.
+func writeFrameFault(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Time, max int, wf transport.Fault) error {
 	b, err := encodeFrame(f, max)
 	if err != nil {
 		return err
@@ -110,7 +104,7 @@ func writeFrameFault(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Tim
 	wmu.Lock()
 	defer wmu.Unlock()
 	_ = conn.SetWriteDeadline(deadline)
-	if wf.reset {
+	if wf.Reset {
 		// Claim the full length, deliver roughly half the body, then
 		// slam the connection shut — the receiver sees a short read
 		// inside a frame, exactly what a peer crash mid-send produces.
@@ -122,27 +116,8 @@ func writeFrameFault(conn net.Conn, wmu *sync.Mutex, f *frame, deadline time.Tim
 		conn.Close()
 		return errChaosReset
 	}
-	if wf.rate > 0 {
-		chunk := wf.rate / 20 // ~50ms of budget per chunk
-		if chunk < 64 {
-			chunk = 64
-		}
-		for off := 0; off < len(b); off += chunk {
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return chaosTimeoutError{}
-			}
-			end := off + chunk
-			if end > len(b) {
-				end = len(b)
-			}
-			if _, err := conn.Write(b[off:end]); err != nil {
-				return err
-			}
-			if end < len(b) {
-				time.Sleep(time.Duration(end-off) * time.Second / time.Duration(wf.rate))
-			}
-		}
-		return nil
+	if wf.Duplicate {
+		b = append(b, b...)
 	}
 	_, err = conn.Write(b)
 	return err

@@ -41,10 +41,11 @@ type Opts struct {
 	// the reader rejects larger length prefixes before allocating
 	// (default 64 MB).
 	MaxFrame int
-	// Chaos, when set, deterministically injects network faults into
-	// this host's outbound calls — see chaos.go and gridnode -chaos.
-	// Nil injects nothing.
-	Chaos *Chaos
+	// Chaos, when set, decides a fault for each of this host's outbound
+	// calls (DESIGN.md §12; gridnode -chaos builds it from a
+	// faultinject spec). Faults are client-side: a schedule describes
+	// what one process does to the network. Nil injects nothing.
+	Chaos transport.FaultInjector
 	// BreakerThreshold is how many consecutive transport-level failures
 	// open a peer's circuit breaker (default 5; negative disables
 	// breakers entirely). See breaker.go.
@@ -227,8 +228,8 @@ func (h *Host) Handle(method string, fn transport.Handler) {
 }
 
 // Handles reports whether a handler is registered for method. Every
-// peer of a deployment registers the same set, so gridnode uses it to
-// refuse a -chaos rule naming a method no peer serves.
+// peer of a deployment registers the same set, so gridnode and gridctl
+// chaos use it to refuse a -chaos rule naming a method no peer serves.
 func (h *Host) Handles(method string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -504,29 +505,26 @@ func (r *runtime) CallT(to transport.Addr, method string, req any, timeout time.
 		mo.errCount()
 		return nil, err
 	}
-	// Chaos gate: draw this call's fate. Refuse, blackhole, and an
-	// over-budget stall resolve here without touching the network; reset
-	// and throttle ride down into the write path.
-	ft := r.h.opts.Chaos.fate(to, method)
+	// Chaos gate: refuse, drop and an over-budget delay resolve here
+	// without touching the network; reset and duplicate ride down into
+	// the write path.
+	var ft transport.Fault
+	if c := r.h.opts.Chaos; c != nil {
+		ft = c.Fate(r.h.addr, to, method, false)
+	}
 	switch {
-	case ft.refuse:
+	case ft.Refuse:
 		r.h.brk.record(to, false)
 		mo.errCount()
 		return nil, fmt.Errorf("%w: %s: connection refused (chaos)", transport.ErrUnreachable, to)
-	case ft.blackhole:
+	case ft.Drop || ft.Delay >= timeout:
 		r.h.sleepInterruptible(timeout)
 		r.h.brk.record(to, false)
 		mo.errCount()
 		return nil, transport.ErrTimeout
-	case ft.stall > 0:
-		if ft.stall >= timeout {
-			r.h.sleepInterruptible(timeout)
-			r.h.brk.record(to, false)
-			mo.errCount()
-			return nil, transport.ErrTimeout
-		}
-		r.h.sleepInterruptible(ft.stall)
-		timeout -= ft.stall
+	case ft.Delay > 0:
+		r.h.sleepInterruptible(ft.Delay)
+		timeout -= ft.Delay
 	}
 	rf, err := r.h.callPooled(to, method, req, timeout, ft)
 	// Only transport-level outcomes feed the breaker: a handler error
@@ -564,7 +562,7 @@ func (h *Host) sleepInterruptible(d time.Duration) {
 // reconnecting once when a previously-pooled connection turns out to
 // have died before the request reached the wire (peer restart between
 // calls).
-func (h *Host) callPooled(to transport.Addr, method string, req any, timeout time.Duration, ft fault) (*frame, error) {
+func (h *Host) callPooled(to transport.Addr, method string, req any, timeout time.Duration, ft transport.Fault) (*frame, error) {
 	pc, reused, err := h.pool.get(to, timeout)
 	if err != nil {
 		return nil, err

@@ -219,7 +219,7 @@ func (pc *peerConn) pendingCount() int {
 // wrote reports whether the request made it onto the wire — a false
 // return means the peer cannot have seen it, so the caller may safely
 // retry on a fresh connection.
-func (pc *peerConn) call(method string, from transport.Addr, req any, timeout time.Duration, ft fault) (resp *frame, wrote bool, err error) {
+func (pc *peerConn) call(method string, from transport.Addr, req any, timeout time.Duration, ft transport.Fault) (resp *frame, wrote bool, err error) {
 	pc.touch()
 	id := pc.nextID.Add(1)
 	ch := make(chan *frame, 1)

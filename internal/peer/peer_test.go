@@ -50,9 +50,9 @@ func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 	t.Cleanup(c.e.Shutdown)
 	c.net = simnet.New(c.e)
 	c.net.Latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond}
-	c.net.Faults = simnet.FaultFunc(func(from, to simnet.Addr, method string, response bool) simnet.Fault {
+	c.net.Faults = transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		c.log = append(c.log, fmt.Sprintf("%v %s>%s %s %v", c.e.Now(), from, to, method, response))
-		return simnet.Fault{}
+		return transport.Fault{}
 	})
 	for i := 0; i < n; i++ {
 		c.add(cfg)

@@ -5,13 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // faultPair builds two endpoints with a fixed 10ms latency and an echo
-// handler on "b", driven by the given fault function.
-func faultPair(t *testing.T, fn simnet.FaultFunc) (*sim.Engine, *simnet.Net, *simnet.Endpoint) {
+// handler on "b", driven by the given fault injector.
+func faultPair(t *testing.T, fn transport.FaultInjector) (*sim.Engine, *simnet.Net, *simnet.Endpoint) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	net := simnet.New(e)
@@ -26,9 +28,9 @@ func faultPair(t *testing.T, fn simnet.FaultFunc) (*sim.Engine, *simnet.Net, *si
 }
 
 func TestFaultDropRequestTimesOut(t *testing.T) {
-	e, net, a := faultPair(t, func(from, to simnet.Addr, method string, response bool) simnet.Fault {
-		return simnet.Fault{Drop: !response}
-	})
+	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+		return transport.Fault{Drop: !response}
+	}))
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
 		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
@@ -43,9 +45,9 @@ func TestFaultDropRequestTimesOut(t *testing.T) {
 }
 
 func TestFaultDropResponseTimesOut(t *testing.T) {
-	e, net, a := faultPair(t, func(from, to simnet.Addr, method string, response bool) simnet.Fault {
-		return simnet.Fault{Drop: response}
-	})
+	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+		return transport.Fault{Drop: response}
+	}))
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
 		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
@@ -60,12 +62,12 @@ func TestFaultDropResponseTimesOut(t *testing.T) {
 }
 
 func TestFaultDelayPostponesDelivery(t *testing.T) {
-	e, _, a := faultPair(t, func(from, to simnet.Addr, method string, response bool) simnet.Fault {
+	e, _, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		if response {
-			return simnet.Fault{}
+			return transport.Fault{}
 		}
-		return simnet.Fault{Delay: time.Second}
-	})
+		return transport.Fault{Delay: time.Second}
+	}))
 	var took time.Duration
 	e.Spawn("caller", func(p *sim.Proc) {
 		start := p.Now()
@@ -82,9 +84,9 @@ func TestFaultDelayPostponesDelivery(t *testing.T) {
 }
 
 func TestFaultDuplicateRunsHandlerTwice(t *testing.T) {
-	e, net, a := faultPair(t, func(from, to simnet.Addr, method string, response bool) simnet.Fault {
-		return simnet.Fault{Duplicate: !response}
-	})
+	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+		return transport.Fault{Duplicate: !response}
+	}))
 	var resp any
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
@@ -100,9 +102,9 @@ func TestFaultDuplicateRunsHandlerTwice(t *testing.T) {
 }
 
 func TestFaultZeroValueIsTransparent(t *testing.T) {
-	e, net, a := faultPair(t, func(from, to simnet.Addr, method string, response bool) simnet.Fault {
-		return simnet.Fault{}
-	})
+	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+		return transport.Fault{}
+	}))
 	var err error
 	e.Spawn("caller", func(p *sim.Proc) {
 		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
@@ -113,5 +115,36 @@ func TestFaultZeroValueIsTransparent(t *testing.T) {
 	}
 	if net.Stats.Faulted != 0 {
 		t.Fatalf("zero fault counted as injected: %+v", net.Stats)
+	}
+}
+
+// TestFaultRefuseAndResetAreRST: an injected refuse or reset takes the
+// down-endpoint refusal path, ErrUnreachable after one one-way latency,
+// and the request never reaches the handler.
+func TestFaultRefuseAndResetAreRST(t *testing.T) {
+	for _, spec := range []string{"refuse=1", "reset=1"} {
+		t.Run(spec, func(t *testing.T) {
+			rules, err := faultinject.ParseRules(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, net, a := faultPair(t, faultinject.NewInjector(1, rules...))
+			var took time.Duration
+			e.Spawn("caller", func(p *sim.Proc) {
+				start := p.Now()
+				_, err = a.CallT(p, "b", "echo", "hi", time.Second)
+				took = time.Duration(p.Now() - start)
+			})
+			e.Run()
+			if !errors.Is(err, simnet.ErrUnreachable) {
+				t.Fatalf("call returned %v, want ErrUnreachable", err)
+			}
+			if took != 10*time.Millisecond {
+				t.Fatalf("refusal took %v, want one one-way latency (10ms)", took)
+			}
+			if net.Stats.Handlers != 0 || net.Stats.Refused != 1 {
+				t.Fatalf("stats: %+v", net.Stats)
+			}
+		})
 	}
 }

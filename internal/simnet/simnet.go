@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // Addr names an endpoint (a simulated host).
@@ -52,42 +53,12 @@ func (f FixedLatency) Delay(*rand.Rand, Addr, Addr) time.Duration {
 	return time.Duration(f)
 }
 
-// Fault is an injected fate for one in-flight message. The zero value
-// delivers the message normally.
-type Fault struct {
-	// Drop loses the message in transit; the caller times out (requests)
-	// or never hears back (responses).
-	Drop bool
-	// Delay adds extra one-way latency before delivery.
-	Delay time.Duration
-	// Duplicate delivers a second copy after an additional latency draw,
-	// exercising at-least-once semantics in the protocol under test.
-	Duplicate bool
-}
-
-// FaultInjector is consulted once per message send — request and
-// response legs separately — before latency, loss, and partition rules
-// apply. Injected faults are counted in Stats.Faulted. Implementations
-// must be deterministic for a fixed construction seed; the simulator
-// presents messages in a reproducible order.
-type FaultInjector interface {
-	Fate(from, to Addr, method string, response bool) Fault
-}
-
-// FaultFunc adapts a function to the FaultInjector interface.
-type FaultFunc func(from, to Addr, method string, response bool) Fault
-
-// Fate implements FaultInjector.
-func (f FaultFunc) Fate(from, to Addr, method string, response bool) Fault {
-	return f(from, to, method, response)
-}
-
 // Stats counts network activity; read it after a run.
 type Stats struct {
 	Messages  int64 // delivered messages (requests + responses)
-	Dropped   int64 // lost to DropProb, partitions, or injected drops
+	Dropped   int64 // lost to partitions, crashes, or injected drops
 	Timeouts  int64 // calls that timed out
-	Refused   int64 // calls rejected because the target was down
+	Refused   int64 // calls refused: target down, or an injected refuse or reset
 	Handlers  int64 // handler invocations
 	CallsSent int64 // Call invocations
 	Faulted   int64 // messages touched by the fault injector
@@ -104,16 +75,16 @@ type Net struct {
 
 	// Latency produces one-way delays; defaults to 20-60 ms.
 	Latency LatencyModel
-	// DropProb is the probability an individual message is lost.
-	DropProb float64
 	// CallTimeout bounds Call when the caller gives no explicit timeout.
 	CallTimeout time.Duration
 	// RefuseWhenDown makes calls to a down endpoint fail after one
 	// one-way latency (TCP RST behaviour) instead of timing out.
 	RefuseWhenDown bool
-	// Faults, when non-nil, decides per-message injected faults (drops,
-	// extra delay, duplication) on top of DropProb and partitions.
-	Faults FaultInjector
+	// Faults, when non-nil, decides each message's injected fault on
+	// top of partitions and crashes; it is consulted once per leg,
+	// after the leg's latency draw. Injected faults are counted in
+	// Stats.Faulted.
+	Faults transport.FaultInjector
 
 	Stats Stats
 
@@ -294,35 +265,30 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 	reply := &replySlot{wake: p.Waker()}
 	oneWay := n.Latency.Delay(n.rng, ep.addr, to)
 	fault := n.fate(ep.addr, to, method, false)
-
-	if fault.Drop || !n.canReach(ep.addr, to) || (n.DropProb > 0 && n.rng.Float64() < n.DropProb) {
+	target := n.endpoints[to]
+	switch {
+	case fault.Drop || !n.canReach(ep.addr, to):
 		n.Stats.Dropped++
 		// Message lost in transit: the caller just times out.
-	} else {
-		target := n.endpoints[to]
-		if target == nil || !target.up {
-			if n.RefuseWhenDown {
-				n.Stats.Refused++
-				n.Engine.Tagged(LayerOf(method), func() {
-					n.Engine.Schedule(oneWay, func() {
-						reply.send(rpcResult{err: ErrUnreachable})
-					})
-				})
-			}
-		} else {
-			n.Engine.Tagged(LayerOf(method), func() {
-				n.Engine.Schedule(oneWay+fault.Delay, func() {
+	case fault.Refuse || fault.Reset:
+		n.refuse(oneWay, method, reply)
+	case target == nil || !target.up:
+		if n.RefuseWhenDown {
+			n.refuse(oneWay, method, reply)
+		}
+	default:
+		n.Engine.Tagged(LayerOf(method), func() {
+			n.Engine.Schedule(oneWay+fault.Delay, func() {
+				n.deliver(ep.addr, to, method, req, reply)
+			})
+			if fault.Duplicate {
+				// The copy takes its own (later) path through the network.
+				dupWay := oneWay + fault.Delay + n.Latency.Delay(n.rng, ep.addr, to)
+				n.Engine.Schedule(dupWay, func() {
 					n.deliver(ep.addr, to, method, req, reply)
 				})
-				if fault.Duplicate {
-					// The copy takes its own (later) path through the network.
-					dupWay := oneWay + fault.Delay + n.Latency.Delay(n.rng, ep.addr, to)
-					n.Engine.Schedule(dupWay, func() {
-						n.deliver(ep.addr, to, method, req, reply)
-					})
-				}
-			})
-		}
+			}
+		})
 	}
 
 	ok := p.Await(max(timeout, 0)) // Await reads a negative bound as none
@@ -368,11 +334,15 @@ func (n *Net) respond(from, to Addr, method string, reply *replySlot, res rpcRes
 		return // responder crashed before replying
 	}
 	fault := n.fate(from, to, method, true)
-	if fault.Drop || !n.canReach(from, to) || (n.DropProb > 0 && n.rng.Float64() < n.DropProb) {
+	if fault.Drop || !n.canReach(from, to) {
 		n.Stats.Dropped++
 		return
 	}
 	oneWay := n.Latency.Delay(n.rng, from, to) + fault.Delay
+	if fault.Refuse || fault.Reset {
+		n.refuse(oneWay, method, reply)
+		return
+	}
 	send := func() {
 		n.Stats.Messages++
 		reply.send(res)
@@ -387,13 +357,24 @@ func (n *Net) respond(from, to Addr, method string, reply *replySlot, res rpcRes
 	})
 }
 
+// refuse answers a call with ErrUnreachable after one one-way
+// latency, as a TCP RST would.
+func (n *Net) refuse(oneWay time.Duration, method string, reply *replySlot) {
+	n.Stats.Refused++
+	n.Engine.Tagged(LayerOf(method), func() {
+		n.Engine.Schedule(oneWay, func() {
+			reply.send(rpcResult{err: ErrUnreachable})
+		})
+	})
+}
+
 // fate consults the fault injector, if any.
-func (n *Net) fate(from, to Addr, method string, response bool) Fault {
+func (n *Net) fate(from, to Addr, method string, response bool) transport.Fault {
 	if n.Faults == nil {
-		return Fault{}
+		return transport.Fault{}
 	}
-	f := n.Faults.Fate(from, to, method, response)
-	if f.Drop || f.Duplicate || f.Delay != 0 {
+	f := n.Faults.Fate(transport.Addr(from), transport.Addr(to), method, response)
+	if f != (transport.Fault{}) {
 		n.Stats.Faulted++
 	}
 	return f

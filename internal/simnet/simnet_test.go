@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func newPair(t *testing.T) (*sim.Engine, *Net, *Endpoint, *Endpoint) {
@@ -155,7 +156,9 @@ func TestRestartAfterCrash(t *testing.T) {
 
 func TestDropProbLosesEverything(t *testing.T) {
 	e, n, a, b := newPair(t)
-	n.DropProb = 1.0
+	n.Faults = transport.FaultFunc(func(transport.Addr, transport.Addr, string, bool) transport.Fault {
+		return transport.Fault{Drop: true}
+	})
 	n.CallTimeout = 500 * time.Millisecond
 	b.Handle("x", func(p *sim.Proc, from Addr, req any) (any, error) { return 1, nil })
 	var err error
@@ -337,8 +340,8 @@ func TestStrayReplyDoesNotEndNextWait(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e, n, a, b := newPair(t)
 			if tc.dup {
-				n.Faults = FaultFunc(func(from, to Addr, method string, response bool) Fault {
-					return Fault{Duplicate: response}
+				n.Faults = transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+					return transport.Fault{Duplicate: response}
 				})
 			}
 			b.Handle("work", func(p *sim.Proc, from Addr, req any) (any, error) {

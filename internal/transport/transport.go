@@ -46,6 +46,39 @@ func Jitter(rt Runtime, d time.Duration) time.Duration {
 	return d/2 + time.Duration(rt.Rand().Int63n(int64(d)))
 }
 
+// Fault is an injected fate for one message. The zero value delivers
+// the message normally. At most one of Drop, Refuse and Reset is set;
+// Delay and Duplicate may combine.
+type Fault struct {
+	// Drop loses the message in transit: the caller burns its timeout.
+	Drop bool
+	// Refuse and Reset fail the call as unreachable and keep the
+	// request off the peer: a refused connect, or a connection cut in
+	// the middle of the request frame.
+	Refuse bool
+	Reset  bool
+	// Delay adds one-way latency before the message goes out.
+	Delay time.Duration
+	// Duplicate delivers a second copy, so the handler runs twice and
+	// the caller keeps the first reply.
+	Duplicate bool
+}
+
+// FaultInjector decides each message's Fault; both transports consult
+// it once per message they send (the live one on outbound requests
+// only, the simulator on requests and responses alike).
+type FaultInjector interface {
+	Fate(from, to Addr, method string, response bool) Fault
+}
+
+// FaultFunc adapts a function to the FaultInjector interface.
+type FaultFunc func(from, to Addr, method string, response bool) Fault
+
+// Fate implements FaultInjector.
+func (f FaultFunc) Fate(from, to Addr, method string, response bool) Fault {
+	return f(from, to, method, response)
+}
+
 // PeerHealth is one peer's circuit-breaker snapshot (grid.health RPC).
 type PeerHealth struct {
 	Peer        Addr

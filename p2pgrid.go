@@ -38,15 +38,14 @@ type Algorithm int
 
 // Matchmaking algorithms. RNTree and CAN are the paper's two
 // decentralized schemes; CANPush adds the load-based pushing
-// improvement; Central is the omniscient baseline; TTL and Random are
-// related-work baselines.
+// improvement; Central is the omniscient baseline; TTL is the
+// related-work baseline.
 const (
 	RNTree Algorithm = iota
 	CAN
 	CANPush
 	Central
 	TTL
-	Random
 )
 
 func (a Algorithm) String() string {

@@ -21,7 +21,7 @@ func TestClusterQuickstart(t *testing.T) {
 }
 
 func TestClusterAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{RNTree, CAN, CANPush, Central, Random} {
+	for _, alg := range []Algorithm{RNTree, CAN, CANPush, Central} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			c := New(Config{Nodes: 24, Algorithm: alg, Seed: 7})

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Live chaos soak: boot a 3-node TCP grid with a seeded fault schedule
-# injected into every node's outbound RPCs (nettransport chaos layer,
-# DESIGN.md §12) and assert the robustness contract end to end:
+# (faultinject rules, DESIGN.md §12) injected into every node's
+# outbound RPCs and assert the robustness contract end to end:
 #
 #   1. Soak        N jobs through gridctl chaos — every job delivered
 #                  exactly once, zero lost, zero duplicates, while
-#                  heartbeats stall, assignments reset mid-frame, and
-#                  ownership transfers are refused.
+#                  heartbeats are delayed, assignments reset mid-frame,
+#                  ownership transfers are refused, and a few calls of
+#                  every method are dropped.
 #   2. Replay      the same seed twice must draw the same fault for
 #                  every (peer, method, seq) decision the runs share —
 #                  the determinism contract that makes a chaos failure
@@ -20,8 +21,8 @@
 #   CHAOS_JOBS   jobs per soak              (default 40)
 #   CHAOS_WORK   per-job synthetic runtime  (default 200ms)
 #   CHAOS_SEED   fault-schedule seed        (default 42)
-#   CHAOS_SPEC   fault schedule override    (default exercises stall,
-#                reset, refuse, and blackhole on the hot grid methods)
+#   CHAOS_SPEC   fault schedule override    (default exercises delay,
+#                reset, refuse, and drop on the hot grid methods)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +30,7 @@ cd "$(dirname "$0")/.."
 JOBS=${CHAOS_JOBS:-40}
 WORK=${CHAOS_WORK:-200ms}
 SEED=${CHAOS_SEED:-42}
-SPEC=${CHAOS_SPEC:-'method=grid.heartbeat stall=0.25:400ms; method=grid.assign reset=0.15; method=grid.ownbatch refuse=0.15; blackhole=0.03'}
+SPEC=${CHAOS_SPEC:-'method=grid.heartbeat delay=0.25:400ms; method=grid.assign reset=0.15; method=grid.ownbatch refuse=0.15; drop=0.03'}
 
 source scripts/lib.sh
 
