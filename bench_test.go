@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/ids"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -170,9 +169,9 @@ func BenchmarkChordLookup(b *testing.B) {
 	net := simnet.New(e)
 	const N = 256
 	nodes := make([]*chord.Node, N)
-	hosts := make([]*simhost.Host, N)
+	hosts := make([]*simnet.Endpoint, N)
 	for i := 0; i < N; i++ {
-		hosts[i] = simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%04d", i))))
+		hosts[i] = net.NewEndpoint(transport.Addr(fmt.Sprintf("n%04d", i)))
 		nodes[i] = chord.New(hosts[i], chord.Config{})
 	}
 	chord.WarmStart(nodes)
@@ -202,9 +201,9 @@ func BenchmarkCANRoute(b *testing.B) {
 	net := simnet.New(e)
 	const N = 256
 	nodes := make([]*can.Node, N)
-	hosts := make([]*simhost.Host, N)
+	hosts := make([]*simnet.Endpoint, N)
 	for i := 0; i < N; i++ {
-		hosts[i] = simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%04d", i))))
+		hosts[i] = net.NewEndpoint(transport.Addr(fmt.Sprintf("n%04d", i)))
 		nodes[i] = can.New(hosts[i], Node{
 			CPU: float64(1 + i%10), MemoryMB: float64(256 * (1 + i%8)), DiskGB: float64(10 * (1 + i%16)),
 		}.caps(), "linux", can.Config{})

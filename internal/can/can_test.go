@@ -9,7 +9,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -20,7 +19,7 @@ func hashOf(i int) ids.ID { return ids.HashString(fmt.Sprintf("h%d", i)) }
 type mesh struct {
 	e     *sim.Engine
 	net   *simnet.Net
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 	nodes []*Node
 }
 
@@ -31,7 +30,7 @@ func newMesh(t *testing.T, n int, seed int64, cfg Config, caps func(i int) (reso
 	net.Latency = simnet.UniformLatency{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond}
 	m := &mesh{e: e, net: net}
 	for i := 0; i < n; i++ {
-		h := simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i))))
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
 		cv, os := caps(i)
 		m.hosts = append(m.hosts, h)
 		m.nodes = append(m.nodes, New(h, cv, os, cfg))
@@ -343,7 +342,7 @@ func TestTakeoverHealsCoverage(t *testing.T) {
 	}
 	m.e.RunFor(3 * time.Second)
 	victim := 5
-	m.hosts[victim].Endpoint().Crash()
+	m.hosts[victim].Crash()
 	m.e.RunFor(30 * time.Second)
 	live := make([]*Node, 0, 15)
 	for i, n := range m.nodes {

@@ -100,7 +100,7 @@ func TestMultipleCrashesStillRoutable(t *testing.T) {
 	for i, victim := range []int{3, 7, 11, 15, 19} {
 		at := time.Duration(i) * 2 * time.Second
 		victim := victim
-		m.e.Schedule(at, func() { m.hosts[victim].Endpoint().Crash() })
+		m.e.Schedule(at, func() { m.hosts[victim].Crash() })
 	}
 	m.e.RunFor(time.Minute)
 	// Connectivity after heavy churn: points inside surviving nodes'

@@ -250,13 +250,17 @@ func (n *Node) call(rt transport.Runtime, to transport.Addr, method string, req 
 
 // AwaitClosed parks until the ring has closed around this node (its
 // successor is another node and a predecessor has notified it) or max
-// passes, and reports which.
+// passes, and reports whether it closed. It also returns false as soon
+// as the node is alone, its successor list pointing at itself and no
+// predecessor known: a joiner in that state has lost every successor
+// it learned and no peer knows it, so no notify will close its ring.
 func (n *Node) AwaitClosed(rt transport.Runtime, max time.Duration) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for deadline := rt.Now() + max; ; rt.Wait(&n.ringCond, deadline-rt.Now()) {
+		alone := len(n.succs) > 0 && n.succs[0].ID == n.id && n.pred.IsZero()
 		closed := len(n.succs) > 0 && n.succs[0].ID != n.id && !n.pred.IsZero() && n.pred.ID != n.id
-		if closed || rt.Now() >= deadline {
+		if closed || alone || rt.Now() >= deadline {
 			return closed
 		}
 	}
@@ -290,6 +294,10 @@ func (n *Node) Join(rt transport.Runtime, bootstrap transport.Addr) error {
 	n.mu.Lock()
 	n.pred = Ref{}
 	n.succs = []Ref{owner}
+	if n.started {
+		// A join again (peer.Launch's): splice in at once, as Start does.
+		n.hintLocked()
+	}
 	n.mu.Unlock()
 	return nil
 }

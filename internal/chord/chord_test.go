@@ -10,7 +10,6 @@ import (
 	"repro/internal/chord"
 	"repro/internal/ids"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -21,7 +20,7 @@ type ring struct {
 	e     *sim.Engine
 	net   *simnet.Net
 	nodes []*chord.Node
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 }
 
 func newRing(t *testing.T, seed int64) *ring {
@@ -32,8 +31,8 @@ func newRing(t *testing.T, seed int64) *ring {
 }
 
 func (r *ring) addNode(cfg chord.Config) *chord.Node {
-	addr := simnet.Addr(fmt.Sprintf("n%03d", len(r.nodes)))
-	h := simhost.New(r.net.NewEndpoint(addr))
+	addr := transport.Addr(fmt.Sprintf("n%03d", len(r.nodes)))
+	h := r.net.NewEndpoint(addr)
 	n := chord.New(h, cfg)
 	r.nodes = append(r.nodes, n)
 	r.hosts = append(r.hosts, h)
@@ -213,7 +212,7 @@ func TestRingHealsAfterFailures(t *testing.T) {
 	for _, v := range victims {
 		for i, n := range r.nodes {
 			if n == v {
-				r.hosts[i].Endpoint().Crash()
+				r.hosts[i].Crash()
 			}
 		}
 	}

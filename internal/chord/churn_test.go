@@ -44,7 +44,7 @@ func TestContinuousChurn(t *testing.T) {
 		})
 		r.e.RunFor(10 * time.Second)
 		victim := 1 + k*4 // spread victims; never n000 (test driver)
-		r.hosts[victim].Endpoint().Crash()
+		r.hosts[victim].Crash()
 		r.e.RunFor(10 * time.Second)
 	}
 	r.e.RunFor(90 * time.Second)

@@ -56,7 +56,7 @@ func TestDeadPredecessorPurged(t *testing.T) {
 			victimIdx = i
 		}
 	}
-	r.hosts[victimIdx].Endpoint().Crash()
+	r.hosts[victimIdx].Crash()
 	r.e.RunFor(5 * time.Second) // several checkpred rounds, zero stabilize rounds
 
 	if pred := watcher.Predecessor(); !pred.IsZero() && pred.ID == victim.ID() {

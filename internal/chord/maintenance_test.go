@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"repro/internal/chord"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
 // sent is one chord request as it left its caller.
 type sent struct {
 	at       time.Duration
-	from, to simnet.Addr
+	from, to transport.Addr
 	method   string
 }
 
@@ -21,7 +20,7 @@ func (r *ring) tap() *[]sent {
 	var log []sent
 	r.net.Faults = transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		if !response {
-			log = append(log, sent{at: time.Duration(r.e.Now()), from: simnet.Addr(from), to: simnet.Addr(to), method: method})
+			log = append(log, sent{at: time.Duration(r.e.Now()), from: from, to: to, method: method})
 		}
 		return transport.Fault{}
 	})
@@ -41,7 +40,7 @@ func warmRing(t *testing.T, seed int64, n int) *ring {
 	return r
 }
 
-func (r *ring) addr(n *chord.Node) simnet.Addr { return simnet.Addr(n.Ref().Addr) }
+func (r *ring) addr(n *chord.Node) transport.Addr { return n.Ref().Addr }
 
 func (r *ring) index(n *chord.Node) int {
 	for i, m := range r.nodes {
@@ -67,7 +66,7 @@ func TestIdleRingSendsOnlyWhatItLearnsFrom(t *testing.T) {
 	before := r.net.Stats.Messages
 	r.e.RunFor(window)
 
-	states := map[[2]simnet.Addr][]time.Duration{} // (caller, callee) -> chord.state sends
+	states := map[[2]transport.Addr][]time.Duration{} // (caller, callee) -> chord.state sends
 	pings := 0
 	for _, m := range *log {
 		switch m.method {
@@ -76,14 +75,14 @@ func TestIdleRingSendsOnlyWhatItLearnsFrom(t *testing.T) {
 				t.Fatalf("%v: %s notified %s on a ring that never changed", m.at, m.from, m.to)
 			}
 		case chord.MState:
-			k := [2]simnet.Addr{m.from, m.to}
+			k := [2]transport.Addr{m.from, m.to}
 			states[k] = append(states[k], m.at)
 		case chord.MPing:
 			pings++
 			// The pinged node is the pinger's predecessor: its calls
 			// are chord.state from m.to to m.from. The last one that can
 			// have arrived by now left at least maxOneWay ago.
-			sends := states[[2]simnet.Addr{m.to, m.from}]
+			sends := states[[2]transport.Addr{m.to, m.from}]
 			for i := len(sends) - 1; i >= 0; i-- {
 				if m.at-sends[i] < maxOneWay {
 					continue
@@ -115,7 +114,7 @@ func TestIdleRingSendsOnlyWhatItLearnsFrom(t *testing.T) {
 
 // stateGaps returns, per caller, the gaps between its successive
 // chord.state calls (the start of each stabilize round) after since.
-func stateGaps(log []sent, from simnet.Addr, since time.Duration) []time.Duration {
+func stateGaps(log []sent, from transport.Addr, since time.Duration) []time.Duration {
 	var gaps []time.Duration
 	last := time.Duration(-1)
 	for _, m := range log {
@@ -213,7 +212,7 @@ func TestStabilizeBacksOffOnceWhenCalm(t *testing.T) {
 			continue // n000 is the bootstrap
 		}
 		crashAt := time.Duration(r.e.Now())
-		r.hosts[r.index(victim)].Endpoint().Crash()
+		r.hosts[r.index(victim)].Crash()
 		r.e.RunFor(10 * time.Second)
 		var calls []sent
 		for _, m := range *log {
@@ -248,7 +247,7 @@ func TestCrashedPredecessorPurgedPromptly(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		live := r.sortedLive()
 		victim, watcher := live[3*k+1], live[3*k+2]
-		r.hosts[r.index(victim)].Endpoint().Crash()
+		r.hosts[r.index(victim)].Crash()
 		var took time.Duration
 		for took = 0; took < 10*time.Second; took += 10 * time.Millisecond {
 			if p := watcher.Predecessor(); p.IsZero() || p.ID != victim.ID() {

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // TestCheckRingCatchesEachFault breaks one thing at a time on a warm
@@ -31,7 +31,7 @@ func TestCheckRingCatchesEachFault(t *testing.T) {
 			net := simnet.New(e)
 			var nodes []*Node
 			for i := 0; i < tc.nodes; i++ {
-				nodes = append(nodes, New(simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i)))), Config{}))
+				nodes = append(nodes, New(net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i))), Config{}))
 			}
 			sorted := WarmStart(nodes)
 			if err := CheckRing(nodes); err != nil {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/pubsub"
 	"repro/internal/rntree"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/trust"
@@ -127,8 +126,7 @@ type Deployment struct {
 	Engine    *sim.Engine
 	Net       *simnet.Net
 	W         *workload.Workload
-	Hosts     []*simhost.Host
-	Eps       []*simnet.Endpoint
+	Hosts     []*simnet.Endpoint
 	Grids     []*grid.Node
 	Chords    []*chord.Node
 	RNs       []*rntree.Node
@@ -192,9 +190,7 @@ func Build(s Scenario) *Deployment {
 	}
 
 	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%04d", i)))
-		h := simhost.New(ep)
-		d.Eps = append(d.Eps, ep)
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%04d", i)))
 		d.Hosts = append(d.Hosts, h)
 		spec := w.Nodes[i]
 
@@ -258,7 +254,7 @@ func Build(s Scenario) *Deployment {
 			Caps: spec.Caps,
 			OS:   spec.OS,
 			Load: gn.QueueLen,
-			Up:   ep.Up,
+			Up:   h.Up,
 		})
 	}
 
@@ -297,7 +293,7 @@ func Build(s Scenario) *Deployment {
 
 // Crash implements faultinject.Harness: node i's endpoint goes down,
 // killing every proc it owns.
-func (d *Deployment) Crash(i int) { d.Eps[i].Crash() }
+func (d *Deployment) Crash(i int) { d.Hosts[i].Crash() }
 
 // Restart implements faultinject.Harness: the endpoint comes back up
 // and the grid layer relaunches its loops with soft state cleared.
@@ -306,7 +302,7 @@ func (d *Deployment) Crash(i int) { d.Eps[i].Crash() }
 // RPCs (handlers survive on the endpoint) but degrades until the next
 // run, which is the honest post-crash behaviour for this harness.
 func (d *Deployment) Restart(i int) {
-	d.Eps[i].Restart()
+	d.Hosts[i].Restart()
 	d.Grids[i].Restart()
 	if d.Brokers != nil {
 		// The broker restarts alongside the grid node, soft state

@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -229,10 +228,10 @@ func DHTBehavior(sizes []int, o Options) ([]DHTRow, *Table) {
 		{
 			e := o.engine(o.Seed + 5)
 			net := simnet.New(e)
-			hosts := make([]*simhost.Host, n)
+			hosts := make([]*simnet.Endpoint, n)
 			nodes := make([]*chord.Node, n)
 			for i := 0; i < n; i++ {
-				hosts[i] = simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%05d", i))))
+				hosts[i] = net.NewEndpoint(transport.Addr(fmt.Sprintf("n%05d", i)))
 				nodes[i] = chord.New(hosts[i], chord.Config{})
 			}
 			chord.WarmStart(nodes)
@@ -270,10 +269,10 @@ func DHTBehavior(sizes []int, o Options) ([]DHTRow, *Table) {
 		{
 			e := o.engine(o.Seed + 6)
 			net := simnet.New(e)
-			hosts := make([]*simhost.Host, n)
+			hosts := make([]*simnet.Endpoint, n)
 			nodes := make([]*can.Node, n)
 			for i := 0; i < n; i++ {
-				hosts[i] = simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%05d", i))))
+				hosts[i] = net.NewEndpoint(transport.Addr(fmt.Sprintf("n%05d", i)))
 				nodes[i] = can.New(hosts[i], capsForIndex(i), "linux", can.Config{})
 			}
 			can.WarmStart(nodes, 0)

@@ -124,7 +124,7 @@ func TestChurnRingConvergesWhenQuiet(t *testing.T) {
 	d.Engine.RunFor(2 * time.Minute)
 	var live []*chord.Node
 	for i, ch := range d.Chords {
-		if d.Eps[i].Up() {
+		if d.Hosts[i].Up() {
 			live = append(live, ch)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/grid"
 	"repro/internal/ids"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -196,8 +195,8 @@ func FlowRun(o Options, topo flowTopo, pol ckptPolicy, seed int64) (FlowStats, e
 	fplan.Protect = []int{ci}
 	sched := faultinject.Generate(seed, fplan)
 	d.Net.Faults = sched.Injector(func() time.Duration { return time.Duration(d.Engine.Now()) })
-	disarm := sched.Arm(d.Engine, d.Net, d, func(i int) simnet.Addr {
-		return simnet.Addr(d.Hosts[i].Addr())
+	disarm := sched.Arm(d.Engine, d.Net, d, func(i int) transport.Addr {
+		return d.Hosts[i].Addr()
 	})
 	defer disarm()
 
@@ -250,7 +249,7 @@ func FlowRun(o Options, topo flowTopo, pol ckptPolicy, seed int64) (FlowStats, e
 	for _, s := range g.Stages {
 		byName[s.Name] = s
 	}
-	addr := transport.Addr(client.Addr())
+	addr := client.Addr()
 	for name, sr := range results {
 		var executed time.Duration
 		for k := 0; k < flowMaxAttempts; k++ {

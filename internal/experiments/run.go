@@ -10,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -155,7 +154,7 @@ func (d *Deployment) drive() {
 		for k := 0; k < kill; k++ {
 			at := time.Duration(float64(span) * (0.1 + 0.8*rng.Float64()))
 			victim := victims[k]
-			d.Engine.Schedule(at, func() { d.Eps[victim].Crash() })
+			d.Engine.Schedule(at, func() { d.Hosts[victim].Crash() })
 		}
 	}
 
@@ -183,8 +182,8 @@ func (d *Deployment) drive() {
 		}
 		sched := faultinject.Generate(seed, plan)
 		d.Net.Faults = sched.Injector(func() time.Duration { return time.Duration(d.Engine.Now()) })
-		disarmFaults = sched.Arm(d.Engine, d.Net, d, func(i int) simnet.Addr {
-			return simnet.Addr(d.Hosts[i].Addr())
+		disarmFaults = sched.Arm(d.Engine, d.Net, d, func(i int) transport.Addr {
+			return d.Hosts[i].Addr()
 		})
 	}
 

@@ -582,7 +582,7 @@ type Harness interface {
 // before draining the engine (e.g. sim.Engine.Shutdown): a pending
 // restart event that fires during the drain would spawn fresh protocol
 // loops after the kill sweep and the drain would never terminate.
-func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i int) simnet.Addr) (disarm func()) {
+func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i int) transport.Addr) (disarm func()) {
 	var armed []*sim.Event
 	for _, ev := range s.Nodes {
 		ev := ev
@@ -593,8 +593,8 @@ func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i i
 		}
 	}
 	if len(s.Parts) > 0 {
-		active := make(map[int]map[simnet.Addr]bool)
-		net.SetReachable(func(a, b simnet.Addr) bool {
+		active := make(map[int]map[transport.Addr]bool)
+		net.SetReachable(func(a, b transport.Addr) bool {
 			for _, group := range active {
 				if group[a] != group[b] {
 					return false
@@ -605,7 +605,7 @@ func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i i
 		for i, part := range s.Parts {
 			i, part := i, part
 			armed = append(armed, e.Schedule(part.From, func() {
-				group := make(map[simnet.Addr]bool, len(part.Group))
+				group := make(map[transport.Addr]bool, len(part.Group))
 				for _, n := range part.Group {
 					group[addrOf(n)] = true
 				}

@@ -277,7 +277,7 @@ func (h *fakeHarness) Restart(i int) { h.restarts = append(h.restarts, i) }
 func TestArmFiresEventsAndDisarms(t *testing.T) {
 	e := sim.NewEngine(1)
 	net := simnet.New(e)
-	addrOf := func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("n%d", i)) }
+	addrOf := func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("n%d", i)) }
 	s := Schedule{
 		Nodes: []NodeEvent{
 			{At: time.Second, Node: 1},

@@ -13,7 +13,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -36,9 +35,8 @@ func (r *recorder) Record(ev grid.Event) {
 type cluster struct {
 	e     *sim.Engine
 	net   *simnet.Net
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 	nodes []*grid.Node
-	eps   []*simnet.Endpoint
 	rec   *recorder
 }
 
@@ -49,7 +47,7 @@ type switchableOverlay struct {
 func (o *switchableOverlay) RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error) {
 	for _, ep := range o.owners {
 		if ep.Up() {
-			return transport.Addr(ep.Addr()), 1, nil
+			return ep.Addr(), 1, nil
 		}
 	}
 	return "", 0, fmt.Errorf("no live owner")
@@ -64,15 +62,13 @@ func newCluster(t *testing.T, n int, seed int64, cfg grid.Config) *cluster {
 	reg := match.NewRegistry()
 	overlay := &switchableOverlay{}
 	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i)))
-		h := simhost.New(ep)
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
 		caps := resource.Vector{5, 4096, 100}
 		gn := grid.NewNode(h, caps, "linux", overlay, &match.Central{Reg: reg}, c.rec, cfg)
 		c.hosts = append(c.hosts, h)
-		c.eps = append(c.eps, ep)
 		c.nodes = append(c.nodes, gn)
-		overlay.owners = append(overlay.owners, ep)
-		reg.Register(h.Addr(), match.RegistryEntry{Caps: caps, OS: "linux", Load: gn.QueueLen, Up: ep.Up})
+		overlay.owners = append(overlay.owners, h)
+		reg.Register(h.Addr(), match.RegistryEntry{Caps: caps, OS: "linux", Load: gn.QueueLen, Up: h.Up})
 		gn.Start()
 	}
 	return c

@@ -9,7 +9,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -28,9 +27,9 @@ const (
 
 type flowSoakHarness struct{ c *cluster }
 
-func (h flowSoakHarness) Crash(i int) { h.c.eps[i].Crash() }
+func (h flowSoakHarness) Crash(i int) { h.c.hosts[i].Crash() }
 func (h flowSoakHarness) Restart(i int) {
-	h.c.eps[i].Restart()
+	h.c.hosts[i].Restart()
 	h.c.nodes[i].Restart()
 }
 
@@ -94,8 +93,8 @@ func runFlowSoak(t *testing.T, seed int64, cfg grid.Config) ([]string, int) {
 
 	sched := faultinject.Generate(seed, flowSoakPlan())
 	c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
-	disarm := sched.Arm(c.e, c.net, flowSoakHarness{c}, func(i int) simnet.Addr {
-		return simnet.Addr(c.hosts[i].Addr())
+	disarm := sched.Arm(c.e, c.net, flowSoakHarness{c}, func(i int) transport.Addr {
+		return c.hosts[i].Addr()
 	})
 	defer disarm()
 

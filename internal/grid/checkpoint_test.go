@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/resource"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -67,7 +66,7 @@ func TestCheckpointResumeAfterRunNodeCrash(t *testing.T) {
 	if c.rec.count(grid.EvCheckpointed) == 0 {
 		t.Fatal("no checkpoints taken before the crash")
 	}
-	c.eps[victim].Crash()
+	c.hosts[victim].Crash()
 	c.do(0, func(rt transport.Runtime) {
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+5*time.Minute); left != 0 {
 			t.Fatalf("job never recovered (%d unfinished)", left)
@@ -126,7 +125,7 @@ func TestCheckpointSurvivesOwnerAndRunFailure(t *testing.T) {
 	}
 	// Checkpoints accumulate, then the owner dies.
 	c.e.RunFor(8 * time.Second)
-	c.eps[0].Crash()
+	c.hosts[0].Crash()
 	for i := 0; i < 60 && c.rec.count(grid.EvOwnerAdopted) == 0; i++ {
 		c.e.RunFor(time.Second)
 	}
@@ -135,7 +134,7 @@ func TestCheckpointSurvivesOwnerAndRunFailure(t *testing.T) {
 	}
 	// Now the run node dies; the new owner (node 1) must rematch with
 	// the checkpoint it received through adoption or later heartbeats.
-	c.eps[2].Crash()
+	c.hosts[2].Crash()
 	c.do(3, func(rt transport.Runtime) {
 		if left := c.nodes[3].AwaitAll(rt, rt.Now()+6*time.Minute); left != 0 {
 			t.Fatalf("job lost after owner+run failure (%d unfinished)", left)
@@ -172,7 +171,7 @@ func TestOversizedCheckpointShipsViaRPC(t *testing.T) {
 		t.Skip("job ran on the client node itself")
 	}
 	c.e.RunFor(8 * time.Second)
-	c.eps[victim].Crash()
+	c.hosts[victim].Crash()
 	c.do(0, func(rt transport.Runtime) {
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+5*time.Minute); left != 0 {
 			t.Fatalf("job never recovered (%d unfinished)", left)
@@ -201,7 +200,7 @@ func TestCheckpointDisabledByDefault(t *testing.T) {
 	}
 	if victim != 0 {
 		c.e.RunFor(5 * time.Second)
-		c.eps[victim].Crash()
+		c.hosts[victim].Crash()
 	}
 	c.do(0, func(rt transport.Runtime) {
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+5*time.Minute); left != 0 {
@@ -263,8 +262,8 @@ func TestCheckpointPartitionedRunNotAbsorbed(t *testing.T) {
 	c.e.RunFor(5 * time.Second)
 	// Partition the run node away; it keeps executing and checkpointing
 	// but its heartbeats and checkpoints no longer land anywhere.
-	c.net.SetReachable(func(a, b simnet.Addr) bool {
-		return a != simnet.Addr(runAddr) && b != simnet.Addr(runAddr)
+	c.net.SetReachable(func(a, b transport.Addr) bool {
+		return a != runAddr && b != runAddr
 	})
 	c.do(0, func(rt transport.Runtime) {
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+5*time.Minute); left != 0 {

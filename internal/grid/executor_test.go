@@ -10,7 +10,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/resource"
-	"repro/internal/simhost"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -32,7 +32,7 @@ func (m onlyNode) FindRunNode(rt transport.Runtime, cons resource.Constraints, e
 func oneRunNode(t *testing.T) *cluster {
 	cfg := grid.Config{RunDeadAfter: time.Minute}
 	return newClusterPrep(t, 2, 7, func(int) grid.Config { return cfg }, uniform,
-		func(int, *simhost.Host, *grid.Config) grid.Matchmaker { return onlyNode{"n001"} })
+		func(int, *simnet.Endpoint, *grid.Config) grid.Matchmaker { return onlyNode{"n001"} })
 }
 
 // TestExecutorNeverWaitsOnDelivery queues three jobs on one run node
@@ -127,7 +127,7 @@ func TestCrashKillsInFlightReports(t *testing.T) {
 	c := oneRunNode(t)
 	defer c.e.Shutdown()
 	c.net.Faults = faultinject.NewInjector(1, faultinject.Rule{Method: grid.MResult, Requests: true, DropProb: 1})
-	run := c.eps[1]
+	run := c.hosts[1]
 	fresh := run.Procs()
 
 	c.do(0, func(rt transport.Runtime) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -58,9 +57,8 @@ func (r *recorder) byJob(jobID ids.ID) []grid.Event {
 type cluster struct {
 	e     *sim.Engine
 	net   *simnet.Net
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 	nodes []*grid.Node
-	eps   []*simnet.Endpoint
 	reg   *match.Registry
 	rec   *recorder
 }
@@ -74,7 +72,7 @@ type switchableOverlay struct {
 func (o *switchableOverlay) RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error) {
 	for _, ep := range o.owners {
 		if ep.Up() {
-			return transport.Addr(ep.Addr()), 1, nil
+			return ep.Addr(), 1, nil
 		}
 	}
 	return "", 0, fmt.Errorf("no live owner")
@@ -94,7 +92,7 @@ func newClusterCfg(t *testing.T, n int, seed int64, cfgFor func(i int) grid.Conf
 // (mutable) grid config before grid.NewNode, so tests can attach
 // host-bound services — a pub/sub broker, say — into the config. A
 // non-nil Matchmaker return overrides the default central matcher.
-func newClusterPrep(t *testing.T, n int, seed int64, cfgFor func(i int) grid.Config, caps func(i int) (resource.Vector, string), prep func(i int, h *simhost.Host, cfg *grid.Config) grid.Matchmaker) *cluster {
+func newClusterPrep(t *testing.T, n int, seed int64, cfgFor func(i int) grid.Config, caps func(i int) (resource.Vector, string), prep func(i int, h *simnet.Endpoint, cfg *grid.Config) grid.Matchmaker) *cluster {
 	t.Helper()
 	e := sim.NewEngine(seed)
 	net := simnet.New(e)
@@ -102,8 +100,7 @@ func newClusterPrep(t *testing.T, n int, seed int64, cfgFor func(i int) grid.Con
 	c := &cluster{e: e, net: net, reg: match.NewRegistry(), rec: &recorder{}}
 	overlay := &switchableOverlay{}
 	for i := 0; i < n; i++ {
-		ep := net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i)))
-		h := simhost.New(ep)
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
 		cv, os := caps(i)
 		cfg := cfgFor(i)
 		var matcher grid.Matchmaker = &match.Central{Reg: c.reg}
@@ -117,14 +114,13 @@ func newClusterPrep(t *testing.T, n int, seed int64, cfgFor func(i int) grid.Con
 		}
 		gn := grid.NewNode(h, cv, os, overlay, matcher, c.rec, cfg)
 		c.hosts = append(c.hosts, h)
-		c.eps = append(c.eps, ep)
 		c.nodes = append(c.nodes, gn)
-		overlay.owners = append(overlay.owners, ep)
+		overlay.owners = append(overlay.owners, h)
 		c.reg.Register(h.Addr(), match.RegistryEntry{
 			Caps: cv,
 			OS:   os,
 			Load: gn.QueueLen,
-			Up:   ep.Up,
+			Up:   h.Up,
 		})
 		gn.Start()
 	}
@@ -326,7 +322,7 @@ func TestRunNodeFailureRecovery(t *testing.T) {
 	if victim == 0 {
 		t.Skip("job ran on the client node itself; crash would kill the client role")
 	}
-	c.eps[victim].Crash()
+	c.hosts[victim].Crash()
 	c.do(0, func(rt transport.Runtime) {
 		if left := c.nodes[0].AwaitAll(rt, rt.Now()+5*time.Minute); left != 0 {
 			t.Fatalf("job never recovered (%d unfinished)", left)
@@ -373,7 +369,7 @@ func TestOwnerFailureAdoption(t *testing.T) {
 	if !started {
 		t.Fatal("job never started")
 	}
-	c.eps[0].Crash()
+	c.hosts[0].Crash()
 	c.do(3, func(rt transport.Runtime) {
 		if left := c.nodes[3].AwaitAll(rt, rt.Now()+6*time.Minute); left != 0 {
 			t.Fatalf("job lost after owner crash (%d unfinished)", left)
@@ -409,10 +405,10 @@ func TestBothFailClientResubmits(t *testing.T) {
 	}
 	c.rec.mu.Unlock()
 	// Crash both the owner (n000 per switchable overlay) and run node.
-	c.eps[0].Crash()
+	c.hosts[0].Crash()
 	for i, h := range c.hosts {
 		if h.Addr() == runAddr && i != 4 {
-			c.eps[i].Crash()
+			c.hosts[i].Crash()
 		}
 	}
 	c.do(4, func(rt transport.Runtime) {
@@ -449,8 +445,8 @@ func TestDuplicateResultsSuppressed(t *testing.T) {
 	}
 	c.rec.mu.Unlock()
 	// Partition the run node away from everyone (it keeps running).
-	c.net.SetReachable(func(a, b simnet.Addr) bool {
-		return a != simnet.Addr(runAddr) && b != simnet.Addr(runAddr)
+	c.net.SetReachable(func(a, b transport.Addr) bool {
+		return a != runAddr && b != runAddr
 	})
 	c.do(0, func(rt transport.Runtime) {
 		// Wait for rematch + completion elsewhere.

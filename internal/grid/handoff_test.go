@@ -112,10 +112,10 @@ func TestPairCrashPromotionHandsOver(t *testing.T) {
 	_, runAddr := submitAndStart(t, c, client, linuxJob(20*time.Second))
 	c.e.RunFor(2500 * time.Millisecond) // let anti-entropy seed the successors
 
-	c.eps[0].Crash() // the switchable overlay routes ownership to n000
+	c.hosts[0].Crash() // the switchable overlay routes ownership to n000
 	for i, h := range c.hosts {
 		if h.Addr() == runAddr && i != 0 {
-			c.eps[i].Crash()
+			c.hosts[i].Crash()
 		}
 	}
 
@@ -148,7 +148,7 @@ func TestOwnerRestartRestores(t *testing.T) {
 	submitAndStart(t, c, client, linuxJob(20*time.Second))
 	c.e.RunFor(2500 * time.Millisecond)
 
-	c.eps[0].Crash()
+	c.hosts[0].Crash()
 	c.e.RunFor(1200 * time.Millisecond) // well inside DeadAfter (3s)
 	soakHarness{c}.Restart(0)
 
@@ -185,7 +185,7 @@ func TestStaleOwnerFencedDemotes(t *testing.T) {
 	submitAndStart(t, c, client, linuxJob(25*time.Second))
 	c.e.RunFor(2500 * time.Millisecond)
 
-	c.eps[0].Crash()
+	c.hosts[0].Crash()
 	ownerIdx.Store(1) // the ring hands n000's arc to n001
 
 	// The surviving run node adopts via the overlay and/or n001
@@ -199,7 +199,7 @@ func TestStaleOwnerFencedDemotes(t *testing.T) {
 
 	// Endpoint-only restart: the stale owner returns with its owned
 	// map intact but the ring no longer assigns it the job's key.
-	c.eps[0].Restart()
+	c.hosts[0].Restart()
 	if !runUntil(c, 30*time.Second, func() bool {
 		return c.rec.count(grid.EvDemoted) > 0
 	}) {
@@ -243,7 +243,7 @@ func TestReplicaSetRetargets(t *testing.T) {
 		t.Fatalf("replica set before crash not acked on n001+n002: %+v", st.Peers)
 	}
 
-	c.eps[1].Crash()
+	c.hosts[1].Crash()
 	c.e.RunFor(3 * time.Second) // a push round re-targets and re-acks
 
 	st = replStatus(t, c, client, 0, jobID)

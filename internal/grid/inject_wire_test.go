@@ -11,7 +11,6 @@ import (
 	"repro/internal/nettransport"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -89,7 +88,7 @@ func TestInjectWireContract(t *testing.T) {
 		net := simnet.New(e)
 		var hosts []transport.Host
 		for i := 0; i < 3; i++ {
-			hosts = append(hosts, simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%d", i)))))
+			hosts = append(hosts, net.NewEndpoint(transport.Addr(fmt.Sprintf("n%d", i))))
 		}
 		injectWireContract(t, hosts[0], hosts[1], hosts[2], func(fn func(rt transport.Runtime)) {
 			done := false

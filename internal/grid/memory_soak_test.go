@@ -8,7 +8,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/match"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -42,15 +41,14 @@ func TestSoakRunNodeMemoryFlat(t *testing.T) {
 	var nodes []transport.Addr
 	var eps []*simnet.Endpoint
 	for i := 0; i < 3; i++ {
-		ep := net.NewEndpoint(simnet.Addr([]string{"n0", "n1", "n2"}[i]))
-		h := simhost.New(ep)
+		h := net.NewEndpoint(transport.Addr([]string{"n0", "n1", "n2"}[i]))
 		cv, os := uniform(i)
 		gn := grid.NewNode(h, cv, os, overlay, &match.Central{Reg: reg}, nil, grid.Config{})
-		overlay.owners = append(overlay.owners, ep)
-		reg.Register(h.Addr(), match.RegistryEntry{Caps: cv, OS: os, Load: gn.QueueLen, Up: ep.Up})
+		overlay.owners = append(overlay.owners, h)
+		reg.Register(h.Addr(), match.RegistryEntry{Caps: cv, OS: os, Load: gn.QueueLen, Up: h.Up})
 		gn.Start()
 		nodes = append(nodes, h.Addr())
-		eps = append(eps, ep)
+		eps = append(eps, h)
 	}
 	procs := func() int {
 		n := 0
@@ -61,7 +59,7 @@ func TestSoakRunNodeMemoryFlat(t *testing.T) {
 	}
 	procsBefore := procs()
 
-	client := simhost.New(net.NewEndpoint("client"))
+	client := net.NewEndpoint("client")
 	delivered := 0
 	client.Handle(grid.MResult, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		delivered++

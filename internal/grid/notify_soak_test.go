@@ -11,7 +11,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/pubsub"
 	"repro/internal/resource"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -76,7 +75,7 @@ func newNotifyCluster(t *testing.T, n int, seed int64, cfg grid.Config, wired bo
 	}
 	matcher := &firstCentral{}
 	nc.cluster = newClusterPrep(t, n, seed, func(int) grid.Config { return cfg }, uniform,
-		func(i int, h *simhost.Host, c *grid.Config) grid.Matchmaker {
+		func(i int, h *simnet.Endpoint, c *grid.Config) grid.Matchmaker {
 			b := pubsub.New(h, pubsub.Config{Lookup: lookup})
 			nc.brokers = append(nc.brokers, b)
 			if wired {
@@ -96,9 +95,9 @@ func newNotifyCluster(t *testing.T, n int, seed int64, cfg grid.Config, wired bo
 // way a real process restart rebuilds both.
 type notifySoakHarness struct{ nc *notifyCluster }
 
-func (h notifySoakHarness) Crash(i int) { h.nc.eps[i].Crash() }
+func (h notifySoakHarness) Crash(i int) { h.nc.hosts[i].Crash() }
 func (h notifySoakHarness) Restart(i int) {
-	h.nc.eps[i].Restart()
+	h.nc.hosts[i].Restart()
 	h.nc.nodes[i].Restart()
 	h.nc.brokers[i].Reset()
 	h.nc.brokers[i].Start()

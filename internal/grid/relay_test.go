@@ -8,7 +8,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/match"
 	"repro/internal/resource"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -35,7 +34,7 @@ func TestResultRelayThroughOwner(t *testing.T) {
 	cfg := grid.Config{HeartbeatEvery: time.Second, ResultRetries: 5}
 	c := relayCluster(t, 21, cfg)
 	defer c.e.Shutdown()
-	clientAddr := simnet.Addr(c.hosts[3].Addr())
+	clientAddr := c.hosts[3].Addr()
 	cons := resource.Unconstrained.Require(resource.CPU, 2)
 
 	c.do(3, func(rt transport.Runtime) {
@@ -49,7 +48,7 @@ func TestResultRelayThroughOwner(t *testing.T) {
 
 	// Partition the client from everyone. The job finishes, direct
 	// delivery fails, the run node hands the result to the owner.
-	c.net.SetReachable(func(a, b simnet.Addr) bool {
+	c.net.SetReachable(func(a, b transport.Addr) bool {
 		return a != clientAddr && b != clientAddr
 	})
 	c.e.RunFor(30 * time.Second)
@@ -76,7 +75,7 @@ func TestRelayGivesUpWhenClientNeverReturns(t *testing.T) {
 	cfg := grid.Config{HeartbeatEvery: time.Second, ResultRetries: 3}
 	c := relayCluster(t, 23, cfg)
 	defer c.e.Shutdown()
-	clientAddr := simnet.Addr(c.hosts[3].Addr())
+	clientAddr := c.hosts[3].Addr()
 	cons := resource.Unconstrained.Require(resource.CPU, 2)
 
 	var jobID ids.ID
@@ -92,7 +91,7 @@ func TestRelayGivesUpWhenClientNeverReturns(t *testing.T) {
 	})
 
 	// The client vanishes for good.
-	c.net.SetReachable(func(a, b simnet.Addr) bool {
+	c.net.SetReachable(func(a, b transport.Addr) bool {
 		return a != clientAddr && b != clientAddr
 	})
 	c.e.RunFor(3 * time.Minute)
@@ -136,7 +135,7 @@ func TestMatchRetryAfterTransientFailure(t *testing.T) {
 		Caps: resource.Vector{8, 1024, 50},
 		OS:   "linux",
 		Load: c.nodes[2].QueueLen,
-		Up:   func() bool { return appeared && c.eps[2].Up() },
+		Up:   func() bool { return appeared && c.hosts[2].Up() },
 	})
 	c.e.Schedule(6*time.Second, func() { appeared = true })
 

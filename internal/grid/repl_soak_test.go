@@ -41,11 +41,11 @@ func (r *testRing) Self() transport.Addr { return r.c.hosts[r.i].Addr() }
 
 func (r *testRing) Successors(k int) []transport.Addr {
 	var out []transport.Addr
-	n := len(r.c.eps)
+	n := len(r.c.hosts)
 	for j := 1; j < n && len(out) < k; j++ {
-		ep := r.c.eps[(r.i+j)%n]
+		ep := r.c.hosts[(r.i+j)%n]
 		if ep.Up() {
-			out = append(out, transport.Addr(ep.Addr()))
+			out = append(out, ep.Addr())
 		}
 	}
 	return out
@@ -55,9 +55,9 @@ func (r *testRing) Owns(key ids.ID) bool {
 	if r.ownerIdx != nil {
 		return int(r.ownerIdx.Load()) == r.i
 	}
-	for _, ep := range r.c.eps {
+	for _, ep := range r.c.hosts {
 		if ep.Up() {
-			return transport.Addr(ep.Addr()) == r.Self()
+			return ep.Addr() == r.Self()
 		}
 	}
 	return false

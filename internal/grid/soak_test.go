@@ -8,7 +8,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -29,9 +28,9 @@ const (
 // soakHarness adapts the test cluster to faultinject.Harness.
 type soakHarness struct{ c *cluster }
 
-func (h soakHarness) Crash(i int) { h.c.eps[i].Crash() }
+func (h soakHarness) Crash(i int) { h.c.hosts[i].Crash() }
 func (h soakHarness) Restart(i int) {
-	h.c.eps[i].Restart()
+	h.c.hosts[i].Restart()
 	h.c.nodes[i].Restart()
 }
 
@@ -131,8 +130,8 @@ func (s soak) run(t *testing.T, seed int64) ([]string, *metrics.Collector) {
 	if s.plan != nil {
 		sched = faultinject.Generate(seed, *s.plan)
 		c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
-		disarm := sched.Arm(c.e, c.net, s.harness, func(i int) simnet.Addr {
-			return simnet.Addr(c.hosts[i].Addr())
+		disarm := sched.Arm(c.e, c.net, s.harness, func(i int) transport.Addr {
+			return c.hosts[i].Addr()
 		})
 		defer disarm() // before the caller's Shutdown drains the engine
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/trust"
@@ -21,7 +20,7 @@ import (
 // rig wires a Chord+RN-Tree overlay for matchmaker integration tests.
 type rig struct {
 	e     *sim.Engine
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 	chs   []*chord.Node
 	rns   []*rntree.Node
 	loads []int
@@ -34,7 +33,7 @@ func newRig(t *testing.T, n int, seed int64, cfg rntree.Config, caps func(i int)
 	net.Latency = simnet.FixedLatency(10 * time.Millisecond)
 	r := &rig{e: e, loads: make([]int, n)}
 	for i := 0; i < n; i++ {
-		h := simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i))))
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
 		ch := chord.New(h, chord.Config{})
 		rn := rntree.New(h, ch, caps(i), "linux", cfg)
 		i := i
@@ -174,7 +173,7 @@ func TestCentralSkipsDownAndUnsatisfying(t *testing.T) {
 	c := &match.Central{Reg: reg}
 	e := sim.NewEngine(1)
 	net := simnet.New(e)
-	h := simhost.New(net.NewEndpoint("t"))
+	h := net.NewEndpoint("t")
 	done := false
 	h.Go("t", func(rt transport.Runtime) {
 		defer func() { done = true }()

@@ -65,7 +65,7 @@ func newBreakerSet(h *Host) *breakerSet {
 	}
 }
 
-func (s *breakerSet) enabled() bool { return s.h.opts.BreakerThreshold > 0 }
+func (s *breakerSet) enabled() bool { return s.h.set.breakerThreshold > 0 }
 
 func (s *breakerSet) get(addr transport.Addr) *breaker {
 	b := s.m[addr]
@@ -134,7 +134,7 @@ func (s *breakerSet) record(addr transport.Addr, ok bool) {
 		s.open(b)
 	case brClosed:
 		b.consec++
-		if s.enabled() && b.consec >= s.h.opts.BreakerThreshold {
+		if s.enabled() && b.consec >= s.h.set.breakerThreshold {
 			s.open(b)
 		}
 	case brOpen:
@@ -150,11 +150,11 @@ func (s *breakerSet) open(b *breaker) {
 	b.state = brOpen
 	b.opens++
 	if b.cooldown == 0 {
-		b.cooldown = s.h.opts.BreakerCooldown
+		b.cooldown = s.h.set.breakerCooldown
 	} else {
 		b.cooldown *= 2
-		if b.cooldown > s.h.opts.BreakerMaxCooldown {
-			b.cooldown = s.h.opts.BreakerMaxCooldown
+		if b.cooldown > s.h.set.breakerMaxCooldown {
+			b.cooldown = s.h.set.breakerMaxCooldown
 		}
 	}
 	jitter := time.Duration(s.rng.Int63n(int64(b.cooldown)/4 + 1))

@@ -28,10 +28,10 @@ func deadAddr(t *testing.T) transport.Addr {
 // circuits without a dial, surfacing as a transient error the grid's
 // retry classification re-routes.
 func TestBreakerOpensAndFastFails(t *testing.T) {
-	a, err := ListenOpts("127.0.0.1:0", Opts{
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute, // never half-opens within the test
-		DialBackoff:      -1,          // isolate the breaker from dial suppression
+	a, err := listen("127.0.0.1:0", Opts{}, settings{
+		breakerThreshold: 3,
+		breakerCooldown:  time.Minute, // never half-opens within the test
+		dialBackoff:      -1,          // isolate the breaker from dial suppression
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,10 +74,10 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 // peer at the same address, and checks one successful probe closes the
 // breaker again.
 func TestBreakerRecoversHalfOpen(t *testing.T) {
-	a, err := ListenOpts("127.0.0.1:0", Opts{
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-		DialBackoff:      -1,
+	a, err := listen("127.0.0.1:0", Opts{}, settings{
+		breakerThreshold: 2,
+		breakerCooldown:  50 * time.Millisecond,
+		dialBackoff:      -1,
 	})
 	if err != nil {
 		t.Fatal(err)

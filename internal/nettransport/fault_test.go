@@ -39,7 +39,7 @@ func TestFrameLengthBound(t *testing.T) {
 	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return rntree.SearchResp{}, nil
 	})
-	small, err := ListenOpts("127.0.0.1:0", Opts{MaxFrame: 4096, BreakerThreshold: -1})
+	small, err := listen("127.0.0.1:0", Opts{}, settings{maxFrame: 4096, breakerThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFrameLengthBound(t *testing.T) {
 
 	// Receiver side: a server with a tight bound drops the connection on
 	// an oversized frame; the sender's pending call fails as down.
-	srv, err := ListenOpts("127.0.0.1:0", Opts{MaxFrame: 4096})
+	srv, err := listen("127.0.0.1:0", Opts{}, settings{maxFrame: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFrameLengthBound(t *testing.T) {
 	srv.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return rntree.SearchResp{}, nil
 	})
-	cl, err := ListenOpts("127.0.0.1:0", Opts{BreakerThreshold: -1})
+	cl, err := listen("127.0.0.1:0", Opts{}, settings{breakerThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,10 @@ func TestFrameLengthBound(t *testing.T) {
 // reconnect backoff collapses the dial storm: most calls fail fast from
 // the suppression window instead of burning a TCP connect each.
 func TestDialBackoffLimitsDials(t *testing.T) {
-	a, err := ListenOpts("127.0.0.1:0", Opts{
-		BreakerThreshold: -1, // isolate backoff from the breaker
-		DialBackoff:      50 * time.Millisecond,
-		DialBackoffMax:   200 * time.Millisecond,
+	a, err := listen("127.0.0.1:0", Opts{}, settings{
+		breakerThreshold: -1, // isolate backoff from the breaker
+		dialBackoff:      50 * time.Millisecond,
+		dialBackoffMax:   200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestMidFrameResetDoesNotPoisonPending(t *testing.T) {
 		}()
 	}()
 
-	a, err := ListenOpts("127.0.0.1:0", Opts{BreakerThreshold: -1, DialBackoff: -1})
+	a, err := listen("127.0.0.1:0", Opts{}, settings{breakerThreshold: -1, dialBackoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ const (
 	errDown      = 3 // peer is not serving: host closed or stream unusable
 )
 
-// defaultMaxFrame bounds a single frame's payload unless Opts.MaxFrame
+// defaultMaxFrame bounds a single frame's payload unless settings.maxFrame
 // overrides it (checkpoint payloads cap in the low MBs). The reader
 // enforces the bound on the length prefix alone, before any
 // allocation, so a corrupt or hostile peer cannot make us allocate an

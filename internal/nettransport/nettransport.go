@@ -28,68 +28,72 @@ import (
 // DefaultCallTimeout bounds Call when no explicit timeout is given.
 const DefaultCallTimeout = 5 * time.Second
 
-// Opts tunes a Host. The zero value selects the defaults.
+// Opts tunes a Host. The zero value injects no faults.
 type Opts struct {
-	// IdleTimeout reaps connections (pooled client conns and inbound
-	// server conns) with no traffic and no in-flight calls
-	// (default 60s).
-	IdleTimeout time.Duration
-	// CloseDrain bounds how long Close waits for the accept loop and
-	// in-flight handlers to finish before returning (default 2s).
-	CloseDrain time.Duration
-	// MaxFrame bounds a single frame's encoded size in both directions;
-	// the reader rejects larger length prefixes before allocating
-	// (default 64 MB).
-	MaxFrame int
 	// Chaos, when set, decides a fault for each of this host's outbound
 	// calls (DESIGN.md §12; gridnode -chaos builds it from a
 	// faultinject spec). Faults are client-side: a schedule describes
 	// what one process does to the network. Nil injects nothing.
 	Chaos transport.FaultInjector
-	// BreakerThreshold is how many consecutive transport-level failures
-	// open a peer's circuit breaker (default 5; negative disables
-	// breakers entirely). See breaker.go.
-	BreakerThreshold int
-	// BreakerCooldown is the first open window before a half-open probe
-	// is admitted (default 1s); each failed probe doubles it up to
-	// BreakerMaxCooldown (default 30s), with jitter.
-	BreakerCooldown    time.Duration
-	BreakerMaxCooldown time.Duration
-	// DialBackoff spaces reconnect attempts to a peer whose dials fail:
-	// after a failed dial, further dials to that peer are suppressed
-	// (failing fast as unreachable) for an exponentially growing,
-	// jittered window — default 100ms doubling up to DialBackoffMax
-	// (default 5s), reset by any successful dial. Negative disables.
-	DialBackoff    time.Duration
-	DialBackoffMax time.Duration
 }
 
-func (o Opts) withDefaults() Opts {
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 60 * time.Second
+// settings are a Host's fixed tunables. A zero field selects its
+// default; only this package's tests set one, through listen.
+type settings struct {
+	// idleTimeout reaps connections (pooled client conns and inbound
+	// server conns) with no traffic and no in-flight calls (60s).
+	idleTimeout time.Duration
+	// closeDrain bounds how long Close waits for the accept loop and
+	// in-flight handlers to finish before returning (2s).
+	closeDrain time.Duration
+	// maxFrame bounds a single frame's encoded size in both directions;
+	// the reader rejects larger length prefixes before allocating
+	// (64 MB).
+	maxFrame int
+	// breakerThreshold is how many consecutive transport-level failures
+	// open a peer's circuit breaker (5; negative disables breakers
+	// entirely). See breaker.go.
+	breakerThreshold int
+	// breakerCooldown is the first open window before a half-open probe
+	// is admitted (1s); each failed probe doubles it up to
+	// breakerMaxCooldown (30s), with jitter.
+	breakerCooldown    time.Duration
+	breakerMaxCooldown time.Duration
+	// dialBackoff spaces reconnect attempts to a peer whose dials fail:
+	// after a failed dial, further dials to that peer are suppressed
+	// (failing fast as unreachable) for an exponentially growing,
+	// jittered window — 100ms doubling up to dialBackoffMax (5s), reset
+	// by any successful dial. Negative disables.
+	dialBackoff    time.Duration
+	dialBackoffMax time.Duration
+}
+
+func (s settings) withDefaults() settings {
+	if s.idleTimeout == 0 {
+		s.idleTimeout = 60 * time.Second
 	}
-	if o.CloseDrain == 0 {
-		o.CloseDrain = 2 * time.Second
+	if s.closeDrain == 0 {
+		s.closeDrain = 2 * time.Second
 	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = defaultMaxFrame
+	if s.maxFrame == 0 {
+		s.maxFrame = defaultMaxFrame
 	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
+	if s.breakerThreshold == 0 {
+		s.breakerThreshold = 5
 	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = time.Second
+	if s.breakerCooldown == 0 {
+		s.breakerCooldown = time.Second
 	}
-	if o.BreakerMaxCooldown == 0 {
-		o.BreakerMaxCooldown = 30 * time.Second
+	if s.breakerMaxCooldown == 0 {
+		s.breakerMaxCooldown = 30 * time.Second
 	}
-	if o.DialBackoff == 0 {
-		o.DialBackoff = 100 * time.Millisecond
+	if s.dialBackoff == 0 {
+		s.dialBackoff = 100 * time.Millisecond
 	}
-	if o.DialBackoffMax == 0 {
-		o.DialBackoffMax = 5 * time.Second
+	if s.dialBackoffMax == 0 {
+		s.dialBackoffMax = 5 * time.Second
 	}
-	return o
+	return s
 }
 
 // Host is one process's TCP attachment to the grid.
@@ -97,7 +101,8 @@ type Host struct {
 	ln    net.Listener
 	addr  transport.Addr
 	start time.Time
-	opts  Opts
+	chaos transport.FaultInjector
+	set   settings
 	pool  *pool
 	brk   *breakerSet
 	done  chan struct{} // closed when the host closes
@@ -189,6 +194,11 @@ func Listen(addr string) (*Host, error) {
 
 // ListenOpts binds a host with explicit transport options.
 func ListenOpts(addr string, opts Opts) (*Host, error) {
+	return listen(addr, opts, settings{})
+}
+
+// listen is ListenOpts with the fixed tunables given too.
+func listen(addr string, opts Opts, set settings) (*Host, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("nettransport: listen %s: %w", addr, err)
@@ -197,7 +207,8 @@ func ListenOpts(addr string, opts Opts) (*Host, error) {
 		ln:       ln,
 		addr:     transport.Addr(ln.Addr().String()),
 		start:    time.Now(),
-		opts:     opts.withDefaults(),
+		chaos:    opts.Chaos,
+		set:      set.withDefaults(),
 		done:     make(chan struct{}),
 		handlers: make(map[string]transport.Handler),
 		conns:    make(map[net.Conn]struct{}),
@@ -251,7 +262,7 @@ func (h *Host) Go(name string, fn func(rt transport.Runtime)) {
 // Close shuts the host down: the listener stops, pooled and inbound
 // connections close (failing their pending calls fast), and the accept
 // loop plus in-flight handlers are drained — bounded by
-// Opts.CloseDrain — before Close returns, so a caller may immediately
+// settings.closeDrain — before Close returns, so a caller may immediately
 // re-listen on the same address without racing the old host's
 // goroutines.
 func (h *Host) Close() {
@@ -279,7 +290,7 @@ func (h *Host) Close() {
 	}()
 	select {
 	case <-drained:
-	case <-time.After(h.opts.CloseDrain):
+	case <-time.After(h.set.closeDrain):
 	}
 }
 
@@ -332,7 +343,7 @@ func (h *Host) acceptLoop() {
 // served concurrently (each on its own goroutine), responses are
 // written back under the connection's write lock. The loop exits when
 // the peer hangs up, the host closes, or the connection sits idle past
-// IdleTimeout with no handler in flight.
+// idleTimeout with no handler in flight.
 func (h *Host) serveConn(rawConn net.Conn) {
 	defer func() {
 		h.dropConn(rawConn)
@@ -346,8 +357,8 @@ func (h *Host) serveConn(rawConn net.Conn) {
 	var wmu sync.Mutex
 	var inflight atomic.Int64
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(h.opts.IdleTimeout))
-		f, err := readFrame(br, h.opts.MaxFrame)
+		_ = conn.SetReadDeadline(time.Now().Add(h.set.idleTimeout))
+		f, err := readFrame(br, h.set.maxFrame)
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
@@ -366,7 +377,7 @@ func (h *Host) serveConn(rawConn net.Conn) {
 			// reports a timeout for what is really an unusable peer.
 			_ = writeFrame(conn, &wmu, &frame{
 				Kind: frameResp, ErrKind: errDown, ErrMsg: "bad frame: " + err.Error(),
-			}, time.Now().Add(time.Second), h.opts.MaxFrame)
+			}, time.Now().Add(time.Second), h.set.maxFrame)
 			return
 		}
 		if f.Kind != frameReq {
@@ -375,7 +386,7 @@ func (h *Host) serveConn(rawConn net.Conn) {
 		if h.isClosed() {
 			_ = writeFrame(conn, &wmu, &frame{
 				Kind: frameResp, ID: f.ID, ErrKind: errDown, ErrMsg: "host closed",
-			}, time.Now().Add(time.Second), h.opts.MaxFrame)
+			}, time.Now().Add(time.Second), h.set.maxFrame)
 			continue
 		}
 		inflight.Add(1)
@@ -406,7 +417,7 @@ func (h *Host) serveRequest(conn net.Conn, wmu *sync.Mutex, f *frame, recv time.
 	if closed {
 		resp.ErrKind = errDown
 		resp.ErrMsg = "host closed"
-		_ = writeFrame(conn, wmu, resp, deadline, h.opts.MaxFrame)
+		_ = writeFrame(conn, wmu, resp, deadline, h.set.maxFrame)
 		return
 	}
 	ro := h.obsv.Load()
@@ -438,7 +449,7 @@ func (h *Host) serveRequest(conn net.Conn, wmu *sync.Mutex, f *frame, recv time.
 	if !time.Now().Before(deadline) {
 		return // the caller has given up; nobody is reading this reply
 	}
-	_ = writeFrame(conn, wmu, resp, deadline, h.opts.MaxFrame)
+	_ = writeFrame(conn, wmu, resp, deadline, h.set.maxFrame)
 }
 
 // runtime is the live (wall-clock) transport.Runtime.
@@ -509,7 +520,7 @@ func (r *runtime) CallT(to transport.Addr, method string, req any, timeout time.
 	// without touching the network; reset and duplicate ride down into
 	// the write path.
 	var ft transport.Fault
-	if c := r.h.opts.Chaos; c != nil {
+	if c := r.h.chaos; c != nil {
 		ft = c.Fate(r.h.addr, to, method, false)
 	}
 	switch {

@@ -20,44 +20,6 @@ import (
 
 func init() { wire.RegisterAll() }
 
-func TestCallRoundTrip(t *testing.T) {
-	a, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	b.Handle(chord.MPing, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		if _, ok := req.(chord.PingReq); !ok {
-			return nil, fmt.Errorf("bad payload %T", req)
-		}
-		return chord.PingResp{Self: chord.Ref{ID: ids.HashString("b"), Addr: b.Addr()}}, nil
-	})
-
-	done := make(chan error, 1)
-	a.Go("caller", func(rt transport.Runtime) {
-		resp, err := rt.Call(b.Addr(), chord.MPing, chord.PingReq{})
-		if err != nil {
-			done <- err
-			return
-		}
-		pr := resp.(chord.PingResp)
-		if pr.Self.Addr != b.Addr() {
-			done <- fmt.Errorf("wrong self: %v", pr.Self)
-			return
-		}
-		done <- nil
-	})
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRuntimeRandSeedsOnFirstDraw: a runtime is made for every request
 // served, so making one must not build a random source; two that do
 // draw must not share a stream.
@@ -71,29 +33,6 @@ func TestRuntimeRandSeedsOnFirstDraw(t *testing.T) {
 	}
 	if a.Rand().Int63() == b.Rand().Int63() && a.Rand().Int63() == b.Rand().Int63() {
 		t.Fatal("two runtimes draw the same stream")
-	}
-}
-
-func TestCallErrors(t *testing.T) {
-	a, _ := Listen("127.0.0.1:0")
-	defer a.Close()
-	b, _ := Listen("127.0.0.1:0")
-	b.Handle("boom", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		return nil, errors.New("handler exploded")
-	})
-
-	rt := a.newRuntime()
-	if _, err := rt.Call(b.Addr(), "missing", chord.PingReq{}); !errors.Is(err, transport.ErrNoHandler) {
-		t.Fatalf("missing handler: %v", err)
-	}
-	if _, err := rt.Call(b.Addr(), "boom", chord.PingReq{}); err == nil || err.Error() != "handler exploded" {
-		t.Fatalf("handler error: %v", err)
-	}
-	bAddr := b.Addr()
-	b.Close()
-	time.Sleep(50 * time.Millisecond)
-	if _, err := rt.CallT(bAddr, "x", chord.PingReq{}, time.Second); err == nil {
-		t.Fatal("call to closed host succeeded")
 	}
 }
 

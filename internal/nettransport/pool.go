@@ -38,7 +38,7 @@ type peerEntry struct {
 	// Reconnect backoff: after a failed dial, further dials are
 	// suppressed until nextDial so a dead peer is not hammered in a
 	// tight loop. backoff doubles per consecutive failure (jittered,
-	// capped at Opts.DialBackoffMax) and resets on success.
+	// capped at settings.dialBackoffMax) and resets on success.
 	backoff  time.Duration
 	nextDial time.Time
 }
@@ -65,7 +65,7 @@ func (p *pool) get(addr transport.Addr, dialTimeout time.Duration) (pc *peerConn
 	if e.pc != nil && !e.pc.isClosed() {
 		return e.pc, true, nil
 	}
-	bo := p.h.opts.DialBackoff
+	bo := p.h.set.dialBackoff
 	if bo > 0 && time.Now().Before(e.nextDial) {
 		return nil, false, fmt.Errorf("%w: dial to %s suppressed for %s (reconnect backoff)",
 			transport.ErrUnreachable, addr, time.Until(e.nextDial).Round(time.Millisecond))
@@ -77,8 +77,8 @@ func (p *pool) get(addr transport.Addr, dialTimeout time.Duration) (pc *peerConn
 				e.backoff = bo
 			} else {
 				e.backoff *= 2
-				if e.backoff > p.h.opts.DialBackoffMax {
-					e.backoff = p.h.opts.DialBackoffMax
+				if e.backoff > p.h.set.dialBackoffMax {
+					e.backoff = p.h.set.dialBackoffMax
 				}
 			}
 			// Up to 25% jitter so many callers' retries decorrelate.
@@ -149,10 +149,10 @@ func (p *pool) closeAll() {
 	}
 }
 
-// reapLoop closes connections idle past the host's IdleTimeout with no
+// reapLoop closes connections idle past the host's idleTimeout with no
 // in-flight calls. It exits when the host closes.
 func (p *pool) reapLoop() {
-	period := p.h.opts.IdleTimeout / 2
+	period := p.h.set.idleTimeout / 2
 	if period < 10*time.Millisecond {
 		period = 10 * time.Millisecond
 	}
@@ -164,7 +164,7 @@ func (p *pool) reapLoop() {
 			return
 		case <-t.C:
 		}
-		cutoff := time.Now().Add(-p.h.opts.IdleTimeout).UnixNano()
+		cutoff := time.Now().Add(-p.h.set.idleTimeout).UnixNano()
 		p.mu.Lock()
 		entries := make([]*peerEntry, 0, len(p.peers))
 		for _, e := range p.peers {
@@ -235,7 +235,7 @@ func (pc *peerConn) call(method string, from transport.Addr, req any, timeout ti
 		Kind: frameReq, ID: id, Method: method, From: string(from),
 		TimeoutMS: timeout.Milliseconds(), Payload: req,
 	}
-	if err := writeFrameFault(pc.conn, &pc.wmu, f, time.Now().Add(timeout), pc.p.h.opts.MaxFrame, ft); err != nil {
+	if err := writeFrameFault(pc.conn, &pc.wmu, f, time.Now().Add(timeout), pc.p.h.set.maxFrame, ft); err != nil {
 		pc.unregister(id)
 		pc.p.discard(pc)
 		// A chaos reset put part of the frame on the wire, so the peer
@@ -273,7 +273,7 @@ func (pc *peerConn) unregister(id uint64) {
 func (pc *peerConn) readLoop() {
 	br := bufio.NewReader(pc.conn)
 	for {
-		f, err := readFrame(br, pc.p.h.opts.MaxFrame)
+		f, err := readFrame(br, pc.p.h.set.maxFrame)
 		if err != nil {
 			pc.p.discard(pc)
 			return

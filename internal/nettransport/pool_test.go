@@ -131,13 +131,13 @@ func TestPooledPeerRestart(t *testing.T) {
 // TestIdleReap checks both sides drop a connection with no traffic and
 // nothing in flight, and that the next call transparently redials.
 func TestIdleReap(t *testing.T) {
-	opts := Opts{IdleTimeout: 50 * time.Millisecond}
-	a, err := ListenOpts("127.0.0.1:0", opts)
+	set := settings{idleTimeout: 50 * time.Millisecond}
+	a, err := listen("127.0.0.1:0", Opts{}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenOpts("127.0.0.1:0", opts)
+	b, err := listen("127.0.0.1:0", Opts{}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestCloseDrainsInflight(t *testing.T) {
 // must still deliver its reply, because the response deadline derives
 // from the caller's timeout, not a fixed server constant.
 func TestSlowHandlerGetsReply(t *testing.T) {
-	opts := Opts{IdleTimeout: 50 * time.Millisecond}
-	a, err := ListenOpts("127.0.0.1:0", opts)
+	set := settings{idleTimeout: 50 * time.Millisecond}
+	a, err := listen("127.0.0.1:0", Opts{}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := ListenOpts("127.0.0.1:0", opts)
+	b, err := listen("127.0.0.1:0", Opts{}, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 // peers and simulated ones alike: experiments.Build calls it for every
 // Chord-family node (Config.Match swaps in a baseline matchmaker) and
 // converges the overlays by warm start instead of Launch, which brings
-// a peer up ring-first on simhost and nettransport.
+// a peer up ring-first on any transport.Host: a simnet.Endpoint or a
+// nettransport.Host.
 package peer
 
 import (
@@ -102,7 +103,8 @@ var ErrNotReady = errors.New("peer not ready")
 
 // Launch brings the peer up from inside one of its host's activities:
 // create the ring (bootstrap "") or join it, start Chord, wait until
-// the ring has closed around this node (chord.AwaitClosed), only then
+// the ring has closed around this node (chord.AwaitClosed; a joiner
+// whose successor list runs out first joins again), only then
 // start the tree, the grid and the broker, and return once the tree
 // has placed the node (rntree.AwaitAttached). Both gates are crossed
 // in round trips, not periods: a joiner stabilizes at once and its new
@@ -128,7 +130,18 @@ func (p *Peer) Launch(rt transport.Runtime, bootstrap transport.Addr) error {
 		}
 	}
 	p.Ring.Start()
-	closed := sole || p.Ring.AwaitClosed(rt, gateBound)
+	closed := sole
+	for deadline := rt.Now() + gateBound; !closed && rt.Now() < deadline; {
+		closed = p.Ring.AwaitClosed(rt, deadline-rt.Now())
+		if !closed && rt.Now() < deadline {
+			// The successor list ran out first: the lookup handed this
+			// peer successors that have since departed, and no peer
+			// knows it. Join again once the bootstrap has had a moment
+			// to purge them too.
+			rt.Sleep(joinRetryEvery)
+			_ = p.Ring.Join(rt, bootstrap)
+		}
+	}
 	p.Tree.Start()
 	p.Grid.Start()
 	if p.Broker != nil {

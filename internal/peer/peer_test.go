@@ -13,7 +13,6 @@ import (
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/trust"
@@ -62,7 +61,7 @@ func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 
 func (c *cluster) add(cfg Config) int {
 	i := len(c.peers)
-	h := simhost.New(c.net.NewEndpoint(simnet.Addr(fmt.Sprintf("p%02d", i))))
+	h := c.net.NewEndpoint(transport.Addr(fmt.Sprintf("p%02d", i)))
 	c.went = append(c.went, map[string]int{})
 	c.ready = append(c.ready, -1)
 	var p *Peer
@@ -223,6 +222,38 @@ func TestJoinGivesUp(t *testing.T) {
 	}
 }
 
+// TestJoinAfterDepartureClosesRing: p0 creates, p1 joins, and 10 s
+// later p1 departs; p2 then launches through p0, whose lookup may still
+// hand it p1 as successor. Both p0 and p2 purge p1, and p2 must not be
+// left a ring of one that nobody knows: it becomes ready, and p0 and
+// p2 form one correct ring. Crashes are silent (a dropped host) or
+// refused (a closed port), at gaps of 0 to 500 ms before p2 launches.
+func TestJoinAfterDepartureClosesRing(t *testing.T) {
+	for _, refused := range []bool{false, true} {
+		for _, gap := range []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("refused=%v/gap=%v/seed=%d", refused, gap, seed), func(t *testing.T) {
+					c := newCluster(t, seed, 3, fast)
+					c.net.RefuseWhenDown = refused
+					c.launch(t, 0)
+					c.launch(t, 1)
+					c.e.RunFor(10 * time.Second)
+					c.net.Endpoint(c.peers[1].Host.Addr()).Crash()
+					c.e.RunFor(gap)
+					c.launch(t, 2)
+					c.e.RunFor(gateBound + 20*time.Second)
+					if c.ready[2] < 0 {
+						t.Fatal("p2 never became ready")
+					}
+					if err := chord.CheckRing([]*chord.Node{c.peers[0].Ring, c.peers[2].Ring}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestNewWiresOptions covers the option combinations gridnode and
 // experiments.Build use: what New constructs, that ring changes reach
 // exactly the subsystems that are on (their kick activities run), and
@@ -261,7 +292,7 @@ func TestNewWiresOptions(t *testing.T) {
 					}
 					central.Reg.Register(p.Host.Addr(), match.RegistryEntry{
 						Caps: resource.Vector{float64(1 + i), 1024, 50}, OS: "linux",
-						Load: p.Grid.QueueLen, Up: c.net.Endpoint(simnet.Addr(p.Host.Addr())).Up,
+						Load: p.Grid.QueueLen, Up: c.net.Endpoint(p.Host.Addr()).Up,
 					})
 				}
 				c.launch(t, i)

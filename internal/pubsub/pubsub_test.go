@@ -9,7 +9,6 @@ import (
 	"repro/internal/ids"
 	"repro/internal/replica"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -57,7 +56,7 @@ func (r *scriptRing) setOwns(key ids.ID, v bool) {
 
 // testNode is one broker plus its scripted ring and delivery log.
 type testNode struct {
-	host *simhost.Host
+	host *simnet.Endpoint
 	ring *scriptRing
 	b    *Broker
 
@@ -108,7 +107,7 @@ func (h *harness) lookup(rt transport.Runtime, key ids.ID) (transport.Addr, erro
 // add creates one broker node. k > 0 turns on subscriber-list
 // replication over the scripted ring.
 func (h *harness) add(name string, k int) *testNode {
-	host := simhost.New(h.net.NewEndpoint(simnet.Addr(name)))
+	host := h.net.NewEndpoint(transport.Addr(name))
 	n := &testNode{host: host, ring: &scriptRing{self: transport.Addr(name)}}
 	cfg := Config{Lookup: h.lookup}
 	if k > 0 {
@@ -248,7 +247,7 @@ func TestRendezvousHandoff(t *testing.T) {
 		t.Fatalf("pre-crash delivery = %v, want [before]", got)
 	}
 
-	a.host.Endpoint().Crash()
+	a.host.Crash()
 	b.ring.setOwns(k, true) // the ring hands a's arc to b
 	h.setRendezvous(k, "b") // lookups now resolve to the successor
 	b.b.RingChange()
@@ -288,12 +287,12 @@ func TestRedeliveryAndAbandon(t *testing.T) {
 	flaky.b.Subscribe(k)
 	gone.b.Subscribe(k)
 	h.e.RunFor(2 * time.Second)
-	flaky.host.Endpoint().Crash()
-	gone.host.Endpoint().Crash()
+	flaky.host.Crash()
+	gone.host.Crash()
 
 	pub.b.Publish(k, []byte("x"))
 	h.e.RunFor(300 * time.Millisecond) // one or two failed attempts at flaky
-	flaky.host.Endpoint().Restart()
+	flaky.host.Restart()
 	h.e.RunFor(30 * time.Second) // flaky catches up; gone exhausts redeliverMax
 
 	if got := sub.events(); len(got) != 1 || got[0] != "x" {
@@ -355,7 +354,7 @@ func TestNotifiedCountsAckOvertakenByUnsubscribe(t *testing.T) {
 	k := topicKey("job-7")
 	h.setRendezvous(k, "rdv")
 
-	watcher := simhost.New(h.net.NewEndpoint("watcher"))
+	watcher := h.net.NewEndpoint("watcher")
 	watcher.Handle(MNotify, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		r := req.(NotifyReq)
 		if _, err := rt.Call(from, MUnsubscribe, UnsubscribeReq{Topic: k, Sub: "watcher"}); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -60,7 +59,7 @@ type ownEvent struct {
 
 // testNode is one manager plus its scripted ring and callback log.
 type testNode struct {
-	host *simhost.Host
+	host *simnet.Endpoint
 	ring *scriptRing
 	mgr  *Manager
 
@@ -96,7 +95,7 @@ func newHarness(t *testing.T, seed int64) *harness {
 }
 
 func (h *harness) add(name string, k int) *testNode {
-	host := simhost.New(h.net.NewEndpoint(simnet.Addr(name)))
+	host := h.net.NewEndpoint(transport.Addr(name))
 	n := &testNode{host: host, ring: &scriptRing{self: transport.Addr(name)}}
 	n.mgr = New(host, n.ring, Config{
 		K: k,
@@ -199,7 +198,7 @@ func TestPromotionAfterOwnerDeath(t *testing.T) {
 	a.mgr.Publish(k, []byte("state"))
 	h.do("a", func(rt transport.Runtime) { a.mgr.pushOnce(rt) })
 
-	a.host.Endpoint().Crash()
+	a.host.Crash()
 	b.ring.setOwns(k, true) // ring hands the dead owner's arc to b
 
 	h.do("b", func(rt transport.Runtime) { b.mgr.probeOnce(rt) }) // first failure: starts the clock
@@ -233,7 +232,7 @@ func TestStaleOwnerFenced(t *testing.T) {
 	a.mgr.Publish(k, []byte("state"))
 	h.do("a", func(rt transport.Runtime) { a.mgr.pushOnce(rt) })
 
-	a.host.Endpoint().Crash()
+	a.host.Crash()
 	b.ring.setOwns(k, true)
 	h.do("b", func(rt transport.Runtime) { b.mgr.probeOnce(rt) })
 	h.e.RunFor(4 * time.Second)
@@ -241,7 +240,7 @@ func TestStaleOwnerFenced(t *testing.T) {
 
 	// The old owner comes back with its pre-crash state intact (a healed
 	// partition rather than a process restart) but the ring has moved on.
-	a.host.Endpoint().Restart()
+	a.host.Restart()
 	a.ring.setOwns(k, false)
 	h.do("a", func(rt transport.Runtime) { a.mgr.pushOnce(rt) })
 
@@ -404,7 +403,7 @@ func TestResponsibleTracksOwnerLiveness(t *testing.T) {
 	a.mgr.Publish(k, []byte("v"))
 	h.do("a", func(rt transport.Runtime) { a.mgr.pushOnce(rt) })
 
-	a.host.Endpoint().Crash()
+	a.host.Crash()
 	h.do("b", func(rt transport.Runtime) { b.mgr.probeOnce(rt) })
 	h.do("b", func(rt transport.Runtime) {
 		if !b.mgr.Responsible(rt.Now(), k) {

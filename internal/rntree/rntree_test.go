@@ -10,7 +10,6 @@ import (
 	"repro/internal/chord"
 	"repro/internal/resource"
 	"repro/internal/sim"
-	"repro/internal/simhost"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -19,7 +18,7 @@ import (
 type forest struct {
 	e     *sim.Engine
 	net   *simnet.Net
-	hosts []*simhost.Host
+	hosts []*simnet.Endpoint
 	chs   []*chord.Node
 	rns   []*Node
 }
@@ -31,7 +30,7 @@ func newForest(t *testing.T, n int, seed int64, caps func(i int) (resource.Vecto
 	net.Latency = simnet.UniformLatency{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond}
 	f := &forest{e: e, net: net}
 	for i := 0; i < n; i++ {
-		h := simhost.New(net.NewEndpoint(simnet.Addr(fmt.Sprintf("n%03d", i))))
+		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
 		ch := chord.New(h, chord.Config{})
 		cv, os := caps(i)
 		rn := New(h, ch, cv, os, Config{})
@@ -332,7 +331,7 @@ func TestChildExpiry(t *testing.T) {
 	}
 	// Crash a child subtree; the root's summary must shrink.
 	victim := (rootIdx + 1) % len(f.rns)
-	f.hosts[victim].Endpoint().Crash()
+	f.hosts[victim].Crash()
 	f.e.RunFor(60 * time.Second)
 	after := root.localSummary(time.Duration(f.e.Now())).Nodes
 	if after >= before {
@@ -358,7 +357,7 @@ func TestRootExpiresSilentChild(t *testing.T) {
 	victim := kids[0]
 	for _, h := range f.hosts {
 		if h.Addr() == victim {
-			h.Endpoint().Crash()
+			h.Crash()
 		}
 	}
 	// One jittered aggregation round past the TTL.

@@ -11,9 +11,16 @@ import (
 	"repro/internal/transport"
 )
 
-// faultPair builds two endpoints with a fixed 10ms latency and an echo
-// handler on "b", driven by the given fault injector.
-func faultPair(t *testing.T, fn transport.FaultInjector) (*sim.Engine, *simnet.Net, *simnet.Endpoint) {
+// Request-leg faults behave alike on both transports and are tested on
+// both in internal/transport; these tests add the simulator's exact
+// timings and counters. The live transport injects no response-leg
+// faults, so those are tested here only.
+
+// faultCall makes one call from "a" to an echo handler on "b", with a
+// fixed 10ms latency, a 1s bound and the given fault injector, and
+// returns the network's counters and the call's reply, virtual
+// duration and error.
+func faultCall(t *testing.T, fn transport.FaultInjector) (st simnet.Stats, resp any, took time.Duration, err error) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	net := simnet.New(e)
@@ -21,100 +28,82 @@ func faultPair(t *testing.T, fn transport.FaultInjector) (*sim.Engine, *simnet.N
 	net.Faults = fn
 	a := net.NewEndpoint("a")
 	b := net.NewEndpoint("b")
-	b.Handle("echo", func(p *sim.Proc, from simnet.Addr, req any) (any, error) {
+	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return req, nil
 	})
-	return e, net, a
+	a.Go("caller", func(rt transport.Runtime) {
+		start := rt.Now()
+		resp, err = rt.CallT("b", "echo", "hi", time.Second)
+		took = rt.Now() - start
+	})
+	e.Run()
+	return net.Stats, resp, took, err
 }
 
 func TestFaultDropRequestTimesOut(t *testing.T) {
-	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+	st, _, took, err := faultCall(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		return transport.Fault{Drop: !response}
 	}))
-	var err error
-	e.Spawn("caller", func(p *sim.Proc) {
-		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
-	})
-	e.Run()
-	if !errors.Is(err, simnet.ErrTimeout) {
-		t.Fatalf("dropped request returned %v, want timeout", err)
+	if !errors.Is(err, transport.ErrTimeout) || took != time.Second {
+		t.Fatalf("dropped request returned %v after %v, want timeout at 1s", err, took)
 	}
-	if net.Stats.Faulted != 1 || net.Stats.Dropped != 1 {
-		t.Fatalf("stats: %+v", net.Stats)
+	if st.Faulted != 1 || st.Dropped != 1 || st.Handlers != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 
 func TestFaultDropResponseTimesOut(t *testing.T) {
-	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+	st, _, _, err := faultCall(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		return transport.Fault{Drop: response}
 	}))
-	var err error
-	e.Spawn("caller", func(p *sim.Proc) {
-		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
-	})
-	e.Run()
-	if !errors.Is(err, simnet.ErrTimeout) {
+	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("dropped response returned %v, want timeout", err)
 	}
-	if net.Stats.Handlers != 1 {
+	if st.Handlers != 1 {
 		t.Fatal("handler never ran; the request leg should have been clean")
+	}
+	if st.Faulted != 1 || st.Dropped != 1 {
+		t.Fatalf("stats: %+v, want the one dropped response counted", st)
 	}
 }
 
 func TestFaultDelayPostponesDelivery(t *testing.T) {
-	e, _, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+	_, _, took, err := faultCall(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		if response {
 			return transport.Fault{}
 		}
-		return transport.Fault{Delay: time.Second}
+		return transport.Fault{Delay: 500 * time.Millisecond}
 	}))
-	var took time.Duration
-	e.Spawn("caller", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := a.CallT(p, "b", "echo", "hi", 5*time.Second); err != nil {
-			t.Errorf("call: %v", err)
-		}
-		took = time.Duration(p.Now() - start)
-	})
-	e.Run()
-	// 10ms out (+1s injected) + 10ms back.
-	if took < 1020*time.Millisecond || took > 1100*time.Millisecond {
-		t.Fatalf("delayed call took %v, want ~1.02s", took)
+	if err != nil {
+		t.Fatalf("call: %v", err)
+	}
+	// 10ms out (+500ms injected) + 10ms back.
+	if took != 520*time.Millisecond {
+		t.Fatalf("delayed call took %v, want 520ms", took)
 	}
 }
 
 func TestFaultDuplicateRunsHandlerTwice(t *testing.T) {
-	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+	st, resp, _, err := faultCall(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		return transport.Fault{Duplicate: !response}
 	}))
-	var resp any
-	var err error
-	e.Spawn("caller", func(p *sim.Proc) {
-		resp, err = a.CallT(p, "b", "echo", "hi", time.Second)
-	})
-	e.Run()
 	if err != nil || resp != "hi" {
 		t.Fatalf("duplicated call returned (%v, %v), want (hi, nil)", resp, err)
 	}
-	if net.Stats.Handlers != 2 {
-		t.Fatalf("handler ran %d times, want 2 (original + duplicate)", net.Stats.Handlers)
+	if st.Handlers != 2 {
+		t.Fatalf("handler ran %d times, want 2 (original + duplicate)", st.Handlers)
 	}
 }
 
 func TestFaultZeroValueIsTransparent(t *testing.T) {
-	e, net, a := faultPair(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
+	st, _, _, err := faultCall(t, transport.FaultFunc(func(from, to transport.Addr, method string, response bool) transport.Fault {
 		return transport.Fault{}
 	}))
-	var err error
-	e.Spawn("caller", func(p *sim.Proc) {
-		_, err = a.CallT(p, "b", "echo", "hi", time.Second)
-	})
-	e.Run()
 	if err != nil {
 		t.Fatalf("clean call failed: %v", err)
 	}
-	if net.Stats.Faulted != 0 {
-		t.Fatalf("zero fault counted as injected: %+v", net.Stats)
+	if st.Faulted != 0 {
+		t.Fatalf("zero fault counted as injected: %+v", st)
 	}
 }
 
@@ -128,22 +117,15 @@ func TestFaultRefuseAndResetAreRST(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, net, a := faultPair(t, faultinject.NewInjector(1, rules...))
-			var took time.Duration
-			e.Spawn("caller", func(p *sim.Proc) {
-				start := p.Now()
-				_, err = a.CallT(p, "b", "echo", "hi", time.Second)
-				took = time.Duration(p.Now() - start)
-			})
-			e.Run()
-			if !errors.Is(err, simnet.ErrUnreachable) {
+			st, _, took, err := faultCall(t, faultinject.NewInjector(1, rules...))
+			if !errors.Is(err, transport.ErrUnreachable) {
 				t.Fatalf("call returned %v, want ErrUnreachable", err)
 			}
 			if took != 10*time.Millisecond {
 				t.Fatalf("refusal took %v, want one one-way latency (10ms)", took)
 			}
-			if net.Stats.Handlers != 0 || net.Stats.Refused != 1 {
-				t.Fatalf("stats: %+v", net.Stats)
+			if st.Handlers != 0 || st.Refused != 1 {
+				t.Fatalf("stats: %+v", st)
 			}
 		})
 	}

@@ -1,9 +1,10 @@
 // Package simnet models a message-passing network on top of the sim
 // kernel: named endpoints, configurable latency, message loss,
-// partitions, and node crashes. Its RPC primitive (Call) blocks the
-// calling proc until a response arrives or a timeout fires, which is
-// exactly the programming model the live TCP transport provides, so
-// protocol code is transport-agnostic.
+// partitions, and node crashes. An Endpoint is a transport.Host, as a
+// nettransport.Host is: its activities and handlers run as sim procs
+// behind a transport.Runtime whose Call blocks the proc until a
+// response arrives or a timeout fires, and whose failures are
+// transport's sentinels, so protocol code is transport-agnostic.
 package simnet
 
 import (
@@ -16,20 +17,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Addr names an endpoint (a simulated host).
-type Addr string
-
-// Errors returned by Call.
-var (
-	ErrTimeout     = errors.New("simnet: call timed out")
-	ErrUnreachable = errors.New("simnet: destination unreachable")
-	ErrNoHandler   = errors.New("simnet: no handler for method")
-	ErrDown        = errors.New("simnet: local endpoint is down")
-)
-
 // LatencyModel produces one-way message delays.
 type LatencyModel interface {
-	Delay(rng *rand.Rand, from, to Addr) time.Duration
+	Delay(rng *rand.Rand, from, to transport.Addr) time.Duration
 }
 
 // UniformLatency draws delays uniformly from [Min, Max].
@@ -38,7 +28,7 @@ type UniformLatency struct {
 }
 
 // Delay implements LatencyModel.
-func (u UniformLatency) Delay(rng *rand.Rand, from, to Addr) time.Duration {
+func (u UniformLatency) Delay(rng *rand.Rand, from, to transport.Addr) time.Duration {
 	if u.Max <= u.Min {
 		return u.Min
 	}
@@ -49,7 +39,7 @@ func (u UniformLatency) Delay(rng *rand.Rand, from, to Addr) time.Duration {
 type FixedLatency time.Duration
 
 // Delay implements LatencyModel.
-func (f FixedLatency) Delay(*rand.Rand, Addr, Addr) time.Duration {
+func (f FixedLatency) Delay(*rand.Rand, transport.Addr, transport.Addr) time.Duration {
 	return time.Duration(f)
 }
 
@@ -75,7 +65,8 @@ type Net struct {
 
 	// Latency produces one-way delays; defaults to 20-60 ms.
 	Latency LatencyModel
-	// CallTimeout bounds Call when the caller gives no explicit timeout.
+	// CallTimeout bounds Call, and CallT when the caller's timeout is
+	// not positive.
 	CallTimeout time.Duration
 	// RefuseWhenDown makes calls to a down endpoint fail after one
 	// one-way latency (TCP RST behaviour) instead of timing out.
@@ -89,8 +80,8 @@ type Net struct {
 	Stats Stats
 
 	rng       *rand.Rand
-	endpoints map[Addr]*Endpoint
-	reachable func(a, b Addr) bool
+	endpoints map[transport.Addr]*Endpoint
+	reachable func(a, b transport.Addr) bool
 }
 
 // New returns a network with default latency (20-60 ms one-way),
@@ -102,28 +93,26 @@ func New(e *sim.Engine) *Net {
 		CallTimeout:    3 * time.Second,
 		RefuseWhenDown: true,
 		rng:            e.NewRand(),
-		endpoints:      make(map[Addr]*Endpoint),
+		endpoints:      make(map[transport.Addr]*Endpoint),
 	}
 }
 
 // SetReachable installs a reachability predicate (nil means fully
 // connected) to model partitions.
-func (n *Net) SetReachable(fn func(a, b Addr) bool) { n.reachable = fn }
-
-func (n *Net) canReach(a, b Addr) bool {
-	return n.reachable == nil || n.reachable(a, b)
-}
+func (n *Net) SetReachable(fn func(a, b transport.Addr) bool) { n.reachable = fn }
 
 // Reachable reports whether messages from a currently reach b under
 // the installed partition predicate.
-func (n *Net) Reachable(a, b Addr) bool { return n.canReach(a, b) }
+func (n *Net) Reachable(a, b transport.Addr) bool {
+	return n.reachable == nil || n.reachable(a, b)
+}
 
 // Endpoint returns the endpoint with the given address, or nil.
-func (n *Net) Endpoint(addr Addr) *Endpoint { return n.endpoints[addr] }
+func (n *Net) Endpoint(addr transport.Addr) *Endpoint { return n.endpoints[addr] }
 
 // NewEndpoint creates and registers an endpoint. It panics if the
 // address is taken.
-func (n *Net) NewEndpoint(addr Addr) *Endpoint {
+func (n *Net) NewEndpoint(addr transport.Addr) *Endpoint {
 	if _, ok := n.endpoints[addr]; ok {
 		panic(fmt.Sprintf("simnet: duplicate endpoint %q", addr))
 	}
@@ -138,46 +127,47 @@ func (n *Net) NewEndpoint(addr Addr) *Endpoint {
 	return ep
 }
 
-// Handler serves one inbound request. It runs in its own proc on the
-// destination endpoint and is killed if that endpoint crashes.
-type Handler func(p *sim.Proc, from Addr, req any) (any, error)
-
-// handler is a registered Handler with its proc name and attribution
-// layer, worked out once at registration rather than per request.
+// handler is a registered transport.Handler with its proc name and
+// attribution layer, worked out once at registration rather than per
+// request.
 type handler struct {
-	serve Handler
+	serve transport.Handler
 	name  string // "h:<method>"
 	layer string // LayerOf(name)
 }
 
-// Endpoint is one simulated host's attachment to the network.
+// Endpoint is one simulated host's attachment to the network. It
+// implements transport.Host.
 type Endpoint struct {
 	net      *Net
-	addr     Addr
+	addr     transport.Addr
 	up       bool
 	handlers map[string]handler
 	procs    map[*sim.Proc]struct{}
 	seq      int
 }
 
-// Addr returns the endpoint's address.
-func (ep *Endpoint) Addr() Addr { return ep.addr }
+var _ transport.Host = (*Endpoint)(nil)
 
-// Up reports whether the endpoint is alive.
+// Addr implements transport.Host.
+func (ep *Endpoint) Addr() transport.Addr { return ep.addr }
+
+// Up implements transport.Host: false from a crash until the restart.
 func (ep *Endpoint) Up() bool { return ep.up }
 
-// Handle registers a handler for a method name.
-func (ep *Endpoint) Handle(method string, h Handler) {
+// Handle implements transport.Host. Each request runs the handler in
+// its own proc on this endpoint, killed if the endpoint crashes.
+func (ep *Endpoint) Handle(method string, h transport.Handler) {
 	name := "h:" + method
 	ep.handlers[method] = handler{serve: h, name: name, layer: LayerOf(name)}
 }
 
-// Go spawns a proc owned by this endpoint; it is killed when the
-// endpoint crashes. Use it for all node-resident activities. The
-// proc's spawn — and, by tag inheritance, everything it schedules —
-// is attributed to the subsystem its name classifies into.
-func (ep *Endpoint) Go(name string, fn func(p *sim.Proc)) *sim.Proc {
-	return ep.spawn(LayerOf(name), name, fn)
+// Go implements transport.Host: fn runs in a proc owned by this
+// endpoint, killed when the endpoint crashes. The proc's spawn — and,
+// by tag inheritance, everything it schedules — is attributed to the
+// subsystem its name classifies into.
+func (ep *Endpoint) Go(name string, fn func(rt transport.Runtime)) {
+	ep.spawn(LayerOf(name), name, fn)
 }
 
 // Procs returns how many procs the endpoint owns: its activities and
@@ -187,7 +177,7 @@ func (ep *Endpoint) Procs() int { return len(ep.procs) }
 // spawn is Go with the layer already classified. The proc is named
 // addr/name#seq in trace lines; the name is built only when the engine
 // traces, since nothing else reads it.
-func (ep *Endpoint) spawn(layer, name string, fn func(p *sim.Proc)) *sim.Proc {
+func (ep *Endpoint) spawn(layer, name string, fn func(rt transport.Runtime)) {
 	ep.seq++
 	e := ep.net.Engine
 	var traced string
@@ -201,11 +191,10 @@ func (ep *Endpoint) spawn(layer, name string, fn func(p *sim.Proc)) *sim.Proc {
 			// unwinds it: a handler proc that stayed listed after
 			// returning would never be collected.
 			defer delete(ep.procs, p)
-			fn(p)
+			fn(&runtime{ep: ep, p: p})
 		})
 	})
 	ep.procs[p] = struct{}{}
-	return p
 }
 
 // Crash takes the endpoint down, killing every proc it owns (including
@@ -224,6 +213,29 @@ func (ep *Endpoint) Crash() {
 // Restart brings a crashed endpoint back up with no procs running;
 // higher layers must re-start their protocol loops and rejoin.
 func (ep *Endpoint) Restart() { ep.up = true }
+
+// runtime binds one proc of an endpoint to transport.Runtime.
+type runtime struct {
+	ep *Endpoint
+	p  *sim.Proc
+}
+
+func (r *runtime) Now() time.Duration    { return time.Duration(r.p.Now()) }
+func (r *runtime) Sleep(d time.Duration) { r.p.Sleep(d) }
+func (r *runtime) Rand() *rand.Rand      { return r.p.Rand() }
+
+// Wait implements transport.Runtime: the proc parks in sim.Proc.Await
+// and the broadcast calls its waker, so the virtual clock keeps
+// advancing and the waiter resumes at the broadcast's own instant.
+func (r *runtime) Wait(c *transport.Cond, max time.Duration) bool {
+	switch {
+	case max == transport.Forever:
+		max = -1 // Await's "no bound"
+	case max < 0:
+		max = 0
+	}
+	return c.Park(r.p.Waker(), func() bool { return r.p.Await(max) })
+}
 
 type rpcResult struct {
 	resp any
@@ -250,24 +262,29 @@ func (r *replySlot) send(res rpcResult) {
 	r.wake()
 }
 
-// Call performs a blocking RPC with the network's default timeout.
-func (ep *Endpoint) Call(p *sim.Proc, to Addr, method string, req any) (any, error) {
-	return ep.CallT(p, to, method, req, ep.net.CallTimeout)
+// Call implements transport.Runtime with the network's CallTimeout.
+func (r *runtime) Call(to transport.Addr, method string, req any) (any, error) {
+	return r.CallT(to, method, req, r.ep.net.CallTimeout)
 }
 
-// CallT performs a blocking RPC with an explicit timeout.
-func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout time.Duration) (any, error) {
+// CallT implements transport.Runtime. A timeout that is not positive
+// selects the network's CallTimeout, as the live transport's default.
+func (r *runtime) CallT(to transport.Addr, method string, req any, timeout time.Duration) (any, error) {
+	ep, p := r.ep, r.p
 	n := ep.net
 	n.Stats.CallsSent++
 	if !ep.up {
-		return nil, ErrDown
+		return nil, transport.ErrDown
+	}
+	if timeout <= 0 {
+		timeout = n.CallTimeout
 	}
 	reply := &replySlot{wake: p.Waker()}
 	oneWay := n.Latency.Delay(n.rng, ep.addr, to)
 	fault := n.fate(ep.addr, to, method, false)
 	target := n.endpoints[to]
 	switch {
-	case fault.Drop || !n.canReach(ep.addr, to):
+	case fault.Drop || !n.Reachable(ep.addr, to):
 		n.Stats.Dropped++
 		// Message lost in transit: the caller just times out.
 	case fault.Refuse || fault.Reset:
@@ -291,11 +308,11 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 		})
 	}
 
-	ok := p.Await(max(timeout, 0)) // Await reads a negative bound as none
+	ok := p.Await(timeout)
 	reply.done = true
 	if !ok {
 		n.Stats.Timeouts++
-		return nil, ErrTimeout
+		return nil, transport.ErrTimeout
 	}
 	return reply.res.resp, reply.res.err
 }
@@ -303,7 +320,7 @@ func (ep *Endpoint) CallT(p *sim.Proc, to Addr, method string, req any, timeout 
 // deliver runs on the engine at arrival time: it re-checks liveness
 // (the target may have crashed while the message was in flight) and
 // spawns a handler proc.
-func (n *Net) deliver(from, to Addr, method string, req any, reply *replySlot) {
+func (n *Net) deliver(from, to transport.Addr, method string, req any, reply *replySlot) {
 	target := n.endpoints[to]
 	if target == nil || !target.up {
 		n.Stats.Dropped++
@@ -316,25 +333,31 @@ func (n *Net) deliver(from, to Addr, method string, req any, reply *replySlot) {
 	n.Stats.ByMethod[method]++
 	h, ok := target.handlers[method]
 	if !ok {
-		n.respond(to, from, method, reply, rpcResult{err: fmt.Errorf("%w: %s on %s", ErrNoHandler, method, to)})
+		n.respond(to, from, method, reply, rpcResult{err: fmt.Errorf("%w: %s on %s", transport.ErrNoHandler, method, to)})
 		return
 	}
 	n.Stats.Handlers++
-	target.spawn(h.layer, h.name, func(p *sim.Proc) {
-		resp, err := h.serve(p, from, req)
+	target.spawn(h.layer, h.name, func(rt transport.Runtime) {
+		resp, err := h.serve(rt, from, req)
+		if err != nil {
+			// Only the message crosses a TCP connection, so only the
+			// message crosses this one: a caller that branched on the
+			// handler's own error value would pass here and fail live.
+			err = errors.New(err.Error())
+		}
 		n.respond(to, from, method, reply, rpcResult{resp: resp, err: err})
 	})
 }
 
 // respond sends a response back across the network, subject to the
 // same loss, partition, and fault-injection rules as the request.
-func (n *Net) respond(from, to Addr, method string, reply *replySlot, res rpcResult) {
+func (n *Net) respond(from, to transport.Addr, method string, reply *replySlot, res rpcResult) {
 	src := n.endpoints[from]
 	if src != nil && !src.up {
 		return // responder crashed before replying
 	}
 	fault := n.fate(from, to, method, true)
-	if fault.Drop || !n.canReach(from, to) {
+	if fault.Drop || !n.Reachable(from, to) {
 		n.Stats.Dropped++
 		return
 	}
@@ -363,17 +386,17 @@ func (n *Net) refuse(oneWay time.Duration, method string, reply *replySlot) {
 	n.Stats.Refused++
 	n.Engine.Tagged(LayerOf(method), func() {
 		n.Engine.Schedule(oneWay, func() {
-			reply.send(rpcResult{err: ErrUnreachable})
+			reply.send(rpcResult{err: transport.ErrUnreachable})
 		})
 	})
 }
 
 // fate consults the fault injector, if any.
-func (n *Net) fate(from, to Addr, method string, response bool) transport.Fault {
+func (n *Net) fate(from, to transport.Addr, method string, response bool) transport.Fault {
 	if n.Faults == nil {
 		return transport.Fault{}
 	}
-	f := n.Faults.Fate(transport.Addr(from), transport.Addr(to), method, response)
+	f := n.Faults.Fate(from, to, method, response)
 	if f != (transport.Fault{}) {
 		n.Stats.Faulted++
 	}

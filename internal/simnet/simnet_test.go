@@ -3,12 +3,18 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
+
+// The contract both transports meet (round trips, handler errors,
+// missing handlers, timeouts, request-leg faults) is tested on both in
+// internal/transport. These tests add what only the simulator has:
+// exact virtual latency, partitions, crashes, stats and trace names.
 
 func newPair(t *testing.T) (*sim.Engine, *Net, *Endpoint, *Endpoint) {
 	t.Helper()
@@ -20,18 +26,33 @@ func newPair(t *testing.T) (*sim.Engine, *Net, *Endpoint, *Endpoint) {
 	return e, n, a, b
 }
 
+// one serves method on b with a constant reply.
+func one(rt transport.Runtime, from transport.Addr, req any) (any, error) { return 1, nil }
+
+// callOnce runs one Call from a to b in an activity on a, runs the
+// engine dry, and returns the call's outcome and virtual duration.
+func callOnce(e *sim.Engine, a *Endpoint, method string) (resp any, took time.Duration, err error) {
+	a.Go("caller", func(rt transport.Runtime) {
+		start := rt.Now()
+		resp, err = rt.Call("b", method, nil)
+		took = rt.Now() - start
+	})
+	e.Run()
+	return resp, took, err
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	e, _, a, b := newPair(t)
-	b.Handle("echo", func(p *sim.Proc, from Addr, req any) (any, error) {
+	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return fmt.Sprintf("%s:%v", from, req), nil
 	})
 	var got any
 	var err error
 	var rtt time.Duration
-	a.Go("caller", func(p *sim.Proc) {
-		start := p.Now()
-		got, err = a.Call(p, "b", "echo", 42)
-		rtt = p.Now().Sub(start)
+	a.Go("caller", func(rt transport.Runtime) {
+		start := rt.Now()
+		got, err = rt.Call("b", "echo", 42)
+		rtt = rt.Now() - start
 	})
 	e.Run()
 	if err != nil {
@@ -45,51 +66,55 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 	// Procs that returned (the caller, the request handler) are no
 	// longer listed for the crash kill.
-	if len(a.procs) != 0 || len(b.procs) != 0 {
-		t.Fatalf("endpoints still list %d and %d returned procs", len(a.procs), len(b.procs))
+	if a.Procs() != 0 || b.Procs() != 0 {
+		t.Fatalf("endpoints still list %d and %d returned procs", a.Procs(), b.Procs())
 	}
 }
 
+// TestCallHandlerError: only the handler's message reaches the caller,
+// as over TCP, one round trip later.
 func TestCallHandlerError(t *testing.T) {
 	e, _, a, b := newPair(t)
 	sentinel := errors.New("nope")
-	b.Handle("fail", func(p *sim.Proc, from Addr, req any) (any, error) {
+	b.Handle("fail", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		return nil, sentinel
 	})
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "fail", nil) })
-	e.Run()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
+	_, took, err := callOnce(e, a, "fail")
+	if err == nil || err.Error() != "nope" || errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the message only", err)
+	}
+	if took != 20*time.Millisecond {
+		t.Fatalf("failed call took %v, want one round trip", took)
 	}
 }
 
 func TestCallNoHandler(t *testing.T) {
 	e, _, a, _ := newPair(t)
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "missing", nil) })
-	e.Run()
-	if !errors.Is(err, ErrNoHandler) {
+	_, _, err := callOnce(e, a, "missing")
+	if !errors.Is(err, transport.ErrNoHandler) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
+// TestCallToDownEndpointRefused: a call to a crashed endpoint, or to an
+// address no endpoint has, is refused after one one-way latency.
 func TestCallToDownEndpointRefused(t *testing.T) {
-	e, _, a, b := newPair(t)
+	e, n, a, b := newPair(t)
 	b.Crash()
-	var err error
-	var took time.Duration
-	a.Go("caller", func(p *sim.Proc) {
-		start := p.Now()
-		_, err = a.Call(p, "b", "x", nil)
-		took = p.Now().Sub(start)
-	})
-	e.Run()
-	if !errors.Is(err, ErrUnreachable) {
+	_, took, err := callOnce(e, a, "x")
+	if !errors.Is(err, transport.ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
 	if took != 10*time.Millisecond {
 		t.Fatalf("refusal took %v, want one-way latency", took)
+	}
+	a.Go("caller", func(rt transport.Runtime) { _, err = rt.Call("nowhere", "x", nil) })
+	e.Run()
+	if !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("call to no endpoint: err = %v", err)
+	}
+	if n.Stats.Refused != 2 {
+		t.Fatalf("stats: %+v", n.Stats)
 	}
 }
 
@@ -98,15 +123,8 @@ func TestCallToDownEndpointTimesOutWithoutRST(t *testing.T) {
 	n.RefuseWhenDown = false
 	n.CallTimeout = time.Second
 	b.Crash()
-	var err error
-	var took time.Duration
-	a.Go("caller", func(p *sim.Proc) {
-		start := p.Now()
-		_, err = a.Call(p, "b", "x", nil)
-		took = p.Now().Sub(start)
-	})
-	e.Run()
-	if !errors.Is(err, ErrTimeout) || took != time.Second {
+	_, took, err := callOnce(e, a, "x")
+	if !errors.Is(err, transport.ErrTimeout) || took != time.Second {
 		t.Fatalf("err=%v took=%v", err, took)
 	}
 }
@@ -114,15 +132,12 @@ func TestCallToDownEndpointTimesOutWithoutRST(t *testing.T) {
 func TestCrashMidHandlerDropsResponse(t *testing.T) {
 	e, n, a, b := newPair(t)
 	n.CallTimeout = time.Second
-	b.Handle("slow", func(p *sim.Proc, from Addr, req any) (any, error) {
-		p.Sleep(500 * time.Millisecond)
+	b.Handle("slow", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+		rt.Sleep(500 * time.Millisecond)
 		return "done", nil
 	})
 	e.Schedule(100*time.Millisecond, func() { b.Crash() })
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "slow", nil) })
-	e.Run()
-	if !errors.Is(err, ErrTimeout) {
+	if _, _, err := callOnce(e, a, "slow"); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout after crash mid-handler", err)
 	}
 }
@@ -131,25 +146,38 @@ func TestCrashInFlightRequestLost(t *testing.T) {
 	// Crash while the request is on the wire: delivery re-check drops it.
 	e, n, a, b := newPair(t)
 	n.CallTimeout = time.Second
-	b.Handle("x", func(p *sim.Proc, from Addr, req any) (any, error) { return 1, nil })
+	b.Handle("x", one)
 	e.Schedule(5*time.Millisecond, func() { b.Crash() })
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "x", nil) })
-	e.Run()
-	if !errors.Is(err, ErrTimeout) {
+	if _, _, err := callOnce(e, a, "x"); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestCrashKillsActivities(t *testing.T) {
+	e, _, a, _ := newPair(t)
+	progressed := 0
+	a.Go("loop", func(rt transport.Runtime) {
+		for {
+			rt.Sleep(time.Second)
+			progressed++
+		}
+	})
+	e.Schedule(2500*time.Millisecond, func() { a.Crash() })
+	e.Run()
+	if progressed != 2 {
+		t.Fatalf("progressed %d ticks, want 2 (killed at 2.5s)", progressed)
+	}
+	if a.Up() || a.Procs() != 0 {
+		t.Fatalf("after crash: up=%v procs=%d", a.Up(), a.Procs())
 	}
 }
 
 func TestRestartAfterCrash(t *testing.T) {
 	e, _, a, b := newPair(t)
-	b.Handle("ping", func(p *sim.Proc, from Addr, req any) (any, error) { return "pong", nil })
+	b.Handle("ping", func(rt transport.Runtime, from transport.Addr, req any) (any, error) { return "pong", nil })
 	b.Crash()
 	b.Restart()
-	var got any
-	a.Go("caller", func(p *sim.Proc) { got, _ = a.Call(p, "b", "ping", nil) })
-	e.Run()
-	if got != "pong" {
+	if got, _, _ := callOnce(e, a, "ping"); got != "pong" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -160,11 +188,8 @@ func TestDropProbLosesEverything(t *testing.T) {
 		return transport.Fault{Drop: true}
 	})
 	n.CallTimeout = 500 * time.Millisecond
-	b.Handle("x", func(p *sim.Proc, from Addr, req any) (any, error) { return 1, nil })
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "x", nil) })
-	e.Run()
-	if !errors.Is(err, ErrTimeout) {
+	b.Handle("x", one)
+	if _, _, err := callOnce(e, a, "x"); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 	if n.Stats.Dropped == 0 {
@@ -175,35 +200,28 @@ func TestDropProbLosesEverything(t *testing.T) {
 func TestPartition(t *testing.T) {
 	e, n, a, b := newPair(t)
 	n.CallTimeout = 200 * time.Millisecond
-	b.Handle("x", func(p *sim.Proc, from Addr, req any) (any, error) { return 1, nil })
-	n.SetReachable(func(x, y Addr) bool { return false })
-	var err1 error
-	a.Go("c1", func(p *sim.Proc) { _, err1 = a.Call(p, "b", "x", nil) })
-	e.Run()
-	if !errors.Is(err1, ErrTimeout) {
-		t.Fatalf("partitioned call: %v", err1)
+	b.Handle("x", one)
+	n.SetReachable(func(x, y transport.Addr) bool { return false })
+	if _, _, err := callOnce(e, a, "x"); !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("partitioned call: %v", err)
 	}
 	// Heal the partition.
 	n.SetReachable(nil)
-	var err2 error
-	a.Go("c2", func(p *sim.Proc) { _, err2 = a.Call(p, "b", "x", nil) })
-	e.Run()
-	if err2 != nil {
-		t.Fatalf("healed call: %v", err2)
+	if _, _, err := callOnce(e, a, "x"); err != nil {
+		t.Fatalf("healed call: %v", err)
 	}
 }
 
 func TestConcurrentCallsIndependent(t *testing.T) {
 	e, _, a, b := newPair(t)
-	b.Handle("double", func(p *sim.Proc, from Addr, req any) (any, error) {
-		p.Sleep(time.Duration(req.(int)) * time.Millisecond)
+	b.Handle("double", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+		rt.Sleep(time.Duration(req.(int)) * time.Millisecond)
 		return req.(int) * 2, nil
 	})
 	results := make(map[int]int)
 	for _, d := range []int{300, 100, 200} {
-		d := d
-		a.Go("caller", func(p *sim.Proc) {
-			v, err := a.Call(p, "b", "double", d)
+		a.Go("caller", func(rt transport.Runtime) {
+			v, err := rt.Call("b", "double", d)
 			if err != nil {
 				t.Errorf("call %d: %v", d, err)
 				return
@@ -219,29 +237,30 @@ func TestConcurrentCallsIndependent(t *testing.T) {
 	}
 }
 
+// TestCallFromDownEndpoint: a proc that sees its own endpoint crash
+// under it gets ErrDown from its next call, without a message sent.
 func TestCallFromDownEndpoint(t *testing.T) {
-	e, _, a, b := newPair(t)
-	_ = b
+	e, n, a, _ := newPair(t)
 	var err error
-	done := make(chan struct{})
-	a.Go("caller", func(p *sim.Proc) {
-		defer close(done)
+	a.Go("caller", func(rt transport.Runtime) {
 		a.up = false // simulate crash observed by our own call path
-		_, err = a.Call(p, "b", "x", nil)
+		_, err = rt.Call("b", "x", nil)
 	})
 	e.Run()
-	<-done
-	if !errors.Is(err, ErrDown) {
+	if !errors.Is(err, transport.ErrDown) {
 		t.Fatalf("err = %v", err)
+	}
+	if n.Stats.Messages != 0 {
+		t.Fatalf("a down endpoint sent %d messages", n.Stats.Messages)
 	}
 }
 
 func TestStatsCounting(t *testing.T) {
 	e, n, a, b := newPair(t)
-	b.Handle("x", func(p *sim.Proc, from Addr, req any) (any, error) { return 1, nil })
-	a.Go("caller", func(p *sim.Proc) {
+	b.Handle("x", one)
+	a.Go("caller", func(rt transport.Runtime) {
 		for i := 0; i < 5; i++ {
-			if _, err := a.Call(p, "b", "x", nil); err != nil {
+			if _, err := rt.Call("b", "x", nil); err != nil {
 				t.Errorf("call: %v", err)
 			}
 		}
@@ -294,28 +313,29 @@ func TestEndpointLookup(t *testing.T) {
 }
 
 // TestCallTExplicitTimeout: a call times out at its own bound, and a
-// bound of 0 or less times out at once.
+// bound of 0 or less selects the network's CallTimeout, as the live
+// transport's default does.
 func TestCallTExplicitTimeout(t *testing.T) {
 	for _, tc := range []struct{ timeout, want time.Duration }{
 		{100 * time.Millisecond, 100 * time.Millisecond},
-		{0, 0},
-		{-time.Second, 0},
+		{0, 3 * time.Second},
+		{-time.Second, 3 * time.Second},
 	} {
 		e, _, a, b := newPair(t)
-		b.Handle("slow", func(p *sim.Proc, from Addr, req any) (any, error) {
-			p.Sleep(10 * time.Second)
+		b.Handle("slow", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+			rt.Sleep(10 * time.Second)
 			return nil, nil
 		})
 		var err error
 		var took time.Duration
-		a.Go("caller", func(p *sim.Proc) {
-			start := p.Now()
-			_, err = a.CallT(p, "b", "slow", nil, tc.timeout)
-			took = p.Now().Sub(start)
+		a.Go("caller", func(rt transport.Runtime) {
+			start := rt.Now()
+			_, err = rt.CallT("b", "slow", nil, tc.timeout)
+			took = rt.Now() - start
 		})
 		e.Run()
 		e.Shutdown()
-		if !errors.Is(err, ErrTimeout) || took != tc.want {
+		if !errors.Is(err, transport.ErrTimeout) || took != tc.want {
 			t.Fatalf("timeout %v: err=%v took=%v, want a timeout after %v", tc.timeout, err, took, tc.want)
 		}
 	}
@@ -333,7 +353,7 @@ func TestStrayReplyDoesNotEndNextWait(t *testing.T) {
 		wantErr error
 	}{
 		// The reply lands at 120 ms, during the second wait.
-		{name: "late", sleep: 100 * time.Millisecond, timeout: 50 * time.Millisecond, wantErr: ErrTimeout},
+		{name: "late", sleep: 100 * time.Millisecond, timeout: 50 * time.Millisecond, wantErr: transport.ErrTimeout},
 		// The first reply lands at 20 ms, its copy at 30 ms.
 		{name: "duplicate", timeout: time.Second, dup: true},
 	} {
@@ -344,26 +364,32 @@ func TestStrayReplyDoesNotEndNextWait(t *testing.T) {
 					return transport.Fault{Duplicate: response}
 				})
 			}
-			b.Handle("work", func(p *sim.Proc, from Addr, req any) (any, error) {
-				p.Sleep(tc.sleep)
+			b.Handle("work", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
+				rt.Sleep(tc.sleep)
 				return req, nil
 			})
 			const bound = time.Second
 			var err error
 			var woken bool
-			var returned, resumed sim.Time
-			a.Go("caller", func(p *sim.Proc) {
-				_, err = a.CallT(p, "b", "work", nil, tc.timeout)
-				returned = p.Now()
-				woken = p.Await(bound)
-				resumed = p.Now()
+			var returned, resumed time.Duration
+			a.Go("caller", func(rt transport.Runtime) {
+				_, err = rt.CallT("b", "work", nil, tc.timeout)
+				returned = rt.Now()
+				// A condition nobody broadcasts: only a stray wake ends
+				// this wait before its bound.
+				var mu sync.Mutex
+				quiet := transport.Cond{L: &mu}
+				mu.Lock()
+				defer mu.Unlock()
+				woken = rt.Wait(&quiet, bound)
+				resumed = rt.Now()
 			})
 			e.Run()
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("call err = %v, want %v", err, tc.wantErr)
 			}
-			if woken || resumed != returned.Add(bound) {
-				t.Fatalf("next wait woken=%v at %v, want its bound at %v", woken, resumed, returned.Add(bound))
+			if woken || resumed != returned+bound {
+				t.Fatalf("next wait woken=%v at %v, want its bound at %v", woken, resumed, returned+bound)
 			}
 		})
 	}
@@ -375,11 +401,8 @@ func TestStrayReplyDoesNotEndNextWait(t *testing.T) {
 func TestRPCRoundTripEvents(t *testing.T) {
 	e, _, a, b := newPair(t)
 	st := e.EnableStats()
-	b.Handle("echo", func(p *sim.Proc, from Addr, req any) (any, error) { return req, nil })
-	var err error
-	a.Go("caller", func(p *sim.Proc) { _, err = a.Call(p, "b", "echo", nil) })
-	e.Run()
-	if err != nil {
+	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) { return req, nil })
+	if _, _, err := callOnce(e, a, "echo"); err != nil {
 		t.Fatal(err)
 	}
 	if st.EventsFired != 5 {

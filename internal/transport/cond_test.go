@@ -6,93 +6,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/nettransport"
-	"repro/internal/sim"
-	"repro/internal/simhost"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
-// backing runs the activities of one test body on one Runtime
-// implementation.
-type backing interface {
-	// Go starts an activity; it may be called from inside another.
-	Go(fn func(rt transport.Runtime))
-	// Run lets the started activities run for at most limit of the
-	// backing's clock and reports whether all of them returned.
-	Run(limit time.Duration) bool
-}
-
-type simBacking struct {
-	e             *sim.Engine
-	h             *simhost.Host
-	started, done int
-}
-
-func newSimBacking() *simBacking {
-	e := sim.NewEngine(1)
-	return &simBacking{e: e, h: simhost.New(simnet.New(e).NewEndpoint("a"))}
-}
-
-func (b *simBacking) Go(fn func(rt transport.Runtime)) {
-	b.started++
-	b.h.Go("activity", func(rt transport.Runtime) {
-		fn(rt)
-		b.done++
-	})
-}
-
-func (b *simBacking) Run(limit time.Duration) bool {
-	b.e.RunUntil(b.e.Now().Add(limit))
-	return b.done == b.started
-}
-
-type liveBacking struct {
-	h  *nettransport.Host
-	wg sync.WaitGroup
-}
-
-func newLiveBacking(t *testing.T) *liveBacking {
-	h, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.Close)
-	return &liveBacking{h: h}
-}
-
-func (b *liveBacking) Go(fn func(rt transport.Runtime)) {
-	b.wg.Add(1)
-	b.h.Go("activity", func(rt transport.Runtime) {
-		defer b.wg.Done()
-		fn(rt)
-	})
-}
-
-func (b *liveBacking) Run(limit time.Duration) bool {
-	all := make(chan struct{})
-	go func() {
-		b.wg.Wait()
-		close(all)
-	}()
-	select {
-	case <-all:
-		return true
-	case <-time.After(limit):
-		return false
-	}
-}
-
-// onBoth runs body once on the simulator, which is deterministic, and
-// 1000 times on the live transport, where a lost wake-up is a race.
-func onBoth(t *testing.T, body func(t *testing.T, b backing)) {
+// onBothRepeated runs body on the conformance backings, once on the
+// simulator, which is deterministic, and 1000 times on the live
+// transport, where a lost wake-up is a race.
+func onBothRepeated(t *testing.T, body func(t *testing.T, b backing)) {
 	t.Run("sim", func(t *testing.T) {
-		b := newSimBacking()
+		b := newSimBacking(nil)
 		defer b.e.Shutdown()
 		body(t, b)
 	})
 	t.Run("live", func(t *testing.T) {
-		b := newLiveBacking(t)
+		b := newLiveBacking(t, nil)
 		for i := 0; i < 1000 && !t.Failed(); i++ {
 			body(t, b)
 		}
@@ -104,7 +31,7 @@ func onBoth(t *testing.T, body func(t *testing.T, b backing)) {
 // check, while the waiter still holds the lock, and the wait has no
 // bound, so a lost wake-up is a hang.
 func TestCondBroadcastBetweenCheckAndParkIsNotLost(t *testing.T) {
-	onBoth(t, func(t *testing.T, b backing) {
+	onBothRepeated(t, func(t *testing.T, b backing) {
 		var mu sync.Mutex
 		c := transport.Cond{L: &mu}
 		ready := false
@@ -134,7 +61,7 @@ func TestCondBroadcastBetweenCheckAndParkIsNotLost(t *testing.T) {
 
 func TestCondWaitExpires(t *testing.T) {
 	const max = 2 * time.Millisecond
-	onBoth(t, func(t *testing.T, b backing) {
+	onBothRepeated(t, func(t *testing.T, b backing) {
 		var mu sync.Mutex
 		c := transport.Cond{L: &mu}
 		b.Go(func(rt transport.Runtime) {
@@ -165,7 +92,7 @@ func TestCondWaitExpires(t *testing.T) {
 
 func TestCondBroadcastWakesEveryWaiter(t *testing.T) {
 	const waiters = 8
-	onBoth(t, func(t *testing.T, b backing) {
+	onBothRepeated(t, func(t *testing.T, b backing) {
 		var mu sync.Mutex
 		c := transport.Cond{L: &mu}
 		var signalled atomic.Int32
@@ -199,7 +126,7 @@ func TestCondBroadcastWakesEveryWaiter(t *testing.T) {
 // unwind with its registration dropped and the lock released by the
 // caller's deferred Unlock, because the node object outlives the crash.
 func TestCondKilledSimProcLeaksNoWaiter(t *testing.T) {
-	b := newSimBacking()
+	b := newSimBacking(nil)
 	defer b.e.Shutdown()
 	var mu sync.Mutex
 	c := transport.Cond{L: &mu}
@@ -215,7 +142,7 @@ func TestCondKilledSimProcLeaksNoWaiter(t *testing.T) {
 		if c.Parked() != 1 {
 			t.Errorf("%d waiters parked before the crash, want 1", c.Parked())
 		}
-		b.h.Endpoint().Crash()
+		b.a.Crash()
 	})
 	b.Run(2 * time.Second)
 	if !unwound || returned {

@@ -1,9 +1,10 @@
 // Package transport defines the execution and messaging interfaces that
 // all protocol code (Chord, CAN, RN-Tree, the grid layer) is written
-// against. Two implementations exist: internal/simhost binds protocols
-// to the deterministic simulator, and internal/nettransport binds them
-// to real TCP sockets. Protocol packages therefore contain no knowledge
-// of whether time is virtual or wall-clock.
+// against. Two implementations exist: a simnet.Endpoint binds protocols
+// to the deterministic simulator, and a nettransport.Host binds them
+// to real TCP sockets. Both meet one contract, which this package's
+// conformance test runs on each. Protocol packages therefore contain
+// no knowledge of whether time is virtual or wall-clock.
 package transport
 
 import (
@@ -18,8 +19,8 @@ import (
 // over TCP it is a dialable "host:port".
 type Addr string
 
-// Sentinel errors surfaced by Call. Implementations translate their
-// native failures into these so protocol code can branch portably.
+// Sentinel errors surfaced by Call. Implementations report their
+// failures as these so protocol code can branch portably.
 var (
 	ErrTimeout     = errors.New("transport: call timed out")
 	ErrUnreachable = errors.New("transport: destination unreachable")
@@ -91,7 +92,8 @@ type PeerHealth struct {
 }
 
 // Handler serves one inbound request. It runs in its own execution
-// context (a simulated proc or a real goroutine) and may block.
+// context (a simulated proc or a real goroutine) and may block. Of an
+// error it returns, only the message reaches the caller.
 type Handler func(rt Runtime, from Addr, req any) (any, error)
 
 // Host is one node's attachment to the network: a registry of RPC
@@ -119,7 +121,8 @@ type Runtime interface {
 	Rand() *rand.Rand
 	// Call performs a blocking RPC with the transport's default timeout.
 	Call(to Addr, method string, req any) (any, error)
-	// CallT performs a blocking RPC with an explicit timeout.
+	// CallT performs a blocking RPC with an explicit timeout; one that
+	// is not positive selects the transport's default.
 	CallT(to Addr, method string, req any, timeout time.Duration) (any, error)
 	// Wait parks the activity until c is broadcast or max passes and
 	// reports which (see Cond for the contract). c.L must be held; it

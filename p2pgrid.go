@@ -197,10 +197,10 @@ func (c *Cluster) SubmitBatch(start time.Duration, interval time.Duration, n int
 
 // Crash schedules a node failure at the given instant.
 func (c *Cluster) Crash(node int, at time.Duration) {
-	if node < 0 || node >= len(c.d.Eps) {
+	if node < 0 || node >= len(c.d.Hosts) {
 		panic(fmt.Sprintf("p2pgrid: node %d out of range", node))
 	}
-	ep := c.d.Eps[node]
+	ep := c.d.Hosts[node]
 	c.d.Engine.Schedule(at, func() { ep.Crash() })
 }
 
