@@ -48,7 +48,7 @@ func main() {
 	ownerCap := flag.Int("owner-cap", 0, "bound on jobs this node will own at once; beyond it injections are rejected with a retry-after hint (0 = unbounded)")
 	chaosSpec := flag.String("chaos", "", "deterministic outbound fault schedule, e.g. 'method=grid.assign reset=0.1; delay=0.2:300ms' (DESIGN.md §12; '' = off)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -chaos schedule; same seed, same rules => same fault sequence")
-	chaosLog := flag.String("chaos-log", "", "append one 'peer method seq fate' line per chaos decision to this file ('' = off)")
+	chaosLog := flag.String("chaos-log", "", "append one 'from to method leg seq fate' line per chaos decision to this file ('' = off)")
 	flag.Parse()
 
 	// Out-of-range numbers are usage errors, like a bad -chaos spec.

@@ -86,7 +86,7 @@ func TestLookupWithMessageLoss(t *testing.T) {
 		r.addNode(chord.Config{})
 	}
 	chord.WarmStart(r.nodes)
-	r.net.Faults = faultinject.NewInjector(43, faultinject.Rule{DropProb: 0.05})
+	r.net.Faults = faultinject.NewKeyed(43, faultinject.Rule{DropProb: 0.05})
 	r.net.CallTimeout = 500 * time.Millisecond
 	okCount := 0
 	for trial := 0; trial < 20; trial++ {

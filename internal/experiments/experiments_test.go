@@ -195,6 +195,35 @@ func TestScenarioDrainSlack(t *testing.T) {
 	}
 }
 
+// TestPlansNameServedMethods runs CheckServed, the check gridnode and
+// gridctl chaos apply to their -chaos rules, over every simulated plan
+// of the sweeps against a built deployment's endpoint: a rule naming a
+// method no node serves would match nothing and inject nothing.
+func TestPlansNameServedMethods(t *testing.T) {
+	plans := map[string][]faultinject.Rule{ // faultLevels also feeds ckptsweep
+		"replPlan":      replPlan().Rules,
+		"notifPlan":     notifPlan().Rules,
+		"flowFaultPlan": flowFaultPlan().Rules,
+	}
+	for _, lvl := range faultLevels() {
+		if lvl.plan != nil {
+			plans["faultLevels "+lvl.name] = lvl.plan.Rules
+		}
+	}
+	d := Build(Scenario{Alg: AlgRNTree, Workload: workload.NewConfig().Scale(0.02), NetSeed: 1, Notify: true})
+	defer d.Engine.Shutdown()
+	handles := d.Hosts[0].Handles
+	for name, rules := range plans {
+		if err := faultinject.NewKeyed(1, rules...).CheckServed(handles); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	misspelt := faultinject.NewKeyed(1, faultinject.Rule{Method: "grid.hearbeat", DropProb: 1})
+	if misspelt.CheckServed(handles) == nil {
+		t.Error("a rule naming grid.hearbeat passed CheckServed")
+	}
+}
+
 func TestFaultInjectionRecoveryDeterministic(t *testing.T) {
 	// Failure-focused workload, same shaping as Robustness/FaultSweep:
 	// few jobs, lightly loaded, mixed populations.

@@ -194,7 +194,6 @@ func FlowRun(o Options, topo flowTopo, pol ckptPolicy, seed int64) (FlowStats, e
 	fplan.Nodes = len(d.Grids)
 	fplan.Protect = []int{ci}
 	sched := faultinject.Generate(seed, fplan)
-	d.Net.Faults = sched.Injector(func() time.Duration { return time.Duration(d.Engine.Now()) })
 	disarm := sched.Arm(d.Engine, d.Net, d, func(i int) transport.Addr {
 		return d.Hosts[i].Addr()
 	})

@@ -10,13 +10,15 @@ import (
 // schedules, the workflow-aware policy re-executes strictly less
 // critical-path work than plain adaptive checkpointing — on identical
 // schedules, since the policy is the only variable per (topology,
-// seed) pair.
+// seed) pair. Six schedules per topology, twice the sweep's smoke
+// count: three leave a handful of resumes or none, too few to tell the
+// policies apart.
 func TestFlowSweepAwareCutsCriticalPathReexec(t *testing.T) {
 	o := Options{Scale: 0.05, Seed: 1}
 	var adaptiveCP, awareCP time.Duration
 	awareCkpts, awareResumes := 0, 0
 	for _, topoName := range []string{"diamond", "wide", "deep"} {
-		for r := 0; r < flowRepeats(o); r++ {
+		for r := 0; r < 2*flowRepeats(o); r++ {
 			seed := o.Seed + 120 + int64(r)*7
 			run := func(polName string) FlowStats {
 				topo, pol, err := FlowCell(topoName, polName)

@@ -36,11 +36,11 @@ func replPlan() *faultinject.Plan {
 // promotion avoids by reattaching or rematching with the replicated
 // checkpoint).
 func ReplSweep(o Options) *Table {
-	// Per-message fault draws (drops, delays) are consumed in runtime
-	// order, so two runs differing only in k see different per-message
-	// noise even under the same crash schedule; averaging a few seeded
-	// schedules per row keeps one lucky (or unlucky) draw sequence from
-	// dominating a row.
+	// A message's fault is drawn from its key and the key's seq, and
+	// replication changes which messages are sent, so two runs
+	// differing only in k see different per-message noise even under
+	// the same crash schedule; averaging a few seeded schedules per row
+	// keeps one lucky (or unlucky) schedule from dominating a row.
 	const repeats = 3
 	tbl := &Table{
 		Title:  "Replication sweep: owner-state replication degree under correlated owner+run crashes (RN-Tree, maintenance on)",

@@ -181,7 +181,6 @@ func (d *Deployment) drive() {
 			seed = s.NetSeed
 		}
 		sched := faultinject.Generate(seed, plan)
-		d.Net.Faults = sched.Injector(func() time.Duration { return time.Duration(d.Engine.Now()) })
 		disarmFaults = sched.Arm(d.Engine, d.Net, d, func(i int) transport.Addr {
 			return d.Hosts[i].Addr()
 		})

@@ -2,10 +2,11 @@
 // simulator and the live transport alike. It produces two artefacts
 // from one seed:
 //
-//   - an injector (message-level faults): drop, duplicate, delay,
-//     refuse or reset individual messages matched by RPC method name,
+//   - an injector, Keyed (message-level faults): drop, duplicate,
+//     delay, refuse or reset messages matched by RPC method name,
 //     through the transport.FaultInjector hook both transports
-//     consult. Rules are Go values or a ParseRules spec;
+//     consult, each fate drawn from the message's key, not its order.
+//     Rules are Go values or a ParseRules spec;
 //   - a Schedule (node- and network-level faults): crash/restart
 //     events for individual nodes and temporary partitions of address
 //     sets, armed onto the sim engine at fixed virtual times.
@@ -70,128 +71,110 @@ func (r Rule) matches(method string, response bool) bool {
 	return r.Requests
 }
 
-// draws is where a rule evaluation gets its randomness; each draw is
-// named by the decision it makes. The simulator reads one seeded
-// stream in message order (the names go unused); the live transport
-// hashes the names with the message's identity.
-type draws interface {
-	chance(kind string) float64       // uniform in [0, 1)
-	below(kind string, n int64) int64 // uniform in [0, n)
-}
-
-// fate is the one rule evaluation. The first rule matching (method,
-// leg) decides; it draws only for its non-zero probabilities, in the
-// order drop, refuse, reset, dup, delay. The first three end the
-// message, dup and delay combine. ok reports whether a rule matched.
-func fate(rules []Rule, method string, response bool, d draws) (f transport.Fault, ok bool) {
-	for _, r := range rules {
-		if !r.matches(method, response) {
-			continue
-		}
-		switch {
-		case hit(d, "drop", r.DropProb):
-			f.Drop = true
-		case hit(d, "refuse", r.RefuseProb):
-			f.Refuse = true
-		case hit(d, "reset", r.ResetProb):
-			f.Reset = true
-		default:
-			f.Duplicate = hit(d, "dup", r.DupProb)
-			if hit(d, "delay", r.DelayProb) {
-				f.Delay = r.DelayMin
-				if r.DelayMax > r.DelayMin {
-					f.Delay += time.Duration(d.below("delay-span", int64(r.DelayMax-r.DelayMin)))
-				}
+// fate is the one rule evaluation. It draws only for the rule's
+// non-zero probabilities, in the order drop, refuse, reset, dup,
+// delay. The first three end the message, dup and delay combine.
+func (r *Rule) fate(d draw) (f transport.Fault) {
+	switch {
+	case d.hit(drawDrop, r.DropProb):
+		f.Drop = true
+	case d.hit(drawRefuse, r.RefuseProb):
+		f.Refuse = true
+	case d.hit(drawReset, r.ResetProb):
+		f.Reset = true
+	default:
+		f.Duplicate = d.hit(drawDup, r.DupProb)
+		if d.hit(drawDelay, r.DelayProb) {
+			f.Delay = r.DelayMin
+			if r.DelayMax > r.DelayMin {
+				f.Delay += time.Duration(d.chance(drawDelaySpan) * float64(r.DelayMax-r.DelayMin))
 			}
 		}
-		return f, true
 	}
-	return f, false
-}
-
-func hit(d draws, kind string, p float64) bool { return p > 0 && d.chance(kind) < p }
-
-// stream draws from one seeded RNG in call order.
-type stream struct{ rng *rand.Rand }
-
-func (s stream) chance(string) float64         { return s.rng.Float64() }
-func (s stream) below(_ string, n int64) int64 { return s.rng.Int63n(n) }
-
-// Injector is the simulator's transport.FaultInjector: an ordered rule
-// list drawing from one seeded RNG in message order. Construct with
-// NewInjector or Schedule.Injector.
-type Injector struct {
-	rng   *rand.Rand
-	rules []Rule
-
-	// Now, when set together with Until, confines faults to virtual
-	// times before Until, letting a run quiesce and drain.
-	Now   func() time.Duration
-	Until time.Duration
-}
-
-// NewInjector returns an injector whose randomness derives only from
-// seed; given the same message sequence it injects the same faults.
-func NewInjector(seed int64, rules ...Rule) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), rules: rules}
-}
-
-// Fate implements transport.FaultInjector.
-func (in *Injector) Fate(from, to transport.Addr, method string, response bool) transport.Fault {
-	if in.Until > 0 && in.Now != nil && in.Now() >= in.Until {
-		return transport.Fault{}
-	}
-	f, _ := fate(in.rules, method, response, stream{in.rng})
 	return f
 }
 
-// keyed draws each decision from a hash of (seed, kind, peer+method,
-// seq), so it depends on the message's identity and not on the order
-// goroutines reach the injector.
-type keyed struct {
-	seed int64
-	key  string
-	seq  int
+// The decisions one message's fate can draw; fewer than 8.
+const (
+	drawDrop uint64 = iota
+	drawRefuse
+	drawReset
+	drawDup
+	drawDelay
+	drawDelaySpan
+)
+
+// draw is one matched message's randomness: its key's hash and its
+// seq on that key. A decision is the splitmix64 output at index (seq,
+// kind) of the stream seeded with the hash, so no two decisions of a
+// key share an index, and nothing is formatted or allocated.
+type draw struct{ key, seq uint64 }
+
+func (d draw) chance(kind uint64) float64 {
+	z := d.key + (d.seq*8+kind+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return float64((z^z>>31)>>11) / (1 << 53)
 }
 
-func (k keyed) chance(kind string) float64 {
-	return uniform(fmt.Sprintf("chaos/%d/%s/%s/%d", k.seed, kind, k.key, k.seq))
-}
-
-func (k keyed) below(kind string, n int64) int64 { return int64(k.chance(kind) * float64(n)) }
+func (d draw) hit(kind uint64, p float64) bool { return p > 0 && d.chance(kind) < p }
 
 // uniform maps a decision's full identity onto [0, 1) through the ids
-// hash. Unlike an RNG stream, the draw is independent of execution
-// interleaving: the same decision comes out the same under any
-// schedule, which keeps live chaos runs and seeded soaks replayable.
+// hash: the same decision comes out the same under any schedule.
 func uniform(key string) float64 {
 	return float64(ids.HashString(key).Uint64()>>11) / float64(1<<53)
 }
 
-// Keyed is the live transport's transport.FaultInjector. Its
-// determinism contract: every fate is a pure function of (seed, peer,
-// method, seq), where peer is the destination and seq counts that
-// (peer, method) pair's matched messages. Two runs with the same seed,
-// rules and per-pair message counts draw the identical fault sequence
-// per pair however goroutines interleave.
+// Keyed is the one transport.FaultInjector, the simulator's (installed
+// by Schedule.Arm) and the live transport's (-chaos). Every fate is a
+// pure function of (seed, from, to, method, leg, seq), where seq counts
+// the messages a rule matched on that key: no other key's traffic, nor
+// the order goroutines reach the injector, moves it.
 type Keyed struct {
 	seed  int64
 	rules []Rule
 
 	mu   sync.Mutex
-	seq  map[string]int // per "peer method" message counter
+	keys map[fateKey]*keyState
 	logw io.Writer
 }
 
-// ParseChaos builds a keyed injector from a seed and a ParseRules
-// spec, the -chaos flag of gridnode and gridctl chaos. A spec with no
-// rules gives nil: no injector.
+type fateKey struct {
+	from, to transport.Addr
+	method   string
+	leg      uint8 // an index into legNames
+}
+
+var legNames = [2]string{"req", "resp"}
+
+// hash is FNV-1a over the seed and the key's fields, taken once, when
+// the key is first seen.
+func (k fateKey) hash(seed int64) uint64 {
+	h := 14695981039346656037 ^ uint64(seed)
+	for _, b := range []byte(string(k.from) + "/" + string(k.to) + "/" + k.method + "/" + legNames[k.leg] + "/") {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
+}
+
+// keyState is a key's hash and how many messages a rule matched on it.
+type keyState struct{ hash, seq uint64 }
+
+// NewKeyed returns an injector over rules whose fates derive only from
+// seed and each message's key.
+func NewKeyed(seed int64, rules ...Rule) *Keyed {
+	return &Keyed{seed: seed, rules: rules, keys: make(map[fateKey]*keyState)}
+}
+
+// ParseChaos builds an injector from a seed and a ParseRules spec, the
+// -chaos flag of gridnode and gridctl chaos. A spec with no rules gives
+// nil: no injector.
 func ParseChaos(seed int64, spec string) (*Keyed, error) {
 	rules, err := ParseRules(spec)
 	if err != nil || len(rules) == 0 {
 		return nil, err
 	}
-	return &Keyed{seed: seed, rules: rules, seq: make(map[string]int)}, nil
+	return NewKeyed(seed, rules...), nil
 }
 
 // CheckServed rejects a rule whose method no handler serves: such a
@@ -212,28 +195,40 @@ func (k *Keyed) CheckServed(handles func(method string) bool) error {
 }
 
 // SetLog mirrors every decision on a matched message (clean passes
-// included) to w, one "peer method seq fate" line each: the replay
-// evidence scripts/live_chaos.sh compares across runs. Writes happen
-// under the injector's lock; pass something cheap (a file).
+// included) to w, one "from to method leg seq fate" line each: the
+// replay evidence scripts/live_chaos.sh compares across runs. Writes
+// happen under the injector's lock; pass something cheap (a file).
 func (k *Keyed) SetLog(w io.Writer) {
 	k.mu.Lock()
 	k.logw = w
 	k.mu.Unlock()
 }
 
-// Fate implements transport.FaultInjector.
+// Fate implements transport.FaultInjector; the first matching rule decides.
 func (k *Keyed) Fate(from, to transport.Addr, method string, response bool) transport.Fault {
-	key := string(to) + " " + method
+	i := 0
+	for i < len(k.rules) && !k.rules[i].matches(method, response) {
+		i++
+	}
+	if i == len(k.rules) {
+		return transport.Fault{}
+	}
+	key := fateKey{from, to, method, 0}
+	if response {
+		key.leg = 1
+	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	seq := k.seq[key]
-	f, ok := fate(k.rules, method, response, keyed{k.seed, key, seq})
-	if !ok {
-		return f
+	st := k.keys[key]
+	if st == nil {
+		st = &keyState{hash: key.hash(k.seed)}
+		k.keys[key] = st
 	}
-	k.seq[key] = seq + 1
+	d := draw{st.hash, st.seq}
+	st.seq++
+	f := k.rules[i].fate(d)
 	if k.logw != nil {
-		fmt.Fprintf(k.logw, "%s %s %d %s\n", to, method, seq, fateName(f))
+		fmt.Fprintf(k.logw, "%s %s %s %s %d %s\n", from, to, method, legNames[key.leg], d.seq, fateName(f))
 	}
 	return f
 }
@@ -363,8 +358,8 @@ type Partition struct {
 type Schedule struct {
 	Seed  int64
 	Rules []Rule
-	// RuleWindow, when nonzero, stops message faults at that virtual
-	// time (node/partition events carry their own times).
+	// RuleWindow, when nonzero, stops message faults that long after
+	// Arm, as node and partition events fire that long after it.
 	RuleWindow time.Duration
 	Nodes      []NodeEvent
 	Parts      []Partition
@@ -475,16 +470,6 @@ func Generate(seed int64, p Plan) Schedule {
 	return s
 }
 
-// Injector builds the schedule's message-fault injector. now may be
-// nil; when set, rules stop applying at RuleWindow. The injector's RNG
-// is derived from the schedule seed, independent of generation draws.
-func (s Schedule) Injector(now func() time.Duration) *Injector {
-	in := NewInjector(s.Seed+1, s.Rules...)
-	in.Now = now
-	in.Until = s.RuleWindow
-	return in
-}
-
 // --- Byzantine (sabotage) behaviors ---
 
 // ByzPlan parameterizes saboteur generation: which nodes lie, and how
@@ -572,16 +557,18 @@ type Harness interface {
 	Restart(node int)
 }
 
-// Arm schedules the node and partition events onto engine e. Node
-// events call the harness; partitions install a reachability predicate
-// on net via addrOf (node index -> address). Overlapping partitions
-// compose: two addresses reach each other only if they are on the same
-// side of every active partition.
+// Arm puts the schedule on engine e and network net. A schedule with
+// rules installs its injector, a Keyed seeded with Seed+1, as net's
+// Faults, and removes it RuleWindow later when that is set. Node events call the harness; partitions install a reachability
+// predicate on net via addrOf (node index -> address). Overlapping
+// partitions compose: two addresses reach each other only if they are
+// on the same side of every active partition.
 //
-// The returned disarm cancels every not-yet-fired event. Call it
-// before draining the engine (e.g. sim.Engine.Shutdown): a pending
-// restart event that fires during the drain would spawn fresh protocol
-// loops after the kill sweep and the drain would never terminate.
+// The returned disarm cancels every not-yet-fired event and removes the
+// injector. Call it before draining the engine (e.g.
+// sim.Engine.Shutdown): a pending restart event that fires during the
+// drain would spawn fresh protocol loops after the kill sweep and the
+// drain would never terminate.
 func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i int) transport.Addr) (disarm func()) {
 	var armed []*sim.Event
 	for _, ev := range s.Nodes {
@@ -590,6 +577,14 @@ func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i i
 			armed = append(armed, e.Schedule(ev.At, func() { h.Restart(ev.Node) }))
 		} else {
 			armed = append(armed, e.Schedule(ev.At, func() { h.Crash(ev.Node) }))
+		}
+	}
+	stop := func() {}
+	if len(s.Rules) > 0 {
+		net.Faults = NewKeyed(s.Seed+1, s.Rules...)
+		stop = func() { net.Faults = nil }
+		if s.RuleWindow > 0 {
+			armed = append(armed, e.Schedule(s.RuleWindow, stop))
 		}
 	}
 	if len(s.Parts) > 0 {
@@ -618,5 +613,6 @@ func (s Schedule) Arm(e *sim.Engine, net *simnet.Net, h Harness, addrOf func(i i
 		for _, ev := range armed {
 			ev.Stop()
 		}
+		stop()
 	}
 }

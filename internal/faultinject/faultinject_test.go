@@ -36,8 +36,8 @@ func TestRuleMatching(t *testing.T) {
 	}
 }
 
-func TestInjectorFirstMatchWins(t *testing.T) {
-	in := NewInjector(1,
+func TestKeyedFirstMatchWins(t *testing.T) {
+	in := NewKeyed(1,
 		Rule{Method: "a", DropProb: 1},
 		Rule{DelayProb: 1, DelayMin: time.Second, DelayMax: time.Second},
 	)
@@ -50,39 +50,95 @@ func TestInjectorFirstMatchWins(t *testing.T) {
 	}
 }
 
-func TestInjectorDeterministic(t *testing.T) {
-	rules := []Rule{{DropProb: 0.3, DupProb: 0.3, DelayProb: 0.3,
-		DelayMin: time.Millisecond, DelayMax: 50 * time.Millisecond}}
-	run := func() []transport.Fault {
-		in := NewInjector(42, rules...)
-		var out []transport.Fault
-		for i := 0; i < 200; i++ {
-			out = append(out, in.Fate("a", "b", "m", i%2 == 0))
+// TestFateIndependentOfOtherLayers is what keyed draws are for: one
+// injector sees a run's grid messages, a second with the same seed sees
+// the same grid messages with chord traffic interleaved, as one extra
+// Chord ping per stabilize round would add. A catch-all rule makes every
+// chord message draw too, yet each grid message keeps its fate.
+func TestFateIndependentOfOtherLayers(t *testing.T) {
+	rules := []Rule{
+		{Method: "grid.heartbeat", DropProb: 0.3},
+		{Method: "grid.assign", DupProb: 0.2, ResetProb: 0.1},
+		{DelayProb: 0.2, DelayMin: 100 * time.Millisecond, DelayMax: time.Second},
+	}
+	type msg struct {
+		from, to transport.Addr
+		method   string
+		response bool
+	}
+	var grid []msg
+	for i := 0; i < 400; i++ {
+		from, to := transport.Addr(fmt.Sprintf("n%d", i%5)), transport.Addr(fmt.Sprintf("n%d", (i*3+1)%5))
+		method := []string{"grid.heartbeat", "grid.assign", "grid.result"}[i%3]
+		grid = append(grid, msg{from, to, method, i%4 == 3})
+	}
+	plain, mixed := NewKeyed(5, rules...), NewKeyed(5, rules...)
+	faults := 0
+	for i, m := range grid {
+		if i%2 == 0 {
+			mixed.Fate(m.from, m.to, "chord.ping", false)
+			mixed.Fate(m.to, m.from, "chord.ping", true)
+		}
+		if i%7 == 0 {
+			mixed.Fate(m.from, m.to, "chord.findsucc", m.response)
+		}
+		want := plain.Fate(m.from, m.to, m.method, m.response)
+		if got := mixed.Fate(m.from, m.to, m.method, m.response); got != want {
+			t.Fatalf("grid message %d (%+v): fate %+v alone, %+v with chord traffic interleaved", i, m, want, got)
+		}
+		if want != (transport.Fault{}) {
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Fatal("400 grid messages drew no fault: the test proves nothing")
+	}
+}
+
+// TestFateKeyFields: each field of the key, and the seed, names its
+// own sequence of fates.
+func TestFateKeyFields(t *testing.T) {
+	rule := Rule{DropProb: 0.5}
+	seq := func(seed int64, from, to transport.Addr, method string, response bool) (out [64]bool) {
+		k := NewKeyed(seed, rule)
+		for i := range out {
+			out[i] = k.Fate(from, to, method, response).Drop
 		}
 		return out
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different fault sequences")
+	base := seq(1, "a", "b", "m", false)
+	if base != seq(1, "a", "b", "m", false) {
+		t.Fatal("the same key and seed drew different fates")
+	}
+	for name, other := range map[string][64]bool{
+		"seed":   seq(2, "a", "b", "m", false),
+		"from":   seq(1, "c", "b", "m", false),
+		"to":     seq(1, "a", "c", "m", false),
+		"method": seq(1, "a", "b", "n", false),
+		"leg":    seq(1, "a", "b", "m", true),
+	} {
+		if other == base {
+			t.Errorf("another %s drew the same 64 fates", name)
+		}
 	}
 }
 
-func TestInjectorWindow(t *testing.T) {
-	now := time.Duration(0)
-	in := NewInjector(7, Rule{DropProb: 1})
-	in.Now = func() time.Duration { return now }
-	in.Until = time.Minute
-	if f := in.Fate("a", "b", "m", false); !f.Drop {
-		t.Fatal("fault not injected inside the window")
-	}
-	now = time.Minute
-	if f := in.Fate("a", "b", "m", false); f.Drop {
-		t.Fatal("fault injected after the window closed")
+// BenchmarkFate is the injector's cost per message on a key already
+// seen: a map lookup and a few multiplies, no formatting and no
+// allocation.
+func BenchmarkFate(b *testing.B) {
+	k := NewKeyed(1,
+		Rule{Method: "grid.heartbeat", DropProb: 0.25},
+		Rule{DupProb: 0.2, DelayProb: 0.2, DelayMin: 100 * time.Millisecond, DelayMax: time.Second})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.Fate("n001", "n002", "grid.assign", i%2 == 0)
 	}
 }
 
-// TestChaosFateDeterministic is the live replay contract: the same
-// seed and rules draw the identical fate sequence for a (peer, method)
-// pair, and a different seed draws a different one.
+// TestChaosFateDeterministic is the replay contract: the same seed and
+// rules draw the identical fate sequence for a key, and a different
+// seed draws a different one.
 func TestChaosFateDeterministic(t *testing.T) {
 	const N = 300
 	seq := func(seed int64) []transport.Fault {
@@ -249,24 +305,6 @@ func TestGenerateAllProtected(t *testing.T) {
 	}
 }
 
-func TestScheduleInjectorIndependentOfGeneration(t *testing.T) {
-	plan := Plan{Nodes: 4, Window: time.Minute, Crashes: 2,
-		Rules: []Rule{{DropProb: 0.5}}}
-	// The injector's stream must depend only on the seed, not on how
-	// many draws generation consumed.
-	more := plan
-	more.Crashes = 7
-	a := Generate(9, plan).Injector(nil)
-	b := Generate(9, more).Injector(nil)
-	for i := 0; i < 100; i++ {
-		fa := a.Fate("x", "y", "m", false)
-		fb := b.Fate("x", "y", "m", false)
-		if fa != fb {
-			t.Fatalf("draw %d differs: %+v vs %+v", i, fa, fb)
-		}
-	}
-}
-
 type fakeHarness struct {
 	crashes, restarts []int
 }
@@ -286,8 +324,18 @@ func TestArmFiresEventsAndDisarms(t *testing.T) {
 		},
 		Parts: []Partition{{From: time.Second, Heal: 3 * time.Second, Group: []int{1, 2}}},
 	}
+	s.Seed, s.Rules, s.RuleWindow = 9, []Rule{{DropProb: 0.5}}, 2*time.Second
 	h := &fakeHarness{}
 	disarm := s.Arm(e, net, h, addrOf)
+
+	// The installed injector is keyed by the schedule's seed and rules
+	// alone, however many draws generating the schedule took.
+	want := NewKeyed(s.Seed+1, s.Rules...)
+	for i := 0; i < 100; i++ {
+		if got, want := net.Faults.Fate("x", "y", "m", false), want.Fate("x", "y", "m", false); got != want {
+			t.Fatalf("draw %d: armed injector gave %+v, a Keyed of seed %d gave %+v", i, got, s.Seed+1, want)
+		}
+	}
 
 	e.RunFor(1500 * time.Millisecond)
 	if len(h.crashes) != 1 || h.crashes[0] != 1 {
@@ -304,11 +352,24 @@ func TestArmFiresEventsAndDisarms(t *testing.T) {
 	if !net.Reachable(addrOf(1), addrOf(0)) {
 		t.Fatal("partition did not heal")
 	}
+	if net.Faults != nil {
+		t.Fatal("injector still installed after the rule window")
+	}
 
 	disarm()
 	e.RunFor(time.Minute)
 	if len(h.crashes) != 1 {
 		t.Fatalf("disarmed event still fired: %v", h.crashes)
+	}
+
+	// Disarming inside the rule window removes the injector as well.
+	disarm = Schedule{Rules: s.Rules, RuleWindow: time.Hour}.Arm(e, net, h, addrOf)
+	if net.Faults == nil {
+		t.Fatal("a schedule with rules installed no injector")
+	}
+	disarm()
+	if net.Faults != nil {
+		t.Fatal("disarm left the injector installed")
 	}
 }
 

@@ -81,6 +81,18 @@ func flowSoakGraph() flow.Graph {
 	}}
 }
 
+// TestFlowSoakPlanNamesServedMethods runs CheckServed, the check
+// gridnode and gridctl chaos apply to their -chaos rules, over the flow
+// soak's plan against its cluster: a rule naming a method no node
+// serves would match nothing and inject nothing.
+func TestFlowSoakPlanNamesServedMethods(t *testing.T) {
+	c := newCluster(t, flowSoakNodes, 1, flowSoakCfg(true))
+	defer c.e.Shutdown()
+	if err := faultinject.NewKeyed(1, flowSoakPlan().Rules...).CheckServed(c.hosts[0].Handles); err != nil {
+		t.Error(err)
+	}
+}
+
 // runFlowSoak executes one seeded schedule and returns (trace, resumes):
 // the full event trace for replay comparison, and how many resume-from-
 // checkpoint events the schedule provoked.
@@ -92,7 +104,6 @@ func runFlowSoak(t *testing.T, seed int64, cfg grid.Config) ([]string, int) {
 	client.StartClientMonitor(10 * time.Second)
 
 	sched := faultinject.Generate(seed, flowSoakPlan())
-	c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
 	disarm := sched.Arm(c.e, c.net, flowSoakHarness{c}, func(i int) transport.Addr {
 		return c.hosts[i].Addr()
 	})

@@ -57,9 +57,8 @@ func TestExecutorNeverWaitsOnDelivery(t *testing.T) {
 			// (three per job, one call timeout plus one second apart), so
 			// only the owner's relays, which also travel as grid.result,
 			// get through.
-			in := faultinject.NewInjector(1, tc.rule)
-			in.Now, in.Until = func() time.Duration { return time.Duration(c.e.Now()) }, 12*time.Second
-			c.net.Faults = in
+			sched := faultinject.Schedule{Rules: []faultinject.Rule{tc.rule}, RuleWindow: 12 * time.Second}
+			defer sched.Arm(c.e, c.net, nil, nil)()
 
 			var jobs []ids.ID
 			c.do(0, func(rt transport.Runtime) {
@@ -126,7 +125,7 @@ func TestExecutorNeverWaitsOnDelivery(t *testing.T) {
 func TestCrashKillsInFlightReports(t *testing.T) {
 	c := oneRunNode(t)
 	defer c.e.Shutdown()
-	c.net.Faults = faultinject.NewInjector(1, faultinject.Rule{Method: grid.MResult, Requests: true, DropProb: 1})
+	c.net.Faults = faultinject.NewKeyed(1, faultinject.Rule{Method: grid.MResult, Requests: true, DropProb: 1})
 	run := c.hosts[1]
 	fresh := run.Procs()
 

@@ -132,8 +132,7 @@ func (nc *notifyCluster) gather() notifyStats {
 // partitions (a resubmission's timing depends on whether the monitor
 // probed or trusted a push, which is exactly the difference under
 // test), and no catch-all rules: a rule matching pubsub.* methods
-// would consume fault-stream draws in the wired run only and
-// desynchronise every later decision.
+// would delay or drop messages of the wired run only.
 func neutralPlan() faultinject.Plan {
 	return faultinject.Plan{
 		Nodes:   soakNodes,

@@ -129,7 +129,6 @@ func (s soak) run(t *testing.T, seed int64) ([]string, *metrics.Collector) {
 	var sched faultinject.Schedule
 	if s.plan != nil {
 		sched = faultinject.Generate(seed, *s.plan)
-		c.net.Faults = sched.Injector(func() time.Duration { return time.Duration(c.e.Now()) })
 		disarm := sched.Arm(c.e, c.net, s.harness, func(i int) transport.Addr {
 			return c.hosts[i].Addr()
 		})
@@ -198,6 +197,33 @@ func seeds(full, short int64) int64 {
 		return short
 	}
 	return full
+}
+
+// TestSoakPlansNameServedMethods runs CheckServed, the check gridnode
+// and gridctl chaos apply to their -chaos rules, over every grid soak
+// plan against the cluster it runs on: a rule naming a method no node
+// serves would match nothing and inject nothing.
+func TestSoakPlansNameServedMethods(t *testing.T) {
+	plain := newCluster(t, soakNodes, 1, soakCfg(), uniform)
+	defer plain.e.Shutdown()
+	repl := newReplCluster(t, 1, 2, soakCfg())
+	defer repl.e.Shutdown()
+	notify := newNotifyCluster(t, soakNodes, 1, soakCfg(), true)
+	defer notify.e.Shutdown()
+	for _, c := range []struct {
+		name string
+		plan faultinject.Plan
+		on   *cluster
+	}{
+		{"soakPlan", soakPlan(), plain},
+		{"replPlan", replPlan(2, true), repl},
+		{"neutralPlan", neutralPlan(), notify.cluster},
+		{"notifyDropPlan", notifyDropPlan(), notify.cluster},
+	} {
+		if err := faultinject.NewKeyed(1, c.plan.Rules...).CheckServed(c.on.hosts[0].Handles); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
 }
 
 func TestRecoverySoak(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chord"
 	"repro/internal/grid"
 	"repro/internal/match"
+	"repro/internal/metrics"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/sim"
@@ -41,11 +42,12 @@ type cluster struct {
 	ready []time.Duration  // per peer: when Launch returned nil; -1 before
 	log   []string
 	early []transport.Addr
+	rec   *metrics.Collector // every peer's grid events
 }
 
 func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 	t.Helper()
-	c := &cluster{e: sim.NewEngine(seed)}
+	c := &cluster{e: sim.NewEngine(seed), rec: metrics.NewCollector()}
 	t.Cleanup(c.e.Shutdown)
 	c.net = simnet.New(c.e)
 	c.net.Latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond}
@@ -60,6 +62,12 @@ func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 }
 
 func (c *cluster) add(cfg Config) int {
+	return c.addCaps(cfg, resource.Vector{float64(1 + len(c.peers)), 1024, 50})
+}
+
+// addCaps adds a peer with the given capabilities, recording its grid
+// events into c.rec.
+func (c *cluster) addCaps(cfg Config, caps resource.Vector) int {
 	i := len(c.peers)
 	h := c.net.NewEndpoint(transport.Addr(fmt.Sprintf("p%02d", i)))
 	c.went = append(c.went, map[string]int{})
@@ -74,7 +82,7 @@ func (c *cluster) add(cfg Config) int {
 				c.early = append(c.early, h.Addr())
 			}
 		}
-	}}, resource.Vector{float64(1 + i), 1024, 50}, "linux", nil, cfg)
+	}}, caps, "linux", c.rec, cfg)
 	c.peers = append(c.peers, p)
 	return i
 }
@@ -247,6 +255,64 @@ func TestJoinAfterDepartureClosesRing(t *testing.T) {
 					}
 					if err := chord.CheckRing([]*chord.Node{c.peers[0].Ring, c.peers[2].Ring}); err != nil {
 						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestClientAfterDepartedClient is two gridctl chaos clients in turn:
+// p1 joins a grid of one or three nodes as a client peer, submits three
+// jobs, has them delivered and closes (a refused crash). After a gap,
+// the next client joins through p0 and submits three jobs of its own.
+// Nothing is lost, so nothing may be resubmitted, and each client's jobs
+// are delivered within 5 s of submitting. The departed client lingers
+// in its neighbours' tables for a while, and a job routed onto it used
+// to wait out the 5 s resubmit patience.
+func TestClientAfterDepartedClient(t *testing.T) {
+	cfg := Config{Tree: fast.Tree, Grid: grid.Config{HeartbeatEvery: time.Second}}
+	client := resource.Vector{0.1, 1, 1} // gridctl's: too small for the jobs
+	spec := grid.JobSpec{Work: 50 * time.Millisecond, Cons: resource.Unconstrained.Require(resource.CPU, 1)}
+	for _, nodes := range []int{1, 3} {
+		for _, gap := range []time.Duration{0, 10 * time.Millisecond, 100 * time.Millisecond, 2 * time.Second} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("nodes=%d/gap=%v/seed=%d", nodes, gap, seed), func(t *testing.T) {
+					c := newCluster(t, seed, nodes, cfg)
+					c.net.RefuseWhenDown = true
+					for i := range c.peers {
+						c.launch(t, i)
+					}
+					c.e.RunFor(5 * time.Second)
+					for _, i := range []int{c.addCaps(cfg, client), c.addCaps(cfg, client)} {
+						c.launch(t, i)
+						c.e.RunFor(5 * time.Second)
+						if c.ready[i] < 0 {
+							t.Fatalf("p%d never became ready", i)
+						}
+						p := c.peers[i]
+						p.Grid.StartClientMonitor(5 * time.Second)
+						left, took := -1, time.Duration(0)
+						p.Host.Go("soak", func(rt transport.Runtime) {
+							began := rt.Now()
+							for j := 0; j < 3; j++ {
+								_, _ = p.Grid.Submit(rt, spec)
+							}
+							left = p.Grid.AwaitAll(rt, rt.Now()+time.Minute)
+							took = rt.Now() - began
+						})
+						c.e.RunFor(time.Minute + time.Second)
+						if left != 0 || took > 5*time.Second {
+							t.Errorf("p%d: %d of 3 jobs left after %v, want all delivered within 5s", i, left, took)
+						}
+						c.net.Endpoint(p.Host.Addr()).Crash()
+						c.e.RunFor(gap)
+					}
+					if n := c.rec.Count(grid.EvResubmitted); n != 0 {
+						t.Errorf("%d resubmissions, want none", n)
+					}
+					if err := c.rec.Check(6); err != nil {
+						t.Error(err)
 					}
 				})
 			}

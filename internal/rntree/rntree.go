@@ -468,9 +468,12 @@ func (n *Node) RandomWalk(rt transport.Runtime) (chord.Ref, int) {
 
 // RandomWalkFrom performs the limited random walk starting at an
 // arbitrary node (each remote step asks that node for one of its own
-// overlay neighbors).
+// overlay neighbors). A step whose node does not answer ends the walk
+// at the node before it: a departed peer lingers in its neighbours'
+// tables for a while, and a walk that ended on it would hand its job to
+// a peer that is gone.
 func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref, int) {
-	cur := start
+	cur, prev := start, start
 	hops := 0
 	for i := 0; i < randomWalkLen; i++ {
 		var next chord.Ref
@@ -479,6 +482,7 @@ func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref,
 		} else {
 			raw, err := rt.Call(cur.Addr, MWalk, WalkReq{})
 			if err != nil {
+				cur = prev
 				break
 			}
 			next = raw.(WalkResp).Next
@@ -487,7 +491,7 @@ func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref,
 		if next.IsZero() {
 			break
 		}
-		cur = next
+		prev, cur = cur, next
 	}
 	n.mWalkHops.Observe(float64(hops))
 	return cur, hops

@@ -117,7 +117,7 @@ func TestFaultRefuseAndResetAreRST(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, _, took, err := faultCall(t, faultinject.NewInjector(1, rules...))
+			st, _, took, err := faultCall(t, faultinject.NewKeyed(1, rules...))
 			if !errors.Is(err, transport.ErrUnreachable) {
 				t.Fatalf("call returned %v, want ErrUnreachable", err)
 			}

@@ -162,6 +162,13 @@ func (ep *Endpoint) Handle(method string, h transport.Handler) {
 	ep.handlers[method] = handler{serve: h, name: name, layer: LayerOf(name)}
 }
 
+// Handles reports whether a handler is registered for method, as
+// nettransport.Host.Handles does (faultinject's CheckServed asks).
+func (ep *Endpoint) Handles(method string) bool {
+	_, ok := ep.handlers[method]
+	return ok
+}
+
 // Go implements transport.Host: fn runs in a proc owned by this
 // endpoint, killed when the endpoint crashes. The proc's spawn — and,
 // by tag inheritance, everything it schedules — is attributed to the

@@ -14,7 +14,7 @@ import (
 // transport, where a lost wake-up is a race.
 func onBothRepeated(t *testing.T, body func(t *testing.T, b backing)) {
 	t.Run("sim", func(t *testing.T) {
-		b := newSimBacking(nil)
+		b := newSimBacking(nil, "a", "b")
 		defer b.e.Shutdown()
 		body(t, b)
 	})
@@ -126,7 +126,7 @@ func TestCondBroadcastWakesEveryWaiter(t *testing.T) {
 // unwind with its registration dropped and the lock released by the
 // caller's deferred Unlock, because the node object outlives the crash.
 func TestCondKilledSimProcLeaksNoWaiter(t *testing.T) {
-	b := newSimBacking(nil)
+	b := newSimBacking(nil, "a", "b")
 	defer b.e.Shutdown()
 	var mu sync.Mutex
 	c := transport.Cond{L: &mu}

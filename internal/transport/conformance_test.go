@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/nettransport"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -35,12 +36,12 @@ type simBacking struct {
 	started, done int
 }
 
-func newSimBacking(faults transport.FaultInjector) *simBacking {
+func newSimBacking(faults transport.FaultInjector, a, b transport.Addr) *simBacking {
 	e := sim.NewEngine(1)
 	n := simnet.New(e)
 	n.Latency = simnet.FixedLatency(10 * time.Millisecond)
 	n.Faults = faults
-	return &simBacking{e: e, a: n.NewEndpoint("a"), b: n.NewEndpoint("b")}
+	return &simBacking{e: e, a: n.NewEndpoint(a), b: n.NewEndpoint(b)}
 }
 
 func (b *simBacking) A() transport.Host { return b.a }
@@ -112,7 +113,7 @@ func (b *liveBacking) Down(h transport.Host) { h.(*nettransport.Host).Close() }
 // a's requests.
 func onBoth(t *testing.T, faults transport.FaultInjector, body func(t *testing.T, b backing)) {
 	t.Run("sim", func(t *testing.T) {
-		b := newSimBacking(faults)
+		b := newSimBacking(faults, "a", "b")
 		defer b.e.Shutdown()
 		body(t, b)
 	})
@@ -335,6 +336,60 @@ func TestConformance(t *testing.T) {
 			onBoth(t, faults, row.body)
 		})
 	}
+
+	// One seed and one rule draw the same fates on both transports: an
+	// injector per backing, the simnet pair named after the loopback
+	// pair so that both hash the same keys.
+	t.Run("same fates", func(t *testing.T) {
+		rule := faultinject.Rule{Method: "echo", Requests: true, DropProb: 0.5}
+		live := newLiveBacking(t, faultinject.NewKeyed(7, rule))
+		simulated := newSimBacking(faultinject.NewKeyed(7, rule), live.a.Addr(), live.b.Addr())
+		defer simulated.e.Shutdown()
+		want, got := servedCalls(t, live), servedCalls(t, simulated)
+		if got != want {
+			t.Fatalf("served calls over TCP %v\nin simulation      %v", want, got)
+		}
+		served := 0
+		for _, ok := range want {
+			if ok {
+				served++
+			}
+		}
+		if served == 0 || served == len(want) {
+			t.Fatalf("%d of %d calls served: drop=0.5 drew one fate only", served, len(want))
+		}
+	})
+}
+
+// servedCalls makes 64 sequential echo calls a->b and reports which
+// reached b's handler. A ping, which no rule matches, follows each echo:
+// its reply closes a's breaker on b, so a run of dropped echoes is not
+// cut short by an open breaker that would fail the next calls before
+// they draw their fates.
+func servedCalls(t *testing.T, b backing) (served [64]bool) {
+	var mu sync.Mutex
+	b.B().Handle("echo", func(_ transport.Runtime, _ transport.Addr, req any) (any, error) {
+		mu.Lock()
+		served[req.(int)] = true
+		mu.Unlock()
+		return nil, nil
+	})
+	b.B().Handle("ping", func(transport.Runtime, transport.Addr, any) (any, error) { return nil, nil })
+	var err error
+	b.Go(func(rt transport.Runtime) {
+		for i := range served {
+			_, _ = rt.CallT(b.B().Addr(), "echo", i, 50*time.Millisecond)
+			if _, err = rt.CallT(b.B().Addr(), "ping", nil, time.Second); err != nil {
+				return
+			}
+		}
+	})
+	if !b.Run(time.Minute) || err != nil {
+		t.Fatalf("calls did not finish: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return served
 }
 
 // keptOffPeer is the refuse and reset row: the call fails as transient

@@ -9,11 +9,13 @@
 #                  ownership transfers are refused, and a few calls of
 #                  every method are dropped.
 #   2. Replay      the same seed twice must draw the same fault for
-#                  every (peer, method, seq) decision the runs share —
+#                  every (from, to, method, leg, seq) decision the runs share —
 #                  the determinism contract that makes a chaos failure
 #                  reproducible.
-#   3. Breakers    killing a node must open circuit breakers on its
-#                  peers (visible in /metrics and gridctl health), and
+#   3. Breakers    killing a node, with jobs submitted through the
+#                  other two so that their routes call it, must open
+#                  circuit breakers on its peers (visible in /metrics
+#                  and gridctl health), and
 #                  reviving it must close them again via half-open
 #                  probes.
 #
@@ -54,23 +56,24 @@ run_soak run2
 # lost or duplicated job); here we additionally require that the
 # schedule actually injected faults — a soak that never faulted proves
 # nothing.
-injected=$(cat "$workdir"/run1-n*.chaos | awk '$4 != "none"' | wc -l)
+injected=$(cat "$workdir"/run1-n*.chaos | awk '$6 != "none"' | wc -l)
 if [ "$injected" -lt 1 ]; then
   echo "live_chaos: FAIL: chaos schedule injected no faults (check CHAOS_SPEC)" >&2
   exit 1
 fi
 echo "live_chaos: run1 injected $injected faults across 3 nodes" >&2
 
-# Replay check: every (peer, method, seq) decision both runs drew must
-# have the same fate. Traffic volume differs between runs, so the runs
-# share a prefix of each per-(peer,method) sequence, not the whole log;
-# the client's ephemeral-port peers simply never collide across runs.
+# Replay check: every (from, to, method, leg, seq) decision both runs
+# drew must have the same fate. A decision log line is "from to method
+# leg seq fate". Traffic volume differs between runs, so the runs share
+# a prefix of each key's sequence, not the whole log; the client's
+# ephemeral-port peers simply never collide across runs.
 for k in 1 2 3; do
-  awk '{print $1 "|" $2 "|" $3, $4}' "$workdir/run1-n$k.chaos" | sort >"$workdir/r1-n$k.keyed"
-  awk '{print $1 "|" $2 "|" $3, $4}' "$workdir/run2-n$k.chaos" | sort >"$workdir/r2-n$k.keyed"
+  awk '{print $1 "|" $2 "|" $3 "|" $4 "|" $5, $6}' "$workdir/run1-n$k.chaos" | sort >"$workdir/r1-n$k.keyed"
+  awk '{print $1 "|" $2 "|" $3 "|" $4 "|" $5, $6}' "$workdir/run2-n$k.chaos" | sort >"$workdir/r2-n$k.keyed"
   if ! join "$workdir/r1-n$k.keyed" "$workdir/r2-n$k.keyed" |
     awk '$2 != $3 { print; exit 1 }' >"$workdir/replay-n$k.diff"; then
-    echo "live_chaos: FAIL: node $k drew different fates for the same (peer,method,seq) under seed $SEED:" >&2
+    echo "live_chaos: FAIL: node $k drew different fates for the same (from,to,method,leg,seq) under seed $SEED:" >&2
     cat "$workdir/replay-n$k.diff" >&2
     exit 1
   fi
@@ -84,8 +87,19 @@ n3=${pids[2]}
 
 kill "$n3" 2>/dev/null || true
 
+# An idle ring calls a dead peer only 3-4 times before its tables drop
+# it, short of the 5 consecutive failures that open a breaker. So drive
+# calls at it on purpose: jobs submitted through n1 and n2 every second
+# route by Chord lookup and RN-Tree walk, and every route that still
+# names n3 calls it.
+probe() { "$workdir/gridctl" -node "127.0.0.1:$1" -n 3 -work 10ms -timeout 10s >/dev/null 2>&1 || true; }
 opened=""
+probes=()
 for _ in $(seq 1 60); do
+  probe 7801 &
+  probes+=($!)
+  probe 7802 &
+  probes+=($!)
   for port in 7901 7902; do
     if curl -sf "http://127.0.0.1:$port/metrics" | grep -q 'rpc_breaker_transitions_total{to="open"}'; then
       opened=$port
@@ -94,6 +108,7 @@ for _ in $(seq 1 60); do
   done
   sleep 1
 done
+wait "${probes[@]}"
 if [ -z "$opened" ]; then
   echo "live_chaos: FAIL: no breaker opened on n1/n2 within 60s of killing n3" >&2
   exit 1
