@@ -3,6 +3,7 @@ package flow_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,13 +45,15 @@ type switchableOverlay struct {
 	owners []*simnet.Endpoint
 }
 
-func (o *switchableOverlay) RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error) {
+func (o *switchableOverlay) RouteJobs(rt transport.Runtime, jobs []grid.Profile) []grid.Route {
+	route := grid.Route{Err: fmt.Errorf("no live owner")}
 	for _, ep := range o.owners {
 		if ep.Up() {
-			return ep.Addr(), 1, nil
+			route = grid.Route{Owner: ep.Addr(), Hops: 1}
+			break
 		}
 	}
-	return "", 0, fmt.Errorf("no live owner")
+	return slices.Repeat([]grid.Route{route}, len(jobs))
 }
 
 func newCluster(t *testing.T, n int, seed int64, cfg grid.Config) *cluster {

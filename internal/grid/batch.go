@@ -10,8 +10,9 @@ import (
 	"repro/internal/transport"
 )
 
-// Injection (DESIGN.md §11). The injection node routes every item of a
-// batch and then performs one grid.ownbatch handoff per distinct owner.
+// Injection (DESIGN.md §11). The injection node routes a batch as one
+// (Overlay.RouteJobs) and then performs one grid.ownbatch handoff per
+// distinct owner.
 // Results are positional: Results[i] answers Items[i], and a per-item
 // failure (routing, handoff, backpressure) never poisons its
 // batch-mates. A single submission is a batch of one.
@@ -23,16 +24,16 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 	began := rt.Now()
 	results := make([]InjectResult, len(reqs))
 
-	// Route every item first, grouping accepted ones by owner. Owner
-	// iteration order is sorted so the sim replays deterministically.
+	// Route the whole batch first, then group accepted items by owner.
+	// Owner iteration order is sorted so the sim replays deterministically.
 	type pending struct {
 		idx  int
 		prof Profile
 		tc   obs.TC
 	}
-	byOwner := make(map[transport.Addr][]pending)
+	profs := make([]Profile, len(reqs))
 	for i, req := range reqs {
-		prof := Profile{
+		profs[i] = Profile{
 			ID:          JobGUID(req.Client, req.Seq, req.Attempt),
 			Client:      req.Client,
 			Seq:         req.Seq,
@@ -45,24 +46,28 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 			CkptBias:    req.CkptBias,
 			CarryOutput: req.CarryOutput,
 		}
-		results[i].JobID = prof.ID
+		results[i].JobID = profs[i].ID
+	}
+	routes := n.overlay.RouteJobs(rt, profs)
+	byOwner := make(map[transport.Addr][]pending)
+	for i, req := range reqs {
+		prof, route := profs[i], routes[i]
+		if route.Err != nil {
+			results[i].Err = fmt.Sprintf("route job %s: %v", prof.ID.Short(), route.Err)
+			continue
+		}
 		tc := req.TC
 		if tc.Zero() {
 			// Untraced legacy sender: the trace ID is derivable from the
 			// submission identity, so the lifecycle stays reconstructable.
 			tc = obs.TC{ID: TraceID(req.Client, req.Seq)}
 		}
-		owner, hops, err := n.overlay.RouteJob(rt, prof.ID, prof.Cons)
-		if err != nil {
-			results[i].Err = fmt.Sprintf("route job %s: %v", prof.ID.Short(), err)
-			continue
-		}
 		ev := n.jobEvent(EvInjected, prof, rt.Now())
-		ev.Hops = hops
-		tc = n.emit(tc, ev, owner, n.traceNote("hops=%d", hops))
-		results[i].Owner = owner
-		results[i].Hops = hops
-		byOwner[owner] = append(byOwner[owner], pending{idx: i, prof: prof, tc: tc})
+		ev.Hops = route.Hops
+		tc = n.emit(tc, ev, route.Owner, n.traceNote("hops=%d", route.Hops))
+		results[i].Owner = route.Owner
+		results[i].Hops = route.Hops
+		byOwner[route.Owner] = append(byOwner[route.Owner], pending{idx: i, prof: prof, tc: tc})
 	}
 	owners := make([]transport.Addr, 0, len(byOwner))
 	for o := range byOwner {

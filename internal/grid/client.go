@@ -399,8 +399,8 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 			return
 		}
 	}
-	if routed, _, err := n.overlay.RouteJob(rt, jobID, p.cons); err == nil && !probed[routed] {
-		if n.statusKnown(rt, jobID, p, routed) {
+	if routed := n.overlay.RouteJobs(rt, []Profile{{ID: jobID, Cons: p.cons}})[0]; routed.Err == nil && !probed[routed.Owner] {
+		if n.statusKnown(rt, jobID, p, routed.Owner) {
 			return
 		}
 	}

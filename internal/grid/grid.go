@@ -360,11 +360,20 @@ type MatchStats struct {
 	WalkHops    int // random-walk hops
 }
 
-// Overlay routes a job to its owner node.
+// Overlay routes jobs to their owner nodes (DESIGN.md §11).
 type Overlay interface {
-	// RouteJob returns the owner's address for a job plus overlay hop
-	// count.
-	RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error)
+	// RouteJobs routes a batch of jobs by their ID and Cons: routes[i]
+	// answers jobs[i]. One job's failure is its own Err and leaves its
+	// batch-mates routed. A single job is a batch of one.
+	RouteJobs(rt transport.Runtime, jobs []Profile) []Route
+}
+
+// Route is one job's answer from Overlay.RouteJobs: its owner and the
+// overlay hops its route took, or the error that stopped it.
+type Route struct {
+	Owner transport.Addr
+	Hops  int
+	Err   error
 }
 
 // Matchmaker chooses a run node; it executes on the owner's host.

@@ -3,11 +3,11 @@ package grid_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/ids"
 	"repro/internal/nettransport"
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -25,11 +25,12 @@ import (
 // fixedOverlay routes every job to owner, or fails when owner is "".
 type fixedOverlay struct{ owner transport.Addr }
 
-func (o fixedOverlay) RouteJob(transport.Runtime, ids.ID, resource.Constraints) (transport.Addr, int, error) {
+func (o fixedOverlay) RouteJobs(_ transport.Runtime, jobs []grid.Profile) []grid.Route {
+	route := grid.Route{Owner: o.owner, Hops: 1}
 	if o.owner == "" {
-		return "", 0, errors.New("no live owner")
+		route = grid.Route{Err: errors.New("no live owner")}
 	}
-	return o.owner, 1, nil
+	return slices.Repeat([]grid.Route{route}, len(jobs))
 }
 
 // selfMatch assigns every job to the owner itself. The owner is never

@@ -473,11 +473,11 @@ func (n *Node) reassignOwner(rt transport.Runtime, prof Profile, deadOwner trans
 			return
 		}
 	}
-	newOwner, _, err := n.overlay.RouteJob(rt, prof.ID, prof.Cons)
-	if err != nil || newOwner == deadOwner {
+	routed := n.overlay.RouteJobs(rt, []Profile{prof})[0]
+	if routed.Err != nil || routed.Owner == deadOwner {
 		return // retry on a later heartbeat round
 	}
-	n.tryAdopt(rt, prof, newOwner, ckpt, tc)
+	n.tryAdopt(rt, prof, routed.Owner, ckpt, tc)
 }
 
 // tryAdopt offers a job to one adoption candidate (self-adopting

@@ -13,13 +13,13 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/can"
 	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/ids"
 	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/transport"
@@ -175,23 +175,37 @@ func (m *Central) FindRunNode(rt transport.Runtime, cons resource.Constraints, e
 
 // ChordOverlay routes jobs by GUID through Chord; with Walk set it
 // appends the RN-Tree's limited random walk after the initial mapping,
-// exactly as Section 3.1 describes.
+// exactly as Section 3.1 describes. A batch's lookups run in job order,
+// and then its walks run together (rntree.Node.RandomWalks).
 type ChordOverlay struct {
 	Chord *chord.Node
 	Walk  *rntree.Node
 }
 
-// RouteJob implements grid.Overlay.
-func (o *ChordOverlay) RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error) {
-	owner, hops, err := o.Chord.Lookup(rt, jobID)
-	if err != nil {
-		return "", hops, err
+// RouteJobs implements grid.Overlay.
+func (o *ChordOverlay) RouteJobs(rt transport.Runtime, jobs []grid.Profile) []grid.Route {
+	routes := make([]grid.Route, len(jobs))
+	var starts []chord.Ref
+	var walkers []int
+	for i, job := range jobs {
+		owner, hops, err := o.Chord.Lookup(rt, job.ID)
+		routes[i] = grid.Route{Hops: hops, Err: err}
+		if err != nil {
+			continue
+		}
+		routes[i].Owner = owner.Addr
+		starts = append(starts, owner)
+		walkers = append(walkers, i)
 	}
-	if o.Walk != nil {
-		end, walkHops := o.Walk.RandomWalkFrom(rt, owner)
-		return end.Addr, hops + walkHops, nil
+	if o.Walk == nil || len(starts) == 0 {
+		return routes
 	}
-	return owner.Addr, hops, nil
+	ends, hops := o.Walk.RandomWalks(rt, starts)
+	for k, i := range walkers {
+		routes[i].Owner = ends[k].Addr
+		routes[i].Hops += hops[k]
+	}
+	return routes
 }
 
 // CANOverlay routes jobs to the zone containing their requirement
@@ -200,14 +214,17 @@ type CANOverlay struct {
 	CAN *can.Node
 }
 
-// RouteJob implements grid.Overlay.
-func (o *CANOverlay) RouteJob(rt transport.Runtime, jobID ids.ID, cons resource.Constraints) (transport.Addr, int, error) {
-	pt := o.CAN.JobPoint(jobID, cons)
-	owner, hops, err := o.CAN.Route(rt, pt)
-	if err != nil {
-		return "", hops, err
+// RouteJobs implements grid.Overlay, one route per job in job order.
+func (o *CANOverlay) RouteJobs(rt transport.Runtime, jobs []grid.Profile) []grid.Route {
+	routes := make([]grid.Route, len(jobs))
+	for i, job := range jobs {
+		owner, hops, err := o.CAN.Route(rt, o.CAN.JobPoint(job.ID, job.Cons))
+		routes[i] = grid.Route{Hops: hops, Err: err}
+		if err == nil {
+			routes[i].Owner = owner.Addr
+		}
 	}
-	return owner.Addr, hops, nil
+	return routes
 }
 
 // StaticOverlay routes every job to one fixed owner (unit tests and
@@ -216,9 +233,9 @@ type StaticOverlay struct {
 	Owner transport.Addr
 }
 
-// RouteJob implements grid.Overlay.
-func (o *StaticOverlay) RouteJob(transport.Runtime, ids.ID, resource.Constraints) (transport.Addr, int, error) {
-	return o.Owner, 0, nil
+// RouteJobs implements grid.Overlay.
+func (o *StaticOverlay) RouteJobs(_ transport.Runtime, jobs []grid.Profile) []grid.Route {
+	return slices.Repeat([]grid.Route{{Owner: o.Owner}}, len(jobs))
 }
 
 func addrIn(list []transport.Addr, a transport.Addr) bool {

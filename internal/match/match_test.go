@@ -108,14 +108,14 @@ func TestChordOverlayRoutesDeterministically(t *testing.T) {
 	var owners []transport.Addr
 	for trial := 0; trial < 3; trial++ {
 		r.do(0, func(rt transport.Runtime) {
-			owner, hops, err := ov.RouteJob(rt, jobID, resource.Unconstrained)
-			if err != nil {
-				t.Fatalf("route: %v", err)
+			route := ov.RouteJobs(rt, []grid.Profile{{ID: jobID}})[0]
+			if route.Err != nil {
+				t.Fatalf("route: %v", route.Err)
 			}
-			if hops < 0 {
+			if route.Hops < 0 {
 				t.Fatal("negative hops")
 			}
-			owners = append(owners, owner)
+			owners = append(owners, route.Owner)
 		})
 	}
 	if owners[0] != owners[1] || owners[1] != owners[2] {
@@ -131,11 +131,11 @@ func TestChordOverlayWalkSpreadsOwners(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		jobID := ids.HashString(fmt.Sprintf("walk-job-%d", trial))
 		r.do(0, func(rt transport.Runtime) {
-			owner, _, err := ov.RouteJob(rt, jobID, resource.Unconstrained)
-			if err != nil {
-				t.Fatalf("route: %v", err)
+			route := ov.RouteJobs(rt, []grid.Profile{{ID: jobID}})[0]
+			if route.Err != nil {
+				t.Fatalf("route: %v", route.Err)
 			}
-			owners[owner] = true
+			owners[route.Owner] = true
 		})
 	}
 	if len(owners) < 5 {

@@ -36,6 +36,10 @@ const (
 	// randomWalkLen is the limited random walk applied after the
 	// initial DHT mapping of a job to its owner.
 	randomWalkLen = 3
+	// maxWalkBatch caps the draws one rnt.walk call may ask for. The
+	// count comes off the wire, so the handler refuses more rather than
+	// allocate what a peer asks for; a walker splits a larger group.
+	maxWalkBatch = 256
 	// maxVisits bounds the number of nodes one search may touch.
 	maxVisits = 64
 )
@@ -183,10 +187,13 @@ type (
 	ParentReq struct{}
 	// ParentResp carries it (zero for the root).
 	ParentResp struct{ Parent chord.Ref }
-	// WalkReq asks a node for a random overlay neighbor.
-	WalkReq struct{}
-	// WalkResp names it (possibly the node itself if isolated).
-	WalkResp struct{ Next chord.Ref }
+	// WalkReq asks a node for N random overlay neighbours, drawn
+	// independently: the next steps of N walks that reached it. N is 1
+	// to maxWalkBatch.
+	WalkReq struct{ N int }
+	// WalkResp names them, positionally (a zero entry when the node
+	// has no neighbours).
+	WalkResp struct{ Next []chord.Ref }
 )
 
 // Method names registered on the host.
@@ -459,53 +466,94 @@ func (n *Node) computeParent(rt transport.Runtime) (chord.Ref, error) {
 	}
 }
 
-// RandomWalk performs the limited random walk the paper applies after
-// the initial DHT mapping, returning the endpoint where matchmaking
-// should start.
-func (n *Node) RandomWalk(rt transport.Runtime) (chord.Ref, int) {
-	return n.RandomWalkFrom(rt, n.chord.Ref())
-}
-
-// RandomWalkFrom performs the limited random walk starting at an
-// arbitrary node (each remote step asks that node for one of its own
-// overlay neighbors). A step whose node does not answer ends the walk
-// at the node before it: a departed peer lingers in its neighbours'
-// tables for a while, and a walk that ended on it would hand its job to
-// a peer that is gone.
-func (n *Node) RandomWalkFrom(rt transport.Runtime, start chord.Ref) (chord.Ref, int) {
-	cur, prev := start, start
-	hops := 0
-	for i := 0; i < randomWalkLen; i++ {
-		var next chord.Ref
-		if cur.Addr == n.host.Addr() {
-			next = n.randomNeighbor(rt)
-		} else {
-			raw, err := rt.Call(cur.Addr, MWalk, WalkReq{})
-			if err != nil {
-				cur = prev
-				break
+// RandomWalks performs the limited random walk the paper applies after
+// the initial DHT mapping, for a batch of jobs at once: ends[i] is where
+// matchmaking for the job mapped to starts[i] should start, and hops[i]
+// is how many steps its walk took. The walks advance together in
+// randomWalkLen rounds. Each round groups the jobs still walking by
+// their current node, in address order: this node draws its own
+// group's steps from its routing state in job order, and every other
+// node gets one rnt.walk call asking for as many independent draws
+// from its own (more than maxWalkBatch split over several calls). A
+// batch of one sends the calls of a single walk, in the same order.
+// A node that does not answer ends each walk of its group at that
+// walk's own previous hop: a departed peer lingers in its neighbours'
+// tables for a while, and a walk that ended on it would hand its job
+// to a peer that is gone.
+func (n *Node) RandomWalks(rt transport.Runtime, starts []chord.Ref) ([]chord.Ref, []int) {
+	cur := slices.Clone(starts)
+	prev := slices.Clone(starts)
+	hops := make([]int, len(starts))
+	walking := slices.Repeat([]bool{true}, len(starts))
+	for round := 0; round < randomWalkLen; round++ {
+		groups := make(map[transport.Addr][]int)
+		for i, w := range walking {
+			if w {
+				groups[cur[i].Addr] = append(groups[cur[i].Addr], i)
 			}
-			next = raw.(WalkResp).Next
 		}
-		hops++
-		if next.IsZero() {
+		if len(groups) == 0 {
 			break
 		}
-		prev, cur = cur, next
+		addrs := make([]transport.Addr, 0, len(groups))
+		for a := range groups {
+			addrs = append(addrs, a)
+		}
+		slices.Sort(addrs)
+		for _, addr := range addrs {
+			group := groups[addr]
+			for len(group) > 0 {
+				part := group[:min(len(group), maxWalkBatch)]
+				group = group[len(part):]
+				steps, err := n.walkSteps(rt, addr, len(part))
+				for k, i := range part {
+					if err != nil || k >= len(steps) {
+						cur[i], walking[i] = prev[i], false
+						continue
+					}
+					hops[i]++
+					if steps[k].IsZero() {
+						walking[i] = false
+						continue
+					}
+					prev[i], cur[i] = cur[i], steps[k]
+				}
+			}
+		}
 	}
-	n.mWalkHops.Observe(float64(hops))
+	for _, h := range hops {
+		n.mWalkHops.Observe(float64(h))
+	}
 	return cur, hops
 }
 
-// randomNeighbor picks a uniformly random entry from the Chord routing
-// state (fingers spread across the ring make repeated steps mix fast).
-func (n *Node) randomNeighbor(rt transport.Runtime) chord.Ref {
+// walkSteps draws count next steps at addr: from this node's own
+// routing state, or by one rnt.walk call to that node.
+func (n *Node) walkSteps(rt transport.Runtime, addr transport.Addr, count int) ([]chord.Ref, error) {
+	if addr == n.host.Addr() {
+		return n.randomNeighbors(rt, count), nil
+	}
+	raw, err := rt.Call(addr, MWalk, WalkReq{N: count})
+	if err != nil {
+		return nil, err
+	}
+	return raw.(WalkResp).Next, nil
+}
+
+// randomNeighbors draws count entries from the Chord routing state,
+// each uniformly and independently (fingers spread across the ring make
+// repeated steps mix fast). With no neighbours every draw is zero.
+func (n *Node) randomNeighbors(rt transport.Runtime, count int) []chord.Ref {
 	var buf [32]chord.Ref
 	opts := n.chord.Neighbors(buf[:0])
+	out := make([]chord.Ref, count)
 	if len(opts) == 0 {
-		return chord.Ref{}
+		return out
 	}
-	return opts[rt.Rand().Intn(len(opts))]
+	for i := range out {
+		out[i] = opts[rt.Rand().Intn(len(opts))]
+	}
+	return out
 }
 
 // FindCandidates searches for nodes satisfying cons, starting from this
@@ -668,6 +716,12 @@ func (n *Node) handleParent(rt transport.Runtime, from transport.Addr, req any) 
 	return ParentResp{Parent: n.Parent()}, nil
 }
 
+// handleWalk answers N draws. N comes off the wire, so it is checked
+// before anything is allocated for it.
 func (n *Node) handleWalk(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	return WalkResp{Next: n.randomNeighbor(rt)}, nil
+	count := req.(WalkReq).N
+	if count < 1 || count > maxWalkBatch {
+		return nil, fmt.Errorf("rntree: walk of %d draws, want 1 to %d", count, maxWalkBatch)
+	}
+	return WalkResp{Next: n.randomNeighbors(rt, count)}, nil
 }

@@ -240,23 +240,39 @@ func TestSearchPruningLimitsVisits(t *testing.T) {
 	})
 }
 
+// TestRandomWalkTerminatesAndMoves walks batches of one and of 32 from
+// the same start: every walk stays within randomWalkLen hops, and the
+// walks leave the origin.
 func TestRandomWalkTerminatesAndMoves(t *testing.T) {
-	f := newForest(t, 32, 9, variedCaps)
-	defer f.e.Shutdown()
-	moved := 0
-	for trial := 0; trial < 10; trial++ {
-		f.do(0, func(rt transport.Runtime) {
-			end, hops := f.rns[0].RandomWalk(rt)
-			if hops > randomWalkLen {
-				t.Fatalf("walk took %d hops", hops)
+	for _, batch := range []int{1, 32} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			f := newForest(t, 32, 9, variedCaps)
+			defer f.e.Shutdown()
+			moved := 0
+			for trial := 0; trial < 10; trial++ {
+				f.do(0, func(rt transport.Runtime) {
+					starts := make([]chord.Ref, batch)
+					for i := range starts {
+						starts[i] = f.chs[0].Ref()
+					}
+					ends, hops := f.rns[0].RandomWalks(rt, starts)
+					if len(ends) != batch || len(hops) != batch {
+						t.Fatalf("%d starts gave %d ends and %d hop counts", batch, len(ends), len(hops))
+					}
+					for i, h := range hops {
+						if h > randomWalkLen {
+							t.Fatalf("walk %d took %d hops", i, h)
+						}
+						if ends[i].Addr != f.hosts[0].Addr() {
+							moved++
+						}
+					}
+				})
 			}
-			if end.Addr != f.hosts[0].Addr() {
-				moved++
+			if moved == 0 {
+				t.Fatal("random walk never left the origin in 10 trials")
 			}
 		})
-	}
-	if moved == 0 {
-		t.Fatal("random walk never left the origin in 10 trials")
 	}
 }
 
