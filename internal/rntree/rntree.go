@@ -4,7 +4,9 @@
 // resource summaries are aggregated up the tree periodically, and job
 // placement searches the tree with pruning, escalating to ancestors
 // only when the local subtree has no satisfactory candidate, collecting
-// at least k candidates ("extended search") for load balancing.
+// at least k candidates ("extended search") for load balancing. Every
+// search reply names the responder's parent, so an escalating search
+// climbs by those replies and never asks a node for its parent.
 //
 // Parent rule (reconstructed; see DESIGN.md): take the m-bit prefix of
 // the node's GUID and clear its lowest set bit; the parent is the Chord
@@ -16,8 +18,9 @@ package rntree
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -103,32 +106,16 @@ func (s Summary) merge(o Summary) Summary {
 }
 
 func mergeOSes(a, b []string) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	var out []string
-	for _, s := range append(append([]string{}, a...), b...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // mightSatisfy reports whether some node in the summarized subtree
 // could satisfy the constraints — the search pruning test.
 func (s Summary) mightSatisfy(c resource.Constraints) bool {
-	if c.OS != "" {
-		found := false
-		for _, os := range s.OSes {
-			if os == c.OS {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if c.OS != "" && !slices.Contains(s.OSes, c.OS) {
+		return false
 	}
 	for i, m := range c.Mask {
 		if m && s.MaxCaps[i] < c.Min[i] {
@@ -167,26 +154,24 @@ type (
 		Child chord.Ref
 		Sum   Summary
 	}
-	// UpdateResp acknowledges an UpdateReq; Reject tells the child the
-	// receiver is not its parent (stale routing).
-	UpdateResp struct{ Reject bool }
+	// UpdateResp acknowledges an UpdateReq.
+	UpdateResp struct{}
 	// SearchReq asks a node to search its subtree for candidates.
 	SearchReq struct {
 		Cons    resource.Constraints
 		K       int
 		Exclude transport.Addr // child subtree to skip (ancestor search)
-		Budget  int            // remaining visit budget
+		Budget  int            // remaining visit budget, at most maxVisits
 	}
-	// SearchResp returns discovered candidates and accounting.
+	// SearchResp returns discovered candidates and accounting, and the
+	// responder's parent (zero at the root): the next ancestor an
+	// escalating search asks.
 	SearchResp struct {
 		Cands  []Candidate
 		Visits int
 		RPCs   int
+		Parent chord.Ref
 	}
-	// ParentReq asks a node for its current parent.
-	ParentReq struct{}
-	// ParentResp carries it (zero for the root).
-	ParentResp struct{ Parent chord.Ref }
 	// WalkReq asks a node for N random overlay neighbours, drawn
 	// independently: the next steps of N walks that reached it. N is 1
 	// to maxWalkBatch.
@@ -200,10 +185,11 @@ type (
 const (
 	MUpdate = "rnt.update"
 	MSearch = "rnt.search"
-	MParent = "rnt.parent"
 	MWalk   = "rnt.walk"
 )
 
+// childEntry is a child's last report. An entry is replaced, never
+// changed, so a pointer to one may be read after the lock is released.
 type childEntry struct {
 	ref      chord.Ref
 	sum      Summary
@@ -266,7 +252,6 @@ func New(host transport.Host, ch *chord.Node, caps resource.Vector, os string, c
 	}
 	host.Handle(MUpdate, n.handleUpdate)
 	host.Handle(MSearch, n.handleSearch)
-	host.Handle(MParent, n.handleParent)
 	host.Handle(MWalk, n.handleWalk)
 	return n
 }
@@ -299,16 +284,7 @@ func (n *Node) Parent() chord.Ref {
 func (n *Node) Children() []transport.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sortedChildAddrsLocked()
-}
-
-func (n *Node) sortedChildAddrsLocked() []transport.Addr {
-	out := make([]transport.Addr, 0, len(n.children))
-	for a := range n.children {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(n.children))
 }
 
 // AwaitAttached parks until the tree has placed this node (a parent is
@@ -401,9 +377,8 @@ func (n *Node) aggregateLoop(rt transport.Runtime) {
 		if isRoot || parent.IsZero() || !(timed || dirty || moved) {
 			continue
 		}
-		raw, err := rt.Call(parent.Addr, MUpdate, UpdateReq{Child: n.chord.Ref(), Sum: sum})
-		if err != nil || raw.(UpdateResp).Reject {
-			// Parent unreachable or disavowed us: force recompute.
+		if _, err := rt.Call(parent.Addr, MUpdate, UpdateReq{Child: n.chord.Ref(), Sum: sum}); err != nil {
+			// Parent unreachable: force recompute.
 			n.mu.Lock()
 			n.parent = chord.Ref{}
 			n.isRoot = false
@@ -433,37 +408,35 @@ func (n *Node) awaitPrompt(rt transport.Runtime, wait bool) (stale, dirty, timed
 	return stale, dirty, timed
 }
 
-// computeParent applies the parent rule: clear the lowest set bit of
-// the m-bit GUID prefix (repeatedly, when the resulting identifier is
-// still owned by this node) and look up the owner. A zero return means
-// this node is the root.
-func (n *Node) computeParent(rt transport.Runtime) (chord.Ref, error) {
-	p := n.chord.ID().Prefix(prefixBits)
-	for {
-		if p == 0 {
-			// Owner of identifier zero: root if that is us.
-			owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(0, prefixBits))
-			if err != nil {
-				return chord.Ref{}, err
+// ancestorIDs lists the identifiers the parent rule tries for the node
+// whose GUID is id, nearest first: the m-bit prefix with its lowest set
+// bit cleared, repeatedly, down to 0 (only 0 when the prefix is 0). The
+// parent is the owner of the first one the node does not own itself; a
+// node that owns them all is the root.
+func ancestorIDs(id ids.ID) iter.Seq[ids.ID] {
+	return func(yield func(ids.ID) bool) {
+		for p := id.Prefix(prefixBits); ; {
+			p = ids.ClearLowestSetBit(p)
+			if !yield(ids.FromPrefix(p, prefixBits)) || p == 0 {
+				return
 			}
-			if owner.ID == n.chord.ID() {
-				return chord.Ref{}, nil
-			}
-			return owner, nil
 		}
-		p = ids.ClearLowestSetBit(p)
-		owner, _, err := n.chord.Lookup(rt, ids.FromPrefix(p, prefixBits))
+	}
+}
+
+// computeParent applies the parent rule through Chord lookups. A zero
+// return means this node is the root.
+func (n *Node) computeParent(rt transport.Runtime) (chord.Ref, error) {
+	for key := range ancestorIDs(n.chord.ID()) {
+		owner, _, err := n.chord.Lookup(rt, key)
 		if err != nil {
 			return chord.Ref{}, err
 		}
 		if owner.ID != n.chord.ID() {
 			return owner, nil
 		}
-		// We own the ancestor identifier too; keep climbing.
-		if p == 0 {
-			return chord.Ref{}, nil
-		}
 	}
+	return chord.Ref{}, nil
 }
 
 // RandomWalks performs the limited random walk the paper applies after
@@ -558,7 +531,10 @@ func (n *Node) randomNeighbors(rt transport.Runtime, count int) []chord.Ref {
 
 // FindCandidates searches for nodes satisfying cons, starting from this
 // node's subtree and escalating to ancestors while fewer than k
-// candidates are known and the root has not been reached.
+// candidates are known and the root has not been reached. The first
+// ancestor is this node's cached parent (computed now if the node is
+// unplaced); each ancestor's reply names the next. An ancestor that does
+// not answer ends the escalation.
 func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k int) ([]Candidate, SearchStats, error) {
 	if k <= 0 {
 		k = n.cfg.K
@@ -572,30 +548,38 @@ func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k
 	stats.RPCs += resp.RPCs
 	budget -= resp.Visits
 
-	// Escalate: ask ancestors to search their subtrees, excluding the
-	// child we arrived from.
-	cur := n.chord.Ref()
+	n.mu.Lock()
+	parent, unplaced := n.parent, n.parent.IsZero() && !n.isRoot
+	n.mu.Unlock()
+	cur := n.host.Addr()
 	for len(cands) < k && budget > 0 {
-		parent, err := n.parentOf(rt, cur)
-		if err != nil || parent.IsZero() {
+		if unplaced {
+			var err error
+			if parent, err = n.computeParent(rt); err != nil {
+				break
+			}
+			unplaced = false
+		}
+		if parent.IsZero() {
 			break
 		}
 		stats.Escalations++
 		raw, err := rt.Call(parent.Addr, MSearch, SearchReq{
 			Cons:    cons,
 			K:       k - len(cands),
-			Exclude: cur.Addr,
+			Exclude: cur,
 			Budget:  budget,
 		})
 		stats.RPCs++
-		if err == nil {
-			sr := raw.(SearchResp)
-			cands = dedupCands(append(cands, sr.Cands...))
-			stats.Visits += sr.Visits
-			stats.RPCs += sr.RPCs
-			budget -= sr.Visits
+		if err != nil {
+			break
 		}
-		cur = parent
+		sr := raw.(SearchResp)
+		cands = dedupCands(append(cands, sr.Cands...))
+		stats.Visits += sr.Visits
+		stats.RPCs += sr.RPCs
+		budget -= sr.Visits
+		cur, parent = parent.Addr, sr.Parent
 	}
 	n.mSearches.Inc()
 	n.mVisits.Observe(float64(stats.Visits))
@@ -605,25 +589,6 @@ func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k
 		return nil, stats, fmt.Errorf("%w: %s", ErrNoCandidate, cons)
 	}
 	return cands, stats, nil
-}
-
-// parentOf resolves a node's parent, locally for ourselves, over RPC
-// otherwise.
-func (n *Node) parentOf(rt transport.Runtime, node chord.Ref) (chord.Ref, error) {
-	if node.Addr == n.host.Addr() {
-		p := n.Parent()
-		if p.IsZero() {
-			// Parent may not be cached yet (before first aggregation
-			// round); compute it on demand.
-			return n.computeParent(rt)
-		}
-		return p, nil
-	}
-	raw, err := rt.Call(node.Addr, MParent, ParentReq{})
-	if err != nil {
-		return chord.Ref{}, err
-	}
-	return raw.(ParentResp).Parent, nil
 }
 
 // searchSubtree runs the subtree search rooted at this node: itself
@@ -640,24 +605,20 @@ func (n *Node) searchSubtree(rt transport.Runtime, req SearchReq) SearchResp {
 	}
 	budget := req.Budget - 1
 	n.mu.Lock()
-	type childSnap struct {
-		addr transport.Addr
-		sum  Summary
-	}
-	var snaps []childSnap
-	for _, addr := range n.sortedChildAddrsLocked() {
-		snaps = append(snaps, childSnap{addr, n.children[addr].sum})
+	var kids []*childEntry
+	for _, addr := range slices.Sorted(maps.Keys(n.children)) {
+		kids = append(kids, n.children[addr])
 	}
 	n.mu.Unlock()
 
-	for _, c := range snaps {
+	for _, c := range kids {
 		if len(resp.Cands) >= req.K || budget <= 0 {
 			break
 		}
-		if c.addr == req.Exclude || !c.sum.mightSatisfy(req.Cons) {
+		if c.ref.Addr == req.Exclude || !c.sum.mightSatisfy(req.Cons) {
 			continue
 		}
-		raw, err := rt.Call(c.addr, MSearch, SearchReq{
+		raw, err := rt.Call(c.ref.Addr, MSearch, SearchReq{
 			Cons:   req.Cons,
 			K:      req.K - len(resp.Cands),
 			Budget: budget,
@@ -708,12 +669,14 @@ func (n *Node) handleUpdate(rt transport.Runtime, from transport.Addr, req any) 
 	return UpdateResp{}, nil
 }
 
+// handleSearch searches this node's subtree and names its parent. The
+// budget comes off the wire, so it is held to maxVisits.
 func (n *Node) handleSearch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	return n.searchSubtree(rt, req.(SearchReq)), nil
-}
-
-func (n *Node) handleParent(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	return ParentResp{Parent: n.Parent()}, nil
+	r := req.(SearchReq)
+	r.Budget = min(r.Budget, maxVisits)
+	resp := n.searchSubtree(rt, r)
+	resp.Parent = n.Parent()
+	return resp, nil
 }
 
 // handleWalk answers N draws. N comes off the wire, so it is checked

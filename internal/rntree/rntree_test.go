@@ -24,13 +24,23 @@ type forest struct {
 }
 
 func newForest(t *testing.T, n int, seed int64, caps func(i int) (resource.Vector, string)) *forest {
+	addrs := make([]transport.Addr, n)
+	for i := range addrs {
+		addrs[i] = transport.Addr(fmt.Sprintf("n%03d", i))
+	}
+	return newForestAt(t, addrs, seed, caps)
+}
+
+// newForestAt is newForest with the nodes' addresses, and so their
+// GUIDs, given.
+func newForestAt(t *testing.T, addrs []transport.Addr, seed int64, caps func(i int) (resource.Vector, string)) *forest {
 	t.Helper()
 	e := sim.NewEngine(seed)
 	net := simnet.New(e)
 	net.Latency = simnet.UniformLatency{Min: 5 * time.Millisecond, Max: 20 * time.Millisecond}
 	f := &forest{e: e, net: net}
-	for i := 0; i < n; i++ {
-		h := net.NewEndpoint(transport.Addr(fmt.Sprintf("n%03d", i)))
+	for i, addr := range addrs {
+		h := net.NewEndpoint(addr)
 		ch := chord.New(h, chord.Config{})
 		cv, os := caps(i)
 		rn := New(h, ch, cv, os, Config{})

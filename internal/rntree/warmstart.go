@@ -29,37 +29,22 @@ func WarmStart(nodes []*Node, now time.Duration) *Node {
 
 	// Determine every node's parent with the global ownership map.
 	var root *Node
-	parentOf := make(map[*Node]*Node, len(nodes))
+	childrenOf := make(map[*Node][]*Node, len(nodes))
 	for _, n := range sorted {
-		p := n.chord.ID().Prefix(prefixBits)
 		var parent *Node
-		for {
-			if p == 0 {
-				owner := ownerOf(ids.FromPrefix(0, prefixBits))
-				if owner != n {
-					parent = owner
-				}
-				break
-			}
-			p = ids.ClearLowestSetBit(p)
-			owner := ownerOf(ids.FromPrefix(p, prefixBits))
-			if owner != n {
+		for key := range ancestorIDs(n.chord.ID()) {
+			if owner := ownerOf(key); owner != n {
 				parent = owner
 				break
 			}
 		}
+		n.mu.Lock()
+		n.parent, n.isRoot = chord.Ref{}, parent == nil
 		if parent == nil {
 			root = n
 		} else {
-			parentOf[n] = parent
-		}
-		n.mu.Lock()
-		if parent != nil {
 			n.parent = parent.chord.Ref()
-			n.isRoot = false
-		} else {
-			n.parent = chord.Ref{}
-			n.isRoot = true
+			childrenOf[parent] = append(childrenOf[parent], n)
 		}
 		n.children = make(map[transport.Addr]*childEntry)
 		n.mu.Unlock()
@@ -67,10 +52,6 @@ func WarmStart(nodes []*Node, now time.Duration) *Node {
 
 	// Compute exact subtree summaries bottom-up and install child
 	// entries on each parent.
-	childrenOf := make(map[*Node][]*Node, len(nodes))
-	for child, parent := range parentOf {
-		childrenOf[parent] = append(childrenOf[parent], child)
-	}
 	for _, kids := range childrenOf {
 		sort.Slice(kids, func(i, j int) bool { return kids[i].host.Addr() < kids[j].host.Addr() })
 	}

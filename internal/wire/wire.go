@@ -40,7 +40,7 @@ func Messages() []any {
 		chord.NotifyReq{}, chord.NotifyResp{}, chord.PingReq{}, chord.PingResp{},
 		// rntree
 		rntree.UpdateReq{}, rntree.UpdateResp{}, rntree.SearchReq{}, rntree.SearchResp{},
-		rntree.ParentReq{}, rntree.ParentResp{}, rntree.WalkReq{}, rntree.WalkResp{},
+		rntree.WalkReq{}, rntree.WalkResp{},
 		// can
 		can.StepReq{}, can.StepResp{}, can.JoinReq{}, can.JoinResp{},
 		can.GossipReq{}, can.GossipResp{}, can.MatchReq{}, can.MatchResp{},

@@ -39,7 +39,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 		chord.StepResp{Done: true, Owner: ref, Next: ref},
 		chord.StateResp{Self: ref, Pred: ref, Succs: []chord.Ref{ref, ref}},
 		rntree.SearchReq{Cons: cons, K: 4, Exclude: "x", Budget: 64},
-		rntree.SearchResp{Cands: []rntree.Candidate{{Ref: ref, Load: 3}}, Visits: 5, RPCs: 4},
+		rntree.SearchResp{Cands: []rntree.Candidate{{Ref: ref, Load: 3}}, Visits: 5, RPCs: 4, Parent: ref},
 		rntree.UpdateReq{Child: ref, Sum: rntree.Summary{
 			MaxCaps: resource.Vector{1, 2, 3}, MinLoad: 1, Nodes: 9, OSes: []string{"linux"},
 		}},
