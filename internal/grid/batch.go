@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -78,13 +79,15 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 	for _, owner := range owners {
 		group := byOwner[owner]
 		if owner == n.host.Addr() {
+			var took []ids.ID
 			for _, p := range group {
-				if err := n.ownJob(rt, p.prof, p.tc); err != nil {
-					setBatchErr(&results[p.idx], err)
+				if full := n.ownJob(rt, p.prof, p.tc, &took); full != nil {
+					results[p.idx].RetryAfterMS = full.After.Milliseconds()
 					continue
 				}
 				results[p.idx].Reps = n.replTargets()
 			}
+			n.startMatching(took)
 			continue
 		}
 		breq := OwnBatchReq{Items: make([]OwnReq, len(group))}
@@ -110,17 +113,6 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 	}
 	n.om.injectSecs.Observe((rt.Now() - began).Seconds())
 	return results
-}
-
-// setBatchErr renders a local ownJob failure into a positional result:
-// backpressure becomes the retry-after hint, anything else an opaque
-// per-item error string.
-func setBatchErr(res *InjectResult, err error) {
-	if ra, ok := err.(*RetryAfterError); ok {
-		res.RetryAfterMS = ra.After.Milliseconds()
-		return
-	}
-	res.Err = err.Error()
 }
 
 // handleInject serves the single-job wire method (gridctl submit, the

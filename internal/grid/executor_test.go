@@ -2,6 +2,7 @@ package grid_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/resource"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 )
@@ -17,13 +17,15 @@ import (
 // onlyNode matches every job to one run node.
 type onlyNode struct{ addr transport.Addr }
 
-func (m onlyNode) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	for _, x := range exclude {
-		if x == m.addr {
-			return "", grid.MatchStats{}, fmt.Errorf("onlyNode: %s excluded", m.addr)
+func (m onlyNode) FindRunNodes(_ transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		results[i].Run = m.addr
+		if slices.Contains(r.Exclude, m.addr) {
+			results[i] = grid.MatchResult{Err: fmt.Errorf("onlyNode: %s excluded", m.addr)}
 		}
 	}
-	return m.addr, grid.MatchStats{}, nil
+	return results
 }
 
 // oneRunNode builds a two-node cluster: n000 is client and owner, n001

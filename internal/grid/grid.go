@@ -376,9 +376,31 @@ type Route struct {
 	Err   error
 }
 
-// Matchmaker chooses a run node; it executes on the owner's host.
+// Matchmaker chooses run nodes; it executes on the owner's host
+// (DESIGN.md §11).
 type Matchmaker interface {
-	FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, MatchStats, error)
+	// FindRunNodes chooses a run node for each of a batch of jobs:
+	// results[i] answers reqs[i]. One job's failure is its own Err and
+	// leaves its batch-mates matched. An owner matches the jobs it took
+	// in one hand-off as one batch; a lone job (a rematch, an adoption,
+	// a voting replica) is a batch of one.
+	FindRunNodes(rt transport.Runtime, reqs []MatchReq) []MatchResult
+}
+
+// MatchReq is one job's matchmaking request: its constraints and the
+// run nodes it must not be given.
+type MatchReq struct {
+	Cons    resource.Constraints
+	Exclude []transport.Addr
+}
+
+// MatchResult is one job's answer from Matchmaker.FindRunNodes: the run
+// node chosen and what finding it cost, or the error that left the job
+// unmatched.
+type MatchResult struct {
+	Run   transport.Addr
+	Stats MatchStats
+	Err   error
 }
 
 // EventKind enumerates job lifecycle events.

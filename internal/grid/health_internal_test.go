@@ -46,28 +46,26 @@ func TestHandleHealthPassThrough(t *testing.T) {
 	}
 }
 
-// scriptMatcher returns the first scripted candidate not excluded,
-// recording each call's exclusion list.
+// scriptMatcher gives each job the first scripted candidate it does not
+// exclude, recording each job's exclusion list.
 type scriptMatcher struct {
 	cands    []transport.Addr
 	excluded [][]transport.Addr
 }
 
-func (m *scriptMatcher) FindRunNode(_ transport.Runtime, _ resource.Constraints, excl []transport.Addr) (transport.Addr, MatchStats, error) {
-	m.excluded = append(m.excluded, append([]transport.Addr(nil), excl...))
-	for _, c := range m.cands {
-		skip := false
-		for _, e := range excl {
-			if c == e {
-				skip = true
+func (m *scriptMatcher) FindRunNodes(_ transport.Runtime, reqs []MatchReq) []MatchResult {
+	results := make([]MatchResult, len(reqs))
+	for i, r := range reqs {
+		m.excluded = append(m.excluded, slices.Clone(r.Exclude))
+		results[i].Err = transport.ErrUnreachable
+		for _, c := range m.cands {
+			if !slices.Contains(r.Exclude, c) {
+				results[i] = MatchResult{Run: c}
 				break
 			}
 		}
-		if !skip {
-			return c, MatchStats{}, nil
-		}
 	}
-	return "", MatchStats{}, transport.ErrUnreachable
+	return results
 }
 
 // TestMatchAndAssignDemotesDown: the matcher's first pick has an open
@@ -116,7 +114,7 @@ func TestMatchAndAssignDemotesDown(t *testing.T) {
 			if job.vote != nil {
 				n.fillReplicas(rt, id)
 			} else {
-				n.matchAndAssign(rt, id)
+				n.matchAndAssign(rt, []ids.ID{id})
 			}
 
 			if !slices.Equal(assigned, tc.want) {

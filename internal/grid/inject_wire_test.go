@@ -37,8 +37,8 @@ func (o fixedOverlay) RouteJobs(_ transport.Runtime, jobs []grid.Profile) []grid
 // started, so the job sits in its run queue and stays owned.
 type selfMatch struct{ self transport.Addr }
 
-func (m selfMatch) FindRunNode(transport.Runtime, resource.Constraints, []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	return m.self, grid.MatchStats{}, nil
+func (m selfMatch) FindRunNodes(_ transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	return slices.Repeat([]grid.MatchResult{{Run: m.self}}, len(reqs))
 }
 
 // injectWireContract wires owner (capacity 1, cannot route) and

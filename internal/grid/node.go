@@ -2,6 +2,7 @@ package grid
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -503,17 +504,15 @@ func (n *Node) Restart() {
 func (n *Node) handleOwnBatch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	b := req.(OwnBatchReq)
 	out := make([]OwnResult, len(b.Items))
+	var took []ids.ID
 	for i, it := range b.Items {
-		if err := n.ownJob(rt, it.Prof, it.TC); err != nil {
-			var ra *RetryAfterError
-			if !errors.As(err, &ra) {
-				return nil, err
-			}
-			out[i].RetryAfterMS = ra.After.Milliseconds()
+		if full := n.ownJob(rt, it.Prof, it.TC, &took); full != nil {
+			out[i].RetryAfterMS = full.After.Milliseconds()
 			continue
 		}
 		out[i].Reps = n.replTargets()
 	}
+	n.startMatching(took)
 	return OwnBatchResp{Results: out}, nil
 }
 
@@ -525,7 +524,7 @@ const retryAfterBase = 500 * time.Millisecond
 // set and the owned map full, new injections are refused with a
 // retry-after hint scaled by how far past capacity demand is pushing.
 // Called under n.mu.
-func (n *Node) admitOwnLocked() error {
+func (n *Node) admitOwnLocked() *RetryAfterError {
 	if n.cfg.OwnerCapacity <= 0 || len(n.owned) < n.cfg.OwnerCapacity {
 		return nil
 	}
@@ -537,21 +536,23 @@ func (n *Node) admitOwnLocked() error {
 	return &RetryAfterError{After: after}
 }
 
-// ownJob records ownership and starts matchmaking asynchronously so the
-// injection path acknowledges quickly. It returns a *RetryAfterError
-// when the bounded inject queue is full (nothing recorded). Recovery
-// paths (adoption, promotion) do not come through here and are never
-// shed.
-func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC) error {
+// ownJob records ownership of one job of a hand-off so the injection
+// path acknowledges quickly, and appends the job to took when it waits
+// for the hand-off's match proc (startMatching); a voting job gets its
+// own filler at once. It refuses the job, recording nothing, only when
+// the bounded inject queue is full, and accepts a job it already owns
+// as it is. Recovery paths (adoption, promotion) do not come through
+// here and are never shed.
+func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids.ID) *RetryAfterError {
 	n.mu.Lock()
 	if _, dup := n.owned[prof.ID]; dup {
 		n.mu.Unlock()
 		return nil
 	}
-	if err := n.admitOwnLocked(); err != nil {
+	if full := n.admitOwnLocked(); full != nil {
 		n.mu.Unlock()
 		n.emit(tc, n.jobEvent(EvInjectRejected, prof, rt.Now()), "", "")
-		return err
+		return full
 	}
 	job := &ownedJob{prof: prof, lastHB: rt.Now(), matching: true, tc: tc}
 	if n.cfg.votingOn() {
@@ -570,76 +571,128 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC) error {
 		})
 		return nil
 	}
-	n.host.Go("grid.match", func(rt transport.Runtime) {
-		n.matchAndAssign(rt, prof.ID)
-	})
+	*took = append(*took, prof.ID)
 	return nil
 }
 
-// matchAndAssign chooses a run node for an owned job and hands the job
-// to it, retrying with exclusions on assignment failure.
-func (n *Node) matchAndAssign(rt transport.Runtime, jobID ids.ID) {
-	defer func() {
-		n.mu.Lock()
-		if job, ok := n.owned[jobID]; ok {
-			job.matching = false
-		}
-		n.mu.Unlock()
-	}()
-	// demoted: candidates whose breaker was open, left out for the rest
-	// of this round only (see placeOne).
-	var demoted []transport.Addr
-	for tries := 0; tries < n.cfg.MaxRematch; tries++ {
-		n.mu.Lock()
-		job, ok := n.owned[jobID]
-		if !ok {
-			n.mu.Unlock()
-			return
-		}
-		prof := job.prof
-		tc := job.tc
-		excluded := append([]transport.Addr(nil), job.excluded...)
-		excluded = append(excluded, demoted...)
-		ckpt := job.ckpt
-		n.mu.Unlock()
-
-		run, tc, res := n.placeOne(rt, jobID, prof, tc, ckpt, excluded)
-		switch res {
-		case skipped:
-			demoted = append(demoted, run)
-			continue
-		case refused:
-			n.republish(jobID)
-			continue
-		case unmatched:
-			continue
-		}
-		n.mu.Lock()
-		if job, ok := n.owned[jobID]; ok {
-			job.run = run
-			job.matched = true
-			job.lastHB = rt.Now()
-			job.tc = tc
-		}
-		n.mu.Unlock()
-		n.notifyTransition(rt.Now(), prof, EvMatched, run, 0)
-		n.republish(jobID)
+// startMatching spawns one grid.match proc for the jobs a hand-off took.
+func (n *Node) startMatching(jobIDs []ids.ID) {
+	if len(jobIDs) == 0 {
 		return
 	}
-	n.mu.Lock()
-	job, ok := n.owned[jobID]
-	var prof Profile
-	var tc obs.TC
-	if ok {
-		prof = job.prof
-		tc = job.tc
-		delete(n.owned, jobID)
+	n.host.Go("grid.match", func(rt transport.Runtime) {
+		n.matchAndAssign(rt, jobIDs)
+	})
+}
+
+// unplaced is one job of a matchAndAssign batch that is not placed yet:
+// what the round read of it, and the candidates whose breaker was open,
+// left out for the rest of this batch's rounds only (see placeOne).
+type unplaced struct {
+	id      ids.ID
+	prof    Profile
+	tc      obs.TC
+	ckpt    Checkpoint
+	demoted []transport.Addr
+}
+
+// matchAndAssign chooses run nodes for a batch of owned jobs and hands
+// each job to its own, in rounds: match the jobs still unplaced
+// together (one Matchmaker call), then place them in job order. A job
+// whose assignment fails is retried in the next round with the node
+// excluded, and a round that left any job unmatched sleeps
+// MatchRetryEvery once. A job still unplaced after MaxRematch rounds is
+// given up. A lone job (a rematch, an adoption) is a batch of one.
+func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
+	left := make([]*unplaced, len(jobIDs))
+	for i, id := range jobIDs {
+		left[i] = &unplaced{id: id}
 	}
-	n.mu.Unlock()
-	if ok {
-		n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
-		n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
-		n.retire(rt.Now(), jobID)
+	defer func() {
+		for _, u := range left {
+			n.stopMatching(u.id)
+		}
+	}()
+	for tries := 0; tries < n.cfg.MaxRematch && len(left) > 0; tries++ {
+		var reqs []MatchReq
+		var kept []*unplaced
+		n.mu.Lock()
+		for _, u := range left {
+			job, ok := n.owned[u.id]
+			if !ok {
+				continue
+			}
+			u.prof, u.tc, u.ckpt = job.prof, job.tc, job.ckpt
+			exclude := append(slices.Clone(job.excluded), u.demoted...)
+			reqs = append(reqs, MatchReq{Cons: u.prof.Cons, Exclude: exclude})
+			kept = append(kept, u)
+		}
+		n.mu.Unlock()
+		left = kept
+		if len(left) == 0 {
+			return
+		}
+
+		results := n.matcher.FindRunNodes(rt, reqs)
+		unmatchedAny := false
+		kept = nil
+		for k, u := range left {
+			run := results[k].Run
+			tc, res := n.placeOne(rt, u.id, u.prof, u.tc, u.ckpt, results[k])
+			switch res {
+			case skipped:
+				u.demoted = append(u.demoted, run)
+			case refused:
+				n.republish(u.id)
+			case unmatched:
+				unmatchedAny = true
+			case placed:
+				n.mu.Lock()
+				if job, ok := n.owned[u.id]; ok {
+					job.run = run
+					job.matched = true
+					job.lastHB = rt.Now()
+					job.tc = tc
+				}
+				n.mu.Unlock()
+				n.notifyTransition(rt.Now(), u.prof, EvMatched, run, 0)
+				n.republish(u.id)
+				n.stopMatching(u.id)
+				continue
+			}
+			kept = append(kept, u)
+		}
+		left = kept
+		if unmatchedAny {
+			rt.Sleep(n.cfg.MatchRetryEvery)
+		}
+	}
+	for _, u := range left {
+		n.mu.Lock()
+		job, ok := n.owned[u.id]
+		var prof Profile
+		var tc obs.TC
+		if ok {
+			prof = job.prof
+			tc = job.tc
+			delete(n.owned, u.id)
+		}
+		n.mu.Unlock()
+		if ok {
+			n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
+			n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
+			n.retire(rt.Now(), u.id)
+		}
+	}
+}
+
+// stopMatching clears an owned job's matching mark: no match proc
+// drives it any more, and the monitor may rematch it.
+func (n *Node) stopMatching(jobID ids.ID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if job, ok := n.owned[jobID]; ok {
+		job.matching = false
 	}
 }
 
@@ -648,29 +701,30 @@ type placement int
 
 const (
 	placed    placement = iota // the candidate acknowledged the assignment
-	unmatched                  // the matcher found nobody; the step slept MatchRetryEvery
+	unmatched                  // the matcher found nobody
 	skipped                    // the candidate's breaker is open
 	refused                    // the assignment failed; the candidate is on job.excluded
 )
 
 // placeOne is one candidate step of matchAndAssign and fillReplicas:
-// match a run node outside exclude, skip it if its transport breaker
-// is open, trace "assigning", assign locally or by RPC, and emit
-// EvMatched. Only a real assign failure records the candidate on the
-// job's exclusions. A skipped one is left out for the caller's round
-// only, so a peer is eligible again the moment its circuit closes; a
-// skip spends no assignment attempt and no call timeout.
-func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs.TC, ckpt Checkpoint, exclude []transport.Addr) (transport.Addr, obs.TC, placement) {
-	run, stats, err := n.matcher.FindRunNode(rt, prof.Cons, exclude)
-	if err != nil {
+// given the job's match, emit EvMatchFailed if there is none (the
+// caller sleeps MatchRetryEvery before it matches again), skip the
+// candidate if its transport breaker is open, trace "assigning",
+// assign locally or by RPC, and emit EvMatched. Only a real assign
+// failure records the candidate on the job's exclusions. A skipped one
+// is left out for the caller's rounds only, so a peer is eligible again
+// the moment its circuit closes; a skip spends no assignment attempt
+// and no call timeout.
+func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs.TC, ckpt Checkpoint, m MatchResult) (obs.TC, placement) {
+	run, stats := m.Run, m.Stats
+	if m.Err != nil {
 		ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
 		ev.Match = stats
 		n.emit(tc, ev, "", "")
-		rt.Sleep(n.cfg.MatchRetryEvery)
-		return "", tc, unmatched
+		return tc, unmatched
 	}
 	if n.peerDown(run) {
-		return run, tc, skipped
+		return tc, skipped
 	}
 	// The "assigning" trace step is recorded before the assignment so
 	// the run node's "enqueued" hop sorts strictly after it; "matched"
@@ -689,12 +743,12 @@ func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs
 			job.excluded = append(job.excluded, run)
 		}
 		n.mu.Unlock()
-		return run, tc, refused
+		return tc, refused
 	}
 	ev := n.jobEvent(EvMatched, prof, rt.Now())
 	ev.Match = stats
 	tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
-	return run, tc, placed
+	return tc, placed
 }
 
 // ownerMonitorLoop watches heartbeats of owned jobs and rematches jobs
@@ -771,7 +825,7 @@ func (n *Node) monitorTick(rt transport.Runtime) {
 		n.republish(d.id)
 		id := d.id
 		n.host.Go("grid.rematch", func(rt transport.Runtime) {
-			n.matchAndAssign(rt, id)
+			n.matchAndAssign(rt, []ids.ID{id})
 		})
 	}
 	for _, id := range fills {

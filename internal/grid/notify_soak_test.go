@@ -2,6 +2,7 @@ package grid_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,27 +42,23 @@ type notifyCluster struct {
 // here must be a pure function of grid state.
 type firstCentral struct{ reg *match.Registry }
 
-func (m *firstCentral) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	var best transport.Addr
-	bestLoad := -1
-	for _, e := range m.reg.Snapshot() { // sorted by address
-		skip := !e.Entry.Up()
-		for _, x := range exclude {
-			if x == e.Addr {
-				skip = true
+func (m *firstCentral) FindRunNodes(_ transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		bestLoad := -1
+		for _, e := range m.reg.Snapshot() { // sorted by address
+			if !e.Entry.Up() || slices.Contains(r.Exclude, e.Addr) || !r.Cons.SatisfiedBy(e.Entry.Caps, e.Entry.OS) {
+				continue
+			}
+			if load := e.Entry.Load(); bestLoad < 0 || load < bestLoad {
+				results[i].Run, bestLoad = e.Addr, load
 			}
 		}
-		if skip || !cons.SatisfiedBy(e.Entry.Caps, e.Entry.OS) {
-			continue
-		}
-		if load := e.Entry.Load(); bestLoad < 0 || load < bestLoad {
-			best, bestLoad = e.Addr, load
+		if bestLoad < 0 {
+			results[i].Err = fmt.Errorf("firstCentral: no satisfying node for %s", r.Cons)
 		}
 	}
-	if bestLoad < 0 {
-		return "", grid.MatchStats{}, fmt.Errorf("firstCentral: no satisfying node for %s", cons)
-	}
-	return best, grid.MatchStats{}, nil
+	return results
 }
 
 func newNotifyCluster(t *testing.T, n int, seed int64, cfg grid.Config, wired bool) *notifyCluster {

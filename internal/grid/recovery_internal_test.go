@@ -10,6 +10,7 @@ package grid
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,8 +57,8 @@ func (h *stubHost) Up() bool { return true }
 
 type stubMatcher struct{}
 
-func (stubMatcher) FindRunNode(transport.Runtime, resource.Constraints, []transport.Addr) (transport.Addr, MatchStats, error) {
-	return "", MatchStats{}, errors.New("no candidates")
+func (stubMatcher) FindRunNodes(_ transport.Runtime, reqs []MatchReq) []MatchResult {
+	return slices.Repeat([]MatchResult{{Err: errors.New("no candidates")}}, len(reqs))
 }
 
 func newStubNode(rec Recorder, cfg Config) (*Node, *stubHost) {

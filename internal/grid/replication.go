@@ -146,7 +146,7 @@ func (n *Node) onReplicaOwn(rt transport.Runtime, rec replpkg.Record, promoted b
 			proc, spawn = "grid.reattach", func(rt transport.Runtime) { n.reattachRun(rt, or.Prof.ID) }
 		} else {
 			job.matching = true
-			proc, spawn = "grid.rematch", func(rt transport.Runtime) { n.matchAndAssign(rt, or.Prof.ID) }
+			proc, spawn = "grid.rematch", func(rt transport.Runtime) { n.matchAndAssign(rt, []ids.ID{or.Prof.ID}) }
 		}
 	}
 	n.owned[or.Prof.ID] = job
@@ -216,7 +216,7 @@ func (n *Node) reattachRun(rt transport.Runtime, jobID ids.ID) {
 	}
 	n.mu.Unlock()
 	n.republish(jobID)
-	n.matchAndAssign(rt, jobID)
+	n.matchAndAssign(rt, []ids.ID{jobID})
 }
 
 // onReplicaFenced is the replica subsystem's demotion callback: a newer

@@ -193,11 +193,17 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 		exclude = append(exclude, demoted...)
 		n.mu.Unlock()
 
-		run, tc, res := n.placeOne(rt, jobID, prof, tc, Checkpoint{}, exclude)
-		if res == skipped {
+		m := n.matcher.FindRunNodes(rt, []MatchReq{{Cons: prof.Cons, Exclude: exclude}})[0]
+		run := m.Run
+		tc, res := n.placeOne(rt, jobID, prof, tc, Checkpoint{}, m)
+		switch res {
+		case unmatched:
+			rt.Sleep(n.cfg.MatchRetryEvery)
+			continue
+		case skipped:
 			demoted = append(demoted, run)
-		}
-		if res != placed {
+			continue
+		case refused:
 			continue
 		}
 		n.mu.Lock()

@@ -32,34 +32,49 @@ type RNTree struct {
 	RN *rntree.Node
 }
 
-// FindRunNode implements grid.Matchmaker: search the tree for its
-// extended-search target of candidates and pick the least loaded that
-// is not excluded.
-func (m *RNTree) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	cands, st, err := m.RN.FindCandidates(rt, cons, m.RN.K()+len(exclude))
-	stats := grid.MatchStats{
-		Hops:        st.RPCs,
-		Visits:      st.Visits,
-		Escalations: st.Escalations,
-		WalkHops:    st.WalkHops,
+// FindRunNodes implements grid.Matchmaker: search the tree for each
+// job's extended-search target of candidates, the whole batch in one
+// search (rntree.Node.FindCandidatesAll), and pick for each job in
+// order the least loaded candidate that it does not exclude. A pick
+// adds one to that candidate's load for the batch-mates after it:
+// jobs that saw the same loads would otherwise all land on one node.
+func (m *RNTree) FindRunNodes(rt transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	qs := make([]rntree.Query, len(reqs))
+	for i, r := range reqs {
+		qs[i] = rntree.Query{Cons: r.Cons, K: m.RN.K() + len(r.Exclude)}
 	}
-	if err != nil {
-		return "", stats, err
-	}
-	best := rntree.Candidate{}
-	found := false
-	for _, c := range cands {
-		if addrIn(exclude, c.Ref.Addr) {
+	results := make([]grid.MatchResult, len(reqs))
+	picked := make(map[transport.Addr]int)
+	for i, f := range m.RN.FindCandidatesAll(rt, qs) {
+		res := &results[i]
+		res.Stats = grid.MatchStats{
+			Hops:        f.Stats.RPCs,
+			Visits:      f.Stats.Visits,
+			Escalations: f.Stats.Escalations,
+			WalkHops:    f.Stats.WalkHops,
+		}
+		if f.Err != nil {
+			res.Err = f.Err
 			continue
 		}
-		if !found || c.Load < best.Load || (c.Load == best.Load && c.Ref.Addr < best.Ref.Addr) {
-			best, found = c, true
+		best, bestLoad, found := transport.Addr(""), 0, false
+		for _, c := range f.Cands {
+			if addrIn(reqs[i].Exclude, c.Ref.Addr) {
+				continue
+			}
+			load := c.Load + picked[c.Ref.Addr]
+			if !found || load < bestLoad || (load == bestLoad && c.Ref.Addr < best) {
+				best, bestLoad, found = c.Ref.Addr, load, true
+			}
 		}
+		if !found {
+			res.Err = fmt.Errorf("rntree: all %d candidates excluded", len(f.Cands))
+			continue
+		}
+		picked[best]++
+		res.Run = best
 	}
-	if !found {
-		return "", stats, fmt.Errorf("rntree: all %d candidates excluded", len(cands))
-	}
-	return best.Ref.Addr, stats, nil
+	return results
 }
 
 // --- CAN ---
@@ -71,14 +86,18 @@ type CAN struct {
 	Push bool
 }
 
-// FindRunNode implements grid.Matchmaker.
-func (m *CAN) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	run, st, err := m.CN.FindRunNode(rt, cons, exclude, m.Push)
-	stats := grid.MatchStats{Hops: st.Hops, Pushes: st.Pushes, Visits: st.Visits}
-	if err != nil {
-		return "", stats, err
+// FindRunNodes implements grid.Matchmaker, one CAN match per job in
+// job order.
+func (m *CAN) FindRunNodes(rt transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		run, st, err := m.CN.FindRunNode(rt, r.Cons, r.Exclude, m.Push)
+		results[i] = grid.MatchResult{Stats: grid.MatchStats{Hops: st.Hops, Pushes: st.Pushes, Visits: st.Visits}, Err: err}
+		if err == nil {
+			results[i].Run = run.Addr
+		}
 	}
-	return run.Addr, stats, nil
+	return results
 }
 
 // --- Centralized baseline ---
@@ -143,11 +162,20 @@ type Central struct {
 	Reg *Registry
 }
 
-// FindRunNode implements grid.Matchmaker: scan the global view for the
-// least-loaded live nodes satisfying the constraints, breaking ties
-// uniformly at random (deterministic tie-breaking would pile work onto
-// the alphabetically-first idle node).
-func (m *Central) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
+// FindRunNodes implements grid.Matchmaker: for each job in order, scan
+// the global view for the least-loaded live nodes satisfying its
+// constraints, breaking ties uniformly at random (deterministic
+// tie-breaking would pile work onto the alphabetically-first idle
+// node).
+func (m *Central) FindRunNodes(rt transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		results[i].Run, results[i].Err = m.findRunNode(rt, r.Cons, r.Exclude)
+	}
+	return results
+}
+
+func (m *Central) findRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, error) {
 	var best []transport.Addr
 	bestLoad := 0
 	for _, e := range m.Reg.Snapshot() {
@@ -166,9 +194,9 @@ func (m *Central) FindRunNode(rt transport.Runtime, cons resource.Constraints, e
 		}
 	}
 	if len(best) == 0 {
-		return "", grid.MatchStats{}, fmt.Errorf("central: no satisfying node for %s", cons)
+		return "", fmt.Errorf("central: no satisfying node for %s", cons)
 	}
-	return best[rt.Rand().Intn(len(best))], grid.MatchStats{}, nil
+	return best[rt.Rand().Intn(len(best))], nil
 }
 
 // --- overlays ---

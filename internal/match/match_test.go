@@ -2,6 +2,7 @@ package match_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,6 +48,12 @@ func newRig(t *testing.T, n int, seed int64, cfg rntree.Config, caps func(i int)
 	return r
 }
 
+// findOne asks m to match one job: a batch of one.
+func findOne(m grid.Matchmaker, rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
+	r := m.FindRunNodes(rt, []grid.MatchReq{{Cons: cons, Exclude: exclude}})[0]
+	return r.Run, r.Stats, r.Err
+}
+
 func (r *rig) do(i int, fn func(rt transport.Runtime)) {
 	done := false
 	r.hosts[i].Go("test", func(rt transport.Runtime) {
@@ -69,7 +76,7 @@ func TestRNTreeMatchmakerPicksLeastLoaded(t *testing.T) {
 	rntree.WarmStart(r.rns, 0)
 	m := &match.RNTree{RN: r.rns[3]}
 	r.do(3, func(rt transport.Runtime) {
-		addr, stats, err := m.FindRunNode(rt, resource.Unconstrained, nil)
+		addr, stats, err := findOne(m, rt, resource.Unconstrained, nil)
 		if err != nil {
 			t.Fatalf("find: %v", err)
 		}
@@ -86,11 +93,11 @@ func TestRNTreeMatchmakerHonorsExclude(t *testing.T) {
 	var first transport.Addr
 	r.do(0, func(rt transport.Runtime) {
 		var err error
-		first, _, err = m.FindRunNode(rt, resource.Unconstrained, nil)
+		first, _, err = findOne(m, rt, resource.Unconstrained, nil)
 		if err != nil {
 			t.Fatalf("find: %v", err)
 		}
-		second, _, err := m.FindRunNode(rt, resource.Unconstrained, []transport.Addr{first})
+		second, _, err := findOne(m, rt, resource.Unconstrained, []transport.Addr{first})
 		if err != nil {
 			t.Fatalf("find excluded: %v", err)
 		}
@@ -177,16 +184,16 @@ func TestCentralSkipsDownAndUnsatisfying(t *testing.T) {
 	done := false
 	h.Go("t", func(rt transport.Runtime) {
 		defer func() { done = true }()
-		addr, _, err := c.FindRunNode(rt, resource.Unconstrained.Require(resource.CPU, 4), nil)
+		addr, _, err := findOne(c, rt, resource.Unconstrained.Require(resource.CPU, 4), nil)
 		if err != nil || addr != "ok" {
 			t.Errorf("addr=%s err=%v", addr, err)
 		}
 		// Nothing satisfies cpu>=20.
-		if _, _, err := c.FindRunNode(rt, resource.Unconstrained.Require(resource.CPU, 20), nil); err == nil {
+		if _, _, err := findOne(c, rt, resource.Unconstrained.Require(resource.CPU, 20), nil); err == nil {
 			t.Error("impossible constraint satisfied")
 		}
 		// Excluding the only candidate fails.
-		if _, _, err := c.FindRunNode(rt, resource.Unconstrained.Require(resource.CPU, 4), []transport.Addr{"ok"}); err == nil {
+		if _, _, err := findOne(c, rt, resource.Unconstrained.Require(resource.CPU, 4), []transport.Addr{"ok"}); err == nil {
 			t.Error("excluded-only candidate chosen")
 		}
 	})
@@ -228,10 +235,10 @@ func TestTTLFindsCommonMissesRare(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		src := (trial * 5) % n
 		r.do(src, func(rt transport.Runtime) {
-			if _, _, err := mkTTL(src).FindRunNode(rt, common, nil); err == nil {
+			if _, _, err := findOne(mkTTL(src), rt, common, nil); err == nil {
 				foundCommon++
 			}
-			if _, _, err := mkTTL(src).FindRunNode(rt, rare, nil); err == nil {
+			if _, _, err := findOne(mkTTL(src), rt, rare, nil); err == nil {
 				foundRare++
 			}
 		})
@@ -245,22 +252,28 @@ func TestTTLFindsCommonMissesRare(t *testing.T) {
 	t.Logf("rare found %d/10 with budget 6", foundRare)
 }
 
-// scriptedMatcher returns preset candidates in order, recording the
-// exclusions it saw.
+// scriptedMatcher returns preset candidates in order, one per job,
+// recording the exclusions it saw and counting its calls.
 type scriptedMatcher struct {
 	picks    []transport.Addr
 	i        int
 	excludes [][]transport.Addr
+	calls    int
 }
 
-func (s *scriptedMatcher) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	s.excludes = append(s.excludes, append([]transport.Addr(nil), exclude...))
-	if s.i >= len(s.picks) {
-		return "", grid.MatchStats{}, fmt.Errorf("no candidate")
+func (s *scriptedMatcher) FindRunNodes(_ transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	s.calls++
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		s.excludes = append(s.excludes, slices.Clone(r.Exclude))
+		if s.i >= len(s.picks) {
+			results[i].Err = fmt.Errorf("no candidate")
+			continue
+		}
+		results[i] = grid.MatchResult{Run: s.picks[s.i], Stats: grid.MatchStats{Hops: 1}}
+		s.i++
 	}
-	p := s.picks[s.i]
-	s.i++
-	return p, grid.MatchStats{Hops: 1}, nil
+	return results
 }
 
 func TestTrustedExcludesBlacklisted(t *testing.T) {
@@ -270,9 +283,9 @@ func TestTrustedExcludesBlacklisted(t *testing.T) {
 	}
 	inner := &scriptedMatcher{picks: []transport.Addr{"good"}}
 	m := &match.Trusted{Inner: inner, Table: tb}
-	run, _, err := m.FindRunNode(nil, resource.Constraints{}, []transport.Addr{"held"})
+	run, _, err := findOne(m, nil, resource.Constraints{}, []transport.Addr{"held"})
 	if err != nil || run != "good" {
-		t.Fatalf("FindRunNode = (%v, %v)", run, err)
+		t.Fatalf("findOne = (%v, %v)", run, err)
 	}
 	saw := inner.excludes[0]
 	if len(saw) != 2 || saw[0] != "held" || saw[1] != "bad" {
@@ -285,9 +298,9 @@ func TestTrustedRetriesSuspectCandidate(t *testing.T) {
 	tb.Disagree("shady") // 0.2: below neutral, above blacklist
 	inner := &scriptedMatcher{picks: []transport.Addr{"shady", "clean"}}
 	m := &match.Trusted{Inner: inner, Table: tb}
-	run, stats, err := m.FindRunNode(nil, resource.Constraints{}, nil)
+	run, stats, err := findOne(m, nil, resource.Constraints{}, nil)
 	if err != nil || run != "clean" {
-		t.Fatalf("FindRunNode = (%v, %v), want clean", run, err)
+		t.Fatalf("findOne = (%v, %v), want clean", run, err)
 	}
 	if stats.Hops != 2 {
 		t.Fatalf("stats not combined across retry: %+v", stats)
@@ -302,8 +315,65 @@ func TestTrustedKeepsSuspectWhenNoBetter(t *testing.T) {
 	tb.Disagree("shady")
 	inner := &scriptedMatcher{picks: []transport.Addr{"shady"}} // retry fails
 	m := &match.Trusted{Inner: inner, Table: tb}
-	run, _, err := m.FindRunNode(nil, resource.Constraints{}, nil)
+	run, _, err := findOne(m, nil, resource.Constraints{}, nil)
 	if err != nil || run != "shady" {
-		t.Fatalf("FindRunNode = (%v, %v), want the suspect as fallback", run, err)
+		t.Fatalf("findOne = (%v, %v), want the suspect as fallback", run, err)
 	}
+}
+
+// TestTrustedRetriesSuspectsInOneSubBatch: in a batch of three, the two
+// jobs whose picks are suspects are matched again together, in one
+// more call of the wrapped matchmaker, and each takes its better-reputed
+// alternative; the clean pick stands.
+func TestTrustedRetriesSuspectsInOneSubBatch(t *testing.T) {
+	tb := trust.New()
+	tb.Disagree("shady")
+	tb.Disagree("shady2")
+	inner := &scriptedMatcher{picks: []transport.Addr{"shady", "clean", "shady2", "alt", "alt2"}}
+	m := &match.Trusted{Inner: inner, Table: tb}
+	results := m.FindRunNodes(nil, make([]grid.MatchReq, 3))
+	var runs []transport.Addr
+	for _, r := range results {
+		runs = append(runs, r.Run)
+	}
+	if want := []transport.Addr{"alt", "clean", "alt2"}; !slices.Equal(runs, want) {
+		t.Fatalf("runs %v, want %v", runs, want)
+	}
+	if inner.calls != 2 {
+		t.Fatalf("the wrapped matchmaker was called %d times, want 2", inner.calls)
+	}
+	if got := inner.excludes[3:]; len(got) != 2 || !slices.Equal(got[0], []transport.Addr{"shady"}) || !slices.Equal(got[1], []transport.Addr{"shady2"}) {
+		t.Fatalf("retry exclusions %v, want [shady] and [shady2]", got)
+	}
+}
+
+// TestRNTreeBatchSpreadsPicks: a batch of 13 jobs searched from one node
+// sees the same candidates, all at load 0. Each pick adds one to its
+// candidate's load for the jobs after it, so the picks spread: no
+// candidate gets more than its share, rounded up.
+func TestRNTreeBatchSpreadsPicks(t *testing.T) {
+	const jobs = 13
+	r := newRig(t, 16, 6, rntree.Config{K: 4}, func(i int) resource.Vector { return resource.Vector{5, 1024, 50} })
+	defer r.e.Shutdown()
+	m := &match.RNTree{RN: r.rns[0]}
+	r.do(0, func(rt transport.Runtime) {
+		cands, _, err := r.rns[0].FindCandidates(rt, resource.Unconstrained, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		picks := map[transport.Addr]int{}
+		for i, res := range m.FindRunNodes(rt, slices.Repeat([]grid.MatchReq{{Cons: resource.Unconstrained}}, jobs)) {
+			if res.Err != nil {
+				t.Fatalf("job %d: %v", i, res.Err)
+			}
+			picks[res.Run]++
+		}
+		share := (jobs + len(cands) - 1) / len(cands)
+		for run, n := range picks {
+			if n > share {
+				t.Errorf("%s got %d of %d jobs, want at most %d (%d candidates)", run, n, jobs, share, len(cands))
+			}
+		}
+		t.Logf("%d jobs on %d candidates: %v", jobs, len(cands), picks)
+	})
 }

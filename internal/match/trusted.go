@@ -1,8 +1,9 @@
 package match
 
 import (
+	"slices"
+
 	"repro/internal/grid"
-	"repro/internal/resource"
 	"repro/internal/transport"
 	"repro/internal/trust"
 )
@@ -18,29 +19,46 @@ type Trusted struct {
 	Table *trust.Table
 }
 
-// FindRunNode implements grid.Matchmaker.
-func (m *Trusted) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
-	if m.Table != nil {
-		exclude = append(append([]transport.Addr(nil), exclude...), m.Table.BlacklistedPeers()...)
+// FindRunNodes implements grid.Matchmaker. The jobs whose pick is a
+// suspect are matched again together, in one sub-batch.
+func (m *Trusted) FindRunNodes(rt transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	if m.Table == nil {
+		return m.Inner.FindRunNodes(rt, reqs)
 	}
-	run, stats, err := m.Inner.FindRunNode(rt, cons, exclude)
-	if err != nil || m.Table == nil {
-		return run, stats, err
+	black := m.Table.BlacklistedPeers()
+	reqs = slices.Clone(reqs)
+	for i := range reqs {
+		reqs[i].Exclude = slices.Concat(reqs[i].Exclude, black)
 	}
-	score := m.Table.Score(run)
-	if score >= m.Table.InitialScore() {
-		return run, stats, nil
-	}
-	// Suspect (below neutral, not yet blacklisted): look once for a
+	results := m.Inner.FindRunNodes(rt, reqs)
+	// Suspects (below neutral, not yet blacklisted): look once for a
 	// better-reputed alternative, keeping the suspect as fallback.
-	alt, altStats, altErr := m.Inner.FindRunNode(rt, cons, append(exclude, run))
-	stats.Hops += altStats.Hops
-	stats.Visits += altStats.Visits
-	stats.Pushes += altStats.Pushes
-	stats.Escalations += altStats.Escalations
-	stats.WalkHops += altStats.WalkHops
-	if altErr == nil && m.Table.Score(alt) > score {
-		return alt, stats, nil
+	var suspects []int
+	var scores []float64
+	var retry []grid.MatchReq
+	for i, r := range results {
+		if r.Err != nil {
+			continue
+		}
+		if score := m.Table.Score(r.Run); score < m.Table.InitialScore() {
+			suspects = append(suspects, i)
+			scores = append(scores, score)
+			retry = append(retry, grid.MatchReq{Cons: reqs[i].Cons, Exclude: slices.Concat(reqs[i].Exclude, []transport.Addr{r.Run})})
+		}
 	}
-	return run, stats, nil
+	if len(retry) == 0 {
+		return results
+	}
+	for k, alt := range m.Inner.FindRunNodes(rt, retry) {
+		res := &results[suspects[k]]
+		res.Stats.Hops += alt.Stats.Hops
+		res.Stats.Visits += alt.Stats.Visits
+		res.Stats.Pushes += alt.Stats.Pushes
+		res.Stats.Escalations += alt.Stats.Escalations
+		res.Stats.WalkHops += alt.Stats.WalkHops
+		if alt.Err == nil && m.Table.Score(alt.Run) > scores[k] {
+			res.Run = alt.Run
+		}
+	}
+	return results
 }

@@ -62,10 +62,19 @@ type TTL struct {
 	Budget int
 }
 
-// FindRunNode implements grid.Matchmaker: probe up to Budget nodes
-// breadth-first from our neighbors and pick the least-loaded satisfying
-// one.
-func (m *TTL) FindRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
+// FindRunNodes implements grid.Matchmaker, one TTL search per job in
+// job order.
+func (m *TTL) FindRunNodes(rt transport.Runtime, reqs []grid.MatchReq) []grid.MatchResult {
+	results := make([]grid.MatchResult, len(reqs))
+	for i, r := range reqs {
+		results[i].Run, results[i].Stats, results[i].Err = m.findRunNode(rt, r.Cons, r.Exclude)
+	}
+	return results
+}
+
+// findRunNode probes up to Budget nodes breadth-first from our
+// neighbors and picks the least-loaded satisfying one.
+func (m *TTL) findRunNode(rt transport.Runtime, cons resource.Constraints, exclude []transport.Addr) (transport.Addr, grid.MatchStats, error) {
 	budget := m.Budget
 	if budget <= 0 {
 		budget = 10

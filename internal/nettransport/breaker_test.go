@@ -109,7 +109,7 @@ func TestBreakerRecoversHalfOpen(t *testing.T) {
 	}
 	defer b.Close()
 	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		return rntree.SearchResp{Visits: 1}, nil
+		return rntree.SearchResp{Answers: []rntree.Answer{{Visits: 1}}}, nil
 	})
 
 	// Past the cooldown (plus its <=25% jitter) a half-open probe goes

@@ -28,7 +28,7 @@ func chaosPair(t *testing.T, method string, f transport.Fault) (a, b *Host, serv
 	served = &atomic.Int64{}
 	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		served.Add(1)
-		return rntree.SearchResp{Visits: req.(rntree.SearchReq).K}, nil
+		return rntree.SearchResp{Answers: []rntree.Answer{{Visits: req.(rntree.SearchReq).Queries[0].K}}}, nil
 	})
 	chaos := transport.FaultFunc(func(_, _ transport.Addr, m string, _ bool) transport.Fault {
 		if m != method {
@@ -50,10 +50,10 @@ func chaosPair(t *testing.T, method string, f transport.Fault) (a, b *Host, serv
 func TestChaosResetScopedByMethod(t *testing.T) {
 	a, b, served := chaosPair(t, "echo", transport.Fault{Reset: true})
 	b.Handle("other", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		return rntree.SearchResp{Visits: 9}, nil
+		return rntree.SearchResp{Answers: []rntree.Answer{{Visits: 9}}}, nil
 	})
 	rt := a.newRuntime()
-	if _, err := rt.Call(b.Addr(), "echo", rntree.SearchReq{K: 1}); !transport.Transient(err) {
+	if _, err := rt.Call(b.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 1}}}); !transport.Transient(err) {
 		t.Fatalf("reset call: err = %v, want transient", err)
 	}
 	if served.Load() != 0 {
@@ -63,7 +63,7 @@ func TestChaosResetScopedByMethod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("call after reset: %v", err)
 	}
-	if resp.(rntree.SearchResp).Visits != 9 {
+	if resp.(rntree.SearchResp).Answers[0].Visits != 9 {
 		t.Fatalf("bad response after reset recovery: %+v", resp)
 	}
 }
@@ -72,7 +72,7 @@ func TestChaosResetScopedByMethod(t *testing.T) {
 // operator can tell it from a real one.
 func TestChaosRefuseNamesTheInjection(t *testing.T) {
 	a, b, _ := chaosPair(t, "echo", transport.Fault{Refuse: true})
-	_, err := a.newRuntime().Call(b.Addr(), "echo", rntree.SearchReq{K: 1})
+	_, err := a.newRuntime().Call(b.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 1}}})
 	if !transport.Transient(err) || !strings.Contains(err.Error(), "chaos") {
 		t.Fatalf("refused call: err = %v, want a transient error naming the injection", err)
 	}
@@ -83,7 +83,7 @@ func TestChaosRefuseNamesTheInjection(t *testing.T) {
 // behind, and the next call on the connection is fine.
 func TestDuplicateReplyLeavesNothingPending(t *testing.T) {
 	a, b, served := chaosPair(t, "echo", transport.Fault{Duplicate: true})
-	if _, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{K: 7}, 2*time.Second); err != nil {
+	if _, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 7}}}, 2*time.Second); err != nil {
 		t.Fatalf("duplicated call: %v", err)
 	}
 	for deadline := time.Now().Add(2 * time.Second); served.Load() < 2 && time.Now().Before(deadline); {
@@ -92,7 +92,7 @@ func TestDuplicateReplyLeavesNothingPending(t *testing.T) {
 	if n := a.pooledConn(b.Addr()).pendingCount(); n != 0 {
 		t.Fatalf("%d calls still pending after the stray reply", n)
 	}
-	if resp, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{K: 8}, 2*time.Second); err != nil || resp.(rntree.SearchResp).Visits != 8 {
+	if resp, err := a.newRuntime().CallT(b.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 8}}}, 2*time.Second); err != nil || resp.(rntree.SearchResp).Answers[0].Visits != 8 {
 		t.Fatalf("next call on the same connection: %+v, %v", resp, err)
 	}
 }

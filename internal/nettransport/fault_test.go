@@ -68,7 +68,7 @@ func TestFrameLengthBound(t *testing.T) {
 		t.Fatalf("frame over server bound: err = %v, want transient", err)
 	}
 	// A small frame still round-trips afterwards.
-	if _, err := rt.Call(srv.Addr(), "echo", rntree.SearchReq{K: 1}); err != nil {
+	if _, err := rt.Call(srv.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 1}}}); err != nil {
 		t.Fatalf("small frame after rejection: %v", err)
 	}
 }
@@ -143,13 +143,13 @@ func TestMidFrameResetDoesNotPoisonPending(t *testing.T) {
 			var wmu sync.Mutex
 			// Full response for the first request...
 			if err := writeFrame(conn, &wmu, &frame{
-				Kind: frameResp, ID: f1.ID, Payload: rntree.SearchResp{Visits: 1},
+				Kind: frameResp, ID: f1.ID, Payload: rntree.SearchResp{Answers: []rntree.Answer{{Visits: 1}}},
 			}, time.Time{}, defaultMaxFrame); err != nil {
 				return err
 			}
 			// ...then half a response for the second, and a dead socket.
 			b, err := encodeFrame(&frame{
-				Kind: frameResp, ID: f2.ID, Payload: rntree.SearchResp{Visits: 2},
+				Kind: frameResp, ID: f2.ID, Payload: rntree.SearchResp{Answers: []rntree.Answer{{Visits: 2}}},
 			}, defaultMaxFrame)
 			if err != nil {
 				return err
@@ -169,7 +169,7 @@ func TestMidFrameResetDoesNotPoisonPending(t *testing.T) {
 			}
 			defer conn2.Close()
 			return writeFrame(conn2, &wmu, &frame{
-				Kind: frameResp, ID: f3.ID, Payload: rntree.SearchResp{Visits: 3},
+				Kind: frameResp, ID: f3.ID, Payload: rntree.SearchResp{Answers: []rntree.Answer{{Visits: 3}}},
 			}, time.Time{}, defaultMaxFrame)
 		}()
 	}()
@@ -183,15 +183,15 @@ func TestMidFrameResetDoesNotPoisonPending(t *testing.T) {
 
 	aDone := make(chan error, 1)
 	a.Go("first", func(rt transport.Runtime) {
-		resp, err := rt.CallT(peer, "echo", rntree.SearchReq{K: 1}, 5*time.Second)
-		if err == nil && resp.(rntree.SearchResp).Visits != 1 {
+		resp, err := rt.CallT(peer, "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 1}}}, 5*time.Second)
+		if err == nil && resp.(rntree.SearchResp).Answers[0].Visits != 1 {
 			t.Errorf("first call got %+v, want Visits 1", resp)
 		}
 		aDone <- err
 	})
 	time.Sleep(100 * time.Millisecond) // let the first request hit the wire first
 	rt := a.newRuntime()
-	_, bErr := rt.CallT(peer, "echo", rntree.SearchReq{K: 2}, 5*time.Second)
+	_, bErr := rt.CallT(peer, "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 2}}}, 5*time.Second)
 	if !transport.Transient(bErr) {
 		t.Fatalf("truncated call: err = %v, want transient", bErr)
 	}
@@ -200,11 +200,11 @@ func TestMidFrameResetDoesNotPoisonPending(t *testing.T) {
 	}
 
 	// Fresh connection, full service: the pool recovered.
-	resp, err := rt.CallT(peer, "echo", rntree.SearchReq{K: 3}, 5*time.Second)
+	resp, err := rt.CallT(peer, "echo", rntree.SearchReq{Queries: []rntree.Query{{K: 3}}}, 5*time.Second)
 	if err != nil {
 		t.Fatalf("call after reset: %v", err)
 	}
-	if resp.(rntree.SearchResp).Visits != 3 {
+	if resp.(rntree.SearchResp).Answers[0].Visits != 3 {
 		t.Fatalf("recovery call got %+v, want Visits 3", resp)
 	}
 	if err := <-srvErr; err != nil {

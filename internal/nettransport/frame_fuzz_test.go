@@ -40,7 +40,7 @@ func FuzzReadFrame(f *testing.F) {
 			Self:  chord.Ref{ID: ids.HashString("a"), Addr: "127.0.0.1:7001"},
 			Succs: []chord.Ref{{ID: ids.HashString("b"), Addr: "127.0.0.1:7002"}},
 		}},
-		{Kind: frameReq, ID: 2, Method: rntree.MSearch, From: "127.0.0.1:7002", Payload: rntree.SearchReq{K: 4, Budget: 64}},
+		{Kind: frameReq, ID: 2, Method: rntree.MSearch, From: "127.0.0.1:7002", Payload: rntree.SearchReq{Queries: []rntree.Query{{K: 4, Budget: 64}}}},
 		{Kind: frameResp, ID: 2, ErrKind: errHandler, ErrMsg: "boom"},
 	} {
 		b, err := encodeFrame(fr, fuzzMaxFrame)

@@ -47,7 +47,7 @@ func TestPooledConcurrentCalls(t *testing.T) {
 	defer b.Close()
 	b.Handle("echo", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		rt.Sleep(20 * time.Millisecond) // force the calls to overlap
-		return rntree.SearchResp{Visits: req.(rntree.SearchReq).K}, nil
+		return rntree.SearchResp{Answers: []rntree.Answer{{Visits: req.(rntree.SearchReq).Queries[0].K}}}, nil
 	})
 
 	const N = 32
@@ -59,12 +59,12 @@ func TestPooledConcurrentCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rt := a.newRuntime()
-			resp, err := rt.Call(b.Addr(), "echo", rntree.SearchReq{K: i})
+			resp, err := rt.Call(b.Addr(), "echo", rntree.SearchReq{Queries: []rntree.Query{{K: i}}})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if got := resp.(rntree.SearchResp).Visits; got != i {
+			if got := resp.(rntree.SearchResp).Answers[0].Visits; got != i {
 				t.Errorf("call %d answered with %d: responses crossed", i, got)
 			}
 		}()
@@ -96,7 +96,7 @@ func TestPooledPeerRestart(t *testing.T) {
 			t.Fatalf("listen %s: %v", addr, err)
 		}
 		h.Handle("ping", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-			return rntree.SearchResp{Visits: 1}, nil
+			return rntree.SearchResp{Answers: []rntree.Answer{{Visits: 1}}}, nil
 		})
 		return h
 	}
@@ -216,7 +216,7 @@ func TestSlowHandlerGetsReply(t *testing.T) {
 	defer b.Close()
 	b.Handle("slow", func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 		rt.Sleep(400 * time.Millisecond) // 8x the idle window
-		return rntree.SearchResp{Visits: 7}, nil
+		return rntree.SearchResp{Answers: []rntree.Answer{{Visits: 7}}}, nil
 	})
 
 	rt := a.newRuntime()
@@ -224,7 +224,7 @@ func TestSlowHandlerGetsReply(t *testing.T) {
 	if err != nil {
 		t.Fatalf("slow handler reply lost: %v", err)
 	}
-	if resp.(rntree.SearchResp).Visits != 7 {
+	if resp.(rntree.SearchResp).Answers[0].Visits != 7 {
 		t.Fatalf("wrong reply: %+v", resp)
 	}
 

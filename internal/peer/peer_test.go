@@ -425,9 +425,9 @@ func TestTreeKReachesTheSearch(t *testing.T) {
 	searcher := c.peers[3]
 	var got transport.Addr
 	searcher.Host.Go("match", func(rt transport.Runtime) {
-		var err error
-		if got, _, err = searcher.Match.FindRunNode(rt, resource.Unconstrained, nil); err != nil {
-			t.Errorf("find: %v", err)
+		res := searcher.Match.FindRunNodes(rt, []grid.MatchReq{{Cons: resource.Unconstrained}})[0]
+		if got = res.Run; res.Err != nil {
+			t.Errorf("find: %v", res.Err)
 		}
 	})
 	c.e.RunFor(time.Minute)

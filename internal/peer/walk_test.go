@@ -1,21 +1,14 @@
 package peer
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/chord"
 	"repro/internal/grid"
-	"repro/internal/ids"
-	"repro/internal/nettransport"
 	"repro/internal/obs"
-	"repro/internal/resource"
 	"repro/internal/rntree"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // walkLen is the RN-Tree's limited random walk length (rntree's
@@ -136,96 +129,9 @@ func TestBatchWalkThroughCrashedPeer(t *testing.T) {
 // job (one per remote peer and round; job by job it made about 2.4).
 func TestLiveBatchWalk(t *testing.T) {
 	const jobs, peers = 64, 5
-	wire.RegisterAll()
-	o := obs.New()
-	ps := make([]*Peer, peers)
-	for i := range ps {
-		h, err := nettransport.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
-		if i == 0 {
-			h.SetObs(o)
-		}
-		ps[i] = New(h, resource.Vector{5, 2048, 50}, "linux", nil, Config{
-			Chord: chord.Config{StabilizeEvery: 50 * time.Millisecond, FixFingersEvery: 50 * time.Millisecond},
-			Tree:  rntree.Config{AggregateEvery: 100 * time.Millisecond},
-			Grid:  grid.Config{HeartbeatEvery: 200 * time.Millisecond},
-		})
-	}
-	boot := transport.Addr("")
-	for _, p := range ps {
-		if err := p.LaunchWait(boot); err != nil {
-			t.Fatal(err)
-		}
-		boot = ps[0].Host.Addr()
-	}
-
-	client, err := nettransport.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	var mu sync.Mutex
-	got := map[ids.ID]int{}
-	all := make(chan struct{})
-	client.Handle(grid.MResult, func(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		got[req.(grid.ResultReq).Res.JobID]++
-		if len(got) == jobs && got[req.(grid.ResultReq).Res.JobID] == 1 {
-			close(all)
-		}
-		return grid.ResultResp{}, nil
-	})
-
-	var failed []string
-	sent := make(chan struct{})
-	client.Go("client", func(rt transport.Runtime) {
-		defer close(sent)
-		for _, p := range ps {
-			if !p.Tree.AwaitAttached(rt, 10*time.Second) {
-				failed = append(failed, fmt.Sprintf("peer %s has no parent and no child", p.Host.Addr()))
-				return
-			}
-		}
-		req := grid.InjectBatchReq{Items: make([]grid.InjectReq, jobs)}
-		for i := range req.Items {
-			req.Items[i] = grid.InjectReq{Client: client.Addr(), Seq: i}
-		}
-		raw, err := rt.Call(ps[0].Host.Addr(), grid.MInjectBatch, req)
-		if err != nil {
-			failed = append(failed, fmt.Sprintf("grid.injectbatch: %v", err))
-			return
-		}
-		for i, res := range raw.(grid.InjectBatchResp).Results {
-			if res.Err != "" || res.RetryAfterMS > 0 {
-				failed = append(failed, fmt.Sprintf("job %d not accepted: %+v", i, res))
-			}
-		}
-	})
-	<-sent
-	if len(failed) > 0 {
-		t.Fatal(strings.Join(failed, "; "))
-	}
-	select {
-	case <-all:
-	case <-time.After(30 * time.Second):
-	}
-	// A duplicate would come soon after the last first delivery.
-	time.Sleep(200 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != jobs {
-		t.Fatalf("%d of %d jobs delivered", len(got), jobs)
-	}
-	for id, n := range got {
-		if n != 1 {
-			t.Errorf("job %s delivered %d times", id.Short(), n)
-		}
-	}
-	walks := o.Registry().Counter("rpc_client_calls_total", "method", rntree.MWalk).Value()
+	ps, obss := liveGrid(t, peers)
+	injectLive(t, ps, jobs)
+	walks := clientCalls(obss[:1], rntree.MWalk)
 	if float64(walks) >= 0.5*jobs {
 		t.Errorf("%d rnt.walk calls for %d jobs, want fewer than %.0f", walks, jobs, 0.5*jobs)
 	}

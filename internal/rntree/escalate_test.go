@@ -166,16 +166,16 @@ func TestSearchBudgetBounded(t *testing.T) {
 	f.do(from, func(rt transport.Runtime) {
 		// Time enough for the whole tree, so that a search that is not
 		// bounded shows as visits, not as a timeout.
-		raw, err := rt.CallT(root.host.Addr(), MSearch, SearchReq{
+		raw, err := rt.CallT(root.host.Addr(), MSearch, SearchReq{Queries: []Query{{
 			Cons:   resource.Unconstrained,
 			K:      1 << 30,
 			Budget: 1 << 30,
-		}, time.Minute)
+		}}}, time.Minute)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if v := raw.(SearchResp).Visits; v > maxVisits {
+		if v := raw.(SearchResp).Answers[0].Visits; v > maxVisits {
 			t.Errorf("one rnt.search visited %d nodes, want at most %d", v, maxVisits)
 		}
 	})

@@ -6,7 +6,10 @@
 // only when the local subtree has no satisfactory candidate, collecting
 // at least k candidates ("extended search") for load balancing. Every
 // search reply names the responder's parent, so an escalating search
-// climbs by those replies and never asks a node for its parent.
+// climbs by those replies and never asks a node for its parent. Searches
+// run in batches: one rnt.search call asks a node for every query of a
+// batch that still needs it, and each query is searched, and counted,
+// exactly as it would be alone.
 //
 // Parent rule (reconstructed; see DESIGN.md): take the m-bit prefix of
 // the node's GUID and clear its lowest set bit; the parent is the Chord
@@ -43,6 +46,9 @@ const (
 	// count comes off the wire, so the handler refuses more rather than
 	// allocate what a peer asks for; a walker splits a larger group.
 	maxWalkBatch = 256
+	// maxSearchBatch caps the queries one rnt.search call may carry, for
+	// the same reason; a searcher splits a larger batch.
+	maxSearchBatch = 256
 	// maxVisits bounds the number of nodes one search may touch.
 	maxVisits = 64
 )
@@ -147,6 +153,30 @@ type SearchStats struct {
 	WalkHops    int // random-walk hops before the search
 }
 
+// Query is one search of a batch: the constraints, how many candidates
+// it still wants, and how many nodes it may still visit (at most
+// maxVisits).
+type Query struct {
+	Cons   resource.Constraints
+	K      int
+	Budget int
+}
+
+// Answer is one query's part of a SearchResp: the candidates found
+// below the responder, and the visits and messages that took.
+type Answer struct {
+	Cands  []Candidate
+	Visits int
+	RPCs   int
+}
+
+// Found is one search's outcome from FindCandidatesAll.
+type Found struct {
+	Cands []Candidate
+	Stats SearchStats
+	Err   error
+}
+
 // RPC message types.
 type (
 	// UpdateReq is the periodic child->parent aggregation push.
@@ -156,21 +186,19 @@ type (
 	}
 	// UpdateResp acknowledges an UpdateReq.
 	UpdateResp struct{}
-	// SearchReq asks a node to search its subtree for candidates.
+	// SearchReq asks a node to search its subtree for a batch of
+	// queries, skipping one child subtree (an ancestor search skips the
+	// subtree it came from). It carries 1 to maxSearchBatch queries.
 	SearchReq struct {
-		Cons    resource.Constraints
-		K       int
-		Exclude transport.Addr // child subtree to skip (ancestor search)
-		Budget  int            // remaining visit budget, at most maxVisits
+		Queries []Query
+		Exclude transport.Addr
 	}
-	// SearchResp returns discovered candidates and accounting, and the
-	// responder's parent (zero at the root): the next ancestor an
-	// escalating search asks.
+	// SearchResp answers a SearchReq positionally, Answers[i] for
+	// Queries[i], and names the responder's parent (zero at the root):
+	// the next ancestor an escalating search asks.
 	SearchResp struct {
-		Cands  []Candidate
-		Visits int
-		RPCs   int
-		Parent chord.Ref
+		Answers []Answer
+		Parent  chord.Ref
 	}
 	// WalkReq asks a node for N random overlay neighbours, drawn
 	// independently: the next steps of N walks that reached it. N is 1
@@ -531,28 +559,66 @@ func (n *Node) randomNeighbors(rt transport.Runtime, count int) []chord.Ref {
 
 // FindCandidates searches for nodes satisfying cons, starting from this
 // node's subtree and escalating to ancestors while fewer than k
-// candidates are known and the root has not been reached. The first
-// ancestor is this node's cached parent (computed now if the node is
-// unplaced); each ancestor's reply names the next. An ancestor that does
-// not answer ends the escalation.
+// candidates are known and the root has not been reached. It is a
+// batch of one (FindCandidatesAll).
 func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k int) ([]Candidate, SearchStats, error) {
-	if k <= 0 {
-		k = n.cfg.K
-	}
-	var stats SearchStats
-	budget := maxVisits
+	f := n.FindCandidatesAll(rt, []Query{{Cons: cons, K: k}})[0]
+	return f.Cands, f.Stats, f.Err
+}
 
-	resp := n.searchSubtree(rt, SearchReq{Cons: cons, K: k, Budget: budget})
-	cands := resp.Cands
-	stats.Visits += resp.Visits
-	stats.RPCs += resp.RPCs
-	budget -= resp.Visits
+// FindCandidatesAll runs a batch of searches together: found[i] answers
+// qs[i]. A query's K <= 0 selects Config.K, and its Budget is held to 1
+// to maxVisits (<= 0 selects maxVisits). The batch starts in this
+// node's subtree and escalates while any query has fewer than its K
+// candidates and budget left. The first ancestor is this node's cached
+// parent (computed now if the node is unplaced); each ancestor's reply
+// names the next, and one that does not answer ends the escalation.
+// Every node is asked once per batch, with the queries that still need
+// it, and each query is searched exactly as it would be alone, so its
+// SearchStats count the messages a search of its own would send. A
+// batch larger than maxSearchBatch is searched in parts.
+func (n *Node) FindCandidatesAll(rt transport.Runtime, qs []Query) []Found {
+	found := make([]Found, 0, len(qs))
+	for len(qs) > 0 {
+		part := qs[:min(len(qs), maxSearchBatch)]
+		qs = qs[len(part):]
+		found = append(found, n.findBatch(rt, part)...)
+	}
+	return found
+}
+
+// findBatch is FindCandidatesAll for at most maxSearchBatch queries.
+func (n *Node) findBatch(rt transport.Runtime, qs []Query) []Found {
+	qs = slices.Clone(qs)
+	for i := range qs {
+		if qs[i].K <= 0 {
+			qs[i].K = n.cfg.K
+		}
+		if qs[i].Budget <= 0 || qs[i].Budget > maxVisits {
+			qs[i].Budget = maxVisits
+		}
+	}
+	answers := n.searchSubtree(rt, qs, "")
+	budget := make([]int, len(qs))
+	for i, a := range answers {
+		budget[i] = qs[i].Budget - a.Visits
+	}
+	escalations := make([]int, len(qs))
 
 	n.mu.Lock()
 	parent, unplaced := n.parent, n.parent.IsZero() && !n.isRoot
 	n.mu.Unlock()
 	cur := n.host.Addr()
-	for len(cands) < k && budget > 0 {
+	for {
+		var up []int // the queries that still want candidates
+		for i, q := range qs {
+			if len(answers[i].Cands) < q.K && budget[i] > 0 {
+				up = append(up, i)
+			}
+		}
+		if len(up) == 0 {
+			break
+		}
 		if unplaced {
 			var err error
 			if parent, err = n.computeParent(rt); err != nil {
@@ -563,47 +629,51 @@ func (n *Node) FindCandidates(rt transport.Runtime, cons resource.Constraints, k
 		if parent.IsZero() {
 			break
 		}
-		stats.Escalations++
-		raw, err := rt.Call(parent.Addr, MSearch, SearchReq{
-			Cons:    cons,
-			K:       k - len(cands),
-			Exclude: cur,
-			Budget:  budget,
-		})
-		stats.RPCs++
+		for _, i := range up {
+			escalations[i]++
+		}
+		next, err := ask(rt, parent.Addr, cur, qs, up, answers, budget)
 		if err != nil {
 			break
 		}
-		sr := raw.(SearchResp)
-		cands = dedupCands(append(cands, sr.Cands...))
-		stats.Visits += sr.Visits
-		stats.RPCs += sr.RPCs
-		budget -= sr.Visits
-		cur, parent = parent.Addr, sr.Parent
+		cur, parent = parent.Addr, next
 	}
-	n.mSearches.Inc()
-	n.mVisits.Observe(float64(stats.Visits))
-	n.mEscalations.Observe(float64(stats.Escalations))
-	if len(cands) == 0 {
-		n.mNoCandidate.Inc()
-		return nil, stats, fmt.Errorf("%w: %s", ErrNoCandidate, cons)
+	found := make([]Found, len(qs))
+	for i, a := range answers {
+		f := &found[i]
+		f.Cands = a.Cands
+		f.Stats = SearchStats{Visits: a.Visits, RPCs: a.RPCs, Escalations: escalations[i]}
+		n.mSearches.Inc()
+		n.mVisits.Observe(float64(f.Stats.Visits))
+		n.mEscalations.Observe(float64(f.Stats.Escalations))
+		if len(f.Cands) == 0 {
+			n.mNoCandidate.Inc()
+			f.Cands, f.Err = nil, fmt.Errorf("%w: %s", ErrNoCandidate, qs[i].Cons)
+		}
 	}
-	return cands, stats, nil
+	return found
 }
 
-// searchSubtree runs the subtree search rooted at this node: itself
-// first, then children whose summaries pass the pruning test, depth
-// first in deterministic order, until k candidates or the budget runs
-// out.
-func (n *Node) searchSubtree(rt transport.Runtime, req SearchReq) SearchResp {
-	resp := SearchResp{Visits: 1}
-	if req.Cons.SatisfiedBy(n.caps, n.os) {
-		n.mu.Lock()
-		load := n.loadFn()
-		n.mu.Unlock()
-		resp.Cands = append(resp.Cands, Candidate{Ref: n.chord.Ref(), Load: load})
+// searchSubtree runs the subtree search rooted at this node for a batch
+// of queries, skipping the child at exclude: this node first, then the
+// children in address order, depth first. A child is asked once, with
+// the queries that pass its summary's pruning test and still want
+// candidates and budget; a query stops at K candidates or when its
+// budget runs out. answers[i] answers qs[i].
+func (n *Node) searchSubtree(rt transport.Runtime, qs []Query, exclude transport.Addr) []Answer {
+	n.mu.Lock()
+	load := n.loadFn()
+	n.mu.Unlock()
+	self := Candidate{Ref: n.chord.Ref(), Load: load}
+	answers := make([]Answer, len(qs))
+	budget := make([]int, len(qs))
+	for i, q := range qs {
+		answers[i].Visits = 1
+		budget[i] = min(q.Budget, maxVisits) - 1
+		if q.Cons.SatisfiedBy(n.caps, n.os) {
+			answers[i].Cands = []Candidate{self}
+		}
 	}
-	budget := req.Budget - 1
 	n.mu.Lock()
 	var kids []*childEntry
 	for _, addr := range slices.Sorted(maps.Keys(n.children)) {
@@ -612,28 +682,49 @@ func (n *Node) searchSubtree(rt transport.Runtime, req SearchReq) SearchResp {
 	n.mu.Unlock()
 
 	for _, c := range kids {
-		if len(resp.Cands) >= req.K || budget <= 0 {
-			break
-		}
-		if c.ref.Addr == req.Exclude || !c.sum.mightSatisfy(req.Cons) {
+		if c.ref.Addr == exclude {
 			continue
 		}
-		raw, err := rt.Call(c.ref.Addr, MSearch, SearchReq{
-			Cons:   req.Cons,
-			K:      req.K - len(resp.Cands),
-			Budget: budget,
-		})
-		resp.RPCs++
-		if err != nil {
-			continue
+		var sub []int
+		for i, q := range qs {
+			if len(answers[i].Cands) < q.K && budget[i] > 0 && c.sum.mightSatisfy(q.Cons) {
+				sub = append(sub, i)
+			}
 		}
-		sr := raw.(SearchResp)
-		resp.Cands = dedupCands(append(resp.Cands, sr.Cands...))
-		resp.Visits += sr.Visits
-		resp.RPCs += sr.RPCs
-		budget -= sr.Visits
+		if len(sub) > 0 {
+			_, _ = ask(rt, c.ref.Addr, "", qs, sub, answers, budget) // a child that does not answer is passed over
+		}
 	}
-	return resp
+	return answers
+}
+
+// ask sends the queries qs[i], i in idx, to addr in one rnt.search, each
+// asking for the candidates it still lacks within the budget it has
+// left, and merges the answers into answers and budget. Each query
+// counts one message. It returns the responder's parent; a call that
+// fails or answers short changes nothing else.
+func ask(rt transport.Runtime, addr, exclude transport.Addr, qs []Query, idx []int, answers []Answer, budget []int) (chord.Ref, error) {
+	req := SearchReq{Queries: make([]Query, len(idx)), Exclude: exclude}
+	for k, i := range idx {
+		answers[i].RPCs++
+		req.Queries[k] = Query{Cons: qs[i].Cons, K: qs[i].K - len(answers[i].Cands), Budget: budget[i]}
+	}
+	raw, err := rt.Call(addr, MSearch, req)
+	if err != nil {
+		return chord.Ref{}, err
+	}
+	sr := raw.(SearchResp)
+	if len(sr.Answers) != len(idx) {
+		return chord.Ref{}, fmt.Errorf("rntree: %s answered %d of %d queries", addr, len(sr.Answers), len(idx))
+	}
+	for k, i := range idx {
+		a := sr.Answers[k]
+		answers[i].Cands = dedupCands(append(answers[i].Cands, a.Cands...))
+		answers[i].Visits += a.Visits
+		answers[i].RPCs += a.RPCs
+		budget[i] -= a.Visits
+	}
+	return sr.Parent, nil
 }
 
 func dedupCands(cands []Candidate) []Candidate {
@@ -670,13 +761,14 @@ func (n *Node) handleUpdate(rt transport.Runtime, from transport.Addr, req any) 
 }
 
 // handleSearch searches this node's subtree and names its parent. The
-// budget comes off the wire, so it is held to maxVisits.
+// query count comes off the wire, so it is checked before anything is
+// allocated for it, and each query's budget is held to maxVisits.
 func (n *Node) handleSearch(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	r := req.(SearchReq)
-	r.Budget = min(r.Budget, maxVisits)
-	resp := n.searchSubtree(rt, r)
-	resp.Parent = n.Parent()
-	return resp, nil
+	if count := len(r.Queries); count < 1 || count > maxSearchBatch {
+		return nil, fmt.Errorf("rntree: search of %d queries, want 1 to %d", count, maxSearchBatch)
+	}
+	return SearchResp{Answers: n.searchSubtree(rt, r.Queries, r.Exclude), Parent: n.Parent()}, nil
 }
 
 // handleWalk answers N draws. N comes off the wire, so it is checked

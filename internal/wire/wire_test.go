@@ -38,8 +38,8 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 	cases := []any{
 		chord.StepResp{Done: true, Owner: ref, Next: ref},
 		chord.StateResp{Self: ref, Pred: ref, Succs: []chord.Ref{ref, ref}},
-		rntree.SearchReq{Cons: cons, K: 4, Exclude: "x", Budget: 64},
-		rntree.SearchResp{Cands: []rntree.Candidate{{Ref: ref, Load: 3}}, Visits: 5, RPCs: 4, Parent: ref},
+		rntree.SearchReq{Queries: []rntree.Query{{Cons: cons, K: 4, Budget: 64}, {K: 1, Budget: 2}}, Exclude: "x"},
+		rntree.SearchResp{Answers: []rntree.Answer{{Cands: []rntree.Candidate{{Ref: ref, Load: 3}}, Visits: 5, RPCs: 4}, {Visits: 1}}, Parent: ref},
 		rntree.UpdateReq{Child: ref, Sum: rntree.Summary{
 			MaxCaps: resource.Vector{1, 2, 3}, MinLoad: 1, Nodes: 9, OSes: []string{"linux"},
 		}},
