@@ -80,9 +80,6 @@ func main() {
 		case "replicas":
 			replicasCmd(os.Args[2:])
 			return
-		case "bench":
-			benchCmd(os.Args[2:])
-			return
 		case "health":
 			healthCmd(os.Args[2:])
 			return

@@ -12,7 +12,6 @@ import (
 	"repro/internal/chord"
 	"repro/internal/faultinject"
 	"repro/internal/grid"
-	"repro/internal/ids"
 	"repro/internal/match"
 	"repro/internal/metrics"
 	"repro/internal/peer"
@@ -97,9 +96,10 @@ type Scenario struct {
 	// Notify equips every node with a pub/sub broker and wires it into
 	// the grid (DESIGN.md §13): owners push job-state transitions,
 	// clients subscribe per lineage, and the client monitor polls only
-	// on notification silence. Chord algorithms resolve rendezvous
-	// nodes through the ring (with subscriber-list replication at the
-	// grid's ReplicaK); others fall back to a fixed rendezvous.
+	// on notification silence. Rendezvous nodes are resolved through
+	// the Chord ring (with subscriber-list replication at the grid's
+	// ReplicaK), so Notify needs a Chord-family algorithm (RN-Tree,
+	// Central or TTL); Build panics on it with CAN or CAN-push.
 	Notify bool
 	// Monitor forces the client recovery monitor on even in fault-free
 	// runs (it is always on under Churn/Faults/Sabotage), so polling
@@ -165,6 +165,9 @@ func Build(s Scenario) *Deployment {
 
 	n := len(w.Nodes)
 	needCAN := s.Alg == AlgCAN || s.Alg == AlgCANPush
+	if needCAN && s.Notify {
+		panic(fmt.Sprintf("experiments: Notify with Alg %s: pub/sub needs a Chord ring to hash topics onto", s.Alg))
+	}
 
 	// Map workload clients onto grid nodes, spread across the ID space.
 	// Computed before node wiring so saboteur selection can protect them.
@@ -208,15 +211,6 @@ func Build(s Scenario) *Deployment {
 			cn := can.New(h, spec.Caps, spec.OS, can.Config{DisableVirtualDim: s.DisableVirtualDim})
 			d.CANs = append(d.CANs, cn)
 			var matcher grid.Matchmaker = &match.CAN{CN: cn, Push: s.Alg == AlgCANPush}
-			if s.Notify {
-				// No ring to hash topics onto: a fixed rendezvous keeps
-				// the overlay usable under the CAN algorithms.
-				rdv := d.Hosts[0].Addr()
-				gcfg.Notify = pubsub.New(h, pubsub.Config{Obs: gcfg.Obs, Lookup: func(rt transport.Runtime, key ids.ID) (transport.Addr, error) {
-					return rdv, nil
-				}})
-				d.Brokers = append(d.Brokers, gcfg.Notify)
-			}
 			if gcfg.Trust != nil {
 				matcher = &match.Trusted{Inner: matcher, Table: gcfg.Trust}
 			}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -501,5 +502,22 @@ func TestNotifSweepCutsPolling(t *testing.T) {
 			t.Fatalf("clients=%d push did not cut polling 3x: poll=%d push=%d",
 				clients, poll.StatusRPCs, push.StatusRPCs)
 		}
+	}
+}
+
+// Pub/sub resolves a topic's rendezvous through the Chord ring, which
+// the CAN algorithms do not build: asking for both is a wiring error,
+// reported by name rather than by an index into an empty Brokers.
+func TestNotifyNeedsChordFamily(t *testing.T) {
+	for _, alg := range []Algorithm{AlgCAN, AlgCANPush} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Notify with Alg "+alg.String()) {
+					t.Errorf("Build(%s, Notify) panicked with %q, want one naming the combination", alg, msg)
+				}
+			}()
+			Build(Scenario{Alg: alg, Workload: workload.NewConfig().Scale(0.02), NetSeed: 1, Notify: true})
+		}()
 	}
 }

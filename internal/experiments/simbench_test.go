@@ -118,7 +118,7 @@ func TestSimBenchTinyLadder(t *testing.T) {
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("table has %d rows", len(tbl.Rows))
 	}
-	// The payload is what sim_bench.sh writes to BENCH_sim.json: it must
+	// The payload is what gridsim -bench-out writes to BENCH_sim.json: it must
 	// round-trip and expose the rung metrics under their documented keys.
 	blob, err := json.Marshal(res)
 	if err != nil {

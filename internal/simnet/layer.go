@@ -14,14 +14,16 @@ func LayerOf(name string) string {
 	switch {
 	case name == "grid.heartbeat":
 		return "heartbeat"
-	case name == "can.gossip" || name == "rnt.aggregate":
-		// Periodic state dissemination, as opposed to routed lookups.
+	case name == "can.gossip" || name == "rnt.aggregate" || name == "rnt.update":
+		// Periodic state dissemination, as opposed to routed lookups:
+		// CAN's gossip loop and RPC, the RN-Tree's summary loop and the
+		// rnt.update RPC it sends.
 		return "gossip"
 	case strings.HasPrefix(name, "chord."):
 		return "chord"
 	case strings.HasPrefix(name, "can."):
 		return "can"
-	case strings.HasPrefix(name, "rnt.") || strings.HasPrefix(name, "rn."):
+	case strings.HasPrefix(name, "rnt."):
 		return "rntree"
 	case strings.HasPrefix(name, "grid."):
 		return "grid"
@@ -29,7 +31,7 @@ func LayerOf(name string) string {
 		return "pubsub"
 	case strings.HasPrefix(name, "replica."):
 		return "replica"
-	case strings.HasPrefix(name, "match.") || strings.HasPrefix(name, "ttl"):
+	case strings.HasPrefix(name, "match."):
 		return "match"
 	case strings.HasPrefix(name, "client"):
 		return "client"
