@@ -153,12 +153,12 @@ func TestFlowDiamondDataPassing(t *testing.T) {
 	// input). Submission order fixes the seqs: prep=1, then the ready
 	// batch left=2, right=3, then merge=4.
 	addr := client.Addr()
-	prepOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 1, OutputKB: 2})
+	prepOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 1, JobSpec: grid.JobSpec{OutputKB: 2}})
 	if string(results["prep"].Output) != string(prepOut) {
 		t.Fatal("prep output is not the pure derivation")
 	}
-	leftOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 2, OutputKB: 1, Input: prepOut})
-	rightOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 3, OutputKB: 1, Input: prepOut})
+	leftOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 2, JobSpec: grid.JobSpec{OutputKB: 1, Input: prepOut}})
+	rightOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 3, JobSpec: grid.JobSpec{OutputKB: 1, Input: prepOut}})
 	if string(results["left"].Output) != string(leftOut) {
 		t.Fatal("left output does not derive from prep's bytes")
 	}

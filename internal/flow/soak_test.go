@@ -127,9 +127,9 @@ func runFlowSoak(t *testing.T, seed int64, cfg grid.Config) ([]string, int) {
 	// resumed on another node or resubmitted under a new GUID — the
 	// proof that inherited input bytes survived recovery.
 	addr := client.Addr()
-	prepOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 1, OutputKB: 2})
-	mid1Out := grid.StageOutput(grid.Profile{Client: addr, Seq: 2, OutputKB: 1, Input: prepOut})
-	mid2Out := grid.StageOutput(grid.Profile{Client: addr, Seq: 3, OutputKB: 1, Input: prepOut})
+	prepOut := grid.StageOutput(grid.Profile{Client: addr, Seq: 1, JobSpec: grid.JobSpec{OutputKB: 2}})
+	mid1Out := grid.StageOutput(grid.Profile{Client: addr, Seq: 2, JobSpec: grid.JobSpec{OutputKB: 1, Input: prepOut}})
+	mid2Out := grid.StageOutput(grid.Profile{Client: addr, Seq: 3, JobSpec: grid.JobSpec{OutputKB: 1, Input: prepOut}})
 	for name, want := range map[string][]byte{"prep": prepOut, "mid1": mid1Out, "mid2": mid2Out} {
 		if string(results[name].Output) != string(want) {
 			t.Fatalf("seed %d: stage %s output diverged after recovery", seed, name)

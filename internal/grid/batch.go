@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -35,17 +34,11 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 	profs := make([]Profile, len(reqs))
 	for i, req := range reqs {
 		profs[i] = Profile{
-			ID:          JobGUID(req.Client, req.Seq, req.Attempt),
-			Client:      req.Client,
-			Seq:         req.Seq,
-			Attempt:     req.Attempt,
-			Cons:        req.Cons,
-			Work:        req.Work,
-			InputKB:     req.InputKB,
-			OutputKB:    req.OutputKB,
-			Input:       req.Input,
-			CkptBias:    req.CkptBias,
-			CarryOutput: req.CarryOutput,
+			ID:      JobGUID(req.Client, req.Seq, req.Attempt),
+			Client:  req.Client,
+			Seq:     req.Seq,
+			Attempt: req.Attempt,
+			JobSpec: req.spec(),
 		}
 		results[i].JobID = profs[i].ID
 	}
@@ -78,23 +71,11 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 
 	for _, owner := range owners {
 		group := byOwner[owner]
-		if owner == n.host.Addr() {
-			var took []ids.ID
-			for _, p := range group {
-				if full := n.ownJob(rt, p.prof, p.tc, &took); full != nil {
-					results[p.idx].RetryAfterMS = full.After.Milliseconds()
-					continue
-				}
-				results[p.idx].Reps = n.replTargets()
-			}
-			n.startMatching(took)
-			continue
-		}
 		breq := OwnBatchReq{Items: make([]OwnReq, len(group))}
 		for k, p := range group {
 			breq.Items[k] = OwnReq{Prof: p.prof, TC: p.tc}
 		}
-		raw, err := rt.Call(owner, MOwnBatch, breq)
+		raw, err := n.call(rt, owner, MOwnBatch, breq)
 		if err != nil {
 			for _, p := range group {
 				results[p.idx].Err = fmt.Sprintf("hand job %s to owner %s: %v", p.prof.ID.Short(), owner, err)

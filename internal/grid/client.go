@@ -12,23 +12,52 @@ import (
 
 // --- client role ---
 
-// JobSpec is a client-side job description.
+// JobSpec describes a job as its client submits it; a Profile carries
+// it to the owner and the run node.
 type JobSpec struct {
-	Cons     resource.Constraints
-	Work     time.Duration
+	Cons resource.Constraints
+	// Work is the nominal execution time (divided by CPU capability
+	// when SpeedScaling is on).
+	Work time.Duration
+	// InputKB/OutputKB model the paper's "modest I/O requirements"
+	// (KB-scale datasets); they only affect recorded transfer sizes.
 	InputKB  int
 	OutputKB int
-	// Input is the job's input payload: the run node seeds its
-	// resumable state from these bytes, and recovery ships them onward
-	// inside ordinary checkpoints (see Profile.Input). The flow engine
-	// sets it to the delivered output of the stage's dependencies.
+	// Input is the job's real input payload: the run node seeds its
+	// resumable state from these bytes before the first slice, so the
+	// job computes from upstream data instead of re-deriving it. The
+	// flow engine ships stage N's delivered output here for stage N+1;
+	// once execution starts the bytes travel onward inside ordinary
+	// checkpoints (heartbeat piggyback / grid.checkpoint / AssignReq),
+	// so mid-stage recovery reuses the existing transfer path.
 	Input []byte
-	// CkptBias is the workflow-aware checkpoint hint (Profile.CkptBias);
-	// honored only under Config.CheckpointWorkflowAware.
+	// CkptBias is the workflow-aware checkpoint hint (>= 1; 0 or 1
+	// means unbiased). The flow engine sets it from the DAG shape —
+	// the ratio of downstream work hanging off this stage to the
+	// stage's own work — and run nodes honor it only when
+	// Config.CheckpointWorkflowAware is on.
 	CkptBias float64
 	// CarryOutput asks the run node to attach the job's derived output
-	// bytes to the delivered Result (Profile.CarryOutput).
+	// bytes to the Result (Result.Data); the flow engine sets it on
+	// stages with dependents so their output can ship downstream.
 	CarryOutput bool
+}
+
+// injectReq is the wire form of submitting s as one attempt.
+func (s JobSpec) injectReq(client transport.Addr, seq, attempt int) InjectReq {
+	return InjectReq{
+		Client: client, Seq: seq, Attempt: attempt,
+		Cons: s.Cons, Work: s.Work, InputKB: s.InputKB, OutputKB: s.OutputKB,
+		Input: s.Input, CkptBias: s.CkptBias, CarryOutput: s.CarryOutput,
+	}
+}
+
+// spec is the job description an InjectReq carries.
+func (r InjectReq) spec() JobSpec {
+	return JobSpec{
+		Cons: r.Cons, Work: r.Work, InputKB: r.InputKB, OutputKB: r.OutputKB,
+		Input: r.Input, CkptBias: r.CkptBias, CarryOutput: r.CarryOutput,
+	}
 }
 
 // Submit inserts a new job through this node acting as its own
@@ -62,32 +91,10 @@ func (n *Node) SubmitAll(rt transport.Runtime, specs []JobSpec) ([]ids.ID, error
 // before anything touches the network, so the client monitor can
 // recover the job even if every inject attempt afterwards fails.
 func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt int) InjectReq {
-	req := InjectReq{
-		Client:      n.host.Addr(),
-		Seq:         seq,
-		Attempt:     attempt,
-		Cons:        spec.Cons,
-		Work:        spec.Work,
-		InputKB:     spec.InputKB,
-		OutputKB:    spec.OutputKB,
-		Input:       spec.Input,
-		CkptBias:    spec.CkptBias,
-		CarryOutput: spec.CarryOutput,
-	}
+	req := spec.injectReq(n.host.Addr(), seq, attempt)
 	jobID := JobGUID(req.Client, seq, attempt)
 	n.mu.Lock()
-	n.pending[jobID] = &pendingJob{
-		seq:         seq,
-		attempt:     attempt,
-		cons:        spec.Cons,
-		work:        spec.Work,
-		inputKB:     spec.InputKB,
-		outputKB:    spec.OutputKB,
-		input:       spec.Input,
-		ckptBias:    spec.CkptBias,
-		carryOutput: spec.CarryOutput,
-		submitAt:    rt.Now(),
-	}
+	n.pending[jobID] = &pendingJob{seq: seq, attempt: attempt, spec: spec, submitAt: rt.Now()}
 	n.mu.Unlock()
 	// With push notifications on, subscribe to the lineage topic once,
 	// at the first attempt; resubmissions publish to the same topic, so
@@ -304,7 +311,7 @@ func (n *Node) acceptResult(rt transport.Runtime, res Result, tc obs.TC) obs.TC 
 		p.got = true
 		p.resultAt = rt.Now()
 		p.res = res
-		work = p.work
+		work = p.spec.Work
 		seq = p.seq
 		n.resultEvents++
 		n.resultCond.Broadcast()
@@ -345,7 +352,7 @@ func (n *Node) StartClientMonitor(resubmitAfter time.Duration) {
 				if p.got {
 					continue
 				}
-				patience := p.work + resubmitAfter
+				patience := p.spec.Work + resubmitAfter
 				if now-p.submitAt <= patience {
 					continue
 				}
@@ -399,7 +406,7 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 			return
 		}
 	}
-	if routed := n.overlay.RouteJobs(rt, []Profile{{ID: jobID, Cons: p.cons}})[0]; routed.Err == nil && !probed[routed.Owner] {
+	if routed := n.overlay.RouteJobs(rt, []Profile{{ID: jobID, JobSpec: p.spec}})[0]; routed.Err == nil && !probed[routed.Owner] {
 		if n.statusKnown(rt, jobID, p, routed.Owner) {
 			return
 		}
@@ -416,11 +423,7 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 	n.emit(n.om.tracer.Context(TraceID(n.host.Addr(), p.seq)), n.jobEvent(EvResubmitted, prof, rt.Now()), "",
 		n.traceNote("next_attempt=%d", p.attempt+1))
 	n.notifyTransition(rt.Now(), prof, EvResubmitted, n.host.Addr(), 0)
-	spec := JobSpec{
-		Cons: p.cons, Work: p.work, InputKB: p.inputKB, OutputKB: p.outputKB,
-		Input: p.input, CkptBias: p.ckptBias, CarryOutput: p.carryOutput,
-	}
-	_, _ = n.injectAll(rt, []InjectReq{n.prepareSubmit(rt, spec, p.seq, p.attempt+1)})
+	_, _ = n.injectAll(rt, []InjectReq{n.prepareSubmit(rt, p.spec, p.seq, p.attempt+1)})
 }
 
 // statusKnown probes one candidate for the job's status. On a Known
@@ -442,13 +445,7 @@ func (n *Node) statusKnown(rt transport.Runtime, jobID ids.ID, p pendingJob, add
 	n.StatusProbes++
 	n.mu.Unlock()
 	n.om.statusProbes.Inc()
-	var raw any
-	var err error
-	if addr == n.host.Addr() {
-		raw, err = n.handleStatus(rt, n.host.Addr(), sreq)
-	} else {
-		raw, err = rt.Call(addr, MStatus, sreq)
-	}
+	raw, err := n.call(rt, addr, MStatus, sreq)
 	if err != nil {
 		return false
 	}
@@ -460,7 +457,7 @@ func (n *Node) statusKnown(rt transport.Runtime, jobID ids.ID, p pendingJob, add
 	if pp, ok := n.pending[jobID]; ok {
 		// Backdate the clock by the runtime share of the patience budget
 		// so only the grace (resubmitAfter) portion separates probes.
-		pp.submitAt = rt.Now() - pp.work
+		pp.submitAt = rt.Now() - pp.spec.Work
 		if resp.Owner != "" {
 			pp.owner = resp.Owner
 			pp.reps = resp.Reps

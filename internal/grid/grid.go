@@ -232,32 +232,7 @@ type Profile struct {
 	Client  transport.Addr
 	Seq     int // client-local submission number
 	Attempt int // resubmission counter
-	Cons    resource.Constraints
-	// Work is the nominal execution time (divided by CPU capability
-	// when SpeedScaling is on).
-	Work time.Duration
-	// InputKB/OutputKB model the paper's "modest I/O requirements"
-	// (KB-scale datasets); they only affect recorded transfer sizes.
-	InputKB  int
-	OutputKB int
-	// Input is the job's real input payload: the run node seeds its
-	// resumable state from these bytes before the first slice, so the
-	// job computes from upstream data instead of re-deriving it. The
-	// flow engine ships stage N's delivered output here for stage N+1;
-	// once execution starts the bytes travel onward inside ordinary
-	// checkpoints (heartbeat piggyback / grid.checkpoint / AssignReq),
-	// so mid-stage recovery reuses the existing transfer path.
-	Input []byte
-	// CkptBias is the workflow-aware checkpoint hint (>= 1; 0 or 1
-	// means unbiased). The flow engine sets it from the DAG shape —
-	// the ratio of downstream work hanging off this stage to the
-	// stage's own work — and run nodes honor it only when
-	// Config.CheckpointWorkflowAware is on.
-	CkptBias float64
-	// CarryOutput asks the run node to attach the job's derived output
-	// bytes to the Result (Result.Data); the flow engine sets it on
-	// stages with dependents so their output can ship downstream.
-	CarryOutput bool
+	JobSpec     // what the client submitted
 }
 
 // JobGUID derives a job's GUID the way the paper's injection node does:

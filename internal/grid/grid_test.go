@@ -386,6 +386,52 @@ func TestOwnerFailureAdoption(t *testing.T) {
 	}
 }
 
+// TestVotingSelfAdoptionKeepsVote: under redundant execution (R=3,
+// Q=2) the owner dies while every replica runs the job, and the
+// overlay's next owner, n001, is itself one of the replicas. Its
+// self-adoption must restart the vote as a peer's adoption would, so
+// the replicas' votes reach quorum at n001 and the result is delivered
+// without the client resubmitting.
+func TestVotingSelfAdoptionKeepsVote(t *testing.T) {
+	cfg := grid.Config{HeartbeatEvery: time.Second, RunDeadAfter: 3 * time.Second, OwnerDeadAfter: 3 * time.Second,
+		Replicas: 3, Quorum: 2}
+	// The owner n000 and the client n004 are too weak to run the job,
+	// so its replicas are n001-n003.
+	c := newCluster(t, 5, 9, cfg, func(i int) (resource.Vector, string) {
+		cpu := 5.0
+		if i == 0 || i == 4 {
+			cpu = 1
+		}
+		return resource.Vector{cpu, 4096, 100}, "linux"
+	})
+	defer c.e.Shutdown()
+	c.nodes[4].StartClientMonitor(10 * time.Second)
+	cons := resource.Unconstrained.Require(resource.CPU, 2)
+	c.do(4, func(rt transport.Runtime) {
+		if _, err := c.nodes[4].Submit(rt, grid.JobSpec{Cons: cons, Work: 40 * time.Second}); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		for c.rec.count(grid.EvStarted) < 3 {
+			rt.Sleep(time.Second)
+		}
+	})
+	c.hosts[0].Crash()
+	c.do(4, func(rt transport.Runtime) {
+		if left := c.nodes[4].AwaitAll(rt, rt.Now()+10*time.Minute); left != 0 {
+			t.Fatalf("job lost after owner crash (%d unfinished)", left)
+		}
+	})
+	accepted := 0
+	for _, ev := range c.rec.byJob(grid.JobGUID(c.hosts[4].Addr(), 1, 0)) {
+		if ev.Kind == grid.EvAccepted && ev.Node == c.hosts[1].Addr() {
+			accepted++
+		}
+	}
+	if resub := c.rec.count(grid.EvResubmitted); resub != 0 || accepted != 1 {
+		t.Fatalf("%d resubmits and %d EvAccepted at the self-adopting replica n001; want 0 and 1", resub, accepted)
+	}
+}
+
 func TestBothFailClientResubmits(t *testing.T) {
 	cfg := grid.Config{HeartbeatEvery: time.Second, RunDeadAfter: 3 * time.Second, OwnerDeadAfter: 3 * time.Second}
 	c := newCluster(t, 5, 7, cfg, uniform)

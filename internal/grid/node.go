@@ -40,7 +40,7 @@ type (
 		InputKB  int
 		OutputKB int
 		// Input/CkptBias/CarryOutput mirror the JobSpec fields of the
-		// same names (workflow data passing; see Profile).
+		// same names (workflow data passing; see JobSpec).
 		Input       []byte
 		CkptBias    float64
 		CarryOutput bool
@@ -308,6 +308,9 @@ type Node struct {
 	matcher Matchmaker
 	rec     Recorder
 	om      *nodeObs // resolved instruments (never nil; no-op fields)
+	// handlers is the node's method table: registered on the host for
+	// peers, and dispatched in place by call when the callee is this node.
+	handlers map[string]transport.Handler
 	// repl is the replicated owner-state store (DESIGN.md §10); nil
 	// unless cfg.ReplicaK > 0 and a ReplicaRing is supplied.
 	repl *replpkg.Manager
@@ -354,21 +357,15 @@ type Node struct {
 }
 
 type pendingJob struct {
-	seq      int
-	attempt  int
-	cons     resource.Constraints
-	work     time.Duration
-	inputKB  int
-	outputKB int
-	// input/ckptBias/carryOutput mirror the JobSpec so a resubmission
-	// rebuilds the full spec — a workflow stage resubmitted by the
-	// monitor must keep its upstream input bytes and checkpoint bias.
-	input       []byte
-	ckptBias    float64
-	carryOutput bool
-	submitAt    time.Duration
-	resultAt    time.Duration
-	got         bool
+	seq     int
+	attempt int
+	// spec is kept whole so a resubmission rebuilds it: a workflow
+	// stage resubmitted by the monitor must keep its upstream input
+	// bytes and checkpoint bias.
+	spec     JobSpec
+	submitAt time.Duration
+	resultAt time.Duration
+	got      bool
 	// res is the delivered result (valid once got); kept so workflow
 	// harvesters can read stage output by seq after delivery.
 	res Result
@@ -406,23 +403,28 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 	n.queueCond.L = &n.mu
 	n.resultCond.L = &n.mu
 	n.om = newNodeObs(n, n.cfg.Obs)
-	host.Handle(MInject, n.handleInject)
-	host.Handle(MInjectBatch, n.handleInjectBatch)
-	host.Handle(MOwnBatch, n.handleOwnBatch)
-	host.Handle(MAssign, n.handleAssign)
-	host.Handle(MHeartbeat, n.handleHeartbeat)
-	host.Handle(MComplete, n.handleComplete)
-	host.Handle(MResult, n.handleResult)
-	host.Handle(MRelay, n.handleRelay)
-	host.Handle(MAdopt, n.handleAdopt)
-	host.Handle(MStatus, n.handleStatus)
-	host.Handle(MCkpt, n.handleCheckpoint)
-	host.Handle(MProbe, n.handleProbe)
-	host.Handle(MTrust, n.handleTrust)
-	host.Handle(MStats, n.handleStats)
-	host.Handle(MTrace, n.handleTrace)
-	host.Handle(MReplicas, n.handleReplicas)
-	host.Handle(MHealth, n.handleHealth)
+	n.handlers = map[string]transport.Handler{
+		MInject:      n.handleInject,
+		MInjectBatch: n.handleInjectBatch,
+		MOwnBatch:    n.handleOwnBatch,
+		MAssign:      n.handleAssign,
+		MHeartbeat:   n.handleHeartbeat,
+		MComplete:    n.handleComplete,
+		MResult:      n.handleResult,
+		MRelay:       n.handleRelay,
+		MAdopt:       n.handleAdopt,
+		MStatus:      n.handleStatus,
+		MCkpt:        n.handleCheckpoint,
+		MProbe:       n.handleProbe,
+		MTrust:       n.handleTrust,
+		MStats:       n.handleStats,
+		MTrace:       n.handleTrace,
+		MReplicas:    n.handleReplicas,
+		MHealth:      n.handleHealth,
+	}
+	for method, h := range n.handlers {
+		host.Handle(method, h)
+	}
 	if n.cfg.ReplicaK > 0 && n.cfg.ReplicaRing != nil {
 		n.repl = replpkg.New(host, n.cfg.ReplicaRing, replpkg.Config{
 			K:        n.cfg.ReplicaK,
@@ -436,6 +438,18 @@ func NewNode(host transport.Host, caps resource.Vector, os string, overlay Overl
 		n.cfg.Notify.SetOnEvent(n.OnNotification)
 	}
 	return n
+}
+
+// call sends one grid RPC. A call to this node runs the method's
+// handler in place, with no network leg: every role lives on every peer
+// (the paper's Fig. 1), so a job's owner is often its run node or its
+// injection node, and the message between those roles is the same
+// either way.
+func (n *Node) call(rt transport.Runtime, to transport.Addr, method string, req any) (any, error) {
+	if to == n.host.Addr() {
+		return n.handlers[method](rt, to, req)
+	}
+	return rt.Call(to, method, req)
 }
 
 // Caps returns the node's capability vector.
@@ -512,7 +526,10 @@ func (n *Node) handleOwnBatch(rt transport.Runtime, from transport.Addr, req any
 		}
 		out[i].Reps = n.replTargets()
 	}
-	n.startMatching(took)
+	if len(took) > 0 {
+		// One match proc per hand-off: its jobs are matched together.
+		n.host.Go("grid.match", func(rt transport.Runtime) { n.matchAndAssign(rt, took) })
+	}
 	return OwnBatchResp{Results: out}, nil
 }
 
@@ -538,7 +555,7 @@ func (n *Node) admitOwnLocked() *RetryAfterError {
 
 // ownJob records ownership of one job of a hand-off so the injection
 // path acknowledges quickly, and appends the job to took when it waits
-// for the hand-off's match proc (startMatching); a voting job gets its
+// for the hand-off's match proc (handleOwnBatch); a voting job gets its
 // own filler at once. It refuses the job, recording nothing, only when
 // the bounded inject queue is full, and accepts a job it already owns
 // as it is. Recovery paths (adoption, promotion) do not come through
@@ -573,16 +590,6 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids
 	}
 	*took = append(*took, prof.ID)
 	return nil
-}
-
-// startMatching spawns one grid.match proc for the jobs a hand-off took.
-func (n *Node) startMatching(jobIDs []ids.ID) {
-	if len(jobIDs) == 0 {
-		return
-	}
-	n.host.Go("grid.match", func(rt transport.Runtime) {
-		n.matchAndAssign(rt, jobIDs)
-	})
 }
 
 // unplaced is one job of a matchAndAssign batch that is not placed yet:
@@ -673,17 +680,26 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
 		var prof Profile
 		var tc obs.TC
 		if ok {
-			prof = job.prof
-			tc = job.tc
+			prof, tc = job.prof, job.tc
 			delete(n.owned, u.id)
 		}
 		n.mu.Unlock()
 		if ok {
-			n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
-			n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
-			n.retire(rt.Now(), u.id)
+			n.giveUp(rt.Now(), prof, tc)
 		}
 	}
+}
+
+// giveUp announces the end of a job this owner has just deleted from
+// n.owned without delivering it (placement, relay or quorum budget
+// spent): EvGaveUp to the recorder and to the client's notification
+// topic, where it clears the freshness clock so the client's monitor
+// probes and resubmits at its next tick, and a tombstone for the
+// replicated record.
+func (n *Node) giveUp(now time.Duration, prof Profile, tc obs.TC) {
+	n.emit(tc, n.jobEvent(EvGaveUp, prof, now), "", "")
+	n.notifyTransition(now, prof, EvGaveUp, n.host.Addr(), 0)
+	n.retire(now, prof.ID)
 }
 
 // stopMatching clears an owned job's matching mark: no match proc
@@ -731,13 +747,7 @@ func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs
 	// follows only once the run node has acknowledged.
 	tc = n.trace(tc, rt.Now(), "assigning", prof.Attempt, run, "")
 	req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
-	var assignErr error
-	if run == n.host.Addr() {
-		_, assignErr = n.assign(rt, req)
-	} else {
-		_, assignErr = rt.Call(run, MAssign, req)
-	}
-	if assignErr != nil {
+	if _, err := n.call(rt, run, MAssign, req); err != nil {
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok {
 			job.excluded = append(job.excluded, run)
@@ -879,9 +889,7 @@ func (n *Node) tryRelay(rt transport.Runtime, res Result) {
 	}
 	n.mu.Unlock()
 	if gaveUp {
-		n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
-		n.notifyTransition(rt.Now(), prof, EvGaveUp, n.host.Addr(), 0)
-		n.retire(rt.Now(), res.JobID)
+		n.giveUp(rt.Now(), prof, tc)
 	}
 }
 

@@ -267,42 +267,55 @@ func TestNotifySoakReplayDeterministic(t *testing.T) {
 // TestGaveUpPushTriggersResubmit: a gave-up push is the one
 // notification that means nobody is driving the job any more, so it
 // must not buy the job a fresh patience window the way proof-of-life
-// pushes do. With no capable run node the owner exhausts MaxRematch and
-// publishes gave-up; the client must probe and resubmit within two
-// monitor ticks of receiving it.
+// pushes do. With no capable run node the owner gives up, after
+// MaxRematch match rounds or, for a voting job, once its assignment
+// budget is spent without a quorum; either way it publishes gave-up,
+// and the client must probe and resubmit within two monitor ticks of
+// receiving it.
 func TestGaveUpPushTriggersResubmit(t *testing.T) {
-	cfg := grid.Config{MaxRematch: 2}
-	nc := newNotifyCluster(t, 4, 31, cfg, true)
-	defer nc.e.Shutdown()
-	var gaveUpAt time.Duration
-	nc.brokers[0].SetOnEvent(func(rt transport.Runtime, topic ids.ID, payload []byte) {
-		if u, err := grid.DecodeJobUpdate(payload); err == nil && u.Kind == grid.EvGaveUp.String() && gaveUpAt == 0 {
-			gaveUpAt = rt.Now()
-		}
-		nc.nodes[0].OnNotification(rt, topic, payload)
-	})
-	// Patience (work + 8 s) runs out just before the owner's two match
-	// rounds (MatchRetryEvery apart) end in the give-up.
-	nc.nodes[0].StartClientMonitor(8 * time.Second)
-	nc.do(0, func(rt transport.Runtime) {
-		spec := grid.JobSpec{Work: time.Second, Cons: resource.Unconstrained.Require(resource.CPU, 100)}
-		if _, err := nc.nodes[0].Submit(rt, spec); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	})
-	nc.e.RunFor(40 * time.Second)
-	if gaveUpAt == 0 {
-		t.Fatal("no gave-up notification reached the client")
-	}
-	var resubmitAt time.Duration
-	for _, ev := range nc.rec.evs {
-		if ev.Kind == grid.EvResubmitted {
-			resubmitAt = ev.At
-			break
-		}
-	}
-	const tick = 2 * 2 * time.Second // client monitor period: 2 * HeartbeatEvery
-	if resubmitAt == 0 || resubmitAt-gaveUpAt > 2*tick {
-		t.Fatalf("gave-up delivered at %v, resubmitted at %v; want within %v", gaveUpAt, resubmitAt, 2*tick)
+	for _, tc := range []struct {
+		name string
+		cfg  grid.Config
+		run  time.Duration
+	}{
+		{"match", grid.Config{MaxRematch: 2}, 40 * time.Second},
+		{"quorum", grid.Config{MaxRematch: 2, Replicas: 2, Quorum: 2}, 60 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc := newNotifyCluster(t, 4, 31, tc.cfg, true)
+			defer nc.e.Shutdown()
+			var gaveUpAt time.Duration
+			nc.brokers[0].SetOnEvent(func(rt transport.Runtime, topic ids.ID, payload []byte) {
+				if u, err := grid.DecodeJobUpdate(payload); err == nil && u.Kind == grid.EvGaveUp.String() && gaveUpAt == 0 {
+					gaveUpAt = rt.Now()
+				}
+				nc.nodes[0].OnNotification(rt, topic, payload)
+			})
+			// Patience (work + 8 s) runs out just before the owner's two
+			// match rounds (MatchRetryEvery apart) end in the give-up.
+			nc.nodes[0].StartClientMonitor(8 * time.Second)
+			nc.do(0, func(rt transport.Runtime) {
+				spec := grid.JobSpec{Work: time.Second, Cons: resource.Unconstrained.Require(resource.CPU, 100)}
+				if _, err := nc.nodes[0].Submit(rt, spec); err != nil {
+					t.Fatalf("submit: %v", err)
+				}
+			})
+			nc.e.RunFor(tc.run)
+			if gaveUpAt == 0 {
+				t.Fatalf("no gave-up notification reached the client (%d EvGaveUp, %d EvQuorumFailed recorded)",
+					nc.rec.count(grid.EvGaveUp), nc.rec.count(grid.EvQuorumFailed))
+			}
+			var resubmitAt time.Duration
+			for _, ev := range nc.rec.evs {
+				if ev.Kind == grid.EvResubmitted {
+					resubmitAt = ev.At
+					break
+				}
+			}
+			const tick = 2 * 2 * time.Second // client monitor period: 2 * HeartbeatEvery
+			if resubmitAt == 0 || resubmitAt-gaveUpAt > 2*tick {
+				t.Fatalf("gave-up delivered at %v, resubmitted at %v; want within %v", gaveUpAt, resubmitAt, 2*tick)
+			}
+		})
 	}
 }

@@ -191,13 +191,7 @@ func (n *Node) reattachRun(rt transport.Runtime, jobID ids.ID) {
 	prof, run, ckpt, tc := job.prof, job.run, job.ckpt, job.tc
 	n.mu.Unlock()
 	req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
-	var err error
-	if run == n.host.Addr() {
-		_, err = n.assign(rt, req)
-	} else {
-		_, err = rt.Call(run, MAssign, req)
-	}
-	if err == nil {
+	if _, err := n.call(rt, run, MAssign, req); err == nil {
 		n.mu.Lock()
 		if job, ok := n.owned[jobID]; ok {
 			job.lastHB = rt.Now()

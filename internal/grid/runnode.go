@@ -13,10 +13,11 @@ import (
 
 // --- run-node role ---
 
-// assign validates and enqueues a job locally.
-func (n *Node) assign(rt transport.Runtime, req AssignReq) (AssignResp, error) {
+// handleAssign validates and enqueues a job.
+func (n *Node) handleAssign(rt transport.Runtime, from transport.Addr, raw any) (any, error) {
+	req := raw.(AssignReq)
 	if !req.Prof.Cons.SatisfiedBy(n.caps, n.os) {
-		return AssignResp{}, fmt.Errorf("%w: %s on %s", ErrConstraints, req.Prof.Cons, n.host.Addr())
+		return nil, fmt.Errorf("%w: %s on %s", ErrConstraints, req.Prof.Cons, n.host.Addr())
 	}
 	// An assignment carrying saved progress means a previous run node
 	// died mid-job — a failure observation for the adaptive interval.
@@ -56,14 +57,6 @@ func (n *Node) assign(rt transport.Runtime, req AssignReq) (AssignResp, error) {
 	}
 	q.tc = n.emit(req.TC, n.jobEvent(EvEnqueued, req.Prof, rt.Now()), req.Owner, n.traceNote("pos=%d", pos))
 	return AssignResp{Position: pos}, nil
-}
-
-func (n *Node) handleAssign(rt transport.Runtime, from transport.Addr, req any) (any, error) {
-	resp, err := n.assign(rt, req.(AssignReq))
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // execLoop is the run node's executor: one job at a time, FIFO by
@@ -214,12 +207,7 @@ func (n *Node) report(rt transport.Runtime, prof Profile, owner transport.Addr, 
 	// relay fallback.
 	delivered, tc := n.deliverResult(rt, prof, owner, res, tc)
 	if delivered {
-		req := CompleteReq{JobID: res.JobID, Run: n.host.Addr(), TC: tc}
-		if owner == n.host.Addr() {
-			_, _ = n.handleComplete(rt, n.host.Addr(), req)
-		} else {
-			_, _ = rt.Call(owner, MComplete, req)
-		}
+		_, _ = n.call(rt, owner, MComplete, CompleteReq{JobID: res.JobID, Run: n.host.Addr(), TC: tc})
 	}
 }
 
@@ -231,13 +219,7 @@ func (n *Node) report(rt transport.Runtime, prof Profile, owner transport.Addr, 
 func (n *Node) reportVote(rt transport.Runtime, owner transport.Addr, res Result, tc obs.TC) {
 	req := CompleteReq{JobID: res.JobID, Run: n.host.Addr(), Digest: res.Digest, Res: res, TC: tc}
 	for try := 0; try < n.cfg.ResultRetries; try++ {
-		var err error
-		if owner == n.host.Addr() {
-			_, err = n.handleComplete(rt, n.host.Addr(), req)
-		} else {
-			_, err = rt.Call(owner, MComplete, req)
-		}
-		if err == nil {
+		if _, err := n.call(rt, owner, MComplete, req); err == nil {
 			return
 		}
 		rt.Sleep(time.Second)
@@ -335,11 +317,7 @@ func (n *Node) deliverResult(rt transport.Runtime, prof Profile, owner transport
 		rt.Sleep(time.Second)
 	}
 	tc = n.trace(tc, rt.Now(), "relay-requested", prof.Attempt, owner, "")
-	if owner == n.host.Addr() {
-		_, _ = n.handleRelay(rt, n.host.Addr(), RelayReq{Res: res, TC: tc})
-	} else {
-		_, _ = rt.Call(owner, MRelay, RelayReq{Res: res, TC: tc})
-	}
+	_, _ = n.call(rt, owner, MRelay, RelayReq{Res: res, TC: tc})
 	return false, tc
 }
 
@@ -404,13 +382,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 				req.Ckpts = append(req.Ckpts, p.ckpt)
 			}
 			n.om.hbSent.Inc()
-			var resp any
-			var err error
-			if owner == n.host.Addr() {
-				resp, err = n.handleHeartbeat(rt, n.host.Addr(), req)
-			} else {
-				resp, err = rt.Call(owner, MHeartbeat, req)
-			}
+			resp, err := n.call(rt, owner, MHeartbeat, req)
 			if err != nil {
 				n.om.hbFailed.Inc()
 				if _, ok := ownerSilentSince[owner]; !ok {
@@ -432,13 +404,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 			}
 			for _, p := range oversize[owner] {
 				ckReq := CheckpointReq{Run: n.host.Addr(), Ckpt: p.ckpt, TC: p.tc}
-				var err error
-				if owner == n.host.Addr() {
-					_, err = n.handleCheckpoint(rt, n.host.Addr(), ckReq)
-				} else {
-					_, err = rt.Call(owner, MCkpt, ckReq)
-				}
-				if err == nil {
+				if _, err := n.call(rt, owner, MCkpt, ckReq); err == nil {
 					n.markShipped(p)
 				}
 			}
@@ -480,25 +446,13 @@ func (n *Node) reassignOwner(rt transport.Runtime, prof Profile, deadOwner trans
 	n.tryAdopt(rt, prof, routed.Owner, ckpt, tc)
 }
 
-// tryAdopt offers a job to one adoption candidate (self-adopting
-// locally when the candidate is this node) and, on success, repoints
-// the held job's heartbeats at it. It returns the advanced trace
-// context and whether the adoption landed.
+// tryAdopt offers a job to one adoption candidate (this node itself
+// included) and, on success, repoints the held job's heartbeats at it.
+// It returns the advanced trace context and whether the adoption
+// landed.
 func (n *Node) tryAdopt(rt transport.Runtime, prof Profile, newOwner transport.Addr, ckpt Checkpoint, tc obs.TC) (obs.TC, bool) {
 	tc = n.trace(tc, rt.Now(), "adopt-requested", prof.Attempt, newOwner, "")
-	if newOwner == n.host.Addr() {
-		n.mu.Lock()
-		job, dup := n.owned[prof.ID]
-		if !dup {
-			job = &ownedJob{prof: prof, run: n.host.Addr(), matched: true, lastHB: rt.Now(), tc: tc}
-			n.owned[prof.ID] = job
-		}
-		job.absorbCkpt(ckpt)
-		n.mu.Unlock()
-		if !dup {
-			n.emit(tc, n.jobEvent(EvOwnerAdopted, prof, rt.Now()), "", "")
-		}
-	} else if _, err := rt.Call(newOwner, MAdopt, AdoptReq{Prof: prof, Run: n.host.Addr(), Ckpt: ckpt, TC: tc}); err != nil {
+	if _, err := n.call(rt, newOwner, MAdopt, AdoptReq{Prof: prof, Run: n.host.Addr(), Ckpt: ckpt, TC: tc}); err != nil {
 		return tc, false
 	}
 	n.mu.Lock()

@@ -173,13 +173,11 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 				n.mu.Unlock()
 				return
 			}
-			prof := job.prof
-			tc := job.tc
+			prof, tc := job.prof, job.tc
 			delete(n.owned, jobID)
 			n.mu.Unlock()
 			tc = n.emit(tc, n.jobEvent(EvQuorumFailed, prof, rt.Now()), "", "")
-			n.emit(tc, n.jobEvent(EvGaveUp, prof, rt.Now()), "", "")
-			n.retire(rt.Now(), jobID)
+			n.giveUp(rt.Now(), prof, tc)
 			return
 		}
 		v.assigns++

@@ -95,11 +95,11 @@ func FuzzWireDecode(f *testing.F) {
 		grid.InjectReq{Client: "fuzz:1", Seq: 2, Input: []byte{0xca, 0xfe}, CkptBias: 2.5, CarryOutput: true, TC: tc},
 		grid.AssignReq{Prof: grid.Profile{
 			ID: ids.HashString("fw"), Client: "fuzz:1", Seq: 2,
-			Input: []byte{0xca, 0xfe}, CkptBias: 2.5, CarryOutput: true,
+			JobSpec: grid.JobSpec{Input: []byte{0xca, 0xfe}, CkptBias: 2.5, CarryOutput: true},
 		}, Owner: "fuzz:2", TC: tc},
 		grid.ResultReq{Res: grid.Result{
 			JobID: ids.HashString("fw"), RunNode: "fuzz:3",
-			Data: grid.StageOutput(grid.Profile{Client: "fuzz:1", Seq: 2, OutputKB: 1}),
+			Data: grid.StageOutput(grid.Profile{Client: "fuzz:1", Seq: 2, JobSpec: grid.JobSpec{OutputKB: 1}}),
 		}, TC: tc},
 		pubsub.PublishReq{Topic: flow.FlowTopic("fuzz:1", "soak"), From: "fuzz:1",
 			Payloads: [][]byte{flow.EncodeUpdate(flow.Update{

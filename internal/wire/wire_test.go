@@ -64,7 +64,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			}},
 		},
 		grid.AssignReq{
-			Prof:  grid.Profile{ID: ids.HashString("job"), Client: "c:1", Work: 100},
+			Prof:  grid.Profile{ID: ids.HashString("job"), Client: "c:1", JobSpec: grid.JobSpec{Work: 100}},
 			Owner: "o:1",
 			Ckpt:  grid.Checkpoint{JobID: ids.HashString("job"), Run: "r:3", Done: 42e9},
 			Reps:  []transport.Addr{"s:1", "s:2"},
@@ -96,7 +96,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			TC: obs.TC{ID: grid.TraceID("c:1", 3), Hop: 1},
 		},
 		grid.AssignReq{
-			Prof:  grid.Profile{ID: ids.HashString("tjob"), Client: "c:1", Work: 100},
+			Prof:  grid.Profile{ID: ids.HashString("tjob"), Client: "c:1", JobSpec: grid.JobSpec{Work: 100}},
 			Owner: "o:1",
 			TC:    obs.TC{ID: grid.TraceID("c:1", 4), Hop: 7},
 		},
@@ -117,7 +117,7 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 			{Err: "route job deadbeef: no live owner"},
 		}},
 		grid.OwnBatchReq{Items: []grid.OwnReq{
-			{Prof: grid.Profile{ID: ids.HashString("bj"), Client: "c:1", Cons: cons, Work: 50}, TC: obs.TC{ID: grid.TraceID("c:1", 7), Hop: 2}},
+			{Prof: grid.Profile{ID: ids.HashString("bj"), Client: "c:1", JobSpec: grid.JobSpec{Cons: cons, Work: 50}}, TC: obs.TC{ID: grid.TraceID("c:1", 7), Hop: 2}},
 		}},
 		grid.OwnBatchResp{Results: []grid.OwnResult{
 			{Reps: []transport.Addr{"s:1", "s:2"}},
@@ -215,15 +215,15 @@ func TestPopulatedMessagesRoundTrip(t *testing.T) {
 		},
 		grid.AssignReq{
 			Prof: grid.Profile{
-				ID: ids.HashString("fjob"), Client: "c:1", Seq: 9, Work: 50,
-				Input: []byte{0xca, 0xfe}, CkptBias: 2.5, CarryOutput: true,
+				ID: ids.HashString("fjob"), Client: "c:1", Seq: 9,
+				JobSpec: grid.JobSpec{Work: 50, Input: []byte{0xca, 0xfe}, CkptBias: 2.5, CarryOutput: true},
 			},
 			Owner: "o:1",
 			Ckpt:  grid.Checkpoint{JobID: ids.HashString("fjob"), Run: "r:2", Done: 2e9, Data: []byte{3, 4}},
 		},
 		grid.ResultReq{Res: grid.Result{
 			JobID: ids.HashString("fjob"), RunNode: "r:2", OutputKB: 1,
-			Data: grid.StageOutput(grid.Profile{Client: "c:1", Seq: 9, OutputKB: 1}),
+			Data: grid.StageOutput(grid.Profile{Client: "c:1", Seq: 9, JobSpec: grid.JobSpec{OutputKB: 1}}),
 		}},
 		// Flow status updates ride pubsub payloads, like grid.JobUpdate.
 		pubsub.PublishReq{
