@@ -25,12 +25,18 @@ import (
 type recorder struct {
 	mu  sync.Mutex
 	evs []grid.Event
+	// on, when set, sees each event on the proc that records it.
+	on func(grid.Event)
 }
 
 func (r *recorder) Record(ev grid.Event) {
 	r.mu.Lock()
 	r.evs = append(r.evs, ev)
+	on := r.on
 	r.mu.Unlock()
+	if on != nil {
+		on(ev)
+	}
 }
 
 type cluster struct {

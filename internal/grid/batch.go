@@ -56,9 +56,8 @@ func (n *Node) InjectBatch(rt transport.Runtime, reqs []InjectReq) []InjectResul
 			// submission identity, so the lifecycle stays reconstructable.
 			tc = obs.TC{ID: TraceID(req.Client, req.Seq)}
 		}
-		ev := n.jobEvent(EvInjected, prof, rt.Now())
-		ev.Hops = route.Hops
-		tc = n.emit(tc, ev, route.Owner, n.traceNote("hops=%d", route.Hops))
+		tc = n.transition(tc, injector, nil, prof, Event{Kind: EvInjected, At: rt.Now(), Hops: route.Hops}, route.Owner, "",
+			n.traceNote("hops=%d", route.Hops))
 		results[i].Owner = route.Owner
 		results[i].Hops = route.Hops
 		byOwner[route.Owner] = append(byOwner[route.Owner], pending{idx: i, prof: prof, tc: tc})

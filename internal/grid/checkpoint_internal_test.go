@@ -7,10 +7,14 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/pubsub"
+	replpkg "repro/internal/replica"
+	"repro/internal/resource"
 	"repro/internal/transport"
 )
 
@@ -218,62 +222,137 @@ func TestCollectPendingCkptsAndMarkShipped(t *testing.T) {
 	}
 }
 
-// TestAdoptAlreadyOwnedJobKeepsRecord: a duplicated AdoptReq (or one
-// re-routed to an owner that already tracks the job) must not reset the
-// owner's record — but it must still absorb a fresher checkpoint.
+// TestAdoptAlreadyOwnedJobKeepsRecord: an adopt of a job the node
+// already owns (a duplicated AdoptReq, a run node re-routed to its
+// owner, a voting replica re-registering, an adopt after a promotion)
+// must not reset the owner's record, must still absorb a fresher
+// checkpoint or register the replica, and is no adoption: it records
+// no EvOwnerAdopted and pushes nothing.
 func TestAdoptAlreadyOwnedJobKeepsRecord(t *testing.T) {
 	id := ids.HashString("job")
-	adopted := 0
-	rec := RecorderFunc(func(ev Event) {
-		if ev.Kind == EvOwnerAdopted {
-			adopted++
+	prof := Profile{ID: id, Client: "client"}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		own    func(n *Node, rt transport.Runtime) // makes n the job's owner
+		adopt  AdoptReq
+		verify func(t *testing.T, job *ownedJob)
+	}{{
+		name: "duplicate",
+		cfg:  Config{CheckpointEvery: 2 * time.Second},
+		own: func(n *Node, _ transport.Runtime) {
+			hold(n, &ownedJob{prof: prof, run: "run1", matched: true, lastHB: 5 * time.Second,
+				ckpt: Checkpoint{JobID: id, Run: "run1", Done: 3 * time.Second}})
+		},
+		adopt: AdoptReq{Prof: prof, Run: "run1", Ckpt: Checkpoint{JobID: id, Run: "run1", Done: 8 * time.Second}},
+		verify: func(t *testing.T, job *ownedJob) {
+			if job.run != "run1" || !job.matched {
+				t.Fatalf("duplicate adopt rewrote the record: %+v", job)
+			}
+			if job.lastHB != 5*time.Second {
+				t.Fatalf("duplicate adopt touched lastHB: %v", job.lastHB)
+			}
+			if job.ckpt.Done != 8*time.Second {
+				t.Fatalf("fresher checkpoint not absorbed on duplicate adopt: %v", job.ckpt.Done)
+			}
+		},
+	}, {
+		name:  "voting",
+		cfg:   Config{Replicas: 2, Quorum: 2},
+		own:   func(n *Node, _ transport.Runtime) { votingJob(n, id, "run1") },
+		adopt: AdoptReq{Prof: prof, Run: "run2"},
+		verify: func(t *testing.T, job *ownedJob) {
+			if !job.vote.hasReplica("run1") || !job.vote.hasReplica("run2") {
+				t.Fatalf("re-registering replica not added to the vote: %+v", job.vote.reps)
+			}
+		},
+	}, {
+		name: "promoted",
+		cfg:  Config{CheckpointEvery: 2 * time.Second},
+		own: func(n *Node, rt transport.Runtime) {
+			or := OwnerRecord{Prof: prof, Run: "run1", Matched: true, Ckpt: Checkpoint{JobID: id, Run: "run1", Done: 3 * time.Second}}
+			n.onReplicaOwn(rt, replpkg.Record{Key: id, Epoch: 2, Owner: "dead", Data: encodeOwnerRecord(or)}, true)
+		},
+		adopt: AdoptReq{Prof: prof, Run: "run1", Ckpt: Checkpoint{JobID: id, Run: "run1", Done: 8 * time.Second}},
+		verify: func(t *testing.T, job *ownedJob) {
+			if job.run != "run1" || !job.matched || job.ckpt.Done != 8*time.Second {
+				t.Fatalf("adopt after promotion: record %+v", job)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			adopted := 0
+			rec := RecorderFunc(func(ev Event) {
+				if ev.Kind == EvOwnerAdopted {
+					adopted++
+				}
+			})
+			n, h := newPushNode(rec, tc.cfg)
+			rt := &stubRT{now: 20 * time.Second, rng: rand.New(rand.NewSource(1))}
+			tc.own(n, rt)
+			job := n.owned[id]
+			pushed := pushedKinds(t, h)
+			if _, err := n.handleAdopt(rt, tc.adopt.Run, tc.adopt); err != nil {
+				t.Fatalf("handleAdopt: %v", err)
+			}
+			if n.owned[id] != job {
+				t.Fatal("adopt of an owned job replaced its record")
+			}
+			tc.verify(t, job)
+			pushed = append(pushed, pushedKinds(t, h)...)
+			if adopted != 0 || slices.Contains(pushed, EvOwnerAdopted.String()) {
+				t.Fatalf("adopt of an owned job recorded EvOwnerAdopted %d times and pushed %v; want neither", adopted, pushed)
+			}
+
+			// A first-time adopt is an adoption: recorded and pushed once.
+			id2 := ids.HashString("job2")
+			prof2 := Profile{ID: id2, Client: "client"}
+			if _, err := n.handleAdopt(rt, "run2", AdoptReq{Prof: prof2, Run: "run2",
+				Ckpt: Checkpoint{JobID: id2, Run: "run2", Done: 4 * time.Second}}); err != nil {
+				t.Fatalf("handleAdopt: %v", err)
+			}
+			if adopted != 1 || !slices.Equal(pushedKinds(t, h), []string{EvOwnerAdopted.String()}) {
+				t.Fatalf("fresh adopt: EvOwnerAdopted recorded %d times, want 1 and one push", adopted)
+			}
+			if job2 := n.owned[id2]; tc.cfg.Replicas == 0 && (job2.run != "run2" || job2.ckpt.Done != 4*time.Second) {
+				t.Fatalf("fresh adopt record wrong: %+v", job2)
+			}
+		})
+	}
+}
+
+// newPushNode is newStubNode with a pub/sub broker, whose pushes
+// pushedKinds reads.
+func newPushNode(rec Recorder, cfg Config) (*Node, *stubHost) {
+	h := &stubHost{addr: "owner"}
+	cfg.Notify = pubsub.New(h, pubsub.Config{Lookup: func(transport.Runtime, ids.ID) (transport.Addr, error) { return "rdv", nil }})
+	cfg.Notify.Start()
+	return NewNode(h, resource.Vector{4, 1024, 100}, "linux", nil, stubMatcher{}, rec, cfg), h
+}
+
+// pushedKinds runs the broker flushes h has spawned since the last
+// call and returns the kinds of the job updates they published.
+func pushedKinds(t *testing.T, h *stubHost) []string {
+	t.Helper()
+	var kinds []string
+	rt := &stubRT{rng: rand.New(rand.NewSource(1)), call: func(_ transport.Addr, method string, req any) (any, error) {
+		for _, p := range req.(pubsub.PublishReq).Payloads {
+			u, err := DecodeJobUpdate(p)
+			if err != nil {
+				t.Fatalf("decode push: %v", err)
+			}
+			kinds = append(kinds, u.Kind)
 		}
-	})
-	n, _ := newStubNode(rec, Config{CheckpointEvery: 2 * time.Second})
-	n.owned[id] = &ownedJob{
-		prof:    Profile{ID: id, Attempt: 0, Client: "client"},
-		run:     "run1",
-		matched: true,
-		lastHB:  5 * time.Second,
-		ckpt:    Checkpoint{JobID: id, Run: "run1", Done: 3 * time.Second},
+		return pubsub.PublishResp{}, nil
+	}}
+	for i, name := range h.spawns {
+		if name == "pubsub.kick" && h.procs[i] != nil {
+			fn := h.procs[i]
+			h.procs[i] = nil
+			fn(rt)
+		}
 	}
-	rt := &stubRT{now: 20 * time.Second, rng: rand.New(rand.NewSource(1))}
-
-	_, err := n.handleAdopt(rt, "run1", AdoptReq{
-		Prof: Profile{ID: id, Attempt: 0, Client: "client"},
-		Run:  "run1",
-		Ckpt: Checkpoint{JobID: id, Run: "run1", Done: 8 * time.Second},
-	})
-	if err != nil {
-		t.Fatalf("handleAdopt: %v", err)
-	}
-	job := n.owned[id]
-	if job.run != "run1" || !job.matched {
-		t.Fatalf("duplicate adopt rewrote the record: %+v", job)
-	}
-	if job.lastHB != 5*time.Second {
-		t.Fatalf("duplicate adopt touched lastHB: %v", job.lastHB)
-	}
-	if job.ckpt.Done != 8*time.Second {
-		t.Fatalf("fresher checkpoint not absorbed on duplicate adopt: %v", job.ckpt.Done)
-	}
-	if adopted != 1 {
-		t.Fatalf("EvOwnerAdopted recorded %d times, want 1", adopted)
-	}
-
-	// A first-time adopt creates the record and seeds its checkpoint.
-	id2 := ids.HashString("job2")
-	_, err = n.handleAdopt(rt, "run2", AdoptReq{
-		Prof: Profile{ID: id2, Client: "client"},
-		Run:  "run2",
-		Ckpt: Checkpoint{JobID: id2, Run: "run2", Done: 4 * time.Second},
-	})
-	if err != nil {
-		t.Fatalf("handleAdopt: %v", err)
-	}
-	if job2 := n.owned[id2]; job2 == nil || job2.run != "run2" || job2.ckpt.Done != 4*time.Second {
-		t.Fatalf("fresh adopt record wrong: %+v", n.owned[id2])
-	}
+	return kinds
 }
 
 // TestStatusForCompletedJob: once a job completes the owner forgets it,
@@ -283,11 +362,11 @@ func TestAdoptAlreadyOwnedJobKeepsRecord(t *testing.T) {
 func TestStatusForCompletedJob(t *testing.T) {
 	id := ids.HashString("job")
 	n, _ := newStubNode(nil, Config{})
-	n.owned[id] = &ownedJob{
+	hold(n, &ownedJob{
 		prof:    Profile{ID: id, Client: "client"},
 		run:     "run1",
 		matched: true,
-	}
+	})
 	rt := &stubRT{now: 10 * time.Second, rng: rand.New(rand.NewSource(2))}
 
 	raw, err := n.handleStatus(rt, "client", StatusReq{JobID: id})
@@ -321,11 +400,11 @@ func TestStatusForCompletedJob(t *testing.T) {
 func TestHandleCheckpointStandalone(t *testing.T) {
 	id := ids.HashString("job")
 	n, _ := newStubNode(nil, Config{CheckpointEvery: 2 * time.Second})
-	n.owned[id] = &ownedJob{
+	hold(n, &ownedJob{
 		prof:    Profile{ID: id, Client: "client"},
 		run:     "run1",
 		matched: true,
-	}
+	})
 	rt := &stubRT{now: 10 * time.Second, rng: rand.New(rand.NewSource(3))}
 
 	big := Checkpoint{JobID: id, Run: "run1", Done: 7 * time.Second, Data: make([]byte, 64<<10)}

@@ -92,9 +92,18 @@ func (n *Node) SubmitAll(rt transport.Runtime, specs []JobSpec) ([]ids.ID, error
 // recover the job even if every inject attempt afterwards fails.
 func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt int) InjectReq {
 	req := spec.injectReq(n.host.Addr(), seq, attempt)
-	jobID := JobGUID(req.Client, seq, attempt)
+	prof := Profile{ID: JobGUID(req.Client, seq, attempt), Client: req.Client, Seq: seq, Attempt: attempt}
+	p := &pendingJob{seq: seq, attempt: attempt, spec: spec, submitAt: rt.Now()}
+	// The trace spans the whole lineage: its ID is the attempt-0 GUID,
+	// so resubmissions chain onto the same trace.
+	// Seq and the expected digest give collectors a ground-truth channel:
+	// the digest an honest execution of this job must produce, compared
+	// against EvResultDelivered's digest to count accepted-wrong results.
+	req.TC = n.transition(obs.TC{ID: TraceID(req.Client, seq)}, client, &p.life, prof, Event{
+		Kind: EvSubmitted, At: rt.Now(), Seq: seq, Digest: ResultDigest(req.Client, seq, spec.OutputKB, ""),
+	}, "", "", n.traceNote("work=%s", spec.Work))
 	n.mu.Lock()
-	n.pending[jobID] = &pendingJob{seq: seq, attempt: attempt, spec: spec, submitAt: rt.Now()}
+	n.pending[prof.ID] = p
 	n.mu.Unlock()
 	// With push notifications on, subscribe to the lineage topic once,
 	// at the first attempt; resubmissions publish to the same topic, so
@@ -103,15 +112,6 @@ func (n *Node) prepareSubmit(rt transport.Runtime, spec JobSpec, seq, attempt in
 	if n.cfg.Notify != nil && attempt == 0 {
 		n.cfg.Notify.Subscribe(NotifyTopic(req.Client, seq))
 	}
-	// The trace spans the whole lineage: its ID is the attempt-0 GUID,
-	// so resubmissions chain onto the same trace.
-	// Seq and the expected digest give collectors a ground-truth channel:
-	// the digest an honest execution of this job must produce, compared
-	// against EvResultDelivered's digest to count accepted-wrong results.
-	req.TC = n.emit(obs.TC{ID: TraceID(req.Client, seq)}, Event{
-		Kind: EvSubmitted, JobID: jobID, Attempt: attempt, At: rt.Now(), Node: n.host.Addr(),
-		Seq: seq, Digest: ResultDigest(req.Client, seq, spec.OutputKB, ""),
-	}, "", n.traceNote("work=%s", spec.Work))
 	return req
 }
 
@@ -183,11 +183,9 @@ func (n *Node) injectAll(rt transport.Runtime, reqs []InjectReq) ([]ids.ID, erro
 // retryWait is the submit path's one retry decision: how long to wait
 // before re-injecting an item that came back as res, or 0 when it was
 // accepted. An owner's backpressure rejection honors the hint plus
-// jitter. Anything else is a routing or handoff failure: the routed
-// owner candidate is likely dead, and a retry re-routes (under walk
-// placement, a fresh walk) and lands elsewhere. Without the retry the
-// job sits ownerless until the monitor's patience expires — a full
-// patience window of latency for a submit-time failure.
+// jitter. Anything else is a routing or handoff failure, and a retry
+// re-routes past the likely dead owner instead of leaving the job
+// ownerless for a whole monitor patience window.
 func retryWait(rt transport.Runtime, res InjectResult) time.Duration {
 	switch {
 	case res.RetryAfterMS > 0:
@@ -305,29 +303,25 @@ func (n *Node) acceptResult(rt transport.Runtime, res Result, tc obs.TC) obs.TC 
 	n.mu.Lock()
 	p, ok := n.pending[res.JobID]
 	fresh := ok && !p.got
-	var work time.Duration
-	seq := 0
 	if fresh {
 		p.got = true
 		p.resultAt = rt.Now()
 		p.res = res
-		work = p.spec.Work
-		seq = p.seq
 		n.resultEvents++
 		n.resultCond.Broadcast()
 	}
 	n.mu.Unlock()
-	if fresh {
+	if fresh { // p's seq and spec never change
 		if n.cfg.Notify != nil {
-			n.cfg.Notify.Unsubscribe(NotifyTopic(n.host.Addr(), seq))
+			n.cfg.Notify.Unsubscribe(NotifyTopic(n.host.Addr(), p.seq))
 		}
 		if tc.Zero() {
-			tc = obs.TC{ID: TraceID(n.host.Addr(), seq)}
+			tc = obs.TC{ID: TraceID(n.host.Addr(), p.seq)}
 		}
-		tc = n.emit(tc, Event{
-			Kind: EvResultDelivered, JobID: res.JobID, Attempt: res.Attempt,
-			At: rt.Now(), Node: res.RunNode, Progress: work, Digest: res.Digest,
-		}, res.RunNode, "")
+		prof := Profile{ID: res.JobID, Client: n.host.Addr(), Seq: p.seq, Attempt: res.Attempt}
+		tc = n.transition(tc, client, &p.life, prof, Event{
+			Kind: EvResultDelivered, At: rt.Now(), Node: res.RunNode, Progress: p.spec.Work, Digest: res.Digest,
+		}, res.RunNode, "", "")
 	}
 	return tc
 }
@@ -341,10 +335,13 @@ func (n *Node) StartClientMonitor(resubmitAfter time.Duration) {
 		for {
 			rt.Sleep(n.cfg.HeartbeatEvery * 2)
 			now := rt.Now()
+			// owner and reps are p's probe targets as the scan reads them;
+			// p's seq, attempt and spec never change.
 			type check struct {
-				id   ids.ID
-				p    pendingJob
-				wait time.Duration
+				id    ids.ID
+				p     *pendingJob
+				owner transport.Addr
+				reps  []transport.Addr
 			}
 			var checks []check
 			n.mu.Lock()
@@ -364,7 +361,7 @@ func (n *Node) StartClientMonitor(resubmitAfter time.Duration) {
 					p.submitAt = now
 					continue
 				}
-				checks = append(checks, check{id: id, p: *p})
+				checks = append(checks, check{id: id, p: p, owner: p.owner, reps: p.reps})
 			}
 			n.mu.Unlock()
 			// Deterministic order: map iteration would randomize which
@@ -372,7 +369,7 @@ func (n *Node) StartClientMonitor(resubmitAfter time.Duration) {
 			// monitorTick's sorted scan of n.owned).
 			sort.Slice(checks, func(i, j int) bool { return checks[i].id.Less(checks[j].id) })
 			for _, c := range checks {
-				n.checkAndMaybeResubmit(rt, c.id, c.p)
+				n.checkAndMaybeResubmit(rt, c.id, c.p, c.owner, c.reps)
 			}
 		}
 	})
@@ -386,13 +383,13 @@ func (n *Node) StartClientMonitor(resubmitAfter time.Duration) {
 // record and a promoted successor is one of them — and last the
 // overlay's current routing for the GUID, which under walk placement
 // lands on an arbitrary nearby node.
-func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendingJob) {
-	probed := make(map[transport.Addr]bool, len(p.reps)+2)
-	direct := make([]transport.Addr, 0, len(p.reps)+1)
-	if p.owner != "" {
-		direct = append(direct, p.owner)
+func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p *pendingJob, owner transport.Addr, reps []transport.Addr) {
+	probed := make(map[transport.Addr]bool, len(reps)+2)
+	direct := make([]transport.Addr, 0, len(reps)+1)
+	if owner != "" {
+		direct = append(direct, owner)
 	}
-	direct = append(direct, p.reps...)
+	direct = append(direct, reps...)
 	// With transport health available, probe likely-live candidates
 	// first; breaker-open peers stay in the list (their probes fail
 	// fast) but no longer head-of-line block the ones that can answer.
@@ -402,12 +399,12 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 			continue
 		}
 		probed[c] = true
-		if n.statusKnown(rt, jobID, p, c) {
+		if n.statusKnown(rt, jobID, p.seq, c) {
 			return
 		}
 	}
 	if routed := n.overlay.RouteJobs(rt, []Profile{{ID: jobID, JobSpec: p.spec}})[0]; routed.Err == nil && !probed[routed.Owner] {
-		if n.statusKnown(rt, jobID, p, routed.Owner) {
+		if n.statusKnown(rt, jobID, p.seq, routed.Owner) {
 			return
 		}
 	}
@@ -420,27 +417,23 @@ func (n *Node) checkAndMaybeResubmit(rt transport.Runtime, jobID ids.ID, p pendi
 	delete(n.pending, jobID)
 	n.mu.Unlock()
 	prof := Profile{ID: jobID, Client: n.host.Addr(), Seq: p.seq, Attempt: p.attempt}
-	n.emit(n.om.tracer.Context(TraceID(n.host.Addr(), p.seq)), n.jobEvent(EvResubmitted, prof, rt.Now()), "",
+	n.transition(n.om.tracer.Context(TraceID(n.host.Addr(), p.seq)), client, &p.life, prof, Event{Kind: EvResubmitted, At: rt.Now()}, "", n.host.Addr(),
 		n.traceNote("next_attempt=%d", p.attempt+1))
-	n.notifyTransition(rt.Now(), prof, EvResubmitted, n.host.Addr(), 0)
 	_, _ = n.injectAll(rt, []InjectReq{n.prepareSubmit(rt, p.spec, p.seq, p.attempt+1)})
 }
 
 // statusKnown probes one candidate for the job's status. On a Known
-// answer it re-aims the pending entry at whatever owner and replica
-// chain the responder reports (empty when a replica answered on a live
-// owner's behalf) and moves the job into watch cadence: a job that is
-// confirmed alive but already past its expected runtime is exactly the
-// one the client wants prompt news about, so instead of granting a
-// whole fresh patience window the monitor re-probes once per grace
-// interval until the result lands. This recurring poll traffic is what
-// the notification overlay eliminates — a pushed transition inside the
-// silence window skips the probe entirely.
-func (n *Node) statusKnown(rt transport.Runtime, jobID ids.ID, p pendingJob, addr transport.Addr) bool {
+// answer it re-aims the pending entry at the owner and replica chain
+// the responder reports (empty when a replica answered for a live
+// owner) and moves the job into watch cadence: a job confirmed alive
+// past its expected runtime is re-probed once per grace interval, not
+// granted a fresh patience window. A push inside the silence window
+// skips that probe.
+func (n *Node) statusKnown(rt transport.Runtime, jobID ids.ID, seq int, addr transport.Addr) bool {
 	// The status probe carries the lineage's context for wire
 	// uniformity; the responder records nothing for it (a query, not a
 	// lifecycle step).
-	sreq := StatusReq{JobID: jobID, TC: n.om.tracer.Context(TraceID(n.host.Addr(), p.seq))}
+	sreq := StatusReq{JobID: jobID, TC: n.om.tracer.Context(TraceID(n.host.Addr(), seq))}
 	n.mu.Lock()
 	n.StatusProbes++
 	n.mu.Unlock()

@@ -82,8 +82,7 @@ type Config struct {
 	// by sqrt(bias), so the stages whose loss would re-execute the most
 	// downstream work snapshot the most often (Ni & Harwood's
 	// workflow-aware refinement). Default off: bias hints are carried
-	// but ignored, which is what plain-adaptive comparisons and seeded
-	// replays of earlier PRs expect. Requires CheckpointAdaptive.
+	// but ignored. Requires CheckpointAdaptive.
 	CheckpointWorkflowAware bool
 
 	// Replicas is the sabotage-tolerance redundancy degree R: owners
@@ -122,26 +121,21 @@ type Config struct {
 	// tests substitute scripted rings).
 	ReplicaRing ReplicaRing
 
-	// OwnerCapacity bounds the owner's inject queue: how many jobs one
-	// node will track as owner at once. Injections beyond it are
-	// rejected with a retry-after hint (retryAfterBase, scaled by the
-	// overshoot; clients jitter around it) instead of growing the owned
-	// set without bound — a hot owner sheds load rather than
-	// collapsing (default 0: unbounded, the paper's behavior).
-	// Recovery paths (adoption, replica promotion) bypass the bound;
-	// shedding those would lose jobs that are already placed.
+	// OwnerCapacity bounds how many jobs one node will own at once:
+	// injections beyond it are rejected with a retry-after hint, so a
+	// hot owner sheds load rather than collapsing (default 0:
+	// unbounded, the paper's behavior). Recovery paths (adoption,
+	// replica promotion) bypass the bound: shedding those would lose
+	// jobs that are already placed.
 	OwnerCapacity int
 
 	// Notify, when set, attaches the DHT pub/sub notification overlay
-	// (DESIGN.md §13): this node publishes every owner-side job-state
-	// transition to the job lineage's topic (the attempt-0 GUID), and
-	// the client side subscribes on submit so the monitor becomes
-	// push-driven — per-job status polling demotes to a slow liveness
-	// fallback that fires only on notification silence. Default nil:
-	// off, the paper's polling monitor, and what seeded replays of
-	// earlier PRs expect. All publish/subscribe I/O runs on
-	// broker-owned activities, never on the protocol hot path, so
-	// protocol outcomes are unchanged with it on or off.
+	// (DESIGN.md §13): this node publishes the transitions the lifecycle
+	// table pushes to the job lineage's topic (the attempt-0 GUID), and
+	// the client side subscribes on submit, so its monitor polls only on
+	// notification silence. Default nil: off, the paper's polling
+	// monitor. Publish and subscribe I/O runs on broker-owned
+	// activities, so protocol outcomes are unchanged with it on or off.
 	Notify *pubsub.Broker
 	// NotifySilence is how long a push notification keeps a due
 	// pending job fresh in the client monitor before the polling
@@ -150,11 +144,9 @@ type Config struct {
 
 	// Obs, when set, attaches the live observability layer: lifecycle
 	// metrics feed its registry, job traces its tracer, and structured
-	// events its hub. Observability is trace-neutral — it never feeds
-	// back into protocol decisions, and attaching it to a deterministic
-	// simulation leaves the recorded event trace byte-identical (see
-	// obs_soak_test.go). Nil disables it at zero cost beyond one
-	// predictable branch per instrument call.
+	// events its hub. It never feeds back into protocol decisions, so a
+	// simulation's recorded event trace is the same with it on or off
+	// (obs_soak_test.go). Nil disables it.
 	Obs *obs.Obs
 
 	// PeerDown, when set, reports whether the transport layer currently
@@ -376,64 +368,6 @@ type MatchResult struct {
 	Run   transport.Addr
 	Stats MatchStats
 	Err   error
-}
-
-// EventKind enumerates job lifecycle events.
-type EventKind int
-
-// Lifecycle events recorded through the Recorder.
-const (
-	EvSubmitted EventKind = iota
-	EvInjected
-	EvOwned
-	EvMatched
-	EvMatchFailed
-	EvEnqueued
-	EvStarted
-	EvCompleted
-	EvResultDelivered
-	EvRunFailureDetected
-	EvOwnerFailureDetected
-	EvOwnerAdopted
-	EvResubmitted
-	EvDropped
-	EvGaveUp
-	EvCheckpointed
-	EvResumed
-	// Sabotage-tolerance events (appended — earlier kinds keep their
-	// values so pre-voting traces stay comparable).
-	EvVoted        // a replica's digest was tallied at the owner
-	EvAccepted     // quorum reached; Digest is the winning digest
-	EvRejected     // a replica dissented from the accepted digest
-	EvQuorumFailed // replica/rematch budget exhausted without quorum
-	EvReputation   // a peer's trust score changed; Delta is the change
-	EvBlacklisted  // the change crossed the peer into the blacklist
-	EvProbed       // a known-answer probe completed; Delta is the change
-	// Replication events (appended; see DESIGN.md §10).
-	EvPromoted // a replica took ownership of a job after owner death
-	EvHandoff  // a promoted/restored owner re-established the execution path
-	EvDemoted  // a stale owner stood down after being fenced
-	EvRestored // a replica handed a restarted owner its job state back
-	// Backpressure events (appended; see DESIGN.md §11).
-	EvInjectRejected // an at-capacity owner refused an injection with retry-after
-)
-
-var eventNames = [...]string{
-	"submitted", "injected", "owned", "matched", "match-failed",
-	"enqueued", "started", "completed", "result-delivered",
-	"run-failure-detected", "owner-failure-detected", "owner-adopted",
-	"resubmitted", "dropped", "gave-up", "checkpointed", "resumed",
-	"voted", "accepted", "rejected", "quorum-failed", "reputation",
-	"blacklisted", "probed",
-	"promoted", "handoff", "demoted", "restored",
-	"inject-rejected",
-}
-
-func (k EventKind) String() string {
-	if int(k) < len(eventNames) {
-		return eventNames[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
 // Event is one recorded lifecycle step.

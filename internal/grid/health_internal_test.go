@@ -97,7 +97,7 @@ func TestMatchAndAssignDemotesDown(t *testing.T) {
 			if tc.replicas > 1 {
 				job.vote = newVoteState()
 			}
-			n.owned[id] = job
+			hold(n, job)
 			var assigned []transport.Addr
 			rt := &stubRT{rng: rand.New(rand.NewSource(1))}
 			rt.call = func(to transport.Addr, method string, req any) (any, error) {

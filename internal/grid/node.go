@@ -244,7 +244,17 @@ type ownedJob struct {
 	tc obs.TC
 	// vote, when non-nil, switches this job to the redundant-execution
 	// state machine (see voting.go); run/matched/lastHB/ckpt are unused.
+	// It is set before the record is published and never changes.
 	vote *voteState
+	life life
+}
+
+// role is the owner role this record plays in the lifecycle table.
+func (j *ownedJob) role() role {
+	if j.vote != nil {
+		return voter
+	}
+	return owner
 }
 
 // absorbCkpt keeps ck if it is fresh progress for this job from a run
@@ -295,6 +305,7 @@ type queuedJob struct {
 	// measurement); tc is always read and written under the node lock.
 	tc         obs.TC
 	enqueuedAt time.Duration
+	life       life
 }
 
 // Node is one grid peer: simultaneously a potential injection node,
@@ -380,6 +391,7 @@ type pendingJob struct {
 	// arrived (zero if none). A fresh value lets the monitor skip the
 	// status probe: someone alive is demonstrably driving the job.
 	lastNotify time.Duration
+	life       life
 }
 
 // NewNode creates a grid peer bound to host, using the given overlay
@@ -553,13 +565,10 @@ func (n *Node) admitOwnLocked() *RetryAfterError {
 	return &RetryAfterError{After: after}
 }
 
-// ownJob records ownership of one job of a hand-off so the injection
-// path acknowledges quickly, and appends the job to took when it waits
-// for the hand-off's match proc (handleOwnBatch); a voting job gets its
-// own filler at once. It refuses the job, recording nothing, only when
-// the bounded inject queue is full, and accepts a job it already owns
-// as it is. Recovery paths (adoption, promotion) do not come through
-// here and are never shed.
+// ownJob records ownership of one job of a hand-off and appends it to
+// took for the hand-off's match proc (handleOwnBatch); a voting job
+// gets its own filler at once. It refuses the job only when the bounded
+// inject queue is full, and accepts a job it already owns as it is.
 func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids.ID) *RetryAfterError {
 	n.mu.Lock()
 	if _, dup := n.owned[prof.ID]; dup {
@@ -568,7 +577,7 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids
 	}
 	if full := n.admitOwnLocked(); full != nil {
 		n.mu.Unlock()
-		n.emit(tc, n.jobEvent(EvInjectRejected, prof, rt.Now()), "", "")
+		n.transition(tc, owner, nil, prof, Event{Kind: EvInjectRejected, At: rt.Now()}, "", "", "")
 		return full
 	}
 	job := &ownedJob{prof: prof, lastHB: rt.Now(), matching: true, tc: tc}
@@ -578,9 +587,8 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids
 		job.vote.filling = true
 	}
 	n.owned[prof.ID] = job
+	n.transition(tc, job.role(), &job.life, prof, Event{Kind: EvOwned, At: rt.Now()}, "", n.host.Addr(), "")
 	n.mu.Unlock()
-	n.emit(tc, n.jobEvent(EvOwned, prof, rt.Now()), "", "")
-	n.notifyTransition(rt.Now(), prof, EvOwned, n.host.Addr(), 0)
 	n.republish(prof.ID)
 	if job.vote != nil {
 		n.host.Go("grid.match", func(rt transport.Runtime) {
@@ -597,7 +605,7 @@ func (n *Node) ownJob(rt transport.Runtime, prof Profile, tc obs.TC, took *[]ids
 // left out for the rest of this batch's rounds only (see placeOne).
 type unplaced struct {
 	id      ids.ID
-	prof    Profile
+	job     *ownedJob
 	tc      obs.TC
 	ckpt    Checkpoint
 	demoted []transport.Addr
@@ -629,9 +637,9 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
 			if !ok {
 				continue
 			}
-			u.prof, u.tc, u.ckpt = job.prof, job.tc, job.ckpt
+			u.job, u.tc, u.ckpt = job, job.tc, job.ckpt
 			exclude := append(slices.Clone(job.excluded), u.demoted...)
-			reqs = append(reqs, MatchReq{Cons: u.prof.Cons, Exclude: exclude})
+			reqs = append(reqs, MatchReq{Cons: job.prof.Cons, Exclude: exclude})
 			kept = append(kept, u)
 		}
 		n.mu.Unlock()
@@ -645,7 +653,7 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
 		kept = nil
 		for k, u := range left {
 			run := results[k].Run
-			tc, res := n.placeOne(rt, u.id, u.prof, u.tc, u.ckpt, results[k])
+			tc, res := n.placeOne(rt, u.job, u.tc, u.ckpt, results[k])
 			switch res {
 			case skipped:
 				u.demoted = append(u.demoted, run)
@@ -662,7 +670,6 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
 					job.tc = tc
 				}
 				n.mu.Unlock()
-				n.notifyTransition(rt.Now(), u.prof, EvMatched, run, 0)
 				n.republish(u.id)
 				n.stopMatching(u.id)
 				continue
@@ -677,29 +684,25 @@ func (n *Node) matchAndAssign(rt transport.Runtime, jobIDs []ids.ID) {
 	for _, u := range left {
 		n.mu.Lock()
 		job, ok := n.owned[u.id]
-		var prof Profile
 		var tc obs.TC
 		if ok {
-			prof, tc = job.prof, job.tc
+			tc = job.tc
 			delete(n.owned, u.id)
 		}
 		n.mu.Unlock()
 		if ok {
-			n.giveUp(rt.Now(), prof, tc)
+			n.giveUp(rt.Now(), job, tc)
 		}
 	}
 }
 
-// giveUp announces the end of a job this owner has just deleted from
-// n.owned without delivering it (placement, relay or quorum budget
-// spent): EvGaveUp to the recorder and to the client's notification
-// topic, where it clears the freshness clock so the client's monitor
-// probes and resubmits at its next tick, and a tombstone for the
-// replicated record.
-func (n *Node) giveUp(now time.Duration, prof Profile, tc obs.TC) {
-	n.emit(tc, n.jobEvent(EvGaveUp, prof, now), "", "")
-	n.notifyTransition(now, prof, EvGaveUp, n.host.Addr(), 0)
-	n.retire(now, prof.ID)
+// giveUp ends a job this owner has just deleted from n.owned without
+// delivering it (placement, relay or quorum budget spent): EvGaveUp,
+// whose push makes the client's monitor probe at its next tick, and a
+// tombstone for the replicated record.
+func (n *Node) giveUp(now time.Duration, job *ownedJob, tc obs.TC) {
+	n.transition(tc, job.role(), &job.life, job.prof, Event{Kind: EvGaveUp, At: now}, "", n.host.Addr(), "")
+	n.retire(now, job.prof.ID)
 }
 
 // stopMatching clears an owned job's matching mark: no match proc
@@ -723,20 +726,15 @@ const (
 )
 
 // placeOne is one candidate step of matchAndAssign and fillReplicas:
-// given the job's match, emit EvMatchFailed if there is none (the
-// caller sleeps MatchRetryEvery before it matches again), skip the
-// candidate if its transport breaker is open, trace "assigning",
-// assign locally or by RPC, and emit EvMatched. Only a real assign
-// failure records the candidate on the job's exclusions. A skipped one
-// is left out for the caller's rounds only, so a peer is eligible again
-// the moment its circuit closes; a skip spends no assignment attempt
-// and no call timeout.
-func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs.TC, ckpt Checkpoint, m MatchResult) (obs.TC, placement) {
-	run, stats := m.Run, m.Stats
+// EvMatchFailed if the match found nobody, a skip if the candidate's
+// transport breaker is open, else the assignment and EvMatched. Only a
+// real assign failure puts the candidate on the job's exclusions; a
+// skipped one is left out for the caller's rounds only, so a peer is
+// eligible again the moment its circuit closes.
+func (n *Node) placeOne(rt transport.Runtime, job *ownedJob, tc obs.TC, ckpt Checkpoint, m MatchResult) (obs.TC, placement) {
+	run, stats, prof := m.Run, m.Stats, job.prof
 	if m.Err != nil {
-		ev := n.jobEvent(EvMatchFailed, prof, rt.Now())
-		ev.Match = stats
-		n.emit(tc, ev, "", "")
+		n.transition(tc, job.role(), &job.life, prof, Event{Kind: EvMatchFailed, At: rt.Now(), Match: stats}, "", "", "")
 		return tc, unmatched
 	}
 	if n.peerDown(run) {
@@ -749,15 +747,14 @@ func (n *Node) placeOne(rt transport.Runtime, jobID ids.ID, prof Profile, tc obs
 	req := AssignReq{Prof: prof, Owner: n.host.Addr(), Ckpt: ckpt, Reps: n.replTargets(), TC: tc}
 	if _, err := n.call(rt, run, MAssign, req); err != nil {
 		n.mu.Lock()
-		if job, ok := n.owned[jobID]; ok {
+		if job, ok := n.owned[prof.ID]; ok {
 			job.excluded = append(job.excluded, run)
 		}
 		n.mu.Unlock()
 		return tc, refused
 	}
-	ev := n.jobEvent(EvMatched, prof, rt.Now())
-	ev.Match = stats
-	tc = n.emit(tc, ev, run, n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
+	tc = n.transition(tc, job.role(), &job.life, prof, Event{Kind: EvMatched, At: rt.Now(), Match: stats}, run, run,
+		n.traceNote("hops=%d visits=%d", stats.Hops, stats.Visits))
 	return tc, placed
 }
 
@@ -771,22 +768,21 @@ func (n *Node) ownerMonitorLoop(rt transport.Runtime) {
 	}
 }
 
-// deadRun is one job whose run node was declared dead, with the
-// profile (and salvageable checkpoint progress) captured under the
-// same lock that scanned it.
+// deadRun is one job whose run node was declared dead: its record,
+// with the trace context and salvageable checkpoint progress captured
+// under the same lock that scanned it.
 type deadRun struct {
-	id    ids.ID
-	prof  Profile
+	job   *ownedJob
 	run   transport.Addr // the run node declared dead
 	tc    obs.TC
 	saved time.Duration
 }
 
-// monitorTick performs one owner-monitor pass. The profile of every
-// job marked for rematch is captured inside the scan's critical
-// section: a concurrent handleComplete/tryRelay may delete the job
-// between the scan and the rematch spawn, so the owned map must not be
-// re-read afterwards.
+// monitorTick performs one owner-monitor pass. The record of every job
+// marked for rematch is captured inside the scan's critical section: a
+// concurrent handleComplete/tryRelay may delete the job between the
+// scan and the rematch spawn, so the owned map must not be re-read
+// afterwards.
 func (n *Node) monitorTick(rt transport.Runtime) {
 	now := rt.Now()
 	var rematch []deadRun
@@ -815,7 +811,7 @@ func (n *Node) monitorTick(rt transport.Runtime) {
 			continue
 		}
 		if now-job.lastHB > n.cfg.RunDeadAfter {
-			rematch = append(rematch, deadRun{id: id, prof: job.prof, run: job.run, tc: job.tc, saved: job.ckpt.Done})
+			rematch = append(rematch, deadRun{job: job, run: job.run, tc: job.tc, saved: job.ckpt.Done})
 			job.excluded = append(job.excluded, job.run)
 			job.matched = false
 			job.matching = true
@@ -823,17 +819,14 @@ func (n *Node) monitorTick(rt transport.Runtime) {
 	}
 	n.mu.Unlock()
 	for _, d := range deadReps {
-		n.emit(d.tc, n.jobEvent(EvRunFailureDetected, d.prof, now), d.run, "")
-		n.notifyTransition(now, d.prof, EvRunFailureDetected, d.run, 0)
-		n.republish(d.id)
+		n.transition(d.tc, voter, &d.job.life, d.job.prof, Event{Kind: EvRunFailureDetected, At: now}, d.run, d.run, "")
+		n.republish(d.job.prof.ID)
 	}
 	for _, d := range rematch {
-		ev := n.jobEvent(EvRunFailureDetected, d.prof, now)
-		ev.Progress = d.saved
-		n.emit(d.tc, ev, d.run, n.traceNote("saved=%s", d.saved))
-		n.notifyTransition(now, d.prof, EvRunFailureDetected, d.run, d.saved)
-		n.republish(d.id)
-		id := d.id
+		n.transition(d.tc, owner, &d.job.life, d.job.prof, Event{Kind: EvRunFailureDetected, At: now, Progress: d.saved}, d.run, d.run,
+			n.traceNote("saved=%s", d.saved))
+		id := d.job.prof.ID
+		n.republish(id)
 		n.host.Go("grid.rematch", func(rt transport.Runtime) {
 			n.matchAndAssign(rt, []ids.ID{id})
 		})
@@ -857,18 +850,16 @@ func (n *Node) monitorTick(rt transport.Runtime) {
 func (n *Node) tryRelay(rt transport.Runtime, res Result) {
 	n.mu.Lock()
 	job, ok := n.owned[res.JobID]
-	var clientAddr transport.Addr
 	var tc obs.TC
 	if ok {
-		clientAddr = job.prof.Client
 		tc = job.tc
 	}
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
-	tc = n.trace(tc, rt.Now(), "result-relayed", res.Attempt, clientAddr, "")
-	if _, err := rt.Call(clientAddr, MResult, ResultReq{Res: res, TC: tc}); err == nil {
+	tc = n.trace(tc, rt.Now(), "result-relayed", res.Attempt, job.prof.Client, "")
+	if _, err := rt.Call(job.prof.Client, MResult, ResultReq{Res: res, TC: tc}); err == nil {
 		n.mu.Lock()
 		delete(n.owned, res.JobID)
 		n.mu.Unlock()
@@ -877,19 +868,17 @@ func (n *Node) tryRelay(rt transport.Runtime, res Result) {
 	}
 	n.mu.Lock()
 	job, ok = n.owned[res.JobID]
-	var prof Profile
 	gaveUp := false
 	if ok {
 		job.relayTries++
 		if job.relayTries >= n.cfg.ResultRetries {
-			prof = job.prof
 			delete(n.owned, res.JobID)
 			gaveUp = true
 		}
 	}
 	n.mu.Unlock()
 	if gaveUp {
-		n.giveUp(rt.Now(), prof, tc)
+		n.giveUp(rt.Now(), job, tc)
 	}
 }
 
@@ -897,24 +886,25 @@ func (n *Node) handleComplete(rt transport.Runtime, from transport.Addr, req any
 	c := req.(CompleteReq)
 	n.mu.Lock()
 	job, ok := n.owned[c.JobID]
-	if ok && job.vote != nil {
-		evs, fill := n.applyVoteLocked(rt.Now(), job, c)
-		jobTC := job.tc
-		prof := job.prof
+	if !ok {
 		n.mu.Unlock()
-		// The votes chain off the replica's incoming context, falling
-		// back to the owner's stored one for untraced senders.
-		tc := c.TC
-		if tc.Zero() {
-			tc = jobTC
-		}
+		return CompleteResp{}, nil
+	}
+	// The step chains off the run node's incoming context, falling back
+	// to the owner's stored one for untraced senders.
+	tc := c.TC
+	if tc.Zero() {
+		tc = job.tc
+	}
+	if job.vote != nil {
+		evs, fill := n.applyVoteLocked(rt.Now(), job, c)
+		n.mu.Unlock()
 		for _, ev := range evs {
 			peer := ev.Node
 			if peer == n.host.Addr() {
 				peer = ""
 			}
-			tc = n.emit(tc, ev, peer, "")
-			n.notifyTransition(ev.At, prof, ev.Kind, c.Run, 0)
+			tc = n.transition(tc, voter, &job.life, job.prof, ev, peer, c.Run, "")
 		}
 		if fill {
 			n.host.Go("grid.fill", func(rt transport.Runtime) {
@@ -927,26 +917,16 @@ func (n *Node) handleComplete(rt transport.Runtime, from transport.Addr, req any
 	// after a heartbeat timeout, or displaced by a rematch) is a zombie:
 	// accepting it would forget the job while the replacement still runs
 	// it — the same rule heartbeats already apply.
-	if ok && (job.isExcluded(c.Run) || (job.matched && job.run != c.Run)) {
+	if job.isExcluded(c.Run) || (job.matched && job.run != c.Run) {
 		n.mu.Unlock()
 		return CompleteResp{}, nil
 	}
-	var tc obs.TC
-	if ok {
-		tc = c.TC
-		if tc.Zero() {
-			tc = job.tc
-		}
-	}
-	retired := ok && job.relay == nil
+	retired := job.relay == nil
 	if retired {
 		delete(n.owned, c.JobID)
 	}
 	n.mu.Unlock()
-	if ok {
-		n.emit(tc, n.jobEvent(EvCompleted, job.prof, rt.Now()), c.Run, "")
-		n.notifyTransition(rt.Now(), job.prof, EvCompleted, c.Run, 0)
-	}
+	n.transition(tc, owner, &job.life, job.prof, Event{Kind: EvCompleted, At: rt.Now()}, c.Run, c.Run, "")
 	if retired {
 		n.retire(rt.Now(), c.JobID)
 	}
@@ -974,46 +954,36 @@ func (n *Node) handleRelay(rt transport.Runtime, from transport.Addr, req any) (
 func (n *Node) handleAdopt(rt transport.Runtime, from transport.Addr, req any) (any, error) {
 	a := req.(AdoptReq)
 	n.mu.Lock()
-	fill := false
-	if job, dup := n.owned[a.Prof.ID]; dup {
-		if !a.TC.Zero() {
-			job.tc = a.TC
-		}
-		if job.vote != nil {
-			// The surviving run node re-registers as one replica of the
-			// restarted vote.
-			adoptReplicaLocked(job, a.Run, rt.Now())
-		} else {
-			// Already owned (a duplicated adopt, or the run node re-routed
-			// to an owner that already tracks the job): keep the existing
-			// record, but absorb any fresher checkpoint the run node sent.
-			job.absorbCkpt(a.Ckpt)
-		}
-	} else if n.cfg.votingOn() {
+	job, dup := n.owned[a.Prof.ID]
+	fill := !dup && n.cfg.votingOn()
+	switch {
+	case fill:
 		// Owner failover under redundant execution: the dead owner's
 		// vote state (partial tallies) is lost. The adopting owner
 		// restarts the vote seeded with this surviving replica; other
 		// survivors re-register through their own adopt calls, and the
 		// filler tops the set back up to R.
-		fill = true
-		job := n.newVotingJobLocked(a.Prof)
-		job.tc = a.TC
-		adoptReplicaLocked(job, a.Run, rt.Now())
-		n.owned[a.Prof.ID] = job
-	} else {
-		job := &ownedJob{
-			prof:    a.Prof,
-			run:     a.Run,
-			matched: true,
-			lastHB:  rt.Now(),
-			tc:      a.TC,
-		}
-		job.absorbCkpt(a.Ckpt)
-		n.owned[a.Prof.ID] = job
+		job = n.newVotingJobLocked(a.Prof)
+	case !dup:
+		job = &ownedJob{prof: a.Prof, run: a.Run, matched: true, lastHB: rt.Now()}
 	}
+	if !dup || !a.TC.Zero() {
+		job.tc = a.TC
+	}
+	if job.vote != nil {
+		// The surviving run node registers as one replica of the vote.
+		adoptReplicaLocked(job, a.Run, rt.Now())
+	} else {
+		// An owner that already tracks the job (a duplicated adopt, or
+		// the run node re-routed to it) keeps its record, but absorbs
+		// any fresher checkpoint the run node sent.
+		job.absorbCkpt(a.Ckpt)
+	}
+	n.owned[a.Prof.ID] = job
+	// The table refuses an adopt of a job this node already owns: no
+	// ownership changed.
+	n.transition(a.TC, job.role(), &job.life, a.Prof, Event{Kind: EvOwnerAdopted, At: rt.Now()}, a.Run, a.Run, "")
 	n.mu.Unlock()
-	n.emit(a.TC, n.jobEvent(EvOwnerAdopted, a.Prof, rt.Now()), a.Run, "")
-	n.notifyTransition(rt.Now(), a.Prof, EvOwnerAdopted, a.Run, 0)
 	// Adoption is an ownership transfer: republish opens a new epoch
 	// that fences out whatever the previous owner replicated.
 	n.republish(a.Prof.ID)
@@ -1040,7 +1010,7 @@ func (n *Node) handleCheckpoint(rt transport.Runtime, from transport.Addr, req a
 	if absorbed {
 		n.trace(c.TC, rt.Now(), "checkpoint-stored", c.Ckpt.Attempt, c.Run,
 			n.traceNote("done=%s bytes=%d", c.Ckpt.Done, len(c.Ckpt.Data)))
-		n.notifyTransition(rt.Now(), prof, EvCheckpointed, c.Run, c.Ckpt.Done)
+		n.transition(c.TC, owner, nil, prof, Event{Kind: EvCheckpointed, At: rt.Now(), Progress: c.Ckpt.Done}, c.Run, c.Run, "")
 		n.republish(c.Ckpt.JobID)
 	}
 	return CheckpointResp{}, nil

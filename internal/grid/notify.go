@@ -9,18 +9,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Push notifications (DESIGN.md §13). With Config.Notify set, every
-// node publishes the job-state transitions it drives — own, match,
-// start, checkpoint, vote, completion, adoption, promotion, resubmit
-// — to the job lineage's pub/sub topic, and the client side
-// subscribes on submit. The client monitor then treats a recent
-// notification as proof of life and skips the status poll, demoting
-// per-job polling to a silence-only fallback.
-//
-// Everything here is trace-neutral: publishes enqueue under the
-// broker's own lock and ship on broker-owned activities, OnNotification
-// only stamps a freshness clock the monitor reads, and with Notify nil
-// none of it exists. Protocol outcomes are identical either way.
+// Push notifications (DESIGN.md §13). With Config.Notify set, a node
+// publishes the transitions the lifecycle table pushes to the job
+// lineage's topic, the client subscribes on submit, and its monitor
+// polls only on silence. Publishes ship on broker-owned activities and
+// OnNotification only stamps a freshness clock, so protocol outcomes
+// are identical with Notify on or off.
 
 // NotifyTopic returns the pub/sub topic of a job lineage: the
 // attempt-0 GUID, stable across resubmissions — the same key that
@@ -57,26 +51,6 @@ func DecodeJobUpdate(data []byte) (JobUpdate, error) {
 	var u JobUpdate
 	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&u)
 	return u, err
-}
-
-// notifyTransition publishes one job-state transition to the job
-// lineage's topic. Nil-safe (no-op without a broker) and
-// non-blocking: the broker queues the payload and ships it from its
-// own activities, so the caller's timing — the protocol hot path —
-// is untouched.
-func (n *Node) notifyTransition(at time.Duration, prof Profile, kind EventKind, node transport.Addr, progress time.Duration) {
-	if n.cfg.Notify == nil {
-		return
-	}
-	n.cfg.Notify.Publish(NotifyTopic(prof.Client, prof.Seq), EncodeJobUpdate(JobUpdate{
-		JobID:    prof.ID,
-		Attempt:  prof.Attempt,
-		Kind:     kind.String(),
-		Node:     node,
-		From:     n.host.Addr(),
-		At:       at,
-		Progress: progress,
-	}))
 }
 
 // OnNotification is the client-side sink for fresh pub/sub events

@@ -40,7 +40,7 @@ type nodeObs struct {
 	statusProbes *obs.Counter // status polls the client monitor actually sent
 	notifyRecv   *obs.Counter // push notifications received (client side)
 
-	events [len(eventNames)]*obs.Counter // per-EventKind lifecycle tallies
+	events [len(lifecycle)]*obs.Counter // per-EventKind lifecycle tallies
 }
 
 // ckptBytesBuckets spans KB-scale snapshots up to the low megabytes.
@@ -65,28 +65,25 @@ func newNodeObs(n *Node, o *obs.Obs) *nodeObs {
 		statusProbes: r.Counter("grid_status_probes_total"),
 		notifyRecv:   r.Counter("grid_notifications_received_total"),
 	}
-	for k := range eventNames {
-		no.events[k] = r.Counter("grid_events_total", "kind", eventNames[k])
+	for k, st := range lifecycle {
+		no.events[k] = r.Counter("grid_events_total", "kind", st.name)
 	}
 	// Pull-evaluated gauges: sampled only at scrape time. In multi-node
 	// tests sharing one registry, re-registration is last-wins; live
 	// deployments run one node per registry.
 	r.GaugeFunc("grid_queue_depth", func() float64 { return float64(n.QueueLen()) })
-	r.GaugeFunc("grid_owned_jobs", func() float64 { return float64(n.ownedCount()) })
+	r.GaugeFunc("grid_owned_jobs", func() float64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return float64(len(n.owned))
+	})
 	r.GaugeFunc("grid_pending_jobs", func() float64 { return float64(n.PendingCount()) })
 	return no
 }
 
-// ownedCount returns how many jobs this node currently owns.
-func (n *Node) ownedCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.owned)
-}
-
 // trace records one plumbing step of a job's path at this node (a step
-// with no EventKind; lifecycle steps go through emit) and returns the
-// context to propagate onward. Nil tracer or zero context pass through
+// with no EventKind; lifecycle steps go through transition) and returns
+// the context to propagate onward. Nil tracer or zero context pass through
 // unchanged.
 func (n *Node) trace(tc obs.TC, at time.Duration, stage string, attempt int, peer transport.Addr, note string) obs.TC {
 	return n.om.tracer.Record(tc, at, n.host.Addr(), stage, attempt, peer, note)
@@ -99,40 +96,6 @@ func (n *Node) traceNote(format string, args ...any) string {
 		return ""
 	}
 	return fmt.Sprintf(format, args...)
-}
-
-// jobEvent is the Event for one step of prof's lifecycle at this node.
-func (n *Node) jobEvent(kind EventKind, prof Profile, at time.Duration) Event {
-	return Event{Kind: kind, JobID: prof.ID, Attempt: prof.Attempt, At: at, Node: n.host.Addr()}
-}
-
-// emit announces one lifecycle step, and is the recorder's only
-// caller: it records a trace stage named ev.Kind.String() (peer and
-// note annotate the trace only), counts the step in grid_events_total
-// and the inject/match histograms, publishes it on /events, and hands
-// it to the recorder. It returns the advanced trace context. emit
-// never takes n.mu, so callers may hold it.
-func (n *Node) emit(tc obs.TC, ev Event, peer transport.Addr, note string) obs.TC {
-	om := n.om
-	tc = n.trace(tc, ev.At, ev.Kind.String(), ev.Attempt, peer, note)
-	om.events[ev.Kind].Inc()
-	switch ev.Kind {
-	case EvInjected:
-		om.injectHops.Observe(float64(ev.Hops))
-	case EvMatched:
-		om.matchHops.Observe(float64(ev.Match.Hops + ev.Match.WalkHops + ev.Match.Pushes + ev.Match.Escalations))
-		om.matchVisits.Observe(float64(ev.Match.Visits))
-	}
-	if om.hub != nil {
-		om.hub.Publish(hubEvent{
-			Ev: ev.Kind.String(), Job: ev.JobID.String(), Attempt: ev.Attempt,
-			AtMS: ev.At.Milliseconds(), Node: string(ev.Node), Hops: ev.Hops,
-			ProgressMS: ev.Progress.Milliseconds(), Digest: ev.Digest,
-			Delta: ev.Delta, Seq: ev.Seq,
-		})
-	}
-	n.rec.Record(ev)
-	return tc
 }
 
 // hubEvent is the JSONL shape of one lifecycle event on /events.

@@ -46,12 +46,14 @@ func (r *stubRT) CallT(to transport.Addr, method string, req any, _ time.Duratio
 type stubHost struct {
 	addr   transport.Addr
 	spawns []string
+	procs  []func(rt transport.Runtime)
 }
 
 func (h *stubHost) Addr() transport.Addr             { return h.addr }
 func (h *stubHost) Handle(string, transport.Handler) {}
 func (h *stubHost) Go(name string, fn func(rt transport.Runtime)) {
 	h.spawns = append(h.spawns, name)
+	h.procs = append(h.procs, fn)
 }
 func (h *stubHost) Up() bool { return true }
 
@@ -65,6 +67,13 @@ func newStubNode(rec Recorder, cfg Config) (*Node, *stubHost) {
 	h := &stubHost{addr: "owner"}
 	n := NewNode(h, resource.Vector{4, 1024, 100}, "linux", nil, stubMatcher{}, rec, cfg)
 	return n, h
+}
+
+// hold plants job in n.owned as ownJob leaves it: opened as owned.
+func hold(n *Node, job *ownedJob) *ownedJob {
+	job.life.move(fresh, EvOwned)
+	n.owned[job.prof.ID] = job
+	return job
 }
 
 // orderedIDs returns two distinct job IDs with a.Less(b).
@@ -102,12 +111,12 @@ func TestMonitorTickSurvivesConcurrentComplete(t *testing.T) {
 	})
 	n, _ = newStubNode(rec, cfg)
 	for _, id := range []ids.ID{idA, idB} {
-		n.owned[id] = &ownedJob{
+		hold(n, &ownedJob{
 			prof:    Profile{ID: id, Client: "client"},
 			run:     transport.Addr("run-" + id.Short()),
 			matched: true,
 			lastHB:  0, // long silent
-		}
+		})
 	}
 
 	n.monitorTick(rt) // old code: nil-pointer panic on idB
@@ -129,13 +138,13 @@ func TestHeartbeatDropsExcludedRunNode(t *testing.T) {
 	id := ids.HashString("job")
 	n, _ := newStubNode(nil, Config{})
 	staleHB := 5 * time.Second
-	n.owned[id] = &ownedJob{
+	hold(n, &ownedJob{
 		prof:     Profile{ID: id, Client: "client"},
 		matched:  false,
 		matching: true,
 		excluded: []transport.Addr{"old-run"},
 		lastHB:   staleHB,
-	}
+	})
 	rt := &stubRT{now: 20 * time.Second, rng: rand.New(rand.NewSource(2))}
 
 	raw, err := n.handleHeartbeat(rt, "old-run", HeartbeatReq{Run: "old-run", Jobs: []ids.ID{id}})
@@ -177,7 +186,7 @@ func TestRelayAttemptsBounded(t *testing.T) {
 	cfg := Config{ResultRetries: 3}
 	n, _ := newStubNode(rec, cfg)
 	res := Result{JobID: id, RunNode: "run"}
-	n.owned[id] = &ownedJob{prof: Profile{ID: id, Client: "client"}, relay: &res}
+	hold(n, &ownedJob{prof: Profile{ID: id, Client: "client"}, relay: &res})
 	rt := &stubRT{rng: rand.New(rand.NewSource(3))}
 	rt.call = func(transport.Addr, string, any) (any, error) { return nil, transport.ErrTimeout }
 
@@ -195,7 +204,7 @@ func TestRelayAttemptsBounded(t *testing.T) {
 	// A reachable client still gets the relayed result before the cap.
 	id2 := ids.HashString("job2")
 	res2 := Result{JobID: id2, RunNode: "run"}
-	n.owned[id2] = &ownedJob{prof: Profile{ID: id2, Client: "client"}, relay: &res2}
+	hold(n, &ownedJob{prof: Profile{ID: id2, Client: "client"}, relay: &res2})
 	delivered := 0
 	rt.call = func(to transport.Addr, method string, req any) (any, error) {
 		if method == MResult {

@@ -46,12 +46,10 @@ func decodeOwnerRecord(data []byte) (OwnerRecord, error) {
 	return or, err
 }
 
-// replTargets returns this owner's current ranked replica targets (the
-// replication push set, nearest ring successor first), or nil when
-// replication is off. Assignments carry it so run nodes can steer
-// adoption at the replica chain — the nodes holding the job's state and
-// the ones rank-based promotion elects from — instead of walk-routing
-// to a random second owner.
+// replTargets returns this owner's ranked replica targets (nearest ring
+// successor first), or nil when replication is off. Assignments carry
+// it so run nodes offer adoption to the replica chain, which promotion
+// elects from, instead of walk-routing to a random second owner.
 func (n *Node) replTargets() []transport.Addr {
 	if n.repl == nil {
 		return nil
@@ -107,12 +105,10 @@ func (n *Node) ReplicaKick() {
 }
 
 // onReplicaOwn is the replica subsystem's ownership callback: this node
-// just became responsible for a replicated job record — promoted after
-// the previous owner died, or restored after this node itself restarted
-// and a surviving replica pushed its state back. It rebuilds the
-// ownedJob and re-establishes the execution path: re-attach to the
-// recorded run node when one is known, otherwise rematch (or refill the
-// replica set, on the voting path) from the replicated checkpoint.
+// was promoted after the owner died, or restored after it restarted. It
+// rebuilds the ownedJob and re-establishes the execution path: re-attach
+// to the recorded run node when one is known, otherwise rematch (or
+// refill the replica set, on the voting path) from the checkpoint.
 func (n *Node) onReplicaOwn(rt transport.Runtime, rec replpkg.Record, promoted bool) {
 	or, err := decodeOwnerRecord(rec.Data)
 	if err != nil || or.Prof.ID != rec.Key {
@@ -124,50 +120,36 @@ func (n *Node) onReplicaOwn(rt transport.Runtime, rec replpkg.Record, promoted b
 		n.mu.Unlock()
 		return
 	}
-	var job *ownedJob
+	job := &ownedJob{prof: or.Prof, excluded: or.Excluded, lastHB: now, tc: or.TC}
 	var proc string
 	var spawn func(rt transport.Runtime)
-	if n.cfg.votingOn() {
+	switch {
+	case n.cfg.votingOn():
 		// The dead owner's vote tallies are lost (same rule as adoption):
 		// restart the vote from scratch; surviving replicas re-register
 		// through their heartbeats' adopt path and the filler tops up.
-		job = n.newVotingJobLocked(or.Prof)
-		job.excluded = or.Excluded
-		job.tc = or.TC
+		job.vote = newVoteState()
+		job.vote.filling = true
 		proc, spawn = "grid.fill", func(rt transport.Runtime) { n.fillReplicas(rt, or.Prof.ID) }
-	} else {
-		job = &ownedJob{prof: or.Prof, excluded: or.Excluded, lastHB: now, tc: or.TC}
-		if or.Ckpt.Attempt == or.Prof.Attempt {
-			job.ckpt = or.Ckpt
-		}
-		if or.Matched && or.Run != "" && !job.isExcluded(or.Run) {
-			job.run = or.Run
-			job.matched = true
-			proc, spawn = "grid.reattach", func(rt transport.Runtime) { n.reattachRun(rt, or.Prof.ID) }
-		} else {
-			job.matching = true
-			proc, spawn = "grid.rematch", func(rt transport.Runtime) { n.matchAndAssign(rt, []ids.ID{or.Prof.ID}) }
-		}
+	case or.Matched && or.Run != "" && !job.isExcluded(or.Run):
+		job.run, job.matched = or.Run, true
+		proc, spawn = "grid.reattach", func(rt transport.Runtime) { n.reattachRun(rt, or.Prof.ID) }
+	default:
+		job.matching = true
+		proc, spawn = "grid.rematch", func(rt transport.Runtime) { n.matchAndAssign(rt, []ids.ID{or.Prof.ID}) }
+	}
+	if job.vote == nil && or.Ckpt.Attempt == or.Prof.Attempt {
+		job.ckpt = or.Ckpt
 	}
 	n.owned[or.Prof.ID] = job
-	saved := job.ckpt.Done
-	n.mu.Unlock()
-
 	kind := EvRestored
 	if promoted {
 		kind = EvPromoted
 	}
-	ev := n.jobEvent(kind, or.Prof, now)
-	ev.Progress = saved
-	tc := n.emit(or.TC, ev, rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
-	n.notifyTransition(now, or.Prof, kind, n.host.Addr(), saved)
+	ev := Event{Kind: kind, At: now, Progress: job.ckpt.Done}
+	tc := n.transition(or.TC, job.role(), &job.life, or.Prof, ev, rec.Owner, n.host.Addr(), n.traceNote("epoch=%d", rec.Epoch))
 	ev.Kind = EvHandoff
-	tc = n.emit(tc, ev, or.Run, n.traceNote("path=%s", proc))
-	n.notifyTransition(now, or.Prof, EvHandoff, or.Run, saved)
-	n.mu.Lock()
-	if job, ok := n.owned[or.Prof.ID]; ok {
-		job.tc = tc
-	}
+	job.tc = n.transition(tc, job.role(), &job.life, or.Prof, ev, or.Run, or.Run, n.traceNote("path=%s", proc))
 	n.mu.Unlock()
 	// Republishing under this node's ownership keeps the epoch the
 	// replica layer just opened and fans the record out to OUR
@@ -214,19 +196,15 @@ func (n *Node) reattachRun(rt transport.Runtime, jobID ids.ID) {
 }
 
 // onReplicaFenced is the replica subsystem's demotion callback: a newer
-// record owned elsewhere displaced one this node was serving — this
-// node is a stale owner (it resurfaced after a replica promoted, or
-// lost an adoption race) and must stand down so the job doesn't run
-// under two owners. Dropping the ownedJob also drops its heartbeat
-// registration: the zombie-side rules (excluded heartbeats, complete
-// fencing) already keep a displaced run node from double-delivering.
+// record owned elsewhere displaced one this node was serving, so this
+// stale owner stands down. Dropping the ownedJob drops its heartbeat
+// registration too; the zombie-side rules (excluded heartbeats,
+// complete fencing) keep a displaced run node from double-delivering.
 func (n *Node) onReplicaFenced(rt transport.Runtime, rec replpkg.Record) {
 	n.mu.Lock()
 	job, ok := n.owned[rec.Key]
-	var prof Profile
 	var tc obs.TC
 	if ok {
-		prof = job.prof
 		tc = job.tc
 		delete(n.owned, rec.Key)
 	}
@@ -234,7 +212,7 @@ func (n *Node) onReplicaFenced(rt transport.Runtime, rec replpkg.Record) {
 	if !ok {
 		return
 	}
-	n.emit(tc, n.jobEvent(EvDemoted, prof, rt.Now()), rec.Owner, n.traceNote("epoch=%d", rec.Epoch))
+	n.transition(tc, job.role(), &job.life, job.prof, Event{Kind: EvDemoted, At: rt.Now()}, rec.Owner, "", n.traceNote("epoch=%d", rec.Epoch))
 }
 
 // MReplicas is the diagnostics RPC behind `gridctl replicas`.

@@ -55,7 +55,7 @@ func (n *Node) handleAssign(rt transport.Runtime, from transport.Addr, raw any) 
 	if n.running != nil {
 		pos++
 	}
-	q.tc = n.emit(req.TC, n.jobEvent(EvEnqueued, req.Prof, rt.Now()), req.Owner, n.traceNote("pos=%d", pos))
+	q.tc = n.transition(req.TC, runner, &q.life, req.Prof, Event{Kind: EvEnqueued, At: rt.Now()}, req.Owner, "", n.traceNote("pos=%d", pos))
 	return AssignResp{Position: pos}, nil
 }
 
@@ -68,13 +68,10 @@ func (n *Node) execLoop(rt transport.Runtime) {
 		started := rt.Now()
 		n.om.queueWait.Observe((started - job.enqueuedAt).Seconds())
 		// Only this goroutine writes a running job's tc; readers hold n.mu.
-		ev := n.jobEvent(EvStarted, job.prof, started)
-		ev.Progress = job.ckpt.Done
-		tc := n.emit(job.tc, ev, "", "")
+		tc := n.transition(job.tc, runner, &job.life, job.prof, Event{Kind: EvStarted, At: started, Progress: job.ckpt.Done}, "", n.host.Addr(), "")
 		n.mu.Lock()
 		job.tc = tc
 		n.mu.Unlock()
-		n.notifyTransition(started, job.prof, EvStarted, n.host.Addr(), ev.Progress)
 		n.executeAndReport(rt, job, started)
 	}
 }
@@ -248,9 +245,8 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 	n.mu.Unlock()
 	if !seed.Zero() && seed.Attempt == job.prof.Attempt {
 		if err := sw.ResumeFrom(workload.Snapshot{Done: seed.Done, Data: seed.Data}); err == nil {
-			ev := n.jobEvent(EvResumed, job.prof, rt.Now())
-			ev.Progress = seed.Done
-			tc := n.emit(job.tc, ev, "", n.traceNote("done=%s", seed.Done))
+			tc := n.transition(job.tc, runner, &job.life, job.prof, Event{Kind: EvResumed, At: rt.Now(), Progress: seed.Done}, "", "",
+				n.traceNote("done=%s", seed.Done))
 			n.mu.Lock()
 			job.tc = tc
 			n.mu.Unlock()
@@ -287,9 +283,8 @@ func (n *Node) executeSliced(rt transport.Runtime, job *queuedJob) bool {
 				Done: snap.Done, Data: snap.Data, At: rt.Now(),
 			}
 			n.om.ckptBytes.Observe(float64(len(snap.Data)))
-			ev := n.jobEvent(EvCheckpointed, job.prof, rt.Now())
-			ev.Progress = snap.Done
-			tc := n.emit(job.tc, ev, "", n.traceNote("done=%s bytes=%d", snap.Done, len(snap.Data)))
+			tc := n.transition(job.tc, runner, &job.life, job.prof, Event{Kind: EvCheckpointed, At: rt.Now(), Progress: snap.Done}, "", "",
+				n.traceNote("done=%s bytes=%d", snap.Done, len(snap.Data)))
 			n.mu.Lock()
 			job.ckpt = ck
 			job.tc = tc
@@ -334,7 +329,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 
 		n.mu.Lock()
 		byOwner := make(map[transport.Addr][]ids.ID)
-		profs := make(map[ids.ID]Profile)
+		held := make(map[ids.ID]*queuedJob)
 		tcs := make(map[ids.ID]obs.TC)
 		reps := make(map[ids.ID][]transport.Addr)
 		jobs := make([]*queuedJob, 0, len(n.queue)+1)
@@ -344,7 +339,7 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 		jobs = append(jobs, n.queue...)
 		for _, q := range jobs {
 			byOwner[q.owner] = append(byOwner[q.owner], q.prof.ID)
-			profs[q.prof.ID] = q.prof
+			held[q.prof.ID] = q
 			tcs[q.prof.ID] = q.tc
 			reps[q.prof.ID] = q.reps
 		}
@@ -391,8 +386,9 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 					delete(ownerSilentSince, owner)
 					n.noteFailureSignal(now)
 					for _, id := range jobIDs {
-						tc := n.emit(tcs[id], n.jobEvent(EvOwnerFailureDetected, profs[id], now), owner, "")
-						n.reassignOwner(rt, profs[id], owner, reps[id], tc)
+						q := held[id]
+						tc := n.transition(tcs[id], runner, &q.life, q.prof, Event{Kind: EvOwnerFailureDetected, At: now}, owner, "", "")
+						n.reassignOwner(rt, q.prof, owner, reps[id], tc)
 					}
 				}
 				continue
@@ -418,14 +414,11 @@ func (n *Node) heartbeatLoop(rt transport.Runtime) {
 
 // reassignOwner finds a new owner for a job whose owner went silent and
 // asks it to adopt; the run node then reports heartbeats there. With
-// replication on, the dead owner's replica chain (shipped with the
-// assignment) is tried first, in rank order: those nodes hold the job's
-// replicated state, and the replica layer's rank-based promotion elects
-// from the same list — offering adoption there makes both recovery
-// paths converge on one owner instead of racing a walk-routed stranger
-// against the promoting replica (double owners, fencing, wasted work).
-// Only when the whole chain is unreachable does the run node fall back
-// to routing the job's GUID through the overlay.
+// replication on, the dead owner's replica chain is tried first, in
+// rank order: rank-based promotion elects from the same list, so both
+// recovery paths converge on one owner instead of racing a walk-routed
+// stranger against the promoting replica. Only when the whole chain is
+// unreachable does the run node route the job's GUID.
 func (n *Node) reassignOwner(rt transport.Runtime, prof Profile, deadOwner transport.Addr, reps []transport.Addr, tc obs.TC) {
 	// The adoption request carries our newest snapshot so the new owner
 	// starts with the dead owner's replicated progress, not zero.

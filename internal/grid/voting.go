@@ -173,11 +173,11 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 				n.mu.Unlock()
 				return
 			}
-			prof, tc := job.prof, job.tc
+			tc := job.tc
 			delete(n.owned, jobID)
 			n.mu.Unlock()
-			tc = n.emit(tc, n.jobEvent(EvQuorumFailed, prof, rt.Now()), "", "")
-			n.giveUp(rt.Now(), prof, tc)
+			tc = n.transition(tc, voter, &job.life, job.prof, Event{Kind: EvQuorumFailed, At: rt.Now()}, "", "", "")
+			n.giveUp(rt.Now(), job, tc)
 			return
 		}
 		v.assigns++
@@ -193,7 +193,7 @@ func (n *Node) fillReplicas(rt transport.Runtime, jobID ids.ID) {
 
 		m := n.matcher.FindRunNodes(rt, []MatchReq{{Cons: prof.Cons, Exclude: exclude}})[0]
 		run := m.Run
-		tc, res := n.placeOne(rt, jobID, prof, tc, Checkpoint{}, m)
+		tc, res := n.placeOne(rt, job, tc, Checkpoint{}, m)
 		switch res {
 		case unmatched:
 			rt.Sleep(n.cfg.MatchRetryEvery)
@@ -228,7 +228,7 @@ func (n *Node) voteTickLocked(now time.Duration, id ids.ID, job *ownedJob, deadR
 	for _, r := range v.reps {
 		if !r.voted && now-r.lastHB > n.cfg.RunDeadAfter {
 			job.excluded = append(job.excluded, r.run)
-			*deadReps = append(*deadReps, deadRun{id: id, prof: job.prof})
+			*deadReps = append(*deadReps, deadRun{job: job})
 			continue
 		}
 		kept = append(kept, r)
@@ -246,9 +246,9 @@ func (n *Node) voteTickLocked(now time.Duration, id ids.ID, job *ownedJob, deadR
 }
 
 // applyVoteLocked tallies one replica's completion vote. It returns
-// the lifecycle events to emit after n.mu is released (the recorder
-// must never be called under the lock) and whether a replica filler
-// should be spawned (split verdict needing tie-break voters).
+// the lifecycle events to announce after n.mu is released and whether
+// a replica filler should be spawned (split verdict needing tie-break
+// voters).
 func (n *Node) applyVoteLocked(now time.Duration, job *ownedJob, c CompleteReq) (evs []Event, fill bool) {
 	v := job.vote
 	// Zombie and duplicate votes: a disavowed replica must not vote
@@ -269,10 +269,7 @@ func (n *Node) applyVoteLocked(now time.Duration, job *ownedJob, c CompleteReq) 
 	}
 	v.voted[c.Run] = c.Digest
 	v.votes[c.Digest]++
-	evs = append(evs, Event{
-		Kind: EvVoted, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-		At: now, Node: c.Run, Digest: c.Digest,
-	})
+	evs = append(evs, Event{Kind: EvVoted, At: now, Node: c.Run, Digest: c.Digest})
 	if v.winner != "" {
 		// Late vote after acceptance: score it against the winner, but
 		// the settled result stands.
@@ -283,10 +280,7 @@ func (n *Node) applyVoteLocked(now time.Duration, job *ownedJob, c CompleteReq) 
 		v.winner = c.Digest
 		res := c.Res
 		job.relay = &res
-		evs = append(evs, Event{
-			Kind: EvAccepted, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-			At: now, Node: n.host.Addr(), Digest: c.Digest,
-		})
+		evs = append(evs, Event{Kind: EvAccepted, At: now, Node: n.host.Addr(), Digest: c.Digest})
 		// Score every voter so far against the winner, in address order
 		// for deterministic event sequences.
 		addrs := make([]transport.Addr, 0, len(v.voted))
@@ -321,10 +315,7 @@ func (n *Node) scoreVoterLocked(now time.Duration, job *ownedJob, run transport.
 	var evs []Event
 	agree := digest == v.winner
 	if !agree {
-		evs = append(evs, Event{
-			Kind: EvRejected, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-			At: now, Node: run, Digest: digest,
-		})
+		evs = append(evs, Event{Kind: EvRejected, At: now, Node: run, Digest: digest})
 	}
 	if n.cfg.Trust == nil {
 		return evs
@@ -336,15 +327,9 @@ func (n *Node) scoreVoterLocked(now time.Duration, job *ownedJob, run transport.
 	} else {
 		delta, crossed = n.cfg.Trust.Disagree(run)
 	}
-	evs = append(evs, Event{
-		Kind: EvReputation, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-		At: now, Node: run, Delta: delta,
-	})
+	evs = append(evs, Event{Kind: EvReputation, At: now, Node: run, Delta: delta})
 	if crossed {
-		evs = append(evs, Event{
-			Kind: EvBlacklisted, JobID: job.prof.ID, Attempt: job.prof.Attempt,
-			At: now, Node: run, Delta: delta,
-		})
+		evs = append(evs, Event{Kind: EvBlacklisted, At: now, Node: run, Delta: delta})
 	}
 	return evs
 }
@@ -392,7 +377,7 @@ func (n *Node) maybeProbe(rt transport.Runtime, now time.Duration) {
 	} else {
 		delta, _ = n.cfg.Trust.ProbeBad(target)
 	}
-	n.emit(obs.TC{}, Event{
+	n.record(obs.TC{}, Event{
 		Kind: EvProbed, JobID: ids.HashString("probe/" + nonce),
 		At: rt.Now(), Node: target, Delta: delta,
 	}, "", "")

@@ -29,12 +29,12 @@ func TestCompleteFromExcludedRunNodeIgnored(t *testing.T) {
 		}
 	})
 	n, _ := newStubNode(rec, Config{})
-	n.owned[id] = &ownedJob{
+	hold(n, &ownedJob{
 		prof:     Profile{ID: id, Client: "client"},
 		run:      "new-run",
 		matched:  true,
 		excluded: []transport.Addr{"old-run"},
-	}
+	})
 	rt := &stubRT{now: time.Minute, rng: rand.New(rand.NewSource(1))}
 
 	// Disavowed node's complete: ignored.
@@ -72,8 +72,7 @@ func votingJob(n *Node, id ids.ID, reps ...transport.Addr) *ownedJob {
 	for _, r := range reps {
 		job.vote.reps = append(job.vote.reps, &replica{run: r})
 	}
-	n.owned[id] = job
-	return job
+	return hold(n, job)
 }
 
 func vote(t *testing.T, n *Node, rt transport.Runtime, id ids.ID, run transport.Addr, digest string) {
